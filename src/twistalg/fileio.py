@@ -9,6 +9,7 @@ grammar and never contain whitespace.
 Groupoid blocks omit compositions with a unit factor; those are inferred
 from the arrow records on parse.  Parsing performs shape checks only, so
 a structurally broken file still loads and can be fed to the validators.
+Ideal files are the exception: read_ideal checks them in full.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 from .algebra import Context, Element
 from .cocycle import Cocycle, Grading, GroupTable, IntGroup, cyclic_group
 from .groupoid import Groupoid
-from .structure import Ideal
+from .structure import Ideal, rref
 from .twist import Twist
 
 
@@ -62,7 +63,8 @@ class _Cursor:
         return toks
 
     def line(self) -> int:
-        i = min(self.pos, len(self.rows) - 1)
+        """Line number of the record next() returned last."""
+        i = max(min(self.pos, len(self.rows)) - 1, 0)
         return self.rows[i][0] if self.rows else 0
 
     def done(self) -> bool:
@@ -425,16 +427,33 @@ def serialize_ideal(ideal: Ideal) -> list:
 
 
 def read_ideal(path: str, ctx: Context) -> Ideal:
+    """Read an ideal file against ctx.  The rows must be in range, given
+    once each, their own reduced row echelon form and closed under delta
+    multiplication on both sides; anything else is a ValueError."""
     cur = _Cursor(read_text(path))
     cur.expect("ideal")
     dim = int(cur.expect("dim")[1])
-    z = ctx.ring.zero()
-    rows = [[z] * ctx.gpd.m for _ in range(dim)]
+    m = ctx.gpd.m
+    if not 0 <= dim <= m:
+        raise ValueError("ideal dimension %d out of range for %d arrows" % (dim, m))
+    rows = [[ctx.ring.zero()] * m for _ in range(dim)]
+    seen = set()
     while not cur.done():
         toks = cur.expect("vec")
+        if len(toks) != 4:
+            raise ValueError("line %d: vec wants a row, an arrow and one literal" % cur.line())
         i, a = int(toks[1]), int(toks[2])
+        if not (0 <= i < dim and 0 <= a < m):
+            raise ValueError("line %d: vec %d %d out of range for dim %d, %d arrows"
+                             % (cur.line(), i, a, dim, m))
+        if (i, a) in seen:
+            raise ValueError("line %d: repeated vec %d %d" % (cur.line(), i, a))
+        seen.add((i, a))
         rows[i][a] = ctx.ring.parse(toks[3])
-    return Ideal(ctx, [tuple(r) for r in rows], verify=False)
+    rows = [tuple(r) for r in rows]
+    if rref(ctx.ring, rows) != rows:
+        raise ValueError("ideal rows are not in reduced row echelon form")
+    return Ideal(ctx, rows)
 
 
 def write_ideal(path: str, ideal: Ideal) -> None:

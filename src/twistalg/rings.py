@@ -573,7 +573,7 @@ def parse_ring(spec: str) -> Ring:
         return QuadraticGaloisField(int(m.group(3)))
     if m.group(4):
         return CyclotomicField(int(m.group(4)))
-    return IntegerRing() if spec == "Z" else RationalRing()
+    return IntegerRing() if m.group(1) == "Z" else RationalRing()
 
 
 def spec_string(ring: Ring) -> str:

@@ -3,9 +3,11 @@
 Ideals are stored as reduced row echelon bases in the delta-arrow
 coordinate system.  Since the unit space is finite the algebra is unital,
 so the two-sided ideal generated by f is already the linear span of
-delta_a * f * delta_b over all arrow pairs (a, b); ideal_generated takes
-that span, row reduces it with deterministic least-index pivoting, and
-then verifies closure under one-sided delta multiplication.
+delta_a * f * delta_b over all arrow pairs (a, b).  Every row reduction
+over a field goes through Echelon, sparse rows keyed by least-index pivot:
+ideal generation, membership and the closure check every Ideal runs, rref,
+reduce_against and the generic simplicity scan.  Only the GF(2) scan keeps
+its own bitmask elimination, which is faster there than dict rows.
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -45,42 +47,82 @@ def from_vec(ctx: Context, vec) -> Element:
     return Element(ctx, {a: c for a, c in enumerate(vec)})
 
 
+class Echelon:
+    """Row space over a field.  pivots maps each pivot index j to the tail
+    of its row (entries past j; the entry at j is one); a tail may still
+    hold entries in later pivot columns until rows() reduces them."""
+
+    def __init__(self, ring, rows=()):
+        self.ring = ring
+        self.pivots = {}
+        for row in rows:
+            self.insert(row)
+
+    def _lead(self, w: dict):
+        """Eliminate w in place, least index first and keeping its entries
+        nonzero, until that index has no pivot row; return it, or None."""
+        ring, pivots = self.ring, self.pivots
+        while w:
+            j = min(w)
+            tail = pivots.get(j)
+            if tail is None:
+                return j
+            lead = w.pop(j)
+            for k, val in tail.items():
+                term = ring.mul(lead, val)
+                nval = ring.sub(w.pop(k), term) if k in w else ring.neg(term)
+                if not ring.is_zero(nval):
+                    w[k] = nval
+        return None
+
+    def insert(self, w) -> bool:
+        """Add the row w, {index: nonzero coeff}, which is used up in the
+        process; True when it enlarged the span."""
+        j = self._lead(w)
+        if j is None:
+            return False
+        ring = self.ring
+        cinv = ring.inv(w.pop(j))
+        self.pivots[j] = {k: ring.mul(cinv, v) for k, v in w.items()}
+        return True
+
+    def remainder(self, w) -> dict:
+        """The row w, {index: nonzero coeff}, reduced by the span; empty
+        exactly when w lies in the span."""
+        w, out = dict(w), {}
+        while (j := self._lead(w)) is not None:
+            out[j] = w.pop(j)
+        return out
+
+    def rows(self, m: int) -> list:
+        """The canonical reduced row echelon basis as dense m-tuples, sorted
+        by pivot.  Back-substitutes into the tails in place, last pivot first."""
+        ring, zero, pivots = self.ring, self.ring.zero(), self.pivots
+        for j in sorted(pivots, reverse=True):
+            tail = pivots[j]
+            for k in [k for k in tail if k in pivots]:
+                c = tail.pop(k)
+                for i, val in pivots[k].items():
+                    tail[i] = ring.sub(tail.get(i, zero), ring.mul(c, val))
+        return [tuple(ring.one() if i == j else pivots[j].get(i, zero) for i in range(m))
+                for j in sorted(pivots)]
+
+
+def _sparse(ring, row) -> dict:
+    return {j: c for j, c in enumerate(row) if not ring.is_zero(c)}
+
+
 def rref(ring, rows: list) -> list:
     """Reduced row echelon form, least-index pivots, leading ones, sorted."""
     rows = [list(r) for r in rows]
-    out = []
-    for row in rows:
-        for basis_row, piv in out:
-            c = row[piv]
-            if not ring.is_zero(c):
-                for j in range(len(row)):
-                    row[j] = ring.sub(row[j], ring.mul(c, basis_row[j]))
-        piv = next((j for j, c in enumerate(row) if not ring.is_zero(c)), None)
-        if piv is None:
-            continue
-        cinv = ring.inv(row[piv])
-        row = [ring.mul(cinv, c) for c in row]
-        # back-substitute into the rows already collected
-        for prev, ppiv in out:
-            c = prev[piv]
-            if not ring.is_zero(c):
-                for j in range(len(prev)):
-                    prev[j] = ring.sub(prev[j], ring.mul(c, row[j]))
-        out.append((row, piv))
-    out.sort(key=lambda t: t[1])
-    return [tuple(r) for r, _ in out]
+    return Echelon(ring, (_sparse(ring, r) for r in rows)).rows(max(map(len, rows), default=0))
 
 
 def reduce_against(ring, basis: list, vec) -> list:
     """Remainder of vec after elimination by an RREF basis."""
-    rem = list(vec)
-    for row in basis:
-        piv = next(j for j, c in enumerate(row) if not ring.is_zero(c))
-        c = rem[piv]
-        if not ring.is_zero(c):
-            for j in range(len(rem)):
-                rem[j] = ring.sub(rem[j], ring.mul(c, row[j]))
-    return rem
+    vec = list(vec)
+    rem = Echelon(ring, (_sparse(ring, r) for r in basis)).remainder(_sparse(ring, vec))
+    return [rem.get(j, ring.zero()) for j in range(len(vec))]
 
 
 class Ideal:
@@ -91,22 +133,18 @@ class Ideal:
             raise ValueError("ideals require field coefficients")
         self.ctx = ctx
         self.basis = tuple(tuple(r) for r in basis)
-        if verify:
-            bad = self._closure_violations()
-            if bad:
-                raise ValueError("; ".join(bad[:3]))
-
-    def _closure_violations(self):
+        self.span = Echelon(ctx.ring, (_sparse(ctx.ring, r) for r in self.basis))
         bad = []
-        for row in self.basis:
-            f = from_vec(self.ctx, row)
-            for a in range(self.ctx.gpd.m):
-                d = delta(self.ctx, a)
-                if not self.member(convolve(d, f)):
+        for row in self.basis if verify else ():
+            f = from_vec(ctx, row)
+            for a in range(ctx.gpd.m):
+                d = delta(ctx, a)
+                if self.span.remainder(convolve(d, f).coeffs):
                     bad.append("not closed under left delta_%d" % a)
-                if not self.member(convolve(f, d)):
+                if self.span.remainder(convolve(f, d).coeffs):
                     bad.append("not closed under right delta_%d" % a)
-        return bad
+        if bad:
+            raise ValueError("; ".join(bad[:3]))
 
     @property
     def dim(self) -> int:
@@ -115,8 +153,7 @@ class Ideal:
     def member(self, f: Element) -> bool:
         if f.ctx != self.ctx:
             raise ValueError("element lives in a different context")
-        rem = reduce_against(self.ctx.ring, list(self.basis), to_vec(f))
-        return all(self.ctx.ring.is_zero(c) for c in rem)
+        return not self.span.remainder(f.coeffs)
 
     def __eq__(self, other):
         return (
@@ -130,21 +167,18 @@ def ideal_generated(ctx: Context, elems: Iterable[Element], verify: bool = True)
     """Smallest two-sided ideal containing the given elements."""
     if not ctx.ring.is_field:
         raise ValueError("ideals require field coefficients")
-    rows = []
+    span = Echelon(ctx.ring)
     m = ctx.gpd.m
     for f in elems:
         if f.ctx != ctx:
             raise ValueError("generator lives in a different context")
         for a in range(m):
-            da = delta(ctx, a)
-            left = convolve(da, f)
+            left = convolve(delta(ctx, a), f)
             if not left.coeffs:
                 continue
             for b in range(m):
-                prod = convolve(left, delta(ctx, b))
-                if prod.coeffs:
-                    rows.append(to_vec(prod))
-    return Ideal(ctx, rref(ctx.ring, rows), verify=verify)
+                span.insert(convolve(left, delta(ctx, b)).coeffs)
+    return Ideal(ctx, span.rows(m), verify=verify)
 
 
 def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
@@ -224,9 +258,10 @@ SimpleResult = namedtuple("SimpleResult", "simple certificate reason")
 
 def _product_recipes(ctx: Context):
     """Per arrow pair (a, b), how delta_a * v * delta_b reads off v:
-    entries (c, target, scalar) with target = a c b.  Recipes are emitted
-    round-robin across the range classes of the left factor so that a
-    rank scan touches many pivot positions early."""
+    entries (c, target, scalar) with target = a c b, distinct since a c b
+    determines c.  Recipes are emitted round-robin across the range
+    classes of the left factor so that a rank scan touches many pivot
+    positions early."""
     gpd = ctx.gpd
     by_rng = gpd.arrows_by_rng()
     buckets = {}
@@ -259,48 +294,24 @@ def _product_recipes(ctx: Context):
 
 def _generates_everything(ring, m, vec, recipes) -> bool:
     """Rank of span{delta_a vec delta_b} reaches m, by incremental
-    insertion into a pivot table with early exit."""
-    pivots = {}
-    rank = 0
-    zero = ring.zero()
+    insertion with early exit."""
+    span, v = Echelon(ring), _sparse(ring, vec)
     for recipe in recipes:
         w = {}
-        for c, target, scalar in recipe:
-            vc = vec[c]
-            if ring.is_zero(vc):
-                continue
-            prev = w.get(target)
-            term = ring.mul(scalar, vc)
-            w[target] = term if prev is None else ring.add(prev, term)
-        while w:
-            j = min(w)
-            lead = w.pop(j)
-            if ring.is_zero(lead):
-                continue
-            row = pivots.get(j)
-            if row is None:
-                cinv = ring.inv(lead)
-                pivots[j] = {j: ring.one()}
-                pivots[j].update(
-                    (k, ring.mul(cinv, val)) for k, val in w.items() if not ring.is_zero(val)
-                )
-                rank += 1
-                if rank == m:
-                    return True
-                break
-            for k, val in row.items():
-                if k == j:
-                    continue
-                nval = ring.sub(w.get(k, zero), ring.mul(lead, val))
-                if ring.is_zero(nval):
-                    w.pop(k, None)
-                else:
-                    w[k] = nval
-    return rank == m
+        for c, t, s in recipe:
+            if c in v:
+                w[t] = ring.mul(s, v[c])
+        if w and span.insert(w) and len(span.pivots) == m:
+            return True
+    return False
 
 
-def _generates_everything_gf2(m, bits, recipes_gf2) -> bool:
+def _generates_everything_gf2(ring, m, vec, recipes_gf2) -> bool:
     """GF(2) fast path: vectors are bit masks, reduction is xor."""
+    bits = 0
+    for i, c in enumerate(vec):
+        if c:
+            bits |= 1 << i
     pivots = [0] * m
     rank = 0
     for recipe in recipes_gf2:
@@ -356,23 +367,14 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
             raise ValueError(
                 "search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap)
             )
-        m = gpd.m
         recipes = _product_recipes(ctx)
+        generates = _generates_everything
         if ctx.ring.kind == ("GF", 2):
-            recipes2 = [[(c, t) for c, t, _ in rec] for rec in recipes]
-            for vec in _candidates(ctx.ring, m):
-                bits = 0
-                for i, c in enumerate(vec):
-                    if c:
-                        bits |= 1 << i
-                if not _generates_everything_gf2(m, bits, recipes2):
-                    cert = from_vec(ctx, vec)
-                    return SimpleResult(False, cert, "element generates a proper ideal")
-        else:
-            for vec in _candidates(ctx.ring, m):
-                if not _generates_everything(ctx.ring, m, vec, recipes):
-                    cert = from_vec(ctx, vec)
-                    return SimpleResult(False, cert, "element generates a proper ideal")
+            recipes = [[(c, t) for c, t, _ in rec] for rec in recipes]
+            generates = _generates_everything_gf2
+        for vec in _candidates(ctx.ring, gpd.m):
+            if not generates(ctx.ring, gpd.m, vec, recipes):
+                return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
         return SimpleResult(True, None, "every nonzero element generates the algebra")
     if mode == "structural":
         if not is_effective(gpd):
@@ -381,11 +383,7 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
             return SimpleResult(True, None, "effective and minimal")
         orb = orbits(gpd)[0]
         inside = set(orb)
-        rows = [
-            to_vec(delta(ctx, a))
-            for a in range(gpd.m)
-            if gpd.src[a] in inside
-        ]
-        cert = Ideal(ctx, rref(ctx.ring, rows))
+        rows = ({a: ctx.ring.one()} for a in range(gpd.m) if gpd.src[a] in inside)
+        cert = Ideal(ctx, Echelon(ctx.ring, rows).rows(gpd.m))
         return SimpleResult(False, cert, "proper ideal over invariant units %s" % (sorted(orb),))
     raise ValueError("unknown mode %r" % mode)

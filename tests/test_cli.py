@@ -310,6 +310,36 @@ def test_groupoid_cocycle_cross_check(fx, tmp_path, capsys):
     assert "different groupoid" in err
 
 
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_ideal_file_not_in_rref(fx, tmp_path, capsys):
+    # rows (1,1) and (1,0) span the whole algebra, so delta_1 is a member
+    idl = write(tmp_path, "i.idl", "ideal\ndim 2\nvec 0 0 1\nvec 0 1 1\nvec 1 0 1\n")
+    d1 = write(tmp_path, "d1.elt", "element\ncoeff 1 1\n")
+    code, out, err = run(capsys, "ideal", "--ring", "GF(3)", "member", str(fx / "z2.gpd"), idl, d1)
+    assert_one_error_line(code, out, err)
+    assert "row echelon" in err
+
+
+def test_ideal_file_not_closed(fx, tmp_path, capsys):
+    idl = write(tmp_path, "i.idl", "ideal\ndim 1\nvec 0 1 1\n")
+    code, out, err = run(capsys, "ck-witness", "--ring", "GF(3)", str(fx / "pair2.gpd"), idl)
+    assert_one_error_line(code, out, err)
+    assert "not closed" in err
+
+
+def test_ideal_file_negative_indices(fx, tmp_path, capsys):
+    idl = write(tmp_path, "i.idl", "ideal\ndim 1\nvec -1 0 1\nvec 0 -1 1\n")
+    elt = write(tmp_path, "f.elt", "element\ncoeff 0 1\ncoeff 1 1\n")
+    code, out, err = run(capsys, "ideal", "--ring", "GF(3)", "member", str(fx / "z2.gpd"), idl, elt)
+    assert_one_error_line(code, out, err)
+    assert "out of range" in err
+
+
 def test_usage_errors(fx, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])

@@ -267,6 +267,28 @@ def test_ideal_round_trip(tmp_path):
     assert back.dim == ideal.dim
 
 
+@pytest.mark.parametrize(
+    "body,match",
+    [
+        ("dim 1\nvec 1 0 1\n", "line 3: vec 1 0 out of range"),
+        ("dim 1\nvec 0 8 1\n", "out of range"),
+        ("dim 1\nvec 0 0 1\nvec 0 0 1\nvec 0 1 1\n", "line 4: repeated vec 0 0"),
+        ("dim 1\nvec 0 0 1 2\n", "vec wants"),
+        ("dim 9\n", "dimension 9 out of range"),
+        ("dim 2\nvec 0 0 1\n", "row echelon"),  # a zero row
+        ("dim 1\nvec 0 0 2\n", "row echelon"),  # leading coefficient not one
+        ("dim 1\nvec 0 1 1\n", "not closed"),
+    ],
+    ids=["row", "arrow", "repeated", "tokens", "dim", "zero-row", "lead", "not-closed"],
+)
+def test_ideal_reader_rejects(body, match, tmp_path):
+    ctx = make_context(T.build("pair2_pair2"), "GF(3)")
+    p = path(tmp_path, "i.idl")
+    T.write_text(p, "ideal\n" + body)
+    with pytest.raises(ValueError, match=match):
+        T.read_ideal(p, ctx)
+
+
 def test_decomposition_round_trip(tmp_path):
     ctx = make_context(T.build("pair3"), "Q")
     f = T.from_coeffs(ctx, {0: Fraction(2), 1: Fraction(2), 5: Fraction(-1)})

@@ -172,6 +172,14 @@ def test_parse_ring_rejects_junk():
             T.parse_ring(bad)
 
 
+def test_parse_ring_ignores_spaces():
+    for spec in (" Z", "Z ", " Z "):
+        assert T.parse_ring(spec) == RINGS["Z"]
+    assert T.parse_ring(" Q") == RINGS["Q"]
+    with pytest.raises(ValueError):
+        T.parse_ring(" Z").parse("1/2")
+
+
 def test_cyclotomic_polynomial_degrees():
     from twistalg.rings import cyclotomic_polynomial
 

@@ -36,7 +36,7 @@ def is_rref(ring, rows):
     return pivots == sorted(pivots)
 
 
-@pytest.mark.parametrize("ring", [GF3, T.parse_ring("Q"), T.parse_ring("GF(3^2)")])
+@pytest.mark.parametrize("ring", [GF2, GF3, T.parse_ring("Q"), T.parse_ring("GF(3^2)")])
 def test_rref_canonical(ring):
     rnd = random.Random(str(ring.kind))
     for _ in range(20):
@@ -61,6 +61,68 @@ def test_reduce_against_detects_span():
     assert all(c == 0 for c in T.reduce_against(GF3, basis, inside))
     outside = [0, 0, 1]
     assert any(c != 0 for c in T.reduce_against(GF3, basis, outside))
+
+
+# --- the kernel against an independent oracle -------------------------------------
+
+
+def dense_rank_mod_p(rows, p):
+    """Rank over GF(p) by plain Gaussian elimination on integer lists."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(x - row[col] * y) % p for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def product_rows(gpd, gen, p):
+    """delta_a * gen * delta_b over all arrow pairs, untwisted, read off the
+    composition table; gen maps arrows to ints."""
+    rows = []
+    for a in range(gpd.m):
+        for b in range(gpd.m):
+            row = [0] * gpd.m
+            for c, x in gen.items():
+                if gpd.src[a] == gpd.rng[c] and gpd.src[c] == gpd.rng[b]:
+                    t = gpd.comp[(gpd.comp[(a, c)], b)]
+                    row[t] = (row[t] + x) % p
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("gname", ["pair3", "pair2_pair2", "s3", "z3"])
+def test_ideal_kernel_matches_dense_rank(gname, p):
+    # s3 and z3 include p dividing the group order, where the algebra is
+    # not semisimple and generated ideals are not sums of blocks
+    ctx = make_context(T.build(gname), "GF(%d)" % p)
+    m = ctx.gpd.m
+    rnd = random.Random("%s/%d" % (gname, p))
+    for _ in range(10):
+        gen = {a: rnd.randrange(1, p) for a in rnd.sample(range(m), rnd.randint(1, min(m, 4)))}
+        rows = product_rows(ctx.gpd, gen, p)
+        rank = dense_rank_mod_p(rows, p)
+        ideal = T.ideal_generated(ctx, [T.from_coeffs(ctx, gen)])
+        assert ideal.dim == rank
+        for _ in range(6):
+            if rnd.random() < 0.5:  # a combination of products: inside
+                v = [0] * m
+                for row in rnd.sample(rows, 3):
+                    k = rnd.randrange(p)
+                    v = [(x + k * y) % p for x, y in zip(v, row)]
+            else:
+                v = [rnd.randrange(p) if rnd.random() < 0.4 else 0 for _ in range(m)]
+            inside = dense_rank_mod_p(rows + [v], p) == rank
+            assert ideal.member(T.from_coeffs(ctx, dict(enumerate(v)))) is inside
 
 
 # --- ideals ---------------------------------------------------------------------
