@@ -22,10 +22,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import rings
-from .cocycle import Cocycle, Grading, check_cocycle, invert_cocycle, validate_grading
+from .cocycle import Cocycle, Grading, check_cocycle, check_grading, invert_cocycle
 from .groupoid import Groupoid, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
-from .twist import Twist, induced_cocycle, unique_scalar, validate_section
+from .twist import Twist, induced_cocycle, unique_scalar
 
 
 class Context:
@@ -62,17 +62,16 @@ class Context:
         return self.tgrp.embed(self.coc.table[(a, b)])
 
     def __eq__(self, other):
-        return (
+        # coc carries the groupoid and tgrp the ring
+        return self is other or (
             isinstance(other, Context)
-            and self.gpd == other.gpd
-            and self.ring == other.ring
-            and self.tgrp == other.tgrp
             and self.coc == other.coc
+            and self.tgrp == other.tgrp
             and self.conj == other.conj
         )
 
     def __hash__(self):
-        return hash((self.gpd, self.ring, self.tgrp, self.coc, self.conj))
+        return hash((self.coc, self.tgrp, self.conj))
 
 
 class Element:
@@ -248,20 +247,14 @@ def coboundary_iso(ctx_src: Context, ctx_dst: Context, b, f: Element) -> Element
 
 
 def graded_component(f: Element, grading: Grading, label) -> Element:
-    bad = validate_grading(grading)
-    if bad:
-        raise ValueError("invalid grading: " + "; ".join(bad[:4]))
-    if grading.gpd != f.ctx.gpd:
-        raise ValueError("grading lives over a different groupoid")
-    deg = grading.deg
-    return Element(f.ctx, {a: c for a, c in f.coeffs.items() if deg[a] == label})
+    return graded_components(f, grading).get(label, zero(f.ctx))
 
 
 def graded_components(f: Element, grading: Grading) -> dict:
     """label -> nonzero component, sorted by label."""
-    bad = validate_grading(grading)
-    if bad:
-        raise ValueError("invalid grading: " + "; ".join(bad[:4]))
+    check_grading(grading)
+    if grading.gpd != f.ctx.gpd:
+        raise ValueError("grading lives over a different groupoid")
     labels = sorted({grading.deg[a] for a in f.coeffs})
     out = {}
     for lab in labels:
@@ -287,9 +280,8 @@ class EquivContext:
         tgrp: UnitSubgroup,
         conj: Optional[Involution] = None,
     ):
-        bad = validate_section(twist, section)
-        if bad:
-            raise ValueError("; ".join(bad))
+        # the cocycle of the algebra psi lands in; checks the section
+        self.coc = invert_cocycle(induced_cocycle(twist, section))
         if tgrp.order != twist.n:
             raise ValueError("unit subgroup order does not match the twist")
         if tgrp.ring != ring:
@@ -393,25 +385,21 @@ def equiv_star(f: EquivariantElement) -> EquivariantElement:
     return EquivariantElement(ectx, out)
 
 
+def _check_target(ectx: EquivContext, ctx: Context):
+    if ctx.coc != ectx.coc:
+        raise ValueError("target cocycle is not the inverted induced cocycle")
+    if ctx.ring != ectx.ring or ctx.tgrp != ectx.tgrp or ctx.conj != ectx.conj:
+        raise ValueError("target context disagrees on coefficient data")
+
+
 def psi(f: EquivariantElement, ctx: Context) -> Element:
     """Restriction along the section: an isomorphism onto the algebra of
     the inverted induced cocycle.  The target context must carry exactly
     that cocycle (and the same ring data)."""
-    ectx = f.ectx
-    expected = invert_cocycle(induced_cocycle(ectx.twist, ectx.section))
-    if ctx.gpd != ectx.twist.base:
-        raise ValueError("target context lives over a different groupoid")
-    if ctx.coc != expected:
-        raise ValueError("target cocycle is not the inverted induced cocycle")
-    if ctx.ring != ectx.ring or ctx.tgrp != ectx.tgrp or ctx.conj != ectx.conj:
-        raise ValueError("target context disagrees on coefficient data")
+    _check_target(f.ectx, ctx)
     return Element(ctx, dict(f.h))
 
 
 def psi_inverse(ectx: EquivContext, f: Element) -> EquivariantElement:
-    expected = invert_cocycle(induced_cocycle(ectx.twist, ectx.section))
-    if f.ctx.coc != expected or f.ctx.gpd != ectx.twist.base:
-        raise ValueError("element context does not match the twist and section")
-    if f.ctx.ring != ectx.ring or f.ctx.tgrp != ectx.tgrp or f.ctx.conj != ectx.conj:
-        raise ValueError("element context disagrees on coefficient data")
+    _check_target(ectx, f.ctx)
     return EquivariantElement(ectx, dict(f.coeffs))

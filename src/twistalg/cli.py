@@ -1,8 +1,10 @@
 """Batch command line front end.
 
 One verb per invocation, all inputs and outputs in the text formats of
-fileio.  Exit codes: 0 success, 1 mathematical/validation failure with
-the violations printed, 2 usage error (argparse).  Output is
+fileio, whose readers check every input file as they read it.  Exit
+codes: 0 success, 1 an input that breaks its axioms (one `violation:`
+line per violation on stdout) or any other error (one `error:` line on
+stderr), 2 usage error (argparse).  Output is
 deterministic byte for byte: artifact files have fixed names inside
 --out, and everything printed is derived from sorted structures.
 """
@@ -25,17 +27,11 @@ from .algebra import (
     psi,
 )
 from .catalog import CATALOG, emit_fixtures
-from .cocycle import (
-    check_cohomologous,
-    invert_cocycle,
-    trivial_cocycle,
-    validate_cocycle,
-    validate_grading,
-)
-from .groupoid import is_effective, is_minimal, orbits, validate_groupoid
+from .cocycle import check_cohomologous, trivial_cocycle
+from .groupoid import AxiomError, is_effective, is_minimal, orbits
 from .rings import parse_involution, parse_ring, unit_subgroup
 from .structure import Ideal, ck_witness, graded_ck_witness, ideal_generated, is_simple
-from .twist import build_twist, find_section, induced_cocycle, twists_isomorphic, validate_twist
+from .twist import build_twist, find_section, induced_cocycle, twists_isomorphic
 
 _AUTO_INVOLUTION = {"Z": "id", "Q": "id", "GF": "id", "GF2": "frobenius", "CYC": "conj"}
 
@@ -51,7 +47,8 @@ def _involution(args, ring):
 
 def _context(args, gpd=None):
     """Assemble the algebra context from --ring/--cocycle/--groupoid and
-    an optional positional groupoid (cross-checked against the cocycle)."""
+    an optional positional groupoid (Context cross-checks it against the
+    cocycle)."""
     ring = parse_ring(args.ring)
     coc_path = getattr(args, "cocycle", None)
     gpd_path = getattr(args, "groupoid", None)
@@ -59,16 +56,12 @@ def _context(args, gpd=None):
         gpd = fileio.read_groupoid(gpd_path)
     if coc_path:
         coc = fileio.read_cocycle(coc_path)
-        if gpd is not None and coc.gpd != gpd:
-            raise ValueError("cocycle file describes a different groupoid")
-        g = coc.gpd
+    elif gpd is None:
+        raise ValueError("need a groupoid file or --cocycle/--groupoid")
     else:
-        if gpd is None:
-            raise ValueError("need a groupoid file or --cocycle/--groupoid")
-        g = gpd
-        coc = trivial_cocycle(g, 1)
+        coc = trivial_cocycle(gpd, 1)
     tgrp = unit_subgroup(ring, coc.n)
-    return Context(g, ring, tgrp, coc, _involution(args, ring))
+    return Context(coc.gpd if gpd is None else gpd, ring, tgrp, coc, _involution(args, ring))
 
 
 def _artifact(args, fname: str, lines) -> None:
@@ -88,21 +81,14 @@ def _bool(x) -> str:
 
 # --- verb handlers ------------------------------------------------------------
 
+# kind -> the fileio reader that checks it, by name: looked up on the module
+# at call time, so a reader rebound there (say, wrapped to time it) is used
+_READERS = {"groupoid": "read_groupoid", "cocycle": "read_cocycle",
+            "twist": "read_twist", "grading": "read_grading"}
+
+
 def _cmd_validate(args) -> int:
-    if args.what == "groupoid":
-        bad = validate_groupoid(fileio.read_groupoid(args.file))
-    elif args.what == "cocycle":
-        coc = fileio.read_cocycle(args.file)
-        bad = validate_groupoid(coc.gpd) or validate_cocycle(coc)
-    elif args.what == "twist":
-        bad = validate_twist(fileio.read_twist(args.file))
-    else:
-        grading = fileio.read_grading(args.file)
-        bad = validate_groupoid(grading.gpd) or validate_grading(grading)
-    if bad:
-        for v in bad:
-            print("violation: %s" % v)
-        return 1
+    getattr(fileio, _READERS[args.what])(args.file)
     print("ok")
     return 0
 
@@ -159,11 +145,7 @@ def _cmd_cohomologous(args) -> int:
 
 def _cmd_twist(args) -> int:
     if args.what == "build":
-        g = fileio.read_groupoid(args.file)
-        coc = fileio.read_cocycle(args.cocfile)
-        if coc.gpd != g:
-            raise ValueError("cocycle file describes a different groupoid")
-        tw = build_twist(g, coc)
+        tw = build_twist(fileio.read_groupoid(args.file), fileio.read_cocycle(args.cocfile))
         _artifact(args, "twist.twi", fileio.serialize_twist(tw))
         return 0
     if args.what == "iso":
@@ -188,9 +170,8 @@ def _cmd_psi(args) -> int:
     ring = parse_ring(args.ring)
     tgrp = unit_subgroup(ring, tw.n)
     conj = _involution(args, ring)
-    sec = find_section(tw)
-    ectx = EquivContext(tw, sec, ring, tgrp, conj)
-    ctx = Context(tw.base, ring, tgrp, invert_cocycle(induced_cocycle(tw, sec)), conj)
+    ectx = EquivContext(tw, find_section(tw), ring, tgrp, conj)
+    ctx = Context(tw.base, ring, tgrp, ectx.coc, conj)
     h = fileio.read_element(args.elt, ctx)
     out = psi(EquivariantElement(ectx, h.coeffs), ctx)
     _artifact(args, "psi.elt", fileio.serialize_element(out))
@@ -199,11 +180,6 @@ def _cmd_psi(args) -> int:
 
 def _cmd_grade(args) -> int:
     grading = fileio.read_grading(args.file)
-    bad = validate_groupoid(grading.gpd) or validate_grading(grading)
-    if bad:
-        for v in bad:
-            print("violation: %s" % v)
-        return 1
     ctx = _context(args, gpd=grading.gpd)
     f = fileio.read_element(args.elt, ctx)
     comps = graded_components(f, grading)
@@ -296,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", help="check an object file against its axioms")
-    p.add_argument("what", choices=["groupoid", "cocycle", "twist", "grading"])
+    p.add_argument("what", choices=list(_READERS))
     p.add_argument("file")
     p.set_defaults(fn=_cmd_validate)
 
@@ -419,6 +395,10 @@ def main(argv=None) -> int:
                 return 2
     try:
         return args.fn(args)
+    except AxiomError as exc:
+        for v in exc.violations:
+            print("violation: %s" % v)
+        return 1
     except (ValueError, KeyError, IndexError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .groupoid import Groupoid, composable_pairs, composable_triples
+from .groupoid import AxiomError, Groupoid, composable_pairs, composable_triples
 
 
 class Cocycle:
@@ -88,7 +88,7 @@ def validate_cocycle(coc: Cocycle) -> list:
 def check_cocycle(coc: Cocycle) -> Cocycle:
     v = validate_cocycle(coc)
     if v:
-        raise ValueError("invalid cocycle: " + "; ".join(v[:4]))
+        raise AxiomError("cocycle", v)
     return coc
 
 
@@ -388,6 +388,13 @@ def validate_grading(grading: Grading) -> list:
         if grp.op(deg[a], deg[b]) != deg[ab]:
             v.append("homomorphism law fails at pair (%d, %d)" % (a, b))
     return v
+
+
+def check_grading(grading: Grading) -> Grading:
+    v = validate_grading(grading)
+    if v:
+        raise AxiomError("grading", v)
+    return grading
 
 
 def kernel_arrows(grading: Grading) -> list:

@@ -7,9 +7,14 @@ equal to the one written.  Coefficient literals use the ring's own
 grammar and never contain whitespace.
 
 Groupoid blocks omit compositions with a unit factor; those are inferred
-from the arrow records on parse.  Parsing performs shape checks only, so
-a structurally broken file still loads and can be fed to the validators.
-Ideal files are the exception: read_ideal checks them in full.
+from the arrow records on parse.
+
+Every reader checks what it reads before it returns.  Records keyed by
+one index need an index in range and given once, and a dense table
+(arrow, inv, q, map, part) a record for every index.  A groupoid, a
+cocycle or grading (after its groupoid) and a twist must satisfy their
+axioms, else AxiomError carries every violation.  An ideal must be its
+own reduced row echelon form and closed.  Other defects are ValueErrors.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import Context, Element
-from .cocycle import Cocycle, Grading, GroupTable, IntGroup, cyclic_group
-from .groupoid import Groupoid
+from .cocycle import (
+    Cocycle, Grading, GroupTable, IntGroup, check_cocycle, check_grading, cyclic_group,
+)
+from .groupoid import Groupoid, check_groupoid
 from .structure import Ideal, rref
-from .twist import Twist
+from .twist import Twist, check_twist
 
 
 def write_text(path: str, text: str) -> None:
@@ -70,9 +77,56 @@ class _Cursor:
     def done(self) -> bool:
         return self.pos >= len(self.rows)
 
+    def run(self, word: str) -> int:
+        """How many records from here on start with word."""
+        k = self.pos
+        while k < len(self.rows) and self.rows[k][1][0] == word:
+            k += 1
+        return k - self.pos
+
+
+def _read(path: str, parse, *args):
+    """parse(cursor, *args) over the whole file; leftover records are an error."""
+    cur = _Cursor(read_text(path))
+    obj = parse(cur, *args)
+    if not cur.done():
+        raise ValueError("line %d: trailing content after the %s block"
+                         % (cur.rows[cur.pos][0], cur.rows[0][1][0]))
+    return obj
+
 
 def _ints(toks) -> list:
     return [int(t) for t in toks]
+
+
+def _count(cur: _Cursor, word: str) -> int:
+    n = int(cur.expect(word)[1])
+    if n < 0:
+        raise ValueError("line %d: negative %s %d" % (cur.line(), word, n))
+    return n
+
+
+def _indexed(cur: _Cursor, word: str, size: int, fields: int, dense: bool = False):
+    """Yield (index, the fields after it) for the consecutive `<word> <index>
+    ...` records.  fields counts those fields (0: one or more).  An index
+    outside 0..size-1 or given twice is an error, and so, when dense, is an
+    index without a record."""
+    seen = set()
+    while not cur.done() and cur.peek()[0] == word:
+        toks = cur.next()
+        if len(toks) < 3 or fields and len(toks) != fields + 2:
+            raise ValueError("line %d: bad %s record" % (cur.line(), word))
+        i = int(toks[1])
+        if not 0 <= i < size:
+            raise ValueError("line %d: %s %d out of range for %d entries"
+                             % (cur.line(), word, i, size))
+        if i in seen:
+            raise ValueError("line %d: repeated %s %d" % (cur.line(), word, i))
+        seen.add(i)
+        yield i, toks[2:]
+    if dense and len(seen) < size:
+        i = next(i for i in range(size) if i not in seen)
+        raise ValueError("missing %s %d: %s records must cover 0..%d" % (word, i, word, size - 1))
 
 
 # --- groupoid ----------------------------------------------------------------
@@ -93,42 +147,27 @@ def serialize_groupoid(g: Groupoid) -> list:
 
 def parse_groupoid_block(cur: _Cursor) -> Groupoid:
     cur.expect("groupoid")
-    m = int(cur.expect("arrows")[1])
+    m = _count(cur, "arrows")
     units = _ints(cur.expect("units")[1:])
-    src = [None] * m
-    rng = [None] * m
-    inv = [None] * m
+    ends = {}
+    for a, (s_kw, s, r_kw, r) in _indexed(cur, "arrow", m, 4, dense=True):
+        if (s_kw, r_kw) != ("src", "rng"):
+            raise ValueError("line %d: bad arrow record" % cur.line())
+        ends[a] = (int(s), int(r))
+    inv = {a: int(b) for a, (b,) in _indexed(cur, "inv", m, 1, dense=True)}
+    src = [ends[a][0] for a in range(m)]
+    rng = [ends[a][1] for a in range(m)]
     comp = {}
-    while not cur.done():
-        toks = cur.peek()
-        kind = toks[0]
-        if kind == "arrow":
-            cur.next()
-            if len(toks) != 6 or toks[2] != "src" or toks[4] != "rng":
-                raise ValueError("line %d: bad arrow record" % cur.line())
-            a, s, r = int(toks[1]), int(toks[3]), int(toks[5])
-            src[a], rng[a] = s, r
-        elif kind == "inv":
-            cur.next()
-            a, b = _ints(toks[1:])
-            inv[a] = b
-        elif kind == "comp":
-            cur.next()
-            a, b, c = _ints(toks[1:])
-            comp[(a, b)] = c
-        else:
-            break
-    if any(x is None for x in src) or any(x is None for x in inv):
-        raise ValueError("missing arrow or inv record")
+    while not cur.done() and cur.peek()[0] == "comp":
+        a, b, c = _ints(cur.next()[1:])
+        comp[(a, b)] = c
     unit_set = set(units)
     for a in range(m):
-        key = (a, src[a])
-        if src[a] in unit_set and key not in comp:
-            comp[key] = a
-        key = (rng[a], a)
-        if rng[a] in unit_set and key not in comp:
-            comp[key] = a
-    return Groupoid(units, src, rng, inv, comp)
+        if src[a] in unit_set:
+            comp.setdefault((a, src[a]), a)
+        if rng[a] in unit_set:
+            comp.setdefault((rng[a], a), a)
+    return Groupoid(units, src, rng, [inv[a] for a in range(m)], comp)
 
 
 def write_groupoid(path: str, g: Groupoid) -> None:
@@ -136,11 +175,7 @@ def write_groupoid(path: str, g: Groupoid) -> None:
 
 
 def read_groupoid(path: str) -> Groupoid:
-    cur = _Cursor(read_text(path))
-    g = parse_groupoid_block(cur)
-    if not cur.done():
-        raise ValueError("trailing content after groupoid block")
-    return g
+    return check_groupoid(_read(path, parse_groupoid_block))
 
 
 # --- cocycle -----------------------------------------------------------------
@@ -181,11 +216,9 @@ def write_cocycle(path: str, coc: Cocycle) -> None:
 
 
 def read_cocycle(path: str) -> Cocycle:
-    cur = _Cursor(read_text(path))
-    coc = parse_cocycle_block(cur)
-    if not cur.done():
-        raise ValueError("trailing content after cocycle block")
-    return coc
+    coc = _read(path, parse_cocycle_block)
+    check_groupoid(coc.gpd)
+    return check_cocycle(coc)
 
 
 # --- grading -----------------------------------------------------------------
@@ -234,10 +267,8 @@ def parse_grading_block(cur: _Cursor) -> Grading:
     g = parse_groupoid_block(cur)
     cur.expect("end")
     deg = [ident] * g.m
-    while not cur.done() and cur.peek()[0] == "deg":
-        toks = cur.next()
-        a, x = int(toks[1]), int(toks[2])
-        deg[a] = x
+    for a, (x,) in _indexed(cur, "deg", g.m, 1):
+        deg[a] = int(x)
     return Grading(g, grp, deg)
 
 
@@ -246,11 +277,9 @@ def write_grading(path: str, grading: Grading) -> None:
 
 
 def read_grading(path: str) -> Grading:
-    cur = _Cursor(read_text(path))
-    grading = parse_grading_block(cur)
-    if not cur.done():
-        raise ValueError("trailing content after grading block")
-    return grading
+    grading = _read(path, parse_grading_block)
+    check_groupoid(grading.gpd)
+    return check_grading(grading)
 
 
 # --- elements ----------------------------------------------------------------
@@ -265,16 +294,8 @@ def serialize_element(f: Element) -> list:
 
 def parse_element_block(cur: _Cursor, ctx: Context) -> Element:
     cur.expect("element")
-    coeffs = {}
-    while not cur.done() and cur.peek()[0] == "coeff":
-        toks = cur.next()
-        if len(toks) != 3:
-            raise ValueError("line %d: coeff wants an arrow and one literal" % cur.line())
-        a = int(toks[1])
-        if not 0 <= a < ctx.gpd.m:
-            raise ValueError("arrow %d out of range" % a)
-        coeffs[a] = ctx.ring.parse(toks[2])
-    return Element(ctx, coeffs)
+    coeffs = _indexed(cur, "coeff", ctx.gpd.m, 1)
+    return Element(ctx, {a: ctx.ring.parse(lit) for a, (lit,) in coeffs})
 
 
 def write_element(path: str, f: Element) -> None:
@@ -282,11 +303,7 @@ def write_element(path: str, f: Element) -> None:
 
 
 def read_element(path: str, ctx: Context) -> Element:
-    cur = _Cursor(read_text(path))
-    f = parse_element_block(cur, ctx)
-    if not cur.done():
-        raise ValueError("trailing content after element block")
-    return f
+    return _read(path, parse_element_block, ctx)
 
 
 # --- twists ------------------------------------------------------------------
@@ -319,19 +336,12 @@ def parse_twist_block(cur: _Cursor) -> Twist:
     total = parse_groupoid_block(cur)
     cur.expect("end")
     embed = {}
+    while not cur.done() and cur.peek()[0] == "i":
+        u, k, e = _ints(cur.next()[1:])
+        embed[(u, k)] = e
     proj = [0] * total.m
-    seen = set()
-    while not cur.done() and cur.peek()[0] in ("i", "q"):
-        toks = cur.next()
-        if toks[0] == "i":
-            u, k, e = _ints(toks[1:])
-            embed[(u, k)] = e
-        else:
-            e, a = _ints(toks[1:])
-            proj[e] = a
-            seen.add(e)
-    if len(seen) != total.m:
-        raise ValueError("q-table does not cover the total groupoid")
+    for e, (a,) in _indexed(cur, "q", total.m, 1, dense=True):
+        proj[e] = int(a)
     return Twist(base, total, n, embed, proj)
 
 
@@ -340,11 +350,7 @@ def write_twist(path: str, tw: Twist) -> None:
 
 
 def read_twist(path: str) -> Twist:
-    cur = _Cursor(read_text(path))
-    tw = parse_twist_block(cur)
-    if not cur.done():
-        raise ValueError("trailing content after twist block")
-    return tw
+    return check_twist(_read(path, parse_twist_block))
 
 
 # --- small result artifacts ---------------------------------------------------
@@ -356,14 +362,18 @@ def serialize_section(sec) -> list:
     return lines
 
 
+def _parse_maps(cur: _Cursor, header: str) -> Optional[tuple]:
+    """header, then `map i x` for each i in 0..k-1 once; a morphism may say none."""
+    cur.expect(header)
+    if header == "morphism" and cur.peek() == ["none"]:
+        cur.next()
+        return None
+    out = {i: int(x) for i, (x,) in _indexed(cur, "map", cur.run("map"), 1, dense=True)}
+    return tuple(out[i] for i in range(len(out)))
+
+
 def read_section(path: str) -> tuple:
-    cur = _Cursor(read_text(path))
-    cur.expect("section")
-    out = {}
-    while not cur.done():
-        toks = cur.expect("map")
-        out[int(toks[1])] = int(toks[2])
-    return tuple(out[a] for a in range(len(out)))
+    return _read(path, _parse_maps, "section")
 
 
 def serialize_morphism(mapping) -> list:
@@ -378,15 +388,7 @@ def serialize_morphism(mapping) -> list:
 
 
 def read_morphism(path: str) -> Optional[tuple]:
-    cur = _Cursor(read_text(path))
-    cur.expect("morphism")
-    if not cur.done() and cur.peek()[0] == "none":
-        return None
-    out = {}
-    while not cur.done():
-        toks = cur.expect("map")
-        out[int(toks[1])] = int(toks[2])
-    return tuple(out[e] for e in range(len(out)))
+    return _read(path, _parse_maps, "morphism")
 
 
 def serialize_coboundary(n: int, m: int, b) -> list:
@@ -401,19 +403,22 @@ def serialize_coboundary(n: int, m: int, b) -> list:
     return lines
 
 
-def read_coboundary(path: str):
-    """Returns (n, m, b-list or None)."""
-    cur = _Cursor(read_text(path))
+def _parse_coboundary(cur: _Cursor):
     cur.expect("coboundary")
     n = int(cur.expect("order")[1])
-    m = int(cur.expect("arrows")[1])
-    if not cur.done() and cur.peek()[0] == "none":
+    m = _count(cur, "arrows")
+    if cur.peek() == ["none"]:
+        cur.next()
         return n, m, None
     b = [0] * m
-    while not cur.done():
-        toks = cur.expect("b")
-        b[int(toks[1])] = int(toks[2])
+    for a, (k,) in _indexed(cur, "b", m, 1):
+        b[a] = int(k)
     return n, m, b
+
+
+def read_coboundary(path: str):
+    """Returns (n, m, b-list or None)."""
+    return _read(path, _parse_coboundary)
 
 
 def serialize_ideal(ideal: Ideal) -> list:
@@ -470,14 +475,13 @@ def serialize_decomposition(ring, parts) -> list:
     return lines
 
 
-def read_decomposition(path: str, ring) -> list:
-    cur = _Cursor(read_text(path))
+def _parse_decomposition(cur: _Cursor, ring) -> list:
     cur.expect("decomposition")
-    k = int(cur.expect("parts")[1])
-    parts = [None] * k
-    while not cur.done():
-        toks = cur.expect("part")
-        parts[int(toks[1])] = (ring.parse(toks[2]), frozenset(_ints(toks[3:])))
-    if any(p is None for p in parts):
-        raise ValueError("missing part record")
-    return parts
+    k = _count(cur, "parts")
+    parts = {i: (ring.parse(val), frozenset(_ints(arrows)))
+             for i, (val, *arrows) in _indexed(cur, "part", k, 0, dense=True)}
+    return [parts[i] for i in range(k)]
+
+
+def read_decomposition(path: str, ring) -> list:
+    return _read(path, _parse_decomposition, ring)

@@ -9,12 +9,23 @@ compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
 Composition is stored, not derived; validate_groupoid re-checks the whole
-axiom list and reports violations as data rather than raising.
+axiom list and reports violations as data rather than raising, and
+check_groupoid raises them as one AxiomError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
+
+
+class AxiomError(ValueError):
+    """An object breaks its axioms.  Carries every violation found; the
+    message names the object kind and the first four."""
+
+    def __init__(self, kind: str, violations):
+        self.kind = kind
+        self.violations = list(violations)
+        super().__init__("invalid %s: %s" % (kind, "; ".join(self.violations[:4])))
 
 
 class Groupoid:
@@ -154,10 +165,10 @@ def validate_groupoid(g: Groupoid) -> list:
 
 
 def check_groupoid(g: Groupoid) -> Groupoid:
-    """Raise on the first violation; convenience for constructors."""
+    """g itself when valid, else AxiomError with every violation."""
     v = validate_groupoid(g)
     if v:
-        raise ValueError("invalid groupoid: " + "; ".join(v[:4]))
+        raise AxiomError("groupoid", v)
     return g
 
 

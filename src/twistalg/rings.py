@@ -552,7 +552,10 @@ def _parse_term(term, gen_name):
     if coef_s in (None, "+", "-"):
         coef = Fraction(1) if coef_s != "-" else Fraction(-1)
     else:
-        coef = Fraction(coef_s)
+        try:
+            coef = Fraction(coef_s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % term) from None
     k = int(k_s) if k_s else 1
     return coef, gen, k
 

@@ -31,7 +31,7 @@ from collections import namedtuple
 from typing import Iterable, Optional
 
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
-from .cocycle import Grading, validate_grading, kernel_arrows
+from .cocycle import Grading, check_grading, kernel_arrows
 from .groupoid import is_effective, is_minimal, orbits, subgroupoid
 
 
@@ -209,9 +209,7 @@ def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
 
 def is_graded_ideal(ideal: Ideal, grading: Grading) -> bool:
     """Every homogeneous component of every basis element stays inside."""
-    bad = validate_grading(grading)
-    if bad:
-        raise ValueError("invalid grading: " + "; ".join(bad[:4]))
+    check_grading(grading)
     for row in ideal.basis:
         f = from_vec(ideal.ctx, row)
         for part in graded_components(f, grading).values():
@@ -226,9 +224,7 @@ def graded_ck_witness(ctx: Context, grading: Grading, ideal: Ideal) -> frozenset
     subgroupoid (not necessarily the whole groupoid) to be effective."""
     if ctx != ideal.ctx:
         raise ValueError("ideal lives in a different context")
-    bad = validate_grading(grading)
-    if bad:
-        raise ValueError("invalid grading: " + "; ".join(bad[:4]))
+    check_grading(grading)
     if not ideal.basis:
         raise ValueError("zero ideal has no witness")
     kernel, _ = subgroupoid(ctx.gpd, kernel_arrows(grading))

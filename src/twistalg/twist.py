@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous, validate_cocycle
-from .groupoid import Groupoid, composable_pairs, validate_groupoid
+from .groupoid import AxiomError, Groupoid, composable_pairs, validate_groupoid
 
 
 class Twist:
@@ -168,7 +168,7 @@ def validate_twist(tw: Twist) -> list:
 def check_twist(tw: Twist) -> Twist:
     v = validate_twist(tw)
     if v:
-        raise ValueError("invalid twist: " + "; ".join(v[:4]))
+        raise AxiomError("twist", v)
     return tw
 
 

@@ -61,6 +61,15 @@ def test_add_sub_scale():
     assert two_f == f + f
 
 
+def test_context_equality():
+    # separately built from equal parts: equal, with equal hashes
+    a, b = ctx_gf3_z2_neg(), ctx_gf3_z2_neg()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert T.one(a) == T.one(b)
+    plain = make_context(T.build("z2"), "GF(3)", coc=T.z2_neg_cocycle())
+    assert plain != a
+
+
 def test_mixed_context_arithmetic_rejected():
     f = T.one(ctx_q_pair2())
     g = T.one(ctx_gf3_z2_neg())
@@ -291,6 +300,8 @@ def test_graded_component_wrong_groupoid():
     grading = T.Grading(T.build("z2"), T.cyclic_group(2), [0, 1])
     with pytest.raises(ValueError):
         T.graded_component(T.one(ctx), grading, 0)
+    with pytest.raises(ValueError, match="different groupoid"):
+        T.graded_components(T.one(ctx), grading)
 
 
 # --- equivariant picture --------------------------------------------------------

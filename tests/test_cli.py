@@ -1,5 +1,7 @@
 """Command line driver: exit codes, printed lines, artifact files."""
 
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistalg as T
 from twistalg.cli import main
@@ -338,6 +342,121 @@ def test_ideal_file_negative_indices(fx, tmp_path, capsys):
     code, out, err = run(capsys, "ideal", "--ring", "GF(3)", "member", str(fx / "z2.gpd"), idl, elt)
     assert_one_error_line(code, out, err)
     assert "out of range" in err
+
+
+# --- every input file is checked where it is read ----------------------------------
+
+
+def nonassociative_twist(tmp_path):
+    """The z2_neg twist with one product of its total groupoid changed."""
+    lines = T.serialize_twist(T.build_twist(T.build("z2"), T.z2_neg_cocycle()))
+    i = max(k for k, ln in enumerate(lines) if ln == "comp 2 2 1")
+    lines[i] = "comp 2 2 0"
+    return write(tmp_path, "bad.twi", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("verb", ["mul", "twist induced", "psi", "grade"])
+def test_invalid_input_prints_violations(verb, fx, tmp_path, capsys):
+    elt = write(tmp_path, "d.elt", "element\ncoeff 1 1\n")
+    if verb == "mul":
+        kind = "groupoid"
+        bad = write(tmp_path, "broken.gpd",
+                    (fx / "z2.gpd").read_text().replace("comp 1 1 0", "comp 1 1 1"))
+        argv = ["mul", "--ring", "GF(3)", "--groupoid", bad, elt, elt]
+    elif verb == "grade":
+        kind = "grading"
+        text = Path(grading_file(tmp_path)).read_text()
+        bad = write(tmp_path, "bad.grd", text.replace("deg 3 3", "deg 3 2"))
+        argv = ["grade", bad, elt]
+    else:
+        kind = "twist"
+        bad = nonassociative_twist(tmp_path)
+        argv = (["twist", "induced", bad] if verb == "twist induced"
+                else ["psi", "--ring", "GF(3)", bad, elt])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == run(capsys, "validate", kind, bad)[1]
+    assert out and all(ln.startswith("violation: ") for ln in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "ring,text,match",
+    [
+        ("Q(zeta_4)", "element\ncoeff 0 1/0*zeta\n", "zero denominator"),
+        ("GF(3^2)", "element\ncoeff 0 1/0+w\n", "zero denominator"),
+        ("Q", "element\ncoeff 0 1\ncoeff 0 2\n", "line 3: repeated coeff 0"),
+    ],
+    ids=["cyclotomic-1/0", "gf9-1/0", "repeated-coeff"],
+)
+def test_bad_element_file_is_one_error(ring, text, match, fx, tmp_path, capsys):
+    f = write(tmp_path, "f.elt", text)
+    code, out, err = run(capsys, "mul", "--ring", ring, "--groupoid", str(fx / "z2.gpd"), f, f)
+    assert_one_error_line(code, out, err)
+    assert match in err
+
+
+def test_negative_arrow_record(fx, tmp_path, capsys):
+    # arrow -1 used to overwrite arrow 1's record, and the file validated
+    text = (fx / "z2.gpd").read_text()
+    bad = write(tmp_path, "g.gpd", text.replace("arrow 1 src", "arrow -1 src"))
+    code, out, err = run(capsys, "validate", "groupoid", bad)
+    assert_one_error_line(code, out, err)
+    assert "arrow -1 out of range" in err
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    T.emit_fixtures(str(d))
+    T.write_twist(str(d / "z2_neg.twi"), T.build_twist(T.build("z2"), T.z2_neg_cocycle()))
+    write(d, "fuzz.elt", "element\ncoeff 0 1\ncoeff 1 2\n")
+    return d
+
+
+# (fixture, kind, argv from the mutated file, the original and an element file)
+FUZZ_RUNS = [
+    ("z2.gpd", "groupoid", lambda m, o, e: ["mul", "--ring", "GF(3)", "--groupoid", m, e, e]),
+    ("pair2.gpd", "groupoid", lambda m, o, e: ["mul", "--ring", "GF(3)", "--groupoid", m, e, e]),
+    ("pair2.gpd", "groupoid", lambda m, o, e: ["simple", "--ring", "GF(3)", m]),
+    ("z2_neg.coc", "cocycle", lambda m, o, e: ["mul", "--ring", "GF(3)", "--cocycle", m, e, e]),
+    ("pair2_cob.coc", "cocycle", lambda m, o, e: ["cohomologous", m, o]),
+    ("z2_neg.twi", "twist", lambda m, o, e: ["twist", "induced", m]),
+    ("z2_neg.twi", "twist", lambda m, o, e: ["twist", "iso", m, o]),
+    ("z2_neg.twi", "twist", lambda m, o, e: ["psi", "--ring", "GF(3)", m, e]),
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    run_=st.sampled_from(FUZZ_RUNS),
+    mutation=st.sampled_from(["drop", "dup", "-1", "99", "1/0", "x"]),
+    line=st.integers(0, 99),
+    token=st.integers(0, 9),
+)
+def test_fuzz_mutated_fixtures(fuzz_dir, run_, mutation, line, token):
+    """A mutated fixture ends with exit 0, 1 or 2, never an exception, and
+    with 0 only when validate accepts the mutated file."""
+    name, kind, argv = run_
+    lines = (fuzz_dir / name).read_text().splitlines()
+    i = line % len(lines)
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "dup":
+        lines.insert(i, lines[i])
+    else:
+        toks = lines[i].split()
+        toks[token % len(toks)] = mutation
+        lines[i] = " ".join(toks)
+    bad = write(fuzz_dir, "mutated" + os.path.splitext(name)[1], "\n".join(lines) + "\n")
+    code = quiet_main(argv(bad, str(fuzz_dir / name), str(fuzz_dir / "fuzz.elt")))
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert quiet_main(["validate", kind, bad]) == 0
 
 
 def test_usage_errors(fx, capsys):

@@ -304,3 +304,105 @@ def test_decomposition_missing_part(tmp_path):
         fh.write("decomposition\nparts 2\npart 0 1 0\n")
     with pytest.raises(ValueError, match="missing part"):
         T.read_decomposition(p, T.parse_ring("Q"))
+
+
+# --- checks made while reading ---------------------------------------------------
+
+
+Z2 = "\n".join(T.serialize_groupoid(T.build("z2"))) + "\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        ("arrow 1 src 0 rng 0", "arrow -1 src 0 rng 0", "line 5: arrow -1 out of range"),
+        ("arrow 1 src 0 rng 0", "arrow 0 src 0 rng 0", "line 5: repeated arrow 0"),
+        ("arrow 1 src 0 rng 0", "arrow 1 src 0 rng", "line 5: bad arrow record"),
+        ("inv 1 1", "inv 2 1", "line 7: inv 2 out of range"),
+        ("inv 1 1\n", "", "missing inv 1"),
+        ("arrows 2", "arrows -1", "negative arrows"),
+    ],
+    ids=["negative", "repeated", "fields", "inv-range", "inv-missing", "count"],
+)
+def test_groupoid_reader_rejects_records(old, new, match, tmp_path):
+    p = path(tmp_path, "g.gpd")
+    T.write_text(p, Z2.replace(old, new))
+    with pytest.raises(ValueError, match=match):
+        T.read_groupoid(p)
+
+
+def test_groupoid_reader_checks_axioms(tmp_path):
+    p = path(tmp_path, "g.gpd")
+    T.write_text(p, Z2.replace("comp 1 1 0", "comp 1 1 1"))
+    with pytest.raises(T.AxiomError) as exc:
+        T.read_groupoid(p)
+    v = exc.value.violations
+    assert exc.value.kind == "groupoid"
+    assert v == T.validate_groupoid(T.Groupoid([0], [0, 0], [0, 0], [0, 1], {
+        (0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}))
+    assert str(exc.value) == "invalid groupoid: " + "; ".join(v[:4])
+
+
+def test_cocycle_and_grading_readers_check_groupoid_first(tmp_path):
+    broken = Z2.replace("comp 1 1 0", "comp 1 1 1")
+    p = path(tmp_path, "c.coc")
+    T.write_text(p, "cocycle\norder 2\nbegin groupoid\n%send\n" % broken)
+    with pytest.raises(T.AxiomError, match="invalid groupoid"):
+        T.read_cocycle(p)
+    T.write_text(p, "cocycle\norder 2\nbegin groupoid\n%send\nval 0 1 1\n" % Z2)
+    with pytest.raises(T.AxiomError, match="invalid cocycle: normalisation"):
+        T.read_cocycle(p)
+    p = path(tmp_path, "g.grd")
+    T.write_text(p, "grading\ngroup cyclic 2\nbegin groupoid\n%send\n" % broken)
+    with pytest.raises(T.AxiomError, match="invalid groupoid"):
+        T.read_grading(p)
+    T.write_text(p, "grading\ngroup cyclic 4\nbegin groupoid\n%send\ndeg 1 1\n" % Z2)
+    with pytest.raises(T.AxiomError, match="invalid grading: homomorphism"):
+        T.read_grading(p)
+    T.write_text(p, "grading\ngroup cyclic 2\nbegin groupoid\n%send\ndeg 2 1\n" % Z2)
+    with pytest.raises(ValueError, match="deg 2 out of range"):
+        T.read_grading(p)
+
+
+def test_twist_reader_checks_axioms(tmp_path):
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    lines = T.serialize_twist(tw)
+    # the total block's comp 2 2 1 becomes 2 2 0: associativity fails
+    i = max(k for k, ln in enumerate(lines) if ln == "comp 2 2 1")
+    lines[i] = "comp 2 2 0"
+    p = path(tmp_path, "t.twi")
+    T.write_text(p, "\n".join(lines) + "\n")
+    with pytest.raises(T.AxiomError) as exc:
+        T.read_twist(p)
+    assert exc.value.kind == "twist"
+    assert exc.value.violations[0].startswith("total: associativity fails")
+
+
+@pytest.mark.parametrize(
+    "text,read,match",
+    [
+        ("element\ncoeff 0 1\ncoeff 0 2\n", "element", "line 3: repeated coeff 0"),
+        ("element\ncoeff -1 1\n", "element", "coeff -1 out of range"),
+        ("section\nmap 0 0\nmap 2 1\n", "section", "line 3: map 2 out of range"),
+        ("section\nmap 0 0\nmap 0 1\n", "section", "repeated map 0"),
+        ("morphism\nmap 1 0\n", "morphism", "map 1 out of range"),
+        ("coboundary\norder 2\narrows 2\nb 2 1\n", "coboundary", "b 2 out of range"),
+        ("coboundary\norder 2\narrows 2\nb 1 1\nb 1 1\n", "coboundary", "repeated b 1"),
+        ("decomposition\nparts 2\npart 0 1 0\npart 0 1 1\n", "decomposition", "repeated part 0"),
+        ("decomposition\nparts 1\npart 0\n", "decomposition", "bad part record"),
+        ("section\nmap 0 0\nnone\n", "section", "line 3: trailing content"),
+    ],
+)
+def test_indexed_records_rejected(text, read, match, tmp_path):
+    p = path(tmp_path, "x")
+    T.write_text(p, text)
+    ctx = make_context(T.build("pair2"), "Q")
+    call = {
+        "element": lambda: T.read_element(p, ctx),
+        "section": lambda: T.read_section(p),
+        "morphism": lambda: T.read_morphism(p),
+        "coboundary": lambda: T.read_coboundary(p),
+        "decomposition": lambda: T.read_decomposition(p, ctx.ring),
+    }[read]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -56,6 +56,12 @@ def test_rational_literals():
         q.parse("1/0")
 
 
+@pytest.mark.parametrize("spec,text", [("Q(zeta_4)", "1/0*zeta"), ("GF(3^2)", "1/0+w")])
+def test_zero_denominator_in_term(spec, text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        RINGS[spec].parse(text)
+
+
 def test_cyclotomic_literals_and_conj():
     c = RINGS["Q(zeta_4)"]
     z = c.parse("zeta")
