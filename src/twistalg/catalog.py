@@ -25,6 +25,7 @@ from .groupoid import (
     Groupoid,
     check_groupoid,
     composable_pairs,
+    composable_triples,
     is_effective,
     is_minimal,
     orbits,
@@ -149,25 +150,52 @@ def free_pairs(g: Groupoid) -> list:
 def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
     """Every normalised cocycle with values in Z/n, in lexicographic order
     of the value tuple over the free pairs (sorted).  Composable pairs
-    containing a unit are forced to 0 by normalisation, so the search
-    space is n ** len(free_pairs), bounded by cap."""
+    containing a unit are forced to 0 by normalisation; the free values are
+    set one at a time, and each 2-cocycle identity is checked as soon as the
+    last free value it involves is set, so a failing prefix is never
+    extended.  The full search space n ** len(free_pairs) is bounded by
+    cap; every cocycle found is validated before it is returned."""
     free = sorted(free_pairs(g))
-    if n ** len(free) > cap:
+    k = len(free)
+    if n ** k > cap:
         raise ValueError(
-            "search space %d**%d exceeds cap %d" % (n, len(free), cap)
+            "search space %d**%d exceeds cap %d" % (n, k, cap)
         )
     forced = {
         (a, b): 0
         for a, b in composable_pairs(g)
         if a in g.unit_set or b in g.unit_set
     }
+    # values[k] stands for every forced pair and stays 0
+    where = {pair: i for i, pair in enumerate(free)}
+    checks = [[] for _ in range(k)]
+    for a, b, c in composable_triples(g):
+        ab, bc = g.comp[(a, b)], g.comp[(b, c)]
+        idx = tuple(where.get(p, k) for p in ((a, b), (ab, c), (a, bc), (b, c)))
+        last = max((i for i in idx if i < k), default=None)
+        if last is not None:
+            checks[last].append(idx)
     out = []
-    for values in itertools.product(range(n), repeat=len(free)):
-        table = dict(forced)
-        table.update(zip(free, values))
-        coc = Cocycle(g, n, table)
-        if not validate_cocycle(coc):
-            out.append(coc)
+    values = [-1] * k + [0]
+    i = 0
+    while i >= 0:
+        if i == k:
+            table = dict(forced)
+            table.update(zip(free, values))
+            coc = Cocycle(g, n, table)
+            if not validate_cocycle(coc):
+                out.append(coc)
+            i -= 1
+            continue
+        values[i] += 1
+        if values[i] == n:
+            values[i] = -1
+            i -= 1
+        elif all(
+            not (values[p] + values[q] - values[r] - values[s]) % n
+            for p, q, r, s in checks[i]
+        ):
+            i += 1
     return out
 
 

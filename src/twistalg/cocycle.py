@@ -304,10 +304,27 @@ class GroupTable:
         if any(i is None for i in inv):
             raise ValueError("table has a non-invertible element")
         self.inverse = tuple(inv)
-        for a in range(k):
-            for b in range(k):
+        # Light's test: the middles b with (ab)c == a(bc) for all a, c are
+        # closed under the product, so checking a generating set suffices.
+        tbl = self.table
+        gens, reached = [], {ident}
+        for x in range(k):
+            if x in reached:
+                continue
+            gens.append(x)
+            todo = list(reached)
+            while todo:
+                y = todo.pop()
+                for b in gens:
+                    z = tbl[y][b]
+                    if z not in reached:
+                        reached.add(z)
+                        todo.append(z)
+        for b in gens:
+            for a in range(k):
+                ab, row_a = tbl[tbl[a][b]], tbl[a]
                 for c in range(k):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+                    if ab[c] != row_a[tbl[b][c]]:
                         raise ValueError(
                             "table is not associative at (%d, %d, %d)" % (a, b, c)
                         )

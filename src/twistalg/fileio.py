@@ -338,6 +338,8 @@ def parse_twist_block(cur: _Cursor) -> Twist:
     embed = {}
     while not cur.done() and cur.peek()[0] == "i":
         u, k, e = _ints(cur.next()[1:])
+        if (u, k) in embed:
+            raise ValueError("line %d: repeated i %d %d" % (cur.line(), u, k))
         embed[(u, k)] = e
     proj = [0] * total.m
     for e, (a,) in _indexed(cur, "q", total.m, 1, dense=True):

@@ -115,6 +115,9 @@ class IntegerRing(Ring):
     def one(self):
         return 1
 
+    def is_zero(self, x):
+        return x == 0
+
     def add(self, x, y):
         return x + y
 
@@ -148,6 +151,9 @@ class RationalRing(Ring):
 
     def one(self):
         return Fraction(1)
+
+    def is_zero(self, x):
+        return x == 0
 
     def add(self, x, y):
         return x + y
@@ -191,6 +197,9 @@ class PrimeField(Ring):
 
     def one(self):
         return 1 % self.p
+
+    def is_zero(self, x):
+        return x == 0
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -251,6 +260,9 @@ class QuadraticGaloisField(Ring):
 
     def one(self):
         return (1, 0)
+
+    def is_zero(self, x):
+        return x == (0, 0)
 
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
@@ -390,6 +402,9 @@ class CyclotomicField(Ring):
 
     def one(self):
         return self._basis_vec(0) if self.degree else ()
+
+    def is_zero(self, x):
+        return not any(x)
 
     def zeta(self, k: int = 1):
         return self.zeta_powers[k % self.n]

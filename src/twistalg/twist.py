@@ -134,6 +134,8 @@ def validate_twist(tw: Twist) -> list:
     if keys != want:
         return ["embedding domain is not units x exponents"]
     vals = list(tw.embed.values())
+    if any(not (0 <= e < total.m) for e in vals):
+        return ["embedding hits a non-arrow"]
     if len(set(vals)) != len(vals):
         v.append("embedding is not injective")
     for u in base.units:

@@ -1,5 +1,6 @@
 """Catalog groupoids, constructors, and the cocycle search."""
 
+import itertools
 import os
 
 import pytest
@@ -123,6 +124,52 @@ def test_enumeration_closed_under_group_ops():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         T.enumerate_cocycles(T.build("z4"), 4, cap=1000)
+
+
+def brute_cocycles(g, n):
+    """Every point of the grid over the free pairs, kept when it validates."""
+    free = sorted(T.free_pairs(g))
+    forced = {p: 0 for p in T.composable_pairs(g) if p not in free}
+    out = []
+    for values in itertools.product(range(n), repeat=len(free)):
+        coc = T.Cocycle(g, n, {**forced, **dict(zip(free, values))})
+        if not T.validate_cocycle(coc):
+            out.append(coc)
+    return out
+
+
+ORACLE_CASES = [
+    (name, n)
+    for name in T.CATALOG
+    for n in (2, 3, 4)
+    if n ** len(T.free_pairs(T.build(name))) <= 2 ** 12
+]
+
+
+@pytest.mark.parametrize("name,n", ORACLE_CASES)
+def test_enumeration_matches_brute_filter(name, n):
+    g = T.build(name)
+    assert T.enumerate_cocycles(g, n) == brute_cocycles(g, n)
+
+
+@pytest.mark.parametrize("name,n,classes,coboundaries", [("z4", 4, 4, 16), ("klein", 4, 8, 16)])
+def test_enumeration_is_h2_times_b2(name, n, classes, coboundaries):
+    # out of the brute filter's reach in test time: 4**9 candidates each
+    g = T.build(name)
+    cocs = T.enumerate_cocycles(g, n)
+    assert len(cocs) == classes * coboundaries
+    assert all(T.validate_cocycle(c) == [] for c in cocs)
+    triv = T.trivial_cocycle(g, n)
+    b2 = {
+        T.apply_coboundary(triv, (0,) + b)
+        for b in itertools.product(range(n), repeat=g.m - 1)
+    }
+    assert len(b2) == coboundaries
+    reps = []
+    for c in cocs:
+        if not any(T.check_cohomologous(c, r) is not None for r in reps):
+            reps.append(c)
+    assert len(reps) == classes
 
 
 def test_shipped_cocycles_validate():

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,35 @@ def test_negative_arrow_record(fx, tmp_path, capsys):
     code, out, err = run(capsys, "validate", "groupoid", bad)
     assert_one_error_line(code, out, err)
     assert "arrow -1 out of range" in err
+
+
+def test_large_cyclic_grading_group(fx, tmp_path, capsys):
+    # the group table is checked in O(k^2 * generators), not O(k^3)
+    body = (fx / "z2.gpd").read_text()
+    grd = write(tmp_path, "z2.grd",
+                "grading\ngroup cyclic 500\nbegin groupoid\n" + body + "end\ndeg 1 250\n")
+    start = time.perf_counter()
+    assert run(capsys, "validate", "grading", grd) == (0, "ok\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def z2_neg_twist_text():
+    return "\n".join(T.serialize_twist(T.build_twist(T.build("z2"), T.z2_neg_cocycle()))) + "\n"
+
+
+@pytest.mark.parametrize("e", ["99", "-1"])
+def test_twist_embedding_out_of_range(e, tmp_path, capsys):
+    bad = write(tmp_path, "t.twi", z2_neg_twist_text().replace("i 0 1 1", "i 0 1 " + e))
+    for argv in (["validate", "twist", bad], ["twist", "induced", bad]):
+        assert run(capsys, *argv) == (1, "violation: embedding hits a non-arrow\n", "")
+
+
+def test_twist_repeated_embedding_record(tmp_path, capsys):
+    # the second record used to overwrite the first, and the file validated
+    bad = write(tmp_path, "t.twi", z2_neg_twist_text().replace("i 0 1 1", "i 0 1 0\ni 0 1 1"))
+    code, out, err = run(capsys, "validate", "twist", bad)
+    assert_one_error_line(code, out, err)
+    assert "repeated i 0 1" in err
 
 
 def quiet_main(argv):

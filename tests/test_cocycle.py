@@ -1,6 +1,8 @@
 """Cocycle identities, coboundaries, and the two cohomology testers."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,61 @@ def test_group_table_validation():
         T.GroupTable([[1, 0], [1, 0]])  # no identity
     t = T.cyclic_group(6)
     assert t.identity == 0 and t.inv(1) == 5
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        # (1*1)*2 = 2 but 1*(1*2) = 4; the only group of order 5 is cyclic
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+        # 1 reaches only {0, 1}, so the second generator 2 is needed: the
+        # table is associative at every middle element in {0, 1}
+        [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+         [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]],
+    ],
+    ids=["order5", "order6"],
+)
+def test_group_table_rejects_loop(loop):
+    # Latin squares with identity 0 and two-sided inverses that are not groups
+    with pytest.raises(ValueError, match=r"table is not associative at \(\d+, \d+, \d+\)"):
+        T.GroupTable(loop)
+
+
+def reduced_latin_squares(k):
+    """Latin squares on 0..k-1 whose first row and column are 0..k-1."""
+    rows = list(itertools.permutations(range(k)))
+    out = []
+
+    def grow(square):
+        if len(square) == k:
+            out.append(square)
+            return
+        for p in rows:
+            if p[0] == len(square) and all(p[c] != r[c] for r in square for c in range(k)):
+                grow(square + [p])
+
+    grow([tuple(range(k))])
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_group_table_associativity_matches_brute(k):
+    # every loop of order 4 and 5, against the full k**3 check
+    for square in reduced_latin_squares(k):
+        assoc = all(
+            square[square[a][b]][c] == square[a][square[b][c]]
+            for a in range(k) for b in range(k) for c in range(k)
+        )
+        try:
+            T.GroupTable(square)
+            accepted = True
+        except ValueError as exc:
+            accepted = False
+            at = re.search(r"not associative at \((\d+), (\d+), (\d+)\)", str(exc))
+            if at:
+                a, b, c = map(int, at.groups())
+                assert square[square[a][b]][c] != square[a][square[b][c]]
+        assert accepted == assoc
 
 
 def test_grading_validation():

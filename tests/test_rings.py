@@ -32,6 +32,8 @@ def test_ring_axioms_random(name):
         assert r.mul(r.mul(x, y), z) == r.mul(x, r.mul(y, z))
         assert r.mul(x, r.add(y, z)) == r.add(r.mul(x, y), r.mul(x, z))
         assert r.add(x, r.neg(x)) == r.zero()
+        assert r.is_zero(r.add(x, r.neg(x)))
+        assert r.is_zero(x) == (x == r.zero())
         assert r.mul(x, r.one()) == x
         if r.is_field and not r.is_zero(x):
             assert r.mul(x, r.inv(x)) == r.one()

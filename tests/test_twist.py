@@ -126,6 +126,15 @@ def test_validate_twist_catches_broken_embedding():
     assert T.validate_twist(bad)
 
 
+@pytest.mark.parametrize("e", [99, -1])
+def test_validate_twist_catches_embedding_off_the_arrows(e):
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    embed = dict(tw.embed)
+    embed[(0, 1)] = e
+    bad = T.Twist(tw.base, tw.total, tw.n, embed, tw.proj)
+    assert T.validate_twist(bad) == ["embedding hits a non-arrow"]
+
+
 def test_twist_morphism_validator_rejects_non_equivariant_map():
     g = T.build("z2")
     coc = T.trivial_cocycle(g, 2)
