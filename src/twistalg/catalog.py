@@ -153,14 +153,10 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
     containing a unit are forced to 0 by normalisation; the free values are
     set one at a time, and each 2-cocycle identity is checked as soon as the
     last free value it involves is set, so a failing prefix is never
-    extended.  The full search space n ** len(free_pairs) is bounded by
-    cap; every cocycle found is validated before it is returned."""
+    extended.  cap bounds the search nodes visited (a value set at any
+    depth); every cocycle found is validated before it is returned."""
     free = sorted(free_pairs(g))
     k = len(free)
-    if n ** k > cap:
-        raise ValueError(
-            "search space %d**%d exceeds cap %d" % (n, k, cap)
-        )
     forced = {
         (a, b): 0
         for a, b in composable_pairs(g)
@@ -177,7 +173,7 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
             checks[last].append(idx)
     out = []
     values = [-1] * k + [0]
-    i = 0
+    i = nodes = 0
     while i >= 0:
         if i == k:
             table = dict(forced)
@@ -191,7 +187,11 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
         if values[i] == n:
             values[i] = -1
             i -= 1
-        elif all(
+            continue
+        nodes += 1
+        if nodes > cap:
+            raise ValueError("cocycle search visited more than %d nodes (cap)" % cap)
+        if all(
             not (values[p] + values[q] - values[r] - values[s]) % n
             for p, q, r, s in checks[i]
         ):

@@ -2,12 +2,16 @@
 
 A cocycle on a groupoid stores exponents mod n (n = the order of the
 distinguished cyclic unit subgroup), one per composable pair; the actual
-ring value g^exp is produced only inside the algebra layer.  Storing
-exponents makes the coboundary relation a linear system over Z/n, which
-check_cohomologous solves exactly by integer diagonalization (Smith-style
-row/column reduction with tracked transforms).  brute_force_cohomologous
-is the independent search over all n^(#non-unit arrows) candidate
-coboundaries, kept as a cross-validation oracle and fallback.
+ring value g^exp is produced only inside the algebra layer.  On a valid
+groupoid the 2-cocycle identity holds everywhere once it holds at the
+middles in the groupoid's generating set, so validate_cocycle checks only
+those.  Storing exponents makes the coboundary relation a linear system
+over Z/n, which check_cohomologous solves exactly by integer
+diagonalization (Smith-style row/column reduction; the column transform is
+tracked, and each row operation is applied to the right-hand side).
+brute_force_cohomologous is the independent search over all
+n^(#non-unit arrows) candidate coboundaries, kept as a cross-validation
+oracle and fallback.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
 table) or into the integers; degrees are stored per arrow.
@@ -19,7 +23,9 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .groupoid import AxiomError, Groupoid, composable_pairs, composable_triples
+from .groupoid import (
+    AxiomError, Groupoid, associativity_failures, composable_pairs, generator_middles,
+)
 
 
 class Cocycle:
@@ -33,9 +39,6 @@ class Cocycle:
         self.gpd = gpd
         self.n = n
         self.table = {pair: k % n for pair, k in table.items()}
-
-    def exp(self, a: int, b: int) -> int:
-        return self.table[(a, b)]
 
     def __eq__(self, other):
         return (
@@ -58,16 +61,17 @@ def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
 
 
 def validate_cocycle(coc: Cocycle) -> list:
-    """Violations of totality, normalisation, and the 2-cocycle identity."""
+    """Violations of totality, normalisation, and the 2-cocycle identity.
+
+    The groupoid must be valid; that is not checked here.  The identity is
+    checked at middles in generating_set only: on an associative groupoid
+    the defect d(a, b, c) has zero coboundary, which gives d(a, bb', c) = 0
+    whenever d vanishes at middles b and b', and normalisation makes it
+    vanish at units."""
     g = coc.gpd
-    v = []
     pairs = set(composable_pairs(g))
-    for pair in pairs:
-        if pair not in coc.table:
-            v.append("no value on composable pair (%d, %d)" % pair)
-    for pair in coc.table:
-        if pair not in pairs:
-            v.append("value on non-composable pair (%d, %d)" % pair)
+    v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in coc.table]
+    v += ["value on non-composable pair (%d, %d)" % p for p in coc.table if p not in pairs]
     if v:
         return v
     for a in range(g.m):
@@ -75,13 +79,14 @@ def validate_cocycle(coc: Cocycle) -> list:
             v.append("normalisation fails on (rng(%d), %d)" % (a, a))
         if coc.table[(a, g.src[a])] % coc.n != 0:
             v.append("normalisation fails on (%d, src(%d))" % (a, a))
-    n = coc.n
-    t = coc.table
-    comp = g.comp
-    for a, b, c in composable_triples(g):
+    n, t, comp, bad = coc.n, coc.table, g.comp, []
+    for b, left, right in generator_middles(g):
         # value on (a,b) then (ab,c) must match (a,bc) then (b,c)
-        if (t[(a, b)] + t[(comp[(a, b)], c)] - t[(a, comp[(b, c)])] - t[(b, c)]) % n:
-            v.append("2-cocycle identity fails at triple (%d, %d, %d)" % (a, b, c))
+        bc = [(c, comp[(b, c)], t[(b, c)]) for c in right]
+        for a in left:
+            ab, k = comp[(a, b)], t[(a, b)]
+            bad += [(a, b, c) for c, x, y in bc if (k + t[(ab, c)] - t[(a, x)] - y) % n]
+    v += ["2-cocycle identity fails at triple (%d, %d, %d)" % abc for abc in sorted(bad)]
     return v
 
 
@@ -110,13 +115,9 @@ def multiply_cocycles(x: Cocycle, y: Cocycle) -> Cocycle:
 
 
 def validate_coboundary(gpd: Groupoid, n: int, b: Sequence[int]) -> list:
-    v = []
     if len(b) != gpd.m:
         return ["coboundary vector has wrong length"]
-    for u in gpd.units:
-        if b[u] % n != 0:
-            v.append("coboundary is nontrivial on unit %d" % u)
-    return v
+    return ["coboundary is nontrivial on unit %d" % u for u in gpd.units if b[u] % n]
 
 
 def apply_coboundary(coc: Cocycle, b: Sequence[int]) -> Cocycle:
@@ -155,37 +156,34 @@ def brute_force_cohomologous(
     return None
 
 
-def _diagonalize(mat):
+def _diagonalize(mat, rhs, n):
     """Integer diagonalization U * A * V = D with unimodular U, V.
 
-    Returns (U, D, V) as lists of lists.  Plain gcd-style row and column
-    reduction; the divisibility chain of full Smith form is not needed to
-    solve linear systems, a diagonal D suffices.
+    Returns (D, V, U * rhs mod n) as lists; U itself is never formed, each
+    row operation is applied to rhs as it is made.  Plain gcd-style row and
+    column reduction; the divisibility chain of full Smith form is not
+    needed to solve linear systems, a diagonal D suffices.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     a = [list(r) for r in mat]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    urhs = [x % n for x in rhs]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
+        # least |entry|, first in row-major order
+        pivot = min(
+            ((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]),
+            default=None,
+        )
         if pivot is None:
             break
-        pi, pj = pivot
+        _, pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+            urhs[t], urhs[pi] = urhs[pi], urhs[t]
         if pj != t:
-            for r in a:
-                r[t], r[pj] = r[pj], r[t]
-            for r in v:
+            for r in a + v:
                 r[t], r[pj] = r[pj], r[t]
         dirty = False
         for i in range(t + 1, rows):
@@ -193,8 +191,7 @@ def _diagonalize(mat):
                 q = a[i][t] // a[t][t]
                 for j in range(cols):
                     a[i][j] -= q * a[t][j]
-                for j in range(rows):
-                    u[i][j] -= q * u[t][j]
+                urhs[i] = (urhs[i] - q * urhs[t]) % n
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -206,24 +203,16 @@ def _diagonalize(mat):
                     v[i][j] -= q * v[i][t]
                 if a[t][j]:
                     dirty = True
-        if dirty:
-            continue
-        clean = all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-            a[t][j] == 0 for j in range(t + 1, cols)
-        )
-        if clean:
+        if not dirty:
             t += 1
-    return u, a, v
+    return a, v, urhs
 
 
 def _solve_mod(mat, rhs, n):
     """One solution x of mat * x == rhs (mod n), or None."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    u, d, v = _diagonalize(mat)
-    urhs = [sum(u[i][k] * rhs[k] for k in range(rows)) % n for i in range(rows)]
+    d, v, urhs = _diagonalize(mat, rhs, n)
     y = [0] * cols
     for i in range(rows):
         di = d[i][i] % n if i < cols else 0
@@ -288,46 +277,26 @@ class GroupTable:
             raise ValueError("multiplication table is not square")
         if any(not (0 <= x < k) for row in self.table for x in row):
             raise ValueError("table entry out of range")
-        ident = None
-        for e in range(k):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(k)):
-                ident = e
-                break
+        tbl = self.table
+        ident = next(
+            (e for e in range(k) if all(tbl[e][x] == x == tbl[x][e] for x in range(k))), None
+        )
         if ident is None:
             raise ValueError("table has no identity")
         self.identity = ident
-        inv = [None] * k
-        for x in range(k):
-            for y in range(k):
-                if self.table[x][y] == ident and self.table[y][x] == ident:
-                    inv[x] = y
-        if any(i is None for i in inv):
+        # the last two-sided inverse of each x, if any
+        inv = [
+            max((y for y in range(k) if tbl[x][y] == ident == tbl[y][x]), default=None)
+            for x in range(k)
+        ]
+        if None in inv:
             raise ValueError("table has a non-invertible element")
         self.inverse = tuple(inv)
-        # Light's test: the middles b with (ab)c == a(bc) for all a, c are
-        # closed under the product, so checking a generating set suffices.
-        tbl = self.table
-        gens, reached = [], {ident}
-        for x in range(k):
-            if x in reached:
-                continue
-            gens.append(x)
-            todo = list(reached)
-            while todo:
-                y = todo.pop()
-                for b in gens:
-                    z = tbl[y][b]
-                    if z not in reached:
-                        reached.add(z)
-                        todo.append(z)
-        for b in gens:
-            for a in range(k):
-                ab, row_a = tbl[tbl[a][b]], tbl[a]
-                for c in range(k):
-                    if ab[c] != row_a[tbl[b][c]]:
-                        raise ValueError(
-                            "table is not associative at (%d, %d, %d)" % (a, b, c)
-                        )
+        # associative exactly when the one-unit groupoid on the table is
+        comp = {(a, b): x for a, row in enumerate(tbl) for b, x in enumerate(row)}
+        bad = associativity_failures(Groupoid([ident], [ident] * k, [ident] * k, inv, comp))
+        if bad:
+            raise ValueError("table is not associative at (%d, %d, %d)" % bad[0])
         self.order = k
 
     def op(self, x, y):

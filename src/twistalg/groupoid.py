@@ -8,9 +8,12 @@ hypotheses (ample, Hausdorff, etale) hold vacuously: every subset is a
 compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
-Composition is stored, not derived; validate_groupoid re-checks the whole
-axiom list and reports violations as data rather than raising, and
-check_groupoid raises them as one AxiomError.
+Composition is stored, not derived; validate_groupoid checks the axioms
+and reports violations as data rather than raising, and check_groupoid
+raises them as one AxiomError.  Associativity is checked on a generating
+set (Light's test): once typing and the unit laws hold, the middles b with
+(ab)c = a(bc) for all composable a, c are closed under composition, so the
+triples whose middle lies in generating_set(g) decide it.
 """
 
 from __future__ import annotations
@@ -40,18 +43,6 @@ class Groupoid:
         self.unit_set = frozenset(self.units)
         self.comp = dict(comp)
         self._by_rng = None
-
-    def arrows(self):
-        return range(self.m)
-
-    def is_unit(self, a: int) -> bool:
-        return a in self.unit_set
-
-    def composable(self, a: int, b: int) -> bool:
-        return self.src[a] == self.rng[b]
-
-    def compose(self, a: int, b: int) -> int:
-        return self.comp[(a, b)]
 
     def arrows_by_rng(self):
         """unit -> sorted tuple of arrows with that range (cached)."""
@@ -95,6 +86,46 @@ def composable_triples(g: Groupoid):
                 yield (a, b, c)
 
 
+def generating_set(g: Groupoid) -> list:
+    """Greedy generators, ascending.  The units start out reached; each new
+    generator is the least arrow not yet reached, and the reached set is
+    kept closed under right composition with the generators.  Needs comp
+    defined on every composable pair."""
+    src, rng, comp = g.src, g.rng, g.comp
+    gens, reached = [], set(g.units)
+    for x in range(g.m):
+        if x not in reached:
+            gens.append(x)
+            todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
+            while todo:
+                y = todo.pop()
+                if y not in reached:
+                    reached.add(y)
+                    todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
+    return gens
+
+
+def generator_middles(g: Groupoid):
+    """(b, left, right) for each generator b: the arrows a with ab defined
+    and the arrows c with bc defined."""
+    by = g.arrows_by_rng()
+    for b in generating_set(g):
+        yield b, [a for a in range(g.m) if g.src[a] == g.rng[b]], by.get(g.src[b], ())
+
+
+def associativity_failures(g: Groupoid) -> list:
+    """Sorted triples (a, b, c), b a generator, where (ab)c != a(bc).  Once
+    typing and the unit laws hold, it is empty exactly when g is
+    associative."""
+    comp, bad = g.comp, []
+    for b, left, right in generator_middles(g):
+        bc = [(c, comp[(b, c)]) for c in right]
+        for a in left:
+            ab = comp[(a, b)]
+            bad += [(a, b, c) for c, x in bc if comp[(ab, c)] != comp[(a, x)]]
+    return sorted(bad)
+
+
 def validate_groupoid(g: Groupoid) -> list:
     """Full axiom check; returns a list of violation strings (empty = valid)."""
     v = []
@@ -120,11 +151,7 @@ def validate_groupoid(g: Groupoid) -> list:
         if g.rng[a] not in g.unit_set:
             v.append("rng(%d) = %d is not a unit" % (a, g.rng[a]))
     # composition domain must be exactly the composable pairs
-    expected = set()
-    for a in range(m):
-        for b in range(m):
-            if g.src[a] == g.rng[b]:
-                expected.add((a, b))
+    expected = set(composable_pairs(g))
     for pair in expected:
         if pair not in g.comp:
             v.append("comp undefined on composable pair (%d, %d)" % pair)
@@ -158,9 +185,7 @@ def validate_groupoid(g: Groupoid) -> list:
             v.append("rng(g) = comp(g, inv(g)) fails at arrow %d" % a)
         if g.comp.get((ia, a)) != g.src[a]:
             v.append("src(g) = comp(inv(g), g) fails at arrow %d" % a)
-    for a, b, c in composable_triples(g):
-        if g.comp[(g.comp[(a, b)], c)] != g.comp[(a, g.comp[(b, c)])]:
-            v.append("associativity fails at triple (%d, %d, %d)" % (a, b, c))
+    v += ["associativity fails at triple (%d, %d, %d)" % t for t in associativity_failures(g)]
     return v
 
 

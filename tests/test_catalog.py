@@ -99,7 +99,12 @@ def test_free_pairs_skip_units():
 
 @pytest.mark.parametrize(
     "name,n,count",
-    [("pair1", 2, 1), ("z2", 2, 2), ("pair2", 2, 2), ("z3", 2, 4), ("z3", 3, 9)],
+    [
+        ("pair1", 2, 1), ("z2", 2, 2), ("pair2", 2, 2), ("z3", 2, 4), ("z3", 3, 9),
+        # n ** |free pairs| is 2 ** 25 and 2 ** 49, far past the cap; the
+        # nodes the pruned search visits are not
+        ("s3", 2, 32), ("z8", 2, 128),
+    ],
 )
 def test_enumeration_counts(name, n, count):
     g = T.build(name)
@@ -123,7 +128,7 @@ def test_enumeration_closed_under_group_ops():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        T.enumerate_cocycles(T.build("z4"), 4, cap=1000)
+        T.enumerate_cocycles(T.build("z4"), 4, cap=1000)  # the search visits 1,620 nodes
 
 
 def brute_cocycles(g, n):

@@ -208,6 +208,20 @@ def test_group_table_associativity_matches_brute(k):
         assert accepted == assoc
 
 
+def test_group_table_failure_between_non_generators():
+    # z4 is generated by 1; only 2 * 3 changes (1 -> 3), which keeps the
+    # identity and the inverses; the failure is reported at the generator
+    table = [list(row) for row in T.cyclic_group(4).table]
+    table[2][3] = 3
+    middles = {
+        b for a in range(4) for b in range(4) for c in range(4)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    }
+    assert middles == {1, 2, 3}
+    with pytest.raises(ValueError, match=r"not associative at \(1, 1, 3\)"):
+        T.GroupTable(table)
+
+
 def test_grading_validation():
     p3 = T.build("pair3")
     # degree of (i, j) is d(i) - d(j) with d = (0, 1, 1) on the points
@@ -226,3 +240,64 @@ def test_integer_grading():
     grading = T.Grading(p2, T.IntGroup(), [0, -1, 1, 0])
     assert T.validate_grading(grading) == []
     assert T.kernel_arrows(grading) == [0, 3]
+
+
+# --- the 2-cocycle identity on a generating set, against the full walk -------
+
+
+def identity_walk_failures(coc):
+    """Every composable triple where the 2-cocycle identity fails, walked in full."""
+    g, t, n = coc.gpd, coc.table, coc.n
+    into = {u: [b for b in range(g.m) if g.rng[b] == u] for u in g.units}
+    comp = g.comp
+    return [
+        (a, b, c)
+        for a in range(g.m)
+        for b in into[g.src[a]]
+        for c in into[g.src[b]]
+        if (t[(a, b)] + t[(comp[(a, b)], c)] - t[(a, comp[(b, c)])] - t[(b, c)]) % n
+    ]
+
+
+def base_cocycles(g, n, rnd):
+    """Two enumerated cocycles, or two random coboundaries when the search
+    passes a small node cap."""
+    try:
+        return rnd.sample(T.enumerate_cocycles(g, n, cap=2 ** 12), 2)
+    except ValueError:
+        triv = T.trivial_cocycle(g, n)
+        free = [a for a in range(g.m) if a not in g.unit_set]
+        out = []
+        for _ in range(2):
+            b = [0] * g.m
+            for a in free:
+                b[a] = rnd.randrange(n)
+            out.append(T.apply_coboundary(triv, b))
+        return out
+
+
+def test_generator_cocycle_identity_matches_triple_walk():
+    verdicts = {True: 0, False: 0}
+    groupoids = [(name, T.build(name)) for name in T.CATALOG] + [("pair5", T.pair_groupoid(5))]
+    pattern = re.compile(r"2-cocycle identity fails at triple \((\d+), (\d+), (\d+)\)")
+    for name, g in groupoids:
+        free = T.free_pairs(g)
+        if not free:
+            continue
+        for n in (2, 3, 4):
+            rnd = random.Random("cocycle mutants:%s:%d" % (name, n))
+            for base in base_cocycles(g, n, rnd):
+                assert T.validate_cocycle(base) == [] and identity_walk_failures(base) == []
+                for _ in range(20):
+                    table = dict(base.table)
+                    for pair in rnd.sample(free, min(len(free), rnd.randint(1, 3))):
+                        table[pair] += rnd.randrange(1, n)
+                    mut = T.Cocycle(g, n, table)
+                    v = T.validate_cocycle(mut)
+                    listed = [tuple(map(int, pattern.fullmatch(s).groups())) for s in v]
+                    walk = identity_walk_failures(mut)
+                    gens = set(T.generating_set(g))
+                    assert listed == [t for t in walk if t[1] in gens]
+                    assert bool(listed) == bool(walk)
+                    verdicts[not walk] += 1
+    assert verdicts[True] > 100 and sum(verdicts.values()) > 1500
