@@ -27,7 +27,7 @@ from .algebra import (
     psi,
 )
 from .catalog import CATALOG, emit_fixtures
-from .cocycle import check_cohomologous, trivial_cocycle
+from .cocycle import brute_force_cohomologous, check_cohomologous, trivial_cocycle
 from .groupoid import AxiomError, is_effective, is_minimal, orbits
 from .rings import parse_involution, parse_ring, unit_subgroup
 from .structure import Ideal, ck_witness, graded_ck_witness, ideal_generated, is_simple
@@ -137,7 +137,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_cohomologous(args) -> int:
     target = fileio.read_cocycle(args.target)
     base = fileio.read_cocycle(args.base)
-    b = check_cohomologous(target, base, method=args.method, cap=args.cap)
+    if args.method == "brute":
+        b = brute_force_cohomologous(target, base, cap=args.cap)
+    else:
+        b = check_cohomologous(target, base)
     print("cohomologous: %s" % _bool(b is not None))
     _artifact(args, "coboundary.cob", fileio.serialize_coboundary(target.n, target.gpd.m, b))
     return 0

@@ -229,19 +229,16 @@ def _solve_mod(mat, rhs, n):
     return [sum(v[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
 
 
-def check_cohomologous(
-    target: Cocycle, base: Cocycle, method: str = "solve", cap: int = 200000
-) -> Optional[list]:
+def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
     """A coboundary b with apply_coboundary(base, b) == target, or None.
 
     The difference of exponent tables must equal b(a) + b(c) - b(ac) mod n
-    on every composable pair; unknowns are the non-unit arrow values.
-    method "solve" uses the exact integer diagonalization, "brute" the
-    exhaustive search.  Both verify their witness before returning it.
+    on every composable pair; unknowns are the non-unit arrow values,
+    solved by the exact integer diagonalization.  The witness is verified
+    before it is returned; brute_force_cohomologous is the exhaustive
+    search it is tested against.
     """
     _same_context(target, base)
-    if method == "brute":
-        return brute_force_cohomologous(target, base, cap=cap)
     g = target.gpd
     n = target.n
     free = [a for a in range(g.m) if a not in g.unit_set]

@@ -11,10 +11,11 @@ from the arrow records on parse.
 
 Every reader checks what it reads before it returns.  Records keyed by
 one index need an index in range and given once, and a dense table
-(arrow, inv, q, map, part) a record for every index.  A groupoid, a
-cocycle or grading (after its groupoid) and a twist must satisfy their
-axioms, else AxiomError carries every violation.  An ideal must be its
-own reduced row echelon form and closed.  Other defects are ValueErrors.
+(arrow, inv, q, map, part) a record for every index; a comp, val or i
+record may not repeat its pair.  A groupoid, a cocycle or grading (after
+its groupoid) and a twist must satisfy their axioms, else AxiomError
+carries every violation.  An ideal must be its own reduced row echelon
+form and closed.  Other defects are ValueErrors.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def parse_groupoid_block(cur: _Cursor) -> Groupoid:
     comp = {}
     while not cur.done() and cur.peek()[0] == "comp":
         a, b, c = _ints(cur.next()[1:])
+        if (a, b) in comp:
+            raise ValueError("line %d: repeated comp %d %d" % (cur.line(), a, b))
         comp[(a, b)] = c
     unit_set = set(units)
     for a in range(m):
@@ -200,6 +203,7 @@ def parse_cocycle_block(cur: _Cursor) -> Cocycle:
     g = parse_groupoid_block(cur)
     cur.expect("end")
     table = {pair: 0 for pair in g.comp}
+    seen = set()
     while not cur.done() and cur.peek()[0] == "val":
         toks = cur.next()
         a, b, k = _ints(toks[1:])
@@ -207,6 +211,9 @@ def parse_cocycle_block(cur: _Cursor) -> Cocycle:
             raise ValueError("val on non-composable pair (%d, %d)" % (a, b))
         if not 0 <= k < n:
             raise ValueError("exponent %d out of range for order %d" % (k, n))
+        if (a, b) in seen:
+            raise ValueError("line %d: repeated val %d %d" % (cur.line(), a, b))
+        seen.add((a, b))
         table[(a, b)] = k
     return Cocycle(g, n, table)
 

@@ -143,6 +143,8 @@ def validate_groupoid(g: Groupoid) -> list:
             v.append("unit %d is out of range" % u)
         elif g.src[u] != u or g.rng[u] != u:
             v.append("unit %d is not its own source and range" % u)
+    twice = {u for u, w in zip(g.units, g.units[1:]) if u == w}
+    v += ["unit %d is listed more than once" % u for u in sorted(twice)]
     if v:
         return v
     for a in range(m):

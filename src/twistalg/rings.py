@@ -55,9 +55,6 @@ class Ring:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def is_zero(self, x):
         return x == self.zero()
 
@@ -657,11 +654,6 @@ class UnitSubgroup:
 
     def __repr__(self):
         return "UnitSubgroup(order=%d, gen=%s)" % (self.order, self.ring.fmt(self.generator))
-
-
-def embed_unit(tgrp: UnitSubgroup, k: int):
-    """g^k in the ambient ring, exponent reduced mod the order."""
-    return tgrp.embed(k)
 
 
 def _multiplicative_order(ring, x, bound):

@@ -3,11 +3,12 @@
 Ideals are stored as reduced row echelon bases in the delta-arrow
 coordinate system.  Since the unit space is finite the algebra is unital,
 so the two-sided ideal generated by f is already the linear span of
-delta_a * f * delta_b over all arrow pairs (a, b).  Every row reduction
-over a field goes through Echelon, sparse rows keyed by least-index pivot:
-ideal generation, membership and the closure check every Ideal runs, rref,
-reduce_against and the generic simplicity scan.  Only the GF(2) scan keeps
-its own bitmask elimination, which is faster there than dict rows.
+delta_a * f * delta_b over all arrow pairs (a, b); generation, the closure
+check every Ideal runs and the simplicity scan read those products off one
+table (_one_sided).  Every row reduction over a field goes through Echelon,
+sparse rows keyed by least-index pivot: generation, membership, the
+closure check, rref, reduce_against and the generic simplicity scan.  Only
+the GF(2) scan keeps its own bitmask elimination, faster there than dicts.
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -28,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
 from .cocycle import Grading, check_grading, kernel_arrows
-from .groupoid import is_effective, is_minimal, orbits, subgroupoid
+from .groupoid import composable_pairs, is_effective, is_minimal, orbits, subgroupoid
 
 
 def to_vec(f: Element) -> list:
@@ -125,23 +126,43 @@ def reduce_against(ring, basis: list, vec) -> list:
     return [rem.get(j, ring.zero()) for j in range(len(vec))]
 
 
+def _one_sided(ctx: Context):
+    """How delta_a * v and v * delta_a read off a sparse row v: left[a] and
+    right[a] list entries (c, target, scalar), ascending in the arrow c
+    composable with a on that side, with target a c (resp. c a) and the
+    cocycle value there.  Targets are distinct and scalars are units."""
+    gpd = ctx.gpd
+    left = [[] for _ in range(gpd.m)]
+    right = [[] for _ in range(gpd.m)]
+    for a, c in composable_pairs(gpd):
+        entry = gpd.comp[(a, c)], ctx.coc_val(a, c)
+        left[a].append((c,) + entry)
+        right[c].append((a,) + entry)
+    return left, right
+
+
+def _apply(ring, entries, v: dict) -> dict:
+    """The sparse row, with no zeros, that an entry list reads off v."""
+    return {t: ring.mul(s, v[c]) for c, t, s in entries if c in v}
+
+
 class Ideal:
     """Two-sided ideal with an RREF basis; closure verified at build time."""
 
-    def __init__(self, ctx: Context, basis, verify: bool = True):
+    def __init__(self, ctx: Context, basis):
         if not ctx.ring.is_field:
             raise ValueError("ideals require field coefficients")
         self.ctx = ctx
         self.basis = tuple(tuple(r) for r in basis)
         self.span = Echelon(ctx.ring, (_sparse(ctx.ring, r) for r in self.basis))
+        left, right = _one_sided(ctx)
         bad = []
-        for row in self.basis if verify else ():
-            f = from_vec(ctx, row)
+        for row in self.basis:
+            v = _sparse(ctx.ring, row)
             for a in range(ctx.gpd.m):
-                d = delta(ctx, a)
-                if self.span.remainder(convolve(d, f).coeffs):
+                if self.span.remainder(_apply(ctx.ring, left[a], v)):
                     bad.append("not closed under left delta_%d" % a)
-                if self.span.remainder(convolve(f, d).coeffs):
+                if self.span.remainder(_apply(ctx.ring, right[a], v)):
                     bad.append("not closed under right delta_%d" % a)
         if bad:
             raise ValueError("; ".join(bad[:3]))
@@ -163,22 +184,21 @@ class Ideal:
         )
 
 
-def ideal_generated(ctx: Context, elems: Iterable[Element], verify: bool = True) -> Ideal:
+def ideal_generated(ctx: Context, elems: Iterable[Element]) -> Ideal:
     """Smallest two-sided ideal containing the given elements."""
     if not ctx.ring.is_field:
         raise ValueError("ideals require field coefficients")
+    left, right = _one_sided(ctx)
     span = Echelon(ctx.ring)
-    m = ctx.gpd.m
     for f in elems:
         if f.ctx != ctx:
             raise ValueError("generator lives in a different context")
-        for a in range(m):
-            left = convolve(delta(ctx, a), f)
-            if not left.coeffs:
-                continue
-            for b in range(m):
-                span.insert(convolve(left, delta(ctx, b)).coeffs)
-    return Ideal(ctx, span.rows(m), verify=verify)
+        for la in left:
+            w = _apply(ctx.ring, la, f.coeffs)
+            if w:
+                for rb in right:
+                    span.insert(_apply(ctx.ring, rb, w))
+    return Ideal(ctx, span.rows(ctx.gpd.m))
 
 
 def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
@@ -197,14 +217,20 @@ def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
     if not ideal.basis:
         raise ValueError("zero ideal has no witness")
     f = from_vec(ctx, ideal.basis[0])
-    arrow = min(f.coeffs)
+    return _slide_witness(ideal, f, min(f.coeffs))[0]
+
+
+def _slide_witness(ideal: Ideal, f: Element, arrow: int):
+    """Slide arrow, in the support of f, to its source unit by the inverse
+    delta; certify that singleton by membership.  (witness, slid element)"""
+    ctx = ideal.ctx
     slid = convolve(delta(ctx, ctx.gpd.inv[arrow]), f)
     unit = ctx.gpd.src[arrow]
     assert not ctx.ring.is_zero(slid.value(unit))
     witness = frozenset([unit])
     if not ideal.member(char_fn(ctx, witness)):
         raise RuntimeError("witness indicator escaped the row space")
-    return witness
+    return witness, slid
 
 
 def is_graded_ideal(ideal: Ideal, grading: Grading) -> bool:
@@ -235,15 +261,9 @@ def graded_ck_witness(ctx: Context, grading: Grading, ideal: Ideal) -> frozenset
     f = from_vec(ctx, ideal.basis[0])
     arrow = min(f.coeffs)
     part = graded_components(f, grading)[grading.deg[arrow]]
-    slid = convolve(delta(ctx, ctx.gpd.inv[arrow]), part)
+    witness, slid = _slide_witness(ideal, part, arrow)
     # slid lives in the identity-degree subalgebra and in the ideal
-    e = grading.group.identity
-    assert all(grading.deg[a] == e for a in slid.coeffs)
-    unit = ctx.gpd.src[arrow]
-    assert not ctx.ring.is_zero(slid.value(unit))
-    witness = frozenset([unit])
-    if not ideal.member(char_fn(ctx, witness)):
-        raise RuntimeError("witness indicator escaped the row space")
+    assert all(grading.deg[a] == grading.group.identity for a in slid.coeffs)
     return witness
 
 
@@ -253,44 +273,26 @@ SimpleResult = namedtuple("SimpleResult", "simple certificate reason")
 
 
 def _product_recipes(ctx: Context):
-    """Per arrow pair (a, b), how delta_a * v * delta_b reads off v:
-    entries (c, target, scalar) with target = a c b, distinct since a c b
-    determines c.  Recipes are emitted round-robin across the range
-    classes of the left factor so that a rank scan touches many pivot
-    positions early."""
-    gpd = ctx.gpd
-    by_rng = gpd.arrows_by_rng()
+    """Per arrow pair (a, b), how delta_a * v * delta_b reads off v: left[a]
+    followed through right[b], entries (c, a c b, scalar).  Recipes are
+    emitted round-robin across the range classes of the left factor so
+    that a rank scan touches many pivot positions early."""
+    gpd, mul = ctx.gpd, ctx.ring.mul
+    left, right = _one_sided(ctx)
+    right = [{c: (t, s) for c, t, s in rb} for rb in right]
     buckets = {}
     for a in range(gpd.m):
-        for b in range(gpd.m):
-            entries = []
-            for c in by_rng.get(gpd.src[a], ()):
-                if gpd.src[c] != gpd.rng[b]:
-                    continue
-                ac = gpd.comp[(a, c)]
-                target = gpd.comp[(ac, b)]
-                scalar = ctx.ring.mul(ctx.coc_val(a, c), ctx.coc_val(ac, b))
-                entries.append((c, target, scalar))
+        for rb in right:
+            entries = [(c, rb[ac][0], mul(s, rb[ac][1])) for c, ac, s in left[a] if ac in rb]
             if entries:
                 buckets.setdefault(gpd.rng[a], []).append(entries)
-    order = sorted(buckets)
-    out = []
-    idx = 0
-    while True:
-        emitted = False
-        for key in order:
-            lst = buckets[key]
-            if idx < len(lst):
-                out.append(lst[idx])
-                emitted = True
-        if not emitted:
-            return out
-        idx += 1
+    rounds = itertools.zip_longest(*(buckets[k] for k in sorted(buckets)))
+    return [rec for rnd in rounds for rec in rnd if rec is not None]
 
 
 def _generates_everything(ring, m, vec, recipes) -> bool:
-    """Rank of span{delta_a vec delta_b} reaches m, by incremental
-    insertion with early exit."""
+    """Rank of span{delta_a vec delta_b} reaches m, by incremental insertion
+    with early exit; inline, since an _apply call per recipe costs ~20%."""
     span, v = Echelon(ring), _sparse(ring, vec)
     for recipe in recipes:
         w = {}
@@ -302,7 +304,7 @@ def _generates_everything(ring, m, vec, recipes) -> bool:
     return False
 
 
-def _generates_everything_gf2(ring, m, vec, recipes_gf2) -> bool:
+def _generates_everything_gf2(ring, m, vec, recipes) -> bool:
     """GF(2) fast path: vectors are bit masks, reduction is xor."""
     bits = 0
     for i, c in enumerate(vec):
@@ -310,9 +312,9 @@ def _generates_everything_gf2(ring, m, vec, recipes_gf2) -> bool:
             bits |= 1 << i
     pivots = [0] * m
     rank = 0
-    for recipe in recipes_gf2:
+    for recipe in recipes:
         w = 0
-        for c, target in recipe:
+        for c, target, _ in recipe:
             if (bits >> c) & 1:
                 w ^= 1 << target
         while w:
@@ -364,10 +366,8 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
                 "search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap)
             )
         recipes = _product_recipes(ctx)
-        generates = _generates_everything
-        if ctx.ring.kind == ("GF", 2):
-            recipes = [[(c, t) for c, t, _ in rec] for rec in recipes]
-            generates = _generates_everything_gf2
+        gf2 = ctx.ring.kind == ("GF", 2)
+        generates = _generates_everything_gf2 if gf2 else _generates_everything
         for vec in _candidates(ctx.ring, gpd.m):
             if not generates(ctx.ring, gpd.m, vec, recipes):
                 return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")

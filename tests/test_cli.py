@@ -405,6 +405,27 @@ def test_negative_arrow_record(fx, tmp_path, capsys):
     assert "arrow -1 out of range" in err
 
 
+@pytest.mark.parametrize(
+    "what,name,old,new,match",
+    [
+        ("groupoid", "z2.gpd", "comp 1 1 0", "comp 1 1 1\ncomp 1 1 0", "line 9: repeated comp 1 1"),
+        ("cocycle", "z2_neg.coc", "val 1 1 1", "val 1 1 1\nval 1 1 0", "line 14: repeated val 1 1"),
+    ],
+    ids=["comp", "val"],
+)
+def test_repeated_pair_record(what, name, old, new, match, fx, tmp_path, capsys):
+    # the later record used to win, and the file validated
+    bad = write(tmp_path, name, (fx / name).read_text().replace(old, new))
+    code, out, err = run(capsys, "validate", what, bad)
+    assert_one_error_line(code, out, err)
+    assert match in err
+
+
+def test_unit_listed_twice(fx, tmp_path, capsys):
+    bad = write(tmp_path, "g.gpd", (fx / "z2.gpd").read_text().replace("units 0", "units 0 0"))
+    assert run(capsys, "validate", "groupoid", bad) == (1, "violation: unit 0 is listed more than once\n", "")
+
+
 def test_large_cyclic_grading_group(fx, tmp_path, capsys):
     # the group table is checked in O(k^2 * generators), not O(k^3)
     body = (fx / "z2.gpd").read_text()

@@ -110,6 +110,26 @@ def test_cocycle_val_on_non_composable(tmp_path):
         T.read_cocycle(p)
 
 
+def test_cocycle_repeated_val(tmp_path):
+    p = path(tmp_path, "c.coc")
+    T.write_cocycle(p, T.z2_neg_cocycle())
+    with open(p, "a") as fh:
+        fh.write("val 1 1 0\n")
+    with pytest.raises(ValueError, match="line 14: repeated val 1 1"):
+        T.read_cocycle(p)
+
+
+def test_unit_listed_twice(tmp_path):
+    p = path(tmp_path, "g.gpd")
+    T.write_text(p, Z2.replace("units 0", "units 0 0"))
+    with pytest.raises(T.AxiomError) as exc:
+        T.read_groupoid(p)
+    assert exc.value.violations == ["unit 0 is listed more than once"]
+    g = T.build("pair2")
+    twice = T.Groupoid(g.units + g.units[:1], g.src, g.rng, g.inv, g.comp)
+    assert T.validate_groupoid(twice) == ["unit %d is listed more than once" % g.units[0]]
+
+
 def test_cocycle_exponent_out_of_range(tmp_path):
     p = path(tmp_path, "c.coc")
     T.write_cocycle(p, T.trivial_cocycle(T.build("z2"), 2))
@@ -321,8 +341,10 @@ Z2 = "\n".join(T.serialize_groupoid(T.build("z2"))) + "\n"
         ("inv 1 1", "inv 2 1", "line 7: inv 2 out of range"),
         ("inv 1 1\n", "", "missing inv 1"),
         ("arrows 2", "arrows -1", "negative arrows"),
+        # the later record used to win, so this file validated
+        ("comp 1 1 0", "comp 1 1 1\ncomp 1 1 0", "line 9: repeated comp 1 1"),
     ],
-    ids=["negative", "repeated", "fields", "inv-range", "inv-missing", "count"],
+    ids=["negative", "repeated", "fields", "inv-range", "inv-missing", "count", "repeated-comp"],
 )
 def test_groupoid_reader_rejects_records(old, new, match, tmp_path):
     p = path(tmp_path, "g.gpd")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import twistalg as T
+from twistalg import structure as S
 from conftest import carry_cocycle, make_context, random_nonzero
 
 GF2 = T.parse_ring("GF(2)")
@@ -123,6 +124,90 @@ def test_ideal_kernel_matches_dense_rank(gname, p):
                 v = [rnd.randrange(p) if rnd.random() < 0.4 else 0 for _ in range(m)]
             inside = dense_rank_mod_p(rows + [v], p) == rank
             assert ideal.member(T.from_coeffs(ctx, dict(enumerate(v)))) is inside
+
+
+# --- the delta-product table against convolve --------------------------------------
+
+
+def table_contexts(ring_spec, rnd):
+    """Every catalog groupoid: untwisted, with its shipped cocycles, with a
+    sample of its enumerated ones (orders 2 and 4, searches over 20,000
+    nodes skipped) and with a seeded order-4 coboundary, wherever the ring
+    has the unit group."""
+    ring = T.parse_ring(ring_spec)
+    for name in T.CATALOG:
+        g = T.build(name)
+        cocs = [T.trivial_cocycle(g, 1)] + list(T.fixture_cocycles(name).values())
+        for n in (2, 4):
+            try:
+                found = T.enumerate_cocycles(g, n, cap=20000)
+            except ValueError:
+                continue
+            cocs += found[:: max(1, len(found) // 3)]
+        b = [0 if a in g.unit_set else rnd.randrange(4) for a in range(g.m)]
+        cocs.append(T.apply_coboundary(T.trivial_cocycle(g, 4), b))
+        for coc in cocs:
+            try:
+                tgrp = T.unit_subgroup(ring, coc.n)
+            except ValueError:
+                continue
+            yield T.Context(g, ring, tgrp, coc)
+
+
+def two_sided_pairs(gpd):
+    """The arrow pairs (a, b) with delta_a * v * delta_b not always zero,
+    round-robin over the range of a, each range class in ascending (a, b)."""
+    classes = {}
+    for a in range(gpd.m):
+        for b in range(gpd.m):
+            if any(gpd.rng[c] == gpd.src[a] and gpd.src[c] == gpd.rng[b] for c in range(gpd.m)):
+                classes.setdefault(gpd.rng[a], []).append((a, b))
+    order = [classes[k] for k in sorted(classes)]
+    return [cls[i] for i in range(max(map(len, order))) for cls in order if i < len(cls)]
+
+
+def convolve_closure_message(ctx, basis):
+    """The message Ideal raises on a non-closed RREF basis, worked out with
+    convolve and reduce_against; empty when the span is closed."""
+    ring, bad = ctx.ring, []
+    for row in basis:
+        f = T.from_vec(ctx, row)
+        for a in range(ctx.gpd.m):
+            d = T.delta(ctx, a)
+            for side, prod in (("left", T.convolve(d, f)), ("right", T.convolve(f, d))):
+                if any(not ring.is_zero(c) for c in T.reduce_against(ring, basis, T.to_vec(prod))):
+                    bad.append("not closed under %s delta_%d" % (side, a))
+    return "; ".join(bad[:3])
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(3)", "GF(5)", "Q(zeta_4)"])
+def test_product_table_matches_convolve(ring_spec):
+    rnd = random.Random(ring_spec)
+    seen = 0
+    for ctx in table_contexts(ring_spec, rnd):
+        seen += 1
+        ring, m = ctx.ring, ctx.gpd.m
+        left, right = S._one_sided(ctx)
+        recipes = S._product_recipes(ctx)
+        pairs = two_sided_pairs(ctx.gpd)
+        assert len(recipes) == len(pairs)
+        f = random_nonzero(ctx, rnd)
+        for a in range(m):
+            d = T.delta(ctx, a)
+            assert S._apply(ring, left[a], f.coeffs) == T.convolve(d, f).coeffs
+            assert S._apply(ring, right[a], f.coeffs) == T.convolve(f, d).coeffs
+        for recipe, (a, b) in zip(recipes, pairs):
+            want = T.convolve(T.convolve(T.delta(ctx, a), f), T.delta(ctx, b))
+            assert S._apply(ring, recipe, f.coeffs) == want.coeffs
+        basis = T.rref(ring, [T.to_vec(random_nonzero(ctx, rnd)) for _ in range(1 + seen % 2)])
+        msg = convolve_closure_message(ctx, basis)
+        if msg:
+            with pytest.raises(ValueError) as exc:
+                T.Ideal(ctx, basis)
+            assert str(exc.value) == msg
+        else:
+            assert T.Ideal(ctx, basis).basis == tuple(basis)
+    assert seen >= len(T.CATALOG) * 2
 
 
 # --- ideals ---------------------------------------------------------------------
