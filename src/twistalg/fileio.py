@@ -12,14 +12,16 @@ from the arrow records on parse.
 Every reader checks what it reads before it returns.  Records keyed by
 one index need an index in range and given once, and a dense table
 (arrow, inv, q, map, part) a record for every index; a comp, val or i
-record may not repeat its pair.  A groupoid, a cocycle or grading (after
-its groupoid) and a twist must satisfy their axioms, else AxiomError
-carries every violation.  An ideal must be its own reduced row echelon
+record may not repeat its pair.  A record with too few or too many
+integer fields, or one that is not a decimal integer, is `line N: bad
+<word> record`.  A groupoid, a cocycle or grading (after its groupoid) and a
+twist must satisfy their axioms, else AxiomError carries every violation.  An ideal must be its own reduced row echelon
 form and closed.  Other defects are ValueErrors.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .algebra import Context, Element
@@ -27,7 +29,7 @@ from .cocycle import (
     Cocycle, Grading, GroupTable, IntGroup, check_cocycle, check_grading, cyclic_group,
 )
 from .groupoid import Groupoid, check_groupoid
-from .structure import Ideal, rref
+from .structure import Ideal
 from .twist import Twist, check_twist
 
 
@@ -39,6 +41,9 @@ def write_text(path: str, text: str) -> None:
 def read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+_INT = re.compile(r"-?[0-9]+")  # int() would also take "+1", "1_0" and non-ASCII digits
 
 
 class _Cursor:
@@ -75,6 +80,21 @@ class _Cursor:
         i = max(min(self.pos, len(self.rows)) - 1, 0)
         return self.rows[i][0] if self.rows else 0
 
+    def bad(self) -> ValueError:
+        """`line N: bad <word> record` for the record next() returned last."""
+        return ValueError("line %d: bad %s record" % (self.line(), self.rows[self.pos - 1][1][0]))
+
+    def ints(self, fields, count: int = 0) -> list:
+        """fields, taken from the record next() returned last, as decimal
+        integers; count, when nonzero, is how many there must be.  Else bad()."""
+        if count and len(fields) != count or not all(map(_INT.fullmatch, fields)):
+            raise self.bad()
+        return [int(t) for t in fields]
+
+    def record(self, word: str, count: int = 0) -> list:
+        """The integer fields of the next record, which must start with word."""
+        return self.ints(self.expect(word)[1:], count)
+
     def done(self) -> bool:
         return self.pos >= len(self.rows)
 
@@ -96,12 +116,8 @@ def _read(path: str, parse, *args):
     return obj
 
 
-def _ints(toks) -> list:
-    return [int(t) for t in toks]
-
-
 def _count(cur: _Cursor, word: str) -> int:
-    n = int(cur.expect(word)[1])
+    (n,) = cur.record(word, 1)
     if n < 0:
         raise ValueError("line %d: negative %s %d" % (cur.line(), word, n))
     return n
@@ -116,8 +132,8 @@ def _indexed(cur: _Cursor, word: str, size: int, fields: int, dense: bool = Fals
     while not cur.done() and cur.peek()[0] == word:
         toks = cur.next()
         if len(toks) < 3 or fields and len(toks) != fields + 2:
-            raise ValueError("line %d: bad %s record" % (cur.line(), word))
-        i = int(toks[1])
+            raise cur.bad()
+        (i,) = cur.ints(toks[1:2])
         if not 0 <= i < size:
             raise ValueError("line %d: %s %d out of range for %d entries"
                              % (cur.line(), word, i, size))
@@ -149,18 +165,18 @@ def serialize_groupoid(g: Groupoid) -> list:
 def parse_groupoid_block(cur: _Cursor) -> Groupoid:
     cur.expect("groupoid")
     m = _count(cur, "arrows")
-    units = _ints(cur.expect("units")[1:])
+    units = cur.record("units")
     ends = {}
     for a, (s_kw, s, r_kw, r) in _indexed(cur, "arrow", m, 4, dense=True):
         if (s_kw, r_kw) != ("src", "rng"):
-            raise ValueError("line %d: bad arrow record" % cur.line())
-        ends[a] = (int(s), int(r))
-    inv = {a: int(b) for a, (b,) in _indexed(cur, "inv", m, 1, dense=True)}
+            raise cur.bad()
+        ends[a] = cur.ints((s, r))
+    inv = {a: cur.ints(b)[0] for a, b in _indexed(cur, "inv", m, 1, dense=True)}
     src = [ends[a][0] for a in range(m)]
     rng = [ends[a][1] for a in range(m)]
     comp = {}
     while not cur.done() and cur.peek()[0] == "comp":
-        a, b, c = _ints(cur.next()[1:])
+        a, b, c = cur.record("comp", 3)
         if (a, b) in comp:
             raise ValueError("line %d: repeated comp %d %d" % (cur.line(), a, b))
         comp[(a, b)] = c
@@ -196,17 +212,16 @@ def serialize_cocycle(coc: Cocycle) -> list:
 
 def parse_cocycle_block(cur: _Cursor) -> Cocycle:
     cur.expect("cocycle")
-    n = int(cur.expect("order")[1])
+    (n,) = cur.record("order", 1)
     head = cur.expect("begin")
-    if head[1] != "groupoid":
+    if head[1:] != ["groupoid"]:
         raise ValueError("expected a groupoid block inside the cocycle file")
     g = parse_groupoid_block(cur)
     cur.expect("end")
     table = {pair: 0 for pair in g.comp}
     seen = set()
     while not cur.done() and cur.peek()[0] == "val":
-        toks = cur.next()
-        a, b, k = _ints(toks[1:])
+        a, b, k = cur.record("val", 3)
         if (a, b) not in table:
             raise ValueError("val on non-composable pair (%d, %d)" % (a, b))
         if not 0 <= k < n:
@@ -255,27 +270,28 @@ def serialize_grading(grading: Grading) -> list:
 def parse_grading_block(cur: _Cursor) -> Grading:
     cur.expect("grading")
     toks = cur.expect("group")
-    if toks[1] == "Z":
+    kind = toks[1] if len(toks) > 1 else ""
+    if kind == "Z":
         grp = IntGroup()
         ident = 0
-    elif toks[1] == "cyclic":
-        grp = cyclic_group(int(toks[2]))
+    elif kind == "cyclic":
+        grp = cyclic_group(cur.ints(toks[2:], 1)[0])
         ident = 0
-    elif toks[1] == "table":
-        k = int(toks[2])
-        rows = [_ints(cur.expect("row")[1:]) for _ in range(k)]
+    elif kind == "table":
+        k = cur.ints(toks[2:], 1)[0]
+        rows = [cur.record("row") for _ in range(k)]
         grp = GroupTable(rows)
         ident = grp.identity
     else:
-        raise ValueError("unknown group kind %r" % toks[1])
+        raise ValueError("unknown group kind %r" % kind)
     head = cur.expect("begin")
-    if head[1] != "groupoid":
+    if head[1:] != ["groupoid"]:
         raise ValueError("expected a groupoid block inside the grading file")
     g = parse_groupoid_block(cur)
     cur.expect("end")
     deg = [ident] * g.m
-    for a, (x,) in _indexed(cur, "deg", g.m, 1):
-        deg[a] = int(x)
+    for a, x in _indexed(cur, "deg", g.m, 1):
+        deg[a] = cur.ints(x)[0]
     return Grading(g, grp, deg)
 
 
@@ -331,26 +347,26 @@ def serialize_twist(tw: Twist) -> list:
 
 def parse_twist_block(cur: _Cursor) -> Twist:
     cur.expect("twist")
-    n = int(cur.expect("order")[1])
+    (n,) = cur.record("order", 1)
     head = cur.expect("begin")
-    if head[1] != "base":
+    if head[1:] != ["base"]:
         raise ValueError("expected the base groupoid block first")
     base = parse_groupoid_block(cur)
     cur.expect("end")
     head = cur.expect("begin")
-    if head[1] != "total":
+    if head[1:] != ["total"]:
         raise ValueError("expected the total groupoid block second")
     total = parse_groupoid_block(cur)
     cur.expect("end")
     embed = {}
     while not cur.done() and cur.peek()[0] == "i":
-        u, k, e = _ints(cur.next()[1:])
+        u, k, e = cur.record("i", 3)
         if (u, k) in embed:
             raise ValueError("line %d: repeated i %d %d" % (cur.line(), u, k))
         embed[(u, k)] = e
     proj = [0] * total.m
-    for e, (a,) in _indexed(cur, "q", total.m, 1, dense=True):
-        proj[e] = int(a)
+    for e, a in _indexed(cur, "q", total.m, 1, dense=True):
+        proj[e] = cur.ints(a)[0]
     return Twist(base, total, n, embed, proj)
 
 
@@ -377,7 +393,7 @@ def _parse_maps(cur: _Cursor, header: str) -> Optional[tuple]:
     if header == "morphism" and cur.peek() == ["none"]:
         cur.next()
         return None
-    out = {i: int(x) for i, (x,) in _indexed(cur, "map", cur.run("map"), 1, dense=True)}
+    out = {i: cur.ints(x)[0] for i, x in _indexed(cur, "map", cur.run("map"), 1, dense=True)}
     return tuple(out[i] for i in range(len(out)))
 
 
@@ -414,14 +430,14 @@ def serialize_coboundary(n: int, m: int, b) -> list:
 
 def _parse_coboundary(cur: _Cursor):
     cur.expect("coboundary")
-    n = int(cur.expect("order")[1])
+    (n,) = cur.record("order", 1)
     m = _count(cur, "arrows")
     if cur.peek() == ["none"]:
         cur.next()
         return n, m, None
     b = [0] * m
-    for a, (k,) in _indexed(cur, "b", m, 1):
-        b[a] = int(k)
+    for a, k in _indexed(cur, "b", m, 1):
+        b[a] = cur.ints(k)[0]
     return n, m, b
 
 
@@ -446,7 +462,7 @@ def read_ideal(path: str, ctx: Context) -> Ideal:
     multiplication on both sides; anything else is a ValueError."""
     cur = _Cursor(read_text(path))
     cur.expect("ideal")
-    dim = int(cur.expect("dim")[1])
+    (dim,) = cur.record("dim", 1)
     m = ctx.gpd.m
     if not 0 <= dim <= m:
         raise ValueError("ideal dimension %d out of range for %d arrows" % (dim, m))
@@ -456,7 +472,7 @@ def read_ideal(path: str, ctx: Context) -> Ideal:
         toks = cur.expect("vec")
         if len(toks) != 4:
             raise ValueError("line %d: vec wants a row, an arrow and one literal" % cur.line())
-        i, a = int(toks[1]), int(toks[2])
+        i, a = cur.ints(toks[1:3])
         if not (0 <= i < dim and 0 <= a < m):
             raise ValueError("line %d: vec %d %d out of range for dim %d, %d arrows"
                              % (cur.line(), i, a, dim, m))
@@ -464,9 +480,6 @@ def read_ideal(path: str, ctx: Context) -> Ideal:
             raise ValueError("line %d: repeated vec %d %d" % (cur.line(), i, a))
         seen.add((i, a))
         rows[i][a] = ctx.ring.parse(toks[3])
-    rows = [tuple(r) for r in rows]
-    if rref(ctx.ring, rows) != rows:
-        raise ValueError("ideal rows are not in reduced row echelon form")
     return Ideal(ctx, rows)
 
 
@@ -487,7 +500,7 @@ def serialize_decomposition(ring, parts) -> list:
 def _parse_decomposition(cur: _Cursor, ring) -> list:
     cur.expect("decomposition")
     k = _count(cur, "parts")
-    parts = {i: (ring.parse(val), frozenset(_ints(arrows)))
+    parts = {i: (ring.parse(val), frozenset(cur.ints(arrows)))
              for i, (val, *arrows) in _indexed(cur, "part", k, 0, dense=True)}
     return [parts[i] for i in range(k)]
 

@@ -7,8 +7,8 @@ delta_a * f * delta_b over all arrow pairs (a, b); generation, the closure
 check every Ideal runs and the simplicity scan read those products off one
 table (_one_sided).  Every row reduction over a field goes through Echelon,
 sparse rows keyed by least-index pivot: generation, membership, the
-closure check, rref, reduce_against and the generic simplicity scan.  Only
-the GF(2) scan keeps its own bitmask elimination, faster there than dicts.
+closure check, rref, reduce_against and the simplicity scan, every field
+alike, GF(2) included.  An Ideal checks that its basis is RREF and closed.
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -23,6 +23,17 @@ returning the first failure as certificate; structural mode answers from
 minimality of an effective groupoid, with a proper invariant-orbit ideal
 as the negative certificate, and reports None (unknown) when the groupoid
 is not effective.
+
+The exhaustive scan rests on one lemma.  When the recipe of (a, b) has
+the single entry (c, t, s), delta_a v delta_b = s v_c delta_t with s a
+unit, so if delta_t generates the algebra so does every v with v_c != 0.
+Candidates come in lead groups, one per position of the first nonzero
+coefficient, each opening with lead * delta_pos.  Once lead * delta_t
+passes its rank scan, every c with a one-entry recipe onto t is certified,
+and groups led by a certified arrow are passed over, the current one
+included.  No failing candidate lies in a skipped group, so the verdict
+and certificate are the full scan's.  A twisted pair groupoid (a matrix
+algebra) takes one rank scan; a group has no one-entry recipe.
 """
 
 from __future__ import annotations
@@ -147,19 +158,27 @@ def _apply(ring, entries, v: dict) -> dict:
 
 
 class Ideal:
-    """Two-sided ideal with an RREF basis; closure verified at build time."""
+    """Two-sided ideal with an RREF basis; both verified at build time."""
 
     def __init__(self, ctx: Context, basis):
-        if not ctx.ring.is_field:
+        ring, m = ctx.ring, ctx.gpd.m
+        if not ring.is_field:
             raise ValueError("ideals require field coefficients")
         self.ctx = ctx
         self.basis = tuple(tuple(r) for r in basis)
-        self.span = Echelon(ctx.ring, (_sparse(ctx.ring, r) for r in self.basis))
+        rows = [_sparse(ring, r) for r in self.basis]
+        # RREF: m entries per row, each row leads with a one, pivots ascend,
+        # and no row has an entry in another row's pivot column
+        pivots = [min(v, default=m) for v in rows]
+        if (any(len(r) != m for r in self.basis) or pivots != sorted(set(pivots))
+                or any(v.get(j) != ring.one() for v, j in zip(rows, pivots))
+                or sum(j in v for v in rows for j in pivots) != len(rows)):
+            raise ValueError("ideal rows are not in reduced row echelon form")
+        self.span = Echelon(ring, (dict(v) for v in rows))
         left, right = _one_sided(ctx)
         bad = []
-        for row in self.basis:
-            v = _sparse(ctx.ring, row)
-            for a in range(ctx.gpd.m):
+        for v in rows:
+            for a in range(m):
                 if self.span.remainder(_apply(ctx.ring, left[a], v)):
                     bad.append("not closed under left delta_%d" % a)
                 if self.span.remainder(_apply(ctx.ring, right[a], v)):
@@ -304,45 +323,22 @@ def _generates_everything(ring, m, vec, recipes) -> bool:
     return False
 
 
-def _generates_everything_gf2(ring, m, vec, recipes) -> bool:
-    """GF(2) fast path: vectors are bit masks, reduction is xor."""
-    bits = 0
-    for i, c in enumerate(vec):
-        if c:
-            bits |= 1 << i
-    pivots = [0] * m
-    rank = 0
-    for recipe in recipes:
-        w = 0
-        for c, target, _ in recipe:
-            if (bits >> c) & 1:
-                w ^= 1 << target
-        while w:
-            j = w.bit_length() - 1
-            row = pivots[j]
-            if row:
-                w ^= row
-            else:
-                pivots[j] = w
-                rank += 1
-                if rank == m:
-                    return True
-                break
-    return rank == m
-
-
-def _candidates(ring, m):
-    """All nonzero vectors with leading coefficient fixed to the least
-    nonzero field element, in ascending lexicographic order.  The first
-    failing candidate here is the lexicographically first failing element
-    of the whole algebra, since scaling preserves the generated ideal."""
+def _candidates(ring, m, certified):
+    """(lead position, vector) for every nonzero vector whose leading
+    coefficient is the least nonzero field element, in ascending
+    lexicographic order (the first failure here is the first in the whole
+    algebra, as scaling keeps the generated ideal).  elements() lists zero
+    first, so each lead group opens with lead * delta_pos; the rest of a
+    group whose position joins certified (the caller's set) is skipped."""
     elems = list(ring.elements())
     lead = next(e for e in elems if not ring.is_zero(e))
     z = ring.zero()
     for pos in range(m - 1, -1, -1):
         head = [z] * pos + [lead]
         for tail in itertools.product(elems, repeat=m - 1 - pos):
-            yield head + list(tail)
+            if pos in certified:
+                break
+            yield pos, head + list(tail)
 
 
 def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> SimpleResult:
@@ -350,10 +346,12 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
 
     exhaustive: every nonzero element must generate the full algebra;
     needs a finite field with size**arrows <= cap.  The certificate of a
-    negative answer is the first failing element.  structural: answers
-    from minimality when the groupoid is effective, with a proper ideal
-    built from a nontrivial invariant unit set as negative certificate;
-    on a non-effective groupoid the verdict is None (unknown).
+    negative answer is the lexicographically first failing element.  Lead
+    groups certified through a one-entry recipe are passed over (module
+    docstring); every field takes the same Echelon rank scan.  structural:
+    answers from minimality when the groupoid is effective, with a proper
+    ideal built from a nontrivial invariant unit set as negative
+    certificate; on a non-effective groupoid the verdict is None (unknown).
     """
     if not ctx.ring.is_field:
         raise ValueError("simplicity is defined here over field coefficients")
@@ -362,15 +360,16 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
         if ctx.ring.size is None:
             raise ValueError("exhaustive mode needs a finite field")
         if ctx.ring.size ** gpd.m > cap:
-            raise ValueError(
-                "search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap)
-            )
+            raise ValueError("search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap))
         recipes = _product_recipes(ctx)
-        gf2 = ctx.ring.kind == ("GF", 2)
-        generates = _generates_everything_gf2 if gf2 else _generates_everything
-        for vec in _candidates(ctx.ring, gpd.m):
-            if not generates(ctx.ring, gpd.m, vec, recipes):
+        one_entry = [rec[0] for rec in recipes if len(rec) == 1]
+        certified, group = set(), None
+        for pos, vec in _candidates(ctx.ring, gpd.m, certified):
+            if not _generates_everything(ctx.ring, gpd.m, vec, recipes):
                 return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
+            if pos != group:  # vec is lead * delta_pos, and it generates
+                group = pos
+                certified.update(c for c, t, _ in one_entry if t == pos)
         return SimpleResult(True, None, "every nonzero element generates the algebra")
     if mode == "structural":
         if not is_effective(gpd):

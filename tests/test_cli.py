@@ -421,6 +421,40 @@ def test_repeated_pair_record(what, name, old, new, match, fx, tmp_path, capsys)
     assert match in err
 
 
+@pytest.mark.parametrize(
+    "what,name,old,new,match",
+    [
+        ("groupoid", "z2.gpd", "comp 1 1 0", "comp 1 1", "line 8: bad comp record"),
+        ("groupoid", "z2.gpd", "comp 1 1 0", "comp 1 x 0", "line 8: bad comp record"),
+        ("groupoid", "z2.gpd", "comp 1 1 0", "comp 1 1 0_0", "line 8: bad comp record"),
+        ("groupoid", "z2.gpd", "arrows 2", "arrows two", "line 2: bad arrows record"),
+        ("groupoid", "z2.gpd", "units 0", "units zero", "line 3: bad units record"),
+        ("groupoid", "z2.gpd", "inv 1 1", "inv 1 one", "line 7: bad inv record"),
+        ("cocycle", "z2_neg.coc", "val 1 1 1", "val 1 1", "line 13: bad val record"),
+        ("cocycle", "z2_neg.coc", "val 1 1 1", "val 1 1 y", "line 13: bad val record"),
+        ("cocycle", "z2_neg.coc", "order 2", "order two", "line 2: bad order record"),
+        ("twist", None, "i 0 1 1", "i 0 x 1", "line 36: bad i record"),
+    ],
+    ids=["comp-short", "comp-word", "comp-underscore", "arrows", "units", "inv", "val-short", "val-word", "order", "i"],
+)
+def test_bad_field_record(what, name, old, new, match, fx, tmp_path, capsys):
+    # these used to print a bare Python error naming neither line nor record
+    text = z2_neg_twist_text() if what == "twist" else (fx / name).read_text()
+    assert old in text
+    bad = write(tmp_path, "bad", text.replace(old, new))
+    code, out, err = run(capsys, "validate", what, bad)
+    assert_one_error_line(code, out, err)
+    assert err == "error: %s\n" % match
+
+
+def test_bad_dim_record(fx, tmp_path, capsys):
+    idl = write(tmp_path, "i.idl", "ideal\ndim one\nvec 0 0 1\n")
+    elt = write(tmp_path, "f.elt", "element\ncoeff 1 1\n")
+    code, out, err = run(capsys, "ideal", "--ring", "GF(3)", "member", str(fx / "z2.gpd"), idl, elt)
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 2: bad dim record\n"
+
+
 def test_unit_listed_twice(fx, tmp_path, capsys):
     bad = write(tmp_path, "g.gpd", (fx / "z2.gpd").read_text().replace("units 0", "units 0 0"))
     assert run(capsys, "validate", "groupoid", bad) == (1, "violation: unit 0 is listed more than once\n", "")

@@ -1,5 +1,6 @@
 """Row reduction, ideals, unit-set witnesses, and the simplicity scan."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -129,16 +130,28 @@ def test_ideal_kernel_matches_dense_rank(gname, p):
 # --- the delta-product table against convolve --------------------------------------
 
 
-def table_contexts(ring_spec, rnd):
-    """Every catalog groupoid: untwisted, with its shipped cocycles, with a
-    sample of its enumerated ones (orders 2 and 4, searches over 20,000
-    nodes skipped) and with a seeded order-4 coboundary, wherever the ring
-    has the unit group."""
+def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None):
+    """Every catalog groupoid (whose algebra has at most max_size elements,
+    if given): untwisted, with its shipped cocycles, with a sample of its
+    enumerated ones (the given orders, searches over 20,000 nodes skipped)
+    and with a seeded order-4 coboundary, wherever the ring has the unit
+    group."""
     ring = T.parse_ring(ring_spec)
+
+    def has_units(n):
+        try:
+            return T.unit_subgroup(ring, n)
+        except ValueError:
+            return None
+
     for name in T.CATALOG:
         g = T.build(name)
+        if max_size and ring.size ** g.m > max_size:
+            continue
         cocs = [T.trivial_cocycle(g, 1)] + list(T.fixture_cocycles(name).values())
-        for n in (2, 4):
+        for n in orders:
+            if has_units(n) is None:
+                continue
             try:
                 found = T.enumerate_cocycles(g, n, cap=20000)
             except ValueError:
@@ -147,11 +160,9 @@ def table_contexts(ring_spec, rnd):
         b = [0 if a in g.unit_set else rnd.randrange(4) for a in range(g.m)]
         cocs.append(T.apply_coboundary(T.trivial_cocycle(g, 4), b))
         for coc in cocs:
-            try:
-                tgrp = T.unit_subgroup(ring, coc.n)
-            except ValueError:
-                continue
-            yield T.Context(g, ring, tgrp, coc)
+            tgrp = has_units(coc.n)
+            if tgrp is not None:
+                yield T.Context(g, ring, tgrp, coc)
 
 
 def two_sided_pairs(gpd):
@@ -217,6 +228,25 @@ def test_ideal_rejects_non_closed_span():
     ctx = make_context(T.build("pair2"), "GF(3)")
     with pytest.raises(ValueError):
         T.Ideal(ctx, [T.to_vec(T.delta(ctx, 1))])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[[2, 2]], [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 0]]],
+    ids=["lead-2", "repeated-row", "pivots-descend", "pivot-column-entry", "zero-row"],
+)
+def test_ideal_rejects_non_rref_basis(basis):
+    ctx = make_context(T.build("z2"), "GF(3)")
+    with pytest.raises(ValueError, match="^ideal rows are not in reduced row echelon form$"):
+        T.Ideal(ctx, basis)
+    # the same span, given as its RREF, is accepted
+    assert T.Ideal(ctx, T.rref(GF3, basis)).dim == len(T.rref(GF3, basis))
+
+
+def test_ideal_rejects_rows_of_the_wrong_length():
+    ctx = make_context(T.build("z2"), "GF(3)")
+    with pytest.raises(ValueError, match="^ideal rows are not in reduced row echelon form$"):
+        T.Ideal(ctx, [[1, 0, 0]])
 
 
 def test_ideal_needs_field():
@@ -382,6 +412,47 @@ def test_exhaustive_matches_manual_scan(gname, ring_spec):
     assert res.simple is want
     if not want:
         assert T.ideal_generated(ctx, [res.certificate]).dim < ctx.gpd.m
+
+
+def plain_scan(ctx):
+    """Oracle for the skipped lead groups: every candidate (leading
+    coefficient the least nonzero element) in lexicographic order, each
+    with a full rank check.  (verdict, first failing vector or None)"""
+    ring, m = ctx.ring, ctx.gpd.m
+    recipes = S._product_recipes(ctx)
+    lead = next(e for e in ring.elements() if not ring.is_zero(e))
+    for vec in itertools.product(ring.elements(), repeat=m):
+        if next((c for c in vec if not ring.is_zero(c)), None) != lead:
+            continue
+        if not S._generates_everything(ring, m, list(vec), recipes):
+            return False, list(vec)
+    return True, None
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(2)", "GF(3)", "GF(5)", "GF(2^2)", "GF(3^2)"])
+def test_exhaustive_scan_matches_plain_scan(ring_spec):
+    verdicts = set()
+    for ctx in table_contexts(ring_spec, random.Random(ring_spec), (2, 3, 4), 2 ** 12):
+        res = T.is_simple(ctx, mode="exhaustive")
+        want, cert = plain_scan(ctx)
+        assert res.simple is want
+        assert (res.certificate and T.to_vec(res.certificate)) == cert
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
+    calls = []
+    full_check = S._generates_everything
+    monkeypatch.setattr(S, "_generates_everything", lambda *args: calls.append(1) or full_check(*args))
+    pair4 = make_context(T.build("pair4"), "GF(2)")
+    assert T.is_simple(pair4, mode="exhaustive").simple is True
+    assert 0 < len(calls) <= pair4.gpd.m
+    # a group algebra has no one-entry recipe: all (3^2 - 1) / 2 candidates
+    calls.clear()
+    z2_neg = make_context(T.build("z2"), "GF(3)", coc=T.z2_neg_cocycle())
+    assert T.is_simple(z2_neg, mode="exhaustive").simple is True
+    assert len(calls) == 4
 
 
 def test_exhaustive_twisted_flip():
