@@ -28,6 +28,18 @@ from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, induced_cocycle, unique_scalar
 
 
+def _check_coefficients(ring: Ring, tgrp: UnitSubgroup, conj: Optional[Involution]):
+    """The unit subgroup and the involution live in the ring, and the
+    involution inverts the subgroup."""
+    if tgrp.ring != ring:
+        raise ValueError("unit subgroup lives in a different ring")
+    if conj is not None:
+        if conj.ring != ring:
+            raise ValueError("involution acts on a different ring")
+        if not rings.check_t_inverse_involution(ring, conj, tgrp):
+            raise ValueError("involution does not invert the unit subgroup")
+
+
 class Context:
     """Everything an algebra element needs to multiply and star."""
 
@@ -43,14 +55,8 @@ class Context:
             raise ValueError("cocycle lives over a different groupoid")
         if coc.n != tgrp.order:
             raise ValueError("cocycle order does not match the unit subgroup")
-        if tgrp.ring != ring:
-            raise ValueError("unit subgroup lives in a different ring")
+        _check_coefficients(ring, tgrp, conj)
         check_cocycle(coc)
-        if conj is not None:
-            if conj.ring != ring:
-                raise ValueError("involution acts on a different ring")
-            if not rings.check_t_inverse_involution(ring, conj, tgrp):
-                raise ValueError("involution does not invert the unit subgroup")
         self.gpd = gpd
         self.ring = ring
         self.tgrp = tgrp
@@ -284,10 +290,7 @@ class EquivContext:
         self.coc = invert_cocycle(induced_cocycle(twist, section))
         if tgrp.order != twist.n:
             raise ValueError("unit subgroup order does not match the twist")
-        if tgrp.ring != ring:
-            raise ValueError("unit subgroup lives in a different ring")
-        if conj is not None and not rings.check_t_inverse_involution(ring, conj, tgrp):
-            raise ValueError("involution does not invert the unit subgroup")
+        _check_coefficients(ring, tgrp, conj)
         self.twist = twist
         self.section = tuple(section)
         self.ring = ring

@@ -14,17 +14,22 @@ values is exact equality:
                cyclotomic polynomial
 
 Elements are plain hashable Python values; the Ring object owns the
-arithmetic.  A UnitSubgroup is a finite cyclic group of units given by a
-generator and its order; its members travel as exponents mod n and are
-embedded into the ring only when a coefficient is needed.  Involutions
-cover the identity, zeta -> 1/zeta on cyclotomic fields, and x -> x^p on
-GF(p^2).  No floating point anywhere.
+arithmetic.  Both extension fields work through their Galois
+automorphisms: conj on Q(zeta_n) is sigma_-1, where sigma_k sends zeta to
+zeta^k, and GF(p^2) has the Frobenius x -> x^p.  Each inverts x as
+y / N(x), where y is the product of the other conjugates and the norm
+N(x) = x*y lies in the prime field.  A UnitSubgroup is a finite cyclic
+group of units given by a generator and its order; its members travel as
+exponents mod n and are embedded into the ring only when a coefficient
+is needed.  Involutions cover the identity, conj and the Frobenius.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class Ring:
@@ -57,17 +62,6 @@ class Ring:
 
     def is_zero(self, x):
         return x == self.zero()
-
-    def pow(self, x, k):
-        if k < 0:
-            return self.pow(self.inv(x), -k)
-        out = self.one()
-        while k:
-            if k & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return out
 
     def elements(self):
         """Iterate all elements in canonical order; finite rings only."""
@@ -274,10 +268,9 @@ class QuadraticGaloisField(Ring):
         return ((a * c + bd * self.t) % self.p, (a * d + b * c + bd * self.s) % self.p)
 
     def frobenius(self, x):
+        """x -> x^p: w goes to the other root s - w of its minimal polynomial."""
         a, b = x
-        if self.p == 2:
-            return ((a + b) % 2, b)
-        return (a, (-b) % self.p)
+        return ((a + b * self.s) % self.p, (-b) % self.p)
 
     def inv(self, x):
         if x == (0, 0):
@@ -320,10 +313,6 @@ class QuadraticGaloisField(Ring):
         return (rnd.randrange(self.p), rnd.randrange(self.p))
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 _CYC_CACHE: dict = {}
 
 
@@ -332,32 +321,21 @@ def cyclotomic_polynomial(n: int) -> list:
     if n in _CYC_CACHE:
         return _CYC_CACHE[n]
     # x^n - 1 = prod of Phi_d over d | n; divide the smaller ones out.
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in _divisors(n):
-        if d == n:
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
             continue
-        phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-        poly = _poly_div_exact(poly, phi_d)
-    out = []
-    for c in poly:
-        assert c.denominator == 1
-        out.append(int(c))
-    _CYC_CACHE[n] = out
-    return out
-
-
-def _poly_div_exact(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    out = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[dd]
-        out[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    assert all(c == 0 for c in num)
-    return out
+        den = cyclotomic_polynomial(d)
+        dd = len(den) - 1
+        # synthetic division by the monic Phi_d: the quotient is left in
+        # poly[dd:], the remainder in poly[:dd]
+        for i in range(len(poly) - 1, dd - 1, -1):
+            for j in range(dd):
+                poly[i - dd + j] -= poly[i] * den[j]
+        assert not any(poly[:dd])
+        poly = poly[dd:]
+    _CYC_CACHE[n] = poly
+    return poly
 
 
 class CyclotomicField(Ring):
@@ -374,31 +352,25 @@ class CyclotomicField(Ring):
         self.kind = ("CYC", n)
         # zeta^k in basis coordinates for k = 0..n-1
         self.zeta_powers = []
-        cur = self._basis_vec(0)
+        cur = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
         for _ in range(n):
             self.zeta_powers.append(cur)
             cur = self._shift(cur)
 
-    def _basis_vec(self, i):
-        v = [Fraction(0)] * self.degree
-        v[i] = Fraction(1)
-        return tuple(v)
-
     def _shift(self, v):
         # multiply by zeta and reduce by the monic modulus
         w = [Fraction(0)] + list(v)
-        if len(w) > self.degree:
-            top = w.pop()
-            if top:
-                for j in range(self.degree):
-                    w[j] -= top * self.modulus[j]
+        top = w.pop()
+        if top:
+            for j in range(self.degree):
+                w[j] -= top * self.modulus[j]
         return tuple(w)
 
     def zero(self):
         return tuple([Fraction(0)] * self.degree)
 
     def one(self):
-        return self._basis_vec(0) if self.degree else ()
+        return self.zeta_powers[0]
 
     def is_zero(self, x):
         return not any(x)
@@ -414,7 +386,7 @@ class CyclotomicField(Ring):
 
     def mul(self, x, y):
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1 if d else 1)
+        prod = [Fraction(0)] * (2 * d - 1)
         for i, a in enumerate(x):
             if not a:
                 continue
@@ -432,29 +404,27 @@ class CyclotomicField(Ring):
     def inv(self, x):
         if all(c == 0 for c in x):
             raise ValueError("0 is not a unit in Q(zeta_%d)" % self.n)
-        # extended Euclid against the (irreducible) modulus
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = list(x)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd
-        assert len(_poly_trim(r0)) == 1
-        c = r0[0]
-        out = [a / c for a in s0]
-        out += [Fraction(0)] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        y = self.one()
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                y = self.mul(y, self._galois(x, k))
+        norm = self.mul(x, y)
+        assert not any(norm[1:])
+        return tuple(c / norm[0] for c in y)
 
-    def conj(self, x):
-        """zeta -> zeta^(n-1), the inversion automorphism."""
-        acc = self.zero()
+    def _galois(self, x, k):
+        """sigma_k: zeta -> zeta^k, an automorphism for k prime to n."""
+        acc = [Fraction(0)] * self.degree
         for i, c in enumerate(x):
             if c:
-                term = tuple(c * p for p in self.zeta_powers[(self.n - i) % self.n])
-                acc = self.add(acc, term)
-        return acc
+                for j, p in enumerate(self.zeta_powers[i * k % self.n]):
+                    if p:
+                        acc[j] += c * p
+        return tuple(acc)
+
+    def conj(self, x):
+        """zeta -> zeta^(n-1), the inversion automorphism sigma_-1."""
+        return self._galois(x, -1)
 
     def parse(self, text):
         acc = self.zero()
@@ -492,46 +462,6 @@ class CyclotomicField(Ring):
         return tuple(
             Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(self.degree)
         )
-
-
-def _poly_trim(p):
-    q = list(p)
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while len(_poly_trim(r)) >= len(b):
-        r = _poly_trim(r)
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for j in range(len(b)):
-            r[d + j] -= c * b[j]
-        r = r[:-1]
-    return q, _poly_trim(r) or [Fraction(0)]
 
 
 # --- literal parsing helpers -------------------------------------------------

@@ -236,9 +236,6 @@ class TwistMorphism:
         self.dst = dst
         self.mapping = tuple(mapping)
 
-    def __call__(self, e: int) -> int:
-        return self.mapping[e]
-
     def __eq__(self, other):
         return (
             isinstance(other, TwistMorphism)

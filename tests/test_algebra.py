@@ -375,3 +375,81 @@ def test_equiv_context_rejects_bad_section():
     sec[1] = sec[0]  # no longer one point per fiber
     with pytest.raises(ValueError):
         T.EquivContext(tw, sec, ring, tgrp)
+
+
+# --- constructor guards ----------------------------------------------------------
+
+GF9, GF25, C4 = T.parse_ring("GF(3^2)"), T.parse_ring("GF(5^2)"), T.parse_ring("Q(zeta_4)")
+FROB9 = T.parse_involution(GF9, "frobenius")
+FROB25 = T.parse_involution(GF25, "frobenius")  # an involution of another ring
+ID_C4 = T.parse_involution(C4, "id")  # fixes zeta, so does not invert it
+
+
+def _not_a_cocycle():
+    g = T.build("z2")
+    return T.Cocycle(g, 2, {pair: 1 for pair in g.comp})
+
+
+def _context_args(**edits):
+    """The sign cocycle on the order-two group over GF(3^2) with its
+    Frobenius, with some arguments replaced."""
+    args = dict(gpd=T.build("z2"), ring=GF9, tgrp=T.unit_subgroup(GF9, 2),
+                coc=T.z2_neg_cocycle(), conj=FROB9)
+    args.update(edits)
+    return args
+
+
+Z4_UNTWISTED = dict(gpd=T.build("z4"), coc=T.trivial_cocycle(T.build("z4"), 4), ring=C4,
+                    tgrp=T.unit_subgroup(C4, 4), conj=ID_C4)
+
+CONTEXT_GUARDS = {
+    "groupoid": (_context_args(gpd=T.build("z3")), ValueError,
+                 "cocycle lives over a different groupoid"),
+    "order": (_context_args(tgrp=T.unit_subgroup(GF9, 4)), ValueError,
+              "cocycle order does not match the unit subgroup"),
+    "tgrp-ring": (_context_args(tgrp=T.unit_subgroup(GF25, 2)), ValueError,
+                  "unit subgroup lives in a different ring"),
+    "cocycle": (_context_args(coc=_not_a_cocycle()), T.AxiomError,
+                "normalisation fails on"),
+    "conj-ring": (_context_args(conj=FROB25), ValueError,
+                  "involution acts on a different ring"),
+    "conj-inverts": (_context_args(**Z4_UNTWISTED), ValueError,
+                     "involution does not invert the unit subgroup"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTEXT_GUARDS))
+def test_context_guards(case):
+    args, exc, message = CONTEXT_GUARDS[case]
+    with pytest.raises(exc, match=message):
+        T.Context(**args)
+    # each case has one fault: the unedited arguments build
+    T.Context(**_context_args())
+
+
+def _equiv_args(**edits):
+    """EquivContext arguments for the twist of the sign cocycle over GF(3^2)."""
+    args = _context_args(**edits)
+    tw = T.build_twist(args["gpd"], args["coc"])
+    return dict(twist=tw, section=T.find_section(tw), ring=args["ring"], tgrp=args["tgrp"],
+                conj=args["conj"])
+
+
+# a bad section is test_equiv_context_rejects_bad_section
+EQUIV_GUARDS = {
+    "order": (_equiv_args(tgrp=T.unit_subgroup(GF9, 4)),
+              "unit subgroup order does not match the twist"),
+    "tgrp-ring": (_equiv_args(tgrp=T.unit_subgroup(GF25, 2)),
+                  "unit subgroup lives in a different ring"),
+    "conj-ring": (_equiv_args(conj=FROB25), "involution acts on a different ring"),
+    "conj-inverts": (_equiv_args(**Z4_UNTWISTED),
+                     "involution does not invert the unit subgroup"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIV_GUARDS))
+def test_equiv_context_guards(case):
+    args, message = EQUIV_GUARDS[case]
+    with pytest.raises(ValueError, match=message):
+        T.EquivContext(**args)
+    T.EquivContext(**_equiv_args())

@@ -17,8 +17,11 @@ RINGS = {
     "GF(5)": T.parse_ring("GF(5)"),
     "GF(2^2)": T.parse_ring("GF(2^2)"),
     "GF(3^2)": T.parse_ring("GF(3^2)"),
+    "Q(zeta_3)": T.parse_ring("Q(zeta_3)"),
     "Q(zeta_4)": T.parse_ring("Q(zeta_4)"),
+    "Q(zeta_5)": T.parse_ring("Q(zeta_5)"),
     "Q(zeta_8)": T.parse_ring("Q(zeta_8)"),
+    "Q(zeta_12)": T.parse_ring("Q(zeta_12)"),
 }
 
 
@@ -197,3 +200,32 @@ def test_cyclotomic_polynomial_degrees():
         assert len(cyclotomic_polynomial(n)) == deg + 1
     assert cyclotomic_polynomial(4) == [1, 0, 1]
     assert cyclotomic_polynomial(8) == [1, 0, 0, 0, 1]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    from twistalg.rings import cyclotomic_polynomial
+
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_frobenius_is_the_p_th_power(p):
+    f = T.QuadraticGaloisField(p)
+    for x in f.elements():
+        xp = f.one()
+        for _ in range(p):
+            xp = f.mul(xp, x)
+        assert f.frobenius(x) == xp

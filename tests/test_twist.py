@@ -1,9 +1,13 @@
 """Central extensions: construction, sections, induced cocycles, morphisms."""
 
+import itertools
+
 import pytest
 
 import twistalg as T
 from conftest import all_sections, carry_cocycle
+from twistalg.cli import main
+from twistalg.fileio import write_twist
 
 
 def some_cocycles():
@@ -145,3 +149,70 @@ def test_twist_morphism_validator_rejects_non_equivariant_map():
     bad = T.TwistMorphism(tw, tw, [1, 0, 2, 3])
     assert T.validate_twist_morphism(bad)
     assert T.validate_twist_morphism(mor) == []
+
+
+def _z2_twist(**edits):
+    """The sign twist over the order-two group, with some fields replaced."""
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    args = dict(base=tw.base, total=tw.total, n=tw.n, embed=dict(tw.embed), proj=tw.proj)
+    args.update(edits)
+    return T.Twist(**args)
+
+
+def _edit_embed(key, value):
+    embed = dict(_z2_twist().embed)
+    if value is None:
+        del embed[key]
+    else:
+        embed[key] = value
+    return _z2_twist(embed=embed)
+
+
+def _s3_over_z2():
+    """S3 onto Z/2 by the sign, with kernel A3 = Z/3: exact, but A3 is
+    not central, so only the last check fails."""
+    s3 = T.build("s3")
+    perms = sorted(itertools.permutations(range(3)))
+    sign = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    r = perms.index((1, 2, 0))
+    embed = {(0, 0): 0, (0, 1): r, (0, 2): s3.comp[(r, r)]}
+    return T.Twist(T.build("z2"), s3, 3, embed, sign)
+
+
+# Over the one-unit base every pair of base arrows composes, so a broken
+# projection is reported instead of failing the composition lookup.
+BROKEN_TWISTS = [
+    ("proj-length", lambda: _z2_twist(proj=(0, 0, 1)), "projection table has wrong length"),
+    ("proj-off", lambda: _z2_twist(proj=(0, 0, 1, 2)), "projection hits a non-arrow"),
+    ("total-size", lambda: _z2_twist(n=1), "total groupoid size is not |base| * n"),
+    ("fiber-size", lambda: _z2_twist(proj=(0, 0, 0, 1)), "fiber over arrow 1 has size 1, want 2"),
+    ("unit-bijection", lambda: _z2_twist(proj=(1, 1, 0, 0)),
+     "projection does not restrict to a unit bijection"),
+    ("src", lambda: _z2_twist(proj=(1, 1, 0, 0)), "projection breaks src at 2"),
+    ("rng", lambda: _z2_twist(proj=(1, 1, 0, 0)), "projection breaks rng at 3"),
+    ("embed-domain", lambda: _edit_embed((0, 1), None), "embedding domain is not units x exponents"),
+    ("embed-injective", lambda: _edit_embed((0, 1), 0), "embedding is not injective"),
+    ("exact-fiber", lambda: _edit_embed((0, 1), 2), "exactness fails: embed(0, 1) leaves the fiber"),
+    ("exact-unit", lambda: _edit_embed((0, 1), 0), "exactness fails over unit 0"),
+    ("central", _s3_over_z2, "centrality fails at arrow 1, exponent 2"),
+]
+
+
+@pytest.mark.parametrize("make,want", [c[1:] for c in BROKEN_TWISTS],
+                         ids=[c[0] for c in BROKEN_TWISTS])
+def test_validate_twist_reports_each_violation(make, want):
+    tw = make()
+    assert want in T.validate_twist(tw)
+    with pytest.raises(T.AxiomError):
+        T.check_twist(tw)
+
+
+def test_validate_twist_centrality_through_the_cli(tmp_path, capsys):
+    tw = _s3_over_z2()
+    path = tmp_path / "s3.twi"
+    write_twist(str(path), tw)
+    code = main(["validate", "twist", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["violation: " + v for v in T.validate_twist(tw)]
+    assert "violation: centrality fails at arrow 5, exponent 1" in out.splitlines()
