@@ -33,16 +33,10 @@ from .rings import parse_involution, parse_ring, unit_subgroup
 from .structure import Ideal, ck_witness, graded_ck_witness, ideal_generated, is_simple
 from .twist import build_twist, find_section, induced_cocycle, twists_isomorphic
 
-_AUTO_INVOLUTION = {"Z": "id", "Q": "id", "GF": "id", "GF2": "frobenius", "CYC": "conj"}
-
 
 def _involution(args, ring):
     name = getattr(args, "involution", "none")
-    if name == "none":
-        return None
-    if name == "auto":
-        name = _AUTO_INVOLUTION[ring.kind[0]]
-    return parse_involution(ring, name)
+    return None if name == "none" else parse_involution(ring, name)
 
 
 def _context(args, gpd=None):

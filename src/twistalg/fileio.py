@@ -7,16 +7,19 @@ equal to the one written.  Coefficient literals use the ring's own
 grammar and never contain whitespace.
 
 Groupoid blocks omit compositions with a unit factor; those are inferred
-from the arrow records on parse.
+from the arrow records on parse.  Cocycle, grading and twist files nest
+their groupoids in `begin <name>` ... `end` blocks, written by _block and
+read by _nested.
 
 Every reader checks what it reads before it returns.  Records keyed by
-one index need an index in range and given once, and a dense table
-(arrow, inv, q, map, part) a record for every index; a comp, val or i
-record may not repeat its pair.  A record with too few or too many
-integer fields, or one that is not a decimal integer, is `line N: bad
-<word> record`.  A groupoid, a cocycle or grading (after its groupoid) and a
-twist must satisfy their axioms, else AxiomError carries every violation.  An ideal must be its own reduced row echelon
-form and closed.  Other defects are ValueErrors.
+one index (_indexed) need an index in range and given once, and a dense
+table (arrow, inv, q, map, part) a record for every index; a comp, val or
+i record (_pairs) may not repeat its pair.  A record with too few or too
+many integer fields, or one that is not a decimal integer, is `line N:
+bad <word> record`.  A groupoid, a cocycle or grading (after its
+groupoid) and a twist must satisfy their axioms, else AxiomError carries
+every violation.  An ideal must be its own reduced row echelon form and
+closed.  Other defects are ValueErrors.
 """
 
 from __future__ import annotations
@@ -146,6 +149,19 @@ def _indexed(cur: _Cursor, word: str, size: int, fields: int, dense: bool = Fals
         raise ValueError("missing %s %d: %s records must cover 0..%d" % (word, i, word, size - 1))
 
 
+def _pairs(cur: _Cursor, word: str):
+    """Yield (a, b, x) for the consecutive `<word> a b x` records.  A pair
+    (a, b) given twice is an error, reported once the caller has checked
+    the record itself."""
+    seen = set()
+    while not cur.done() and cur.peek()[0] == word:
+        a, b, x = cur.record(word, 3)
+        yield a, b, x
+        if (a, b) in seen:
+            raise ValueError("line %d: repeated %s %d %d" % (cur.line(), word, a, b))
+        seen.add((a, b))
+
+
 # --- groupoid ----------------------------------------------------------------
 
 def serialize_groupoid(g: Groupoid) -> list:
@@ -174,12 +190,7 @@ def parse_groupoid_block(cur: _Cursor) -> Groupoid:
     inv = {a: cur.ints(b)[0] for a, b in _indexed(cur, "inv", m, 1, dense=True)}
     src = [ends[a][0] for a in range(m)]
     rng = [ends[a][1] for a in range(m)]
-    comp = {}
-    while not cur.done() and cur.peek()[0] == "comp":
-        a, b, c = cur.record("comp", 3)
-        if (a, b) in comp:
-            raise ValueError("line %d: repeated comp %d %d" % (cur.line(), a, b))
-        comp[(a, b)] = c
+    comp = {(a, b): c for a, b, c in _pairs(cur, "comp")}
     unit_set = set(units)
     for a in range(m):
         if src[a] in unit_set:
@@ -187,6 +198,21 @@ def parse_groupoid_block(cur: _Cursor) -> Groupoid:
         if rng[a] in unit_set:
             comp.setdefault((rng[a], a), a)
     return Groupoid(units, src, rng, [inv[a] for a in range(m)], comp)
+
+
+def _block(name: str, g: Groupoid) -> list:
+    """The `begin <name> ... end` lines around a nested groupoid block."""
+    return ["begin " + name] + serialize_groupoid(g) + ["end"]
+
+
+def _nested(cur: _Cursor, name: str, message: str) -> Groupoid:
+    """The groupoid block between `begin <name>` and `end`; message is the
+    error when the begin record names something else."""
+    if cur.expect("begin")[1:] != [name]:
+        raise ValueError(message)
+    g = parse_groupoid_block(cur)
+    cur.expect("end")
+    return g
 
 
 def write_groupoid(path: str, g: Groupoid) -> None:
@@ -200,9 +226,7 @@ def read_groupoid(path: str) -> Groupoid:
 # --- cocycle -----------------------------------------------------------------
 
 def serialize_cocycle(coc: Cocycle) -> list:
-    lines = ["cocycle", "order %d" % coc.n, "begin groupoid"]
-    lines.extend(serialize_groupoid(coc.gpd))
-    lines.append("end")
+    lines = ["cocycle", "order %d" % coc.n] + _block("groupoid", coc.gpd)
     for (a, b) in sorted(coc.table):
         k = coc.table[(a, b)]
         if k:
@@ -213,22 +237,13 @@ def serialize_cocycle(coc: Cocycle) -> list:
 def parse_cocycle_block(cur: _Cursor) -> Cocycle:
     cur.expect("cocycle")
     (n,) = cur.record("order", 1)
-    head = cur.expect("begin")
-    if head[1:] != ["groupoid"]:
-        raise ValueError("expected a groupoid block inside the cocycle file")
-    g = parse_groupoid_block(cur)
-    cur.expect("end")
+    g = _nested(cur, "groupoid", "expected a groupoid block inside the cocycle file")
     table = {pair: 0 for pair in g.comp}
-    seen = set()
-    while not cur.done() and cur.peek()[0] == "val":
-        a, b, k = cur.record("val", 3)
+    for a, b, k in _pairs(cur, "val"):
         if (a, b) not in table:
-            raise ValueError("val on non-composable pair (%d, %d)" % (a, b))
+            raise ValueError("line %d: val on non-composable pair (%d, %d)" % (cur.line(), a, b))
         if not 0 <= k < n:
-            raise ValueError("exponent %d out of range for order %d" % (k, n))
-        if (a, b) in seen:
-            raise ValueError("line %d: repeated val %d %d" % (cur.line(), a, b))
-        seen.add((a, b))
+            raise ValueError("line %d: exponent %d out of range for order %d" % (cur.line(), k, n))
         table[(a, b)] = k
     return Cocycle(g, n, table)
 
@@ -258,9 +273,7 @@ def serialize_grading(grading: Grading) -> list:
         ident = grp.identity
     else:
         raise ValueError("unknown grading group type %r" % type(grp).__name__)
-    lines.append("begin groupoid")
-    lines.extend(serialize_groupoid(grading.gpd))
-    lines.append("end")
+    lines.extend(_block("groupoid", grading.gpd))
     for a, x in enumerate(grading.deg):
         if x != ident:
             lines.append("deg %d %d" % (a, x))
@@ -284,11 +297,7 @@ def parse_grading_block(cur: _Cursor) -> Grading:
         ident = grp.identity
     else:
         raise ValueError("unknown group kind %r" % kind)
-    head = cur.expect("begin")
-    if head[1:] != ["groupoid"]:
-        raise ValueError("expected a groupoid block inside the grading file")
-    g = parse_groupoid_block(cur)
-    cur.expect("end")
+    g = _nested(cur, "groupoid", "expected a groupoid block inside the grading file")
     deg = [ident] * g.m
     for a, x in _indexed(cur, "deg", g.m, 1):
         deg[a] = cur.ints(x)[0]
@@ -332,38 +341,17 @@ def read_element(path: str, ctx: Context) -> Element:
 # --- twists ------------------------------------------------------------------
 
 def serialize_twist(tw: Twist) -> list:
-    lines = ["twist", "order %d" % tw.n, "begin base"]
-    lines.extend(serialize_groupoid(tw.base))
-    lines.append("end")
-    lines.append("begin total")
-    lines.extend(serialize_groupoid(tw.total))
-    lines.append("end")
-    for (u, k) in sorted(tw.embed):
-        lines.append("i %d %d %d" % (u, k, tw.embed[(u, k)]))
-    for e, a in enumerate(tw.proj):
-        lines.append("q %d %d" % (e, a))
-    return lines
+    lines = ["twist", "order %d" % tw.n] + _block("base", tw.base) + _block("total", tw.total)
+    lines += ["i %d %d %d" % (u, k, e) for (u, k), e in sorted(tw.embed.items())]
+    return lines + ["q %d %d" % pair for pair in enumerate(tw.proj)]
 
 
 def parse_twist_block(cur: _Cursor) -> Twist:
     cur.expect("twist")
     (n,) = cur.record("order", 1)
-    head = cur.expect("begin")
-    if head[1:] != ["base"]:
-        raise ValueError("expected the base groupoid block first")
-    base = parse_groupoid_block(cur)
-    cur.expect("end")
-    head = cur.expect("begin")
-    if head[1:] != ["total"]:
-        raise ValueError("expected the total groupoid block second")
-    total = parse_groupoid_block(cur)
-    cur.expect("end")
-    embed = {}
-    while not cur.done() and cur.peek()[0] == "i":
-        u, k, e = cur.record("i", 3)
-        if (u, k) in embed:
-            raise ValueError("line %d: repeated i %d %d" % (cur.line(), u, k))
-        embed[(u, k)] = e
+    base = _nested(cur, "base", "expected the base groupoid block first")
+    total = _nested(cur, "total", "expected the total groupoid block second")
+    embed = {(u, k): e for u, k, e in _pairs(cur, "i")}
     proj = [0] * total.m
     for e, a in _indexed(cur, "q", total.m, 1, dense=True):
         proj[e] = cur.ints(a)[0]
@@ -381,10 +369,7 @@ def read_twist(path: str) -> Twist:
 # --- small result artifacts ---------------------------------------------------
 
 def serialize_section(sec) -> list:
-    lines = ["section"]
-    for a, e in enumerate(sec):
-        lines.append("map %d %d" % (a, e))
-    return lines
+    return ["section"] + ["map %d %d" % pair for pair in enumerate(sec)]
 
 
 def _parse_maps(cur: _Cursor, header: str) -> Optional[tuple]:
@@ -403,13 +388,9 @@ def read_section(path: str) -> tuple:
 
 def serialize_morphism(mapping) -> list:
     """mapping is an arrow tuple/list or None (no isomorphism)."""
-    lines = ["morphism"]
     if mapping is None:
-        lines.append("none")
-        return lines
-    for e, fe in enumerate(mapping):
-        lines.append("map %d %d" % (e, fe))
-    return lines
+        return ["morphism", "none"]
+    return ["morphism"] + ["map %d %d" % pair for pair in enumerate(mapping)]
 
 
 def read_morphism(path: str) -> Optional[tuple]:

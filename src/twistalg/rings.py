@@ -21,8 +21,9 @@ y / N(x), where y is the product of the other conjugates and the norm
 N(x) = x*y lies in the prime field.  A UnitSubgroup is a finite cyclic
 group of units given by a generator and its order; its members travel as
 exponents mod n and are embedded into the ring only when a coefficient
-is needed.  Involutions cover the identity, conj and the Frobenius.  No
-floating point anywhere.
+is needed.  Involutions cover the identity, conj and the Frobenius; the
+name "auto" picks conj on Q(zeta_n), the Frobenius on GF(p^2) and the
+identity on the other kinds.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -672,7 +673,13 @@ class Involution:
         return "Involution(%s, %s)" % (self.ring, self.name)
 
 
+_AUTO_INVOLUTION = {"Z": "id", "Q": "id", "GF": "id", "GF2": "frobenius", "CYC": "conj"}
+
+
 def parse_involution(ring: Ring, name: str) -> Involution:
+    """The involution called name on ring; "auto" picks one by ring kind."""
+    if name == "auto":
+        name = _AUTO_INVOLUTION[ring.kind[0]]
     return Involution(ring, name)
 
 

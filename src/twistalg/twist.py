@@ -11,12 +11,16 @@ pair (a, k) gets arrow index a*n + k, multiplication twists the exponent
 sum by the cocycle, and the canonical section a -> (a, 0) is then the
 least-index element of every fiber, which is exactly what find_section
 picks.  Sections induce cocycles through the unique-scalar lemma, and
-cohomologous cocycles give isomorphic twists; twists_isomorphic assembles
-the explicit morphism through the two section isomorphisms.
+cohomologous cocycles give isomorphic twists.  Both isomorphisms are one
+section map, k.s1(a) -> (k + b(a)).s2(a): section_iso runs it from the
+model twist of the induced cocycle, with its canonical section and b = 0,
+and twists_isomorphic between two twists, with b the coboundary linking
+the cocycles their found sections induce.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous, validate_cocycle
@@ -124,7 +128,7 @@ def validate_twist(tw: Twist) -> list:
         if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
             v.append("projection breaks inv at %d" % e)
     for (e, d), ed in total.comp.items():
-        if base.comp[(tw.proj[e], tw.proj[d])] != tw.proj[ed]:
+        if base.comp.get((tw.proj[e], tw.proj[d])) != tw.proj[ed]:
             v.append("projection breaks composition at (%d, %d)" % (e, d))
     if v:
         return v
@@ -227,22 +231,9 @@ def induced_cocycle(tw: Twist, sec) -> Cocycle:
     return out
 
 
-class TwistMorphism:
-    """Arrow bijection between two twists over one base, commuting with
-    the embeddings and projections."""
-
-    def __init__(self, src: Twist, dst: Twist, mapping):
-        self.src = src
-        self.dst = dst
-        self.mapping = tuple(mapping)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistMorphism)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.mapping == other.mapping
-        )
+# An arrow bijection between two twists over one base, commuting with the
+# embeddings and projections: mapping[e] is the image of total arrow e.
+TwistMorphism = namedtuple("TwistMorphism", "src dst mapping")
 
 
 def validate_twist_morphism(mor: TwistMorphism) -> list:
@@ -272,20 +263,27 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
     return v
 
 
-def section_iso(tw: Twist, sec) -> TwistMorphism:
-    """Isomorphism from the model twist of the induced cocycle onto tw,
-    sending (a, k) to k acting on sec(a)."""
-    coc = induced_cocycle(tw, sec)
-    model = build_twist(tw.base, coc)
-    n = tw.n
-    mapping = [0] * model.total.m
-    for a in range(tw.base.m):
+def _section_map(t1: Twist, s1, t2: Twist, s2, b) -> TwistMorphism:
+    """The isomorphism k.s1(a) -> (k + b(a)).s2(a) from t1 onto t2, for
+    sections s1, s2 whose induced cocycles differ by the coboundary of b."""
+    n = t1.n
+    mapping = [0] * t1.total.m
+    for a in range(t1.base.m):
         for k in range(n):
-            mapping[a * n + k] = tw.act(k, sec[a])
-    mor = TwistMorphism(model, tw, mapping)
+            mapping[t1.act(k, s1[a])] = t2.act((k + b[a]) % n, s2[a])
+    mor = TwistMorphism(t1, t2, tuple(mapping))
     bad = validate_twist_morphism(mor)
     assert not bad, bad[:3]
     return mor
+
+
+def section_iso(tw: Twist, sec) -> TwistMorphism:
+    """Isomorphism from the model twist of the induced cocycle onto tw,
+    sending (a, k) to k acting on sec(a).  The induced cocycle is
+    normalised, so k acting on the model's canonical section a -> (a, 0)
+    is (a, k), and b = 0."""
+    model = build_twist(tw.base, induced_cocycle(tw, sec))
+    return _section_map(model, find_section(model), tw, sec, [0] * tw.base.m)
 
 
 def twists_isomorphic(t1: Twist, t2: Twist) -> Optional[TwistMorphism]:
@@ -296,18 +294,7 @@ def twists_isomorphic(t1: Twist, t2: Twist) -> Optional[TwistMorphism]:
         raise ValueError("twists do not share a base groupoid and order")
     s1 = find_section(t1)
     s2 = find_section(t2)
-    c1 = induced_cocycle(t1, s1)
-    c2 = induced_cocycle(t2, s2)
-    b = check_cohomologous(c1, c2)
+    b = check_cohomologous(induced_cocycle(t1, s1), induced_cocycle(t2, s2))
     if b is None:
         return None
-    n = t1.n
-    mapping = [0] * t1.total.m
-    for e in range(t1.total.m):
-        a = t1.proj[e]
-        k = unique_scalar(t1, s1[a], e)
-        mapping[e] = t2.act((k + b[a]) % n, s2[a])
-    mor = TwistMorphism(t1, t2, mapping)
-    bad = validate_twist_morphism(mor)
-    assert not bad, bad[:3]
-    return mor
+    return _section_map(t1, s1, t2, s2, b)

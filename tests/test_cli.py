@@ -112,6 +112,19 @@ def test_star_default_involution(fx, tmp_path, capsys):
     assert out == "element\ncoeff 2 3\n"  # arrow 2 is the inverse of arrow 1
 
 
+@pytest.mark.parametrize("ring,lit,name", [
+    ("Q", "1/2", "id"), ("GF(5)", "2", "id"), ("GF(3^2)", "1+w", "frobenius"), ("Q(zeta_4)", "zeta", "conj"),
+])
+def test_star_auto_involution_is_the_ring_kind_default(ring, lit, name, fx, tmp_path, capsys):
+    f = write(tmp_path, "f.elt", "element\ncoeff 1 %s\n" % lit)
+    base = ("star", "--ring", ring, "--cocycle", str(fx / "z2_neg.coc"))
+    code, auto, err = run(capsys, *base, f)
+    assert (code, err) == (0, "")
+    assert run(capsys, *base, "--involution", "auto", f) == (0, auto, "")
+    assert run(capsys, *base, "--involution", name, f) == (0, auto, "")
+    assert (run(capsys, *base, "--involution", "id", f)[1] == auto) == (name == "id")
+
+
 def test_decompose(fx, tmp_path, capsys):
     f = write(tmp_path, "f.elt", "element\ncoeff 0 1\ncoeff 1 1\ncoeff 2 1\ncoeff 3 1\n")
     code, out, _ = run(capsys, "decompose", "--groupoid", str(fx / "pair2.gpd"), f)
@@ -419,6 +432,24 @@ def test_repeated_pair_record(what, name, old, new, match, fx, tmp_path, capsys)
     code, out, err = run(capsys, "validate", what, bad)
     assert_one_error_line(code, out, err)
     assert match in err
+
+
+@pytest.mark.parametrize(
+    "name,old,new,match",
+    [
+        ("pair2_cob.coc", "val 1 2 1", "val 1 1 1", "line 18: val on non-composable pair (1, 1)"),
+        ("z2_neg.coc", "val 1 1 1", "val 1 2 1", "line 13: val on non-composable pair (1, 2)"),
+        ("z2_neg.coc", "val 1 1 1", "val 1 1 2", "line 13: exponent 2 out of range for order 2"),
+        ("z2_neg.coc", "val 1 1 1", "val 1 1 -1", "line 13: exponent -1 out of range for order 2"),
+    ],
+    ids=["pair2-loop", "z2-off-arrows", "order", "negative"],
+)
+def test_val_record_error_names_its_line(name, old, new, match, fx, tmp_path, capsys):
+    text = (fx / name).read_text()
+    assert old in text
+    bad = write(tmp_path, name, text.replace(old, new))
+    code, out, err = run(capsys, "validate", "cocycle", bad)
+    assert (code, out, err) == (1, "", "error: %s\n" % match)
 
 
 @pytest.mark.parametrize(

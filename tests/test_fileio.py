@@ -119,6 +119,16 @@ def test_cocycle_repeated_val(tmp_path):
         T.read_cocycle(p)
 
 
+def test_cocycle_val_is_checked_before_its_repeat(tmp_path):
+    # the exponent of a repeated val record is checked first
+    p = path(tmp_path, "c.coc")
+    T.write_cocycle(p, T.z2_neg_cocycle())
+    with open(p, "a") as fh:
+        fh.write("val 1 1 5\n")
+    with pytest.raises(ValueError, match=r"^line 14: exponent 5 out of range for order 2$"):
+        T.read_cocycle(p)
+
+
 def test_unit_listed_twice(tmp_path):
     p = path(tmp_path, "g.gpd")
     T.write_text(p, Z2.replace("units 0", "units 0 0"))

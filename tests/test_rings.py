@@ -177,6 +177,15 @@ def test_involution_ring_guards():
         T.parse_involution(RINGS["Q"], "hermitian")
 
 
+@pytest.mark.parametrize("spec,name", [
+    ("Z", "id"), ("Q", "id"), ("GF(3)", "id"), ("GF(7)", "id"),
+    ("GF(2^2)", "frobenius"), ("GF(3^2)", "frobenius"), ("Q(zeta_3)", "conj"), ("Q(zeta_8)", "conj"),
+])
+def test_auto_involution_by_ring_kind(spec, name):
+    ring = T.parse_ring(spec)
+    assert T.parse_involution(ring, "auto") == T.parse_involution(ring, name)
+
+
 def test_parse_ring_rejects_junk():
     for bad in ("GF(4)", "GF(0)", "R", "Q(zeta_0)", "GF(6^2)"):
         with pytest.raises(ValueError):

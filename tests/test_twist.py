@@ -90,6 +90,17 @@ def test_twists_isomorphic_iff_cohomologous():
     assert m is not None and T.validate_twist_morphism(m) == []
 
 
+@pytest.mark.parametrize("name,n", [("pair2", 3), ("z4", 4), ("s3", 3)])
+def test_twists_isomorphic_shifts_by_the_coboundary(name, n):
+    # orders above 2, where shifting by b and by -b differ
+    g = T.build(name)
+    b = [0 if a in g.unit_set else a % (n - 1) + 1 for a in range(g.m)]
+    for coc in T.enumerate_cocycles(g, n)[:4]:
+        t1, t2 = T.build_twist(g, coc), T.build_twist(g, T.apply_coboundary(coc, b))
+        mor = T.twists_isomorphic(t1, t2)
+        assert mor is not None and T.validate_twist_morphism(mor) == []
+
+
 def test_twist_carriers_z4_vs_klein():
     # trivial class carries the Klein group, the other class Z/4:
     # detected by the maximal order of a loop in the total groupoid
@@ -179,8 +190,6 @@ def _s3_over_z2():
     return T.Twist(T.build("z2"), s3, 3, embed, sign)
 
 
-# Over the one-unit base every pair of base arrows composes, so a broken
-# projection is reported instead of failing the composition lookup.
 BROKEN_TWISTS = [
     ("proj-length", lambda: _z2_twist(proj=(0, 0, 1)), "projection table has wrong length"),
     ("proj-off", lambda: _z2_twist(proj=(0, 0, 1, 2)), "projection hits a non-arrow"),
@@ -216,3 +225,62 @@ def test_validate_twist_centrality_through_the_cli(tmp_path, capsys):
     assert code == 1 and err == ""
     assert out.splitlines() == ["violation: " + v for v in T.validate_twist(tw)]
     assert "violation: centrality fails at arrow 5, exponent 1" in out.splitlines()
+
+
+def _pair2_fibers_swapped():
+    """The untwisted order-two twist over pair2 with the fibers over base
+    arrows 1 and 2 swapped.  Units still go to units and inverses to
+    inverses, but src and rng break, and so does every composition that
+    leaves the unit fibers; most of those land on pairs that do not
+    compose in the base."""
+    g = T.build("pair2")
+    tw = T.build_twist(g, T.trivial_cocycle(g, 2))
+    return T.Twist(tw.base, tw.total, tw.n, tw.embed, (0, 0, 2, 2, 1, 1, 3, 3))
+
+
+def test_validate_twist_projection_onto_non_composable_pairs():
+    v = T.validate_twist(_pair2_fibers_swapped())
+    assert len(v) == 32
+    assert sum(x.startswith("projection breaks src at ") for x in v) == 4
+    assert sum(x.startswith("projection breaks rng at ") for x in v) == 4
+    assert sum(x.startswith("projection breaks composition at ") for x in v) == 24
+    assert "projection breaks composition at (0, 2)" in v
+
+
+def test_validate_twist_projection_through_the_cli(tmp_path, capsys):
+    tw = _pair2_fibers_swapped()
+    path = tmp_path / "swapped.twi"
+    write_twist(str(path), tw)
+    code = main(["validate", "twist", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    # the file lists compositions in another order than build_twist made them
+    assert sorted(out.splitlines()) == sorted("violation: " + v for v in T.validate_twist(tw))
+
+
+# Sections per (catalog groupoid, order): pair4 at order 2 alone has 2^21.
+SECTION_BUDGET = 1024
+
+
+@pytest.mark.parametrize("name", list(T.CATALOG))
+def test_section_iso_is_the_closed_form(name):
+    """On every section of the twist of every enumerated cocycle, order
+    1, 2, ... while the sections of one order fit the budget (at most 4),
+    section_iso sends the model arrow a*n + k to k acting on sec(a)."""
+    g = T.build(name)
+    for n in range(1, 5):
+        per_twist = n ** (g.m - len(g.units))
+        if per_twist > SECTION_BUDGET:
+            break
+        cocs = T.enumerate_cocycles(g, n)
+        if len(cocs) * per_twist > SECTION_BUDGET:
+            break
+        for coc in cocs:
+            tw = T.build_twist(g, coc)
+            for sec in all_sections(tw):
+                mapping = T.section_iso(tw, sec).mapping
+                assert isinstance(mapping, tuple)
+                assert len(mapping) == g.m * n
+                for a in range(g.m):
+                    for k in range(n):
+                        assert mapping[a * n + k] == tw.act(k, sec[a])
