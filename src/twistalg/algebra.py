@@ -170,7 +170,7 @@ def convolve(f: Element, g: Element) -> Element:
     """(f g)(c) = sum over factorizations c = a b of coc(a,b) f(a) g(b)."""
     _same(f, g)
     ctx = f.ctx
-    gpd, r = ctx.gpd, ctx.ring
+    gpd, r, table, scale = ctx.gpd, ctx.ring, ctx.coc.table, ctx.tgrp.scale
     out: dict = {}
     for a, fa in f.coeffs.items():
         sa = gpd.src[a]
@@ -178,7 +178,7 @@ def convolve(f: Element, g: Element) -> Element:
             if gpd.rng[b] != sa:
                 continue
             c = gpd.comp[(a, b)]
-            term = r.mul(ctx.coc_val(a, b), r.mul(fa, gb))
+            term = scale(table[(a, b)], r.mul(fa, gb))
             out[c] = r.add(out.get(c, r.zero()), term)
     return Element(ctx, out)
 
@@ -188,11 +188,11 @@ def involute(f: Element) -> Element:
     ctx = f.ctx
     if ctx.conj is None:
         raise ValueError("context carries no involution")
-    gpd, r, t = ctx.gpd, ctx.ring, ctx.tgrp
+    gpd, t = ctx.gpd, ctx.tgrp
     out = {}
     for a, c in f.coeffs.items():
         ia = gpd.inv[a]
-        out[ia] = r.mul(t.embed(-ctx.coc.table[(ia, a)]), ctx.conj(c))
+        out[ia] = t.scale(-ctx.coc.table[(ia, a)], ctx.conj(c))
     return Element(ctx, out)
 
 
@@ -247,9 +247,8 @@ def coboundary_iso(ctx_src: Context, ctx_dst: Context, b, f: Element) -> Element
         raise ValueError("coboundary does not connect the two cocycles")
     if f.ctx != ctx_src:
         raise ValueError("element lives in a different context")
-    r = ctx_src.ring
     t = ctx_src.tgrp
-    return Element(ctx_dst, {a: r.mul(t.embed(b[a]), c) for a, c in f.coeffs.items()})
+    return Element(ctx_dst, {a: t.scale(b[a], c) for a, c in f.coeffs.items()})
 
 
 def graded_component(f: Element, grading: Grading, label) -> Element:
@@ -330,8 +329,7 @@ class EquivariantElement:
         c = self.h.get(a)
         if c is None:
             return self.ectx.ring.zero()
-        k = unique_scalar(tw, self.ectx.section[a], e)
-        return self.ectx.ring.mul(self.ectx.tgrp.embed(k), c)
+        return self.ectx.tgrp.scale(unique_scalar(tw, self.ectx.section[a], e), c)
 
     def __eq__(self, other):
         return (

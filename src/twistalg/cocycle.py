@@ -23,9 +23,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .groupoid import (
-    AxiomError, Groupoid, associativity_failures, composable_pairs, generator_middles,
-)
+from .groupoid import AxiomError, Groupoid, composable_pairs, generator_middles
 
 
 class Cocycle:
@@ -264,6 +262,24 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
 # --- gradings ----------------------------------------------------------------
 
 
+def _table_generators(tbl, ident) -> list:
+    """groupoid.generating_set of the one-unit groupoid of a table: the
+    identity starts out reached, each new generator is the least element
+    not yet reached, and the reached set is kept closed under right
+    multiplication by the generators."""
+    gens, reached = [], {ident}
+    for x in range(len(tbl)):
+        if x not in reached:
+            gens.append(x)
+            todo = [tbl[r][x] for r in reached]
+            while todo:
+                y = todo.pop()
+                if y not in reached:
+                    reached.add(y)
+                    todo.extend(tbl[y][s] for s in gens)
+    return gens
+
+
 class GroupTable:
     """Finite group given by its multiplication table (validated)."""
 
@@ -272,7 +288,7 @@ class GroupTable:
         k = len(self.table)
         if any(len(row) != k for row in self.table):
             raise ValueError("multiplication table is not square")
-        if any(not (0 <= x < k) for row in self.table for x in row):
+        if any(min(row) < 0 or max(row) >= k for row in self.table):
             raise ValueError("table entry out of range")
         tbl = self.table
         ident = next(
@@ -283,17 +299,22 @@ class GroupTable:
         self.identity = ident
         # the last two-sided inverse of each x, if any
         inv = [
-            max((y for y in range(k) if tbl[x][y] == ident == tbl[y][x]), default=None)
-            for x in range(k)
+            max((y for y, v in enumerate(row) if v == ident == tbl[y][x]), default=None)
+            for x, row in enumerate(tbl)
         ]
         if None in inv:
             raise ValueError("table has a non-invertible element")
         self.inverse = tuple(inv)
-        # associative exactly when the one-unit groupoid on the table is
-        comp = {(a, b): x for a, row in enumerate(tbl) for b, x in enumerate(row)}
-        bad = associativity_failures(Groupoid([ident], [ident] * k, [ident] * k, inv, comp))
-        if bad:
-            raise ValueError("table is not associative at (%d, %d, %d)" % bad[0])
+        # (xg)y = x(gy) row by row for g in the generating set, which decides
+        # associativity (groupoid.associativity_failures on the one-unit
+        # groupoid of the table); the least failing (x, g, y) is reported
+        gens = _table_generators(tbl, ident)
+        for x, row in enumerate(tbl):
+            for g in gens:
+                xg, g_row = tbl[row[g]], tbl[g]
+                if xg != tuple(map(row.__getitem__, g_row)):
+                    y = next(y for y in range(k) if xg[y] != row[g_row[y]])
+                    raise ValueError("table is not associative at (%d, %d, %d)" % (x, g, y))
         self.order = k
 
     def op(self, x, y):
@@ -328,7 +349,8 @@ class IntGroup:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    return GroupTable([[(i + j) % n for j in range(n)] for i in range(n)])
+    row = list(range(n))
+    return GroupTable([row[i:] + row[:i] for i in range(n)])
 
 
 class Grading:

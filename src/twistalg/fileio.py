@@ -209,7 +209,7 @@ def _nested(cur: _Cursor, name: str, message: str) -> Groupoid:
     """The groupoid block between `begin <name>` and `end`; message is the
     error when the begin record names something else."""
     if cur.expect("begin")[1:] != [name]:
-        raise ValueError(message)
+        raise ValueError("line %d: %s" % (cur.line(), message))
     g = parse_groupoid_block(cur)
     cur.expect("end")
     return g
@@ -446,7 +446,8 @@ def read_ideal(path: str, ctx: Context) -> Ideal:
     (dim,) = cur.record("dim", 1)
     m = ctx.gpd.m
     if not 0 <= dim <= m:
-        raise ValueError("ideal dimension %d out of range for %d arrows" % (dim, m))
+        raise ValueError("line %d: ideal dimension %d out of range for %d arrows"
+                         % (cur.line(), dim, m))
     rows = [[ctx.ring.zero()] * m for _ in range(dim)]
     seen = set()
     while not cur.done():

@@ -14,14 +14,19 @@ values is exact equality:
                cyclotomic polynomial
 
 Elements are plain hashable Python values; the Ring object owns the
-arithmetic.  Both extension fields work through their Galois
+arithmetic.  Inside mul and the Galois maps, Q(zeta_n) works fraction
+free: each operand becomes integer numerators over one common
+denominator, the product and its reduction by the monic integer
+cyclotomic polynomial run on Python ints, and only the output coordinates
+become Fractions again; element values are always tuples of Fractions in
+lowest terms.  Both extension fields work through their Galois
 automorphisms: conj on Q(zeta_n) is sigma_-1, where sigma_k sends zeta to
 zeta^k, and GF(p^2) has the Frobenius x -> x^p.  Each inverts x as
 y / N(x), where y is the product of the other conjugates and the norm
 N(x) = x*y lies in the prime field.  A UnitSubgroup is a finite cyclic
 group of units given by a generator and its order; its members travel as
 exponents mod n and are embedded into the ring only when a coefficient
-is needed.  Involutions cover the identity, conj and the Frobenius; the
+is needed; scale(k, x) multiplies by g^k and skips g^0 = 1.  Involutions cover the identity, conj and the Frobenius; the
 name "auto" picks conj on Q(zeta_n), the Frobenius on GF(p^2) and the
 identity on the other kinds.  No floating point anywhere.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Ring:
@@ -339,6 +344,22 @@ def cyclotomic_polynomial(n: int) -> list:
     return poly
 
 
+def _over_common_den(x) -> tuple:
+    """(numerators, den): x's Fraction coordinates as ints over their least
+    common denominator."""
+    den = lcm(*[c.denominator for c in x])
+    if den == 1:
+        return [c.numerator for c in x], 1
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
+def _fractions(nums, den: int) -> tuple:
+    """The coordinate tuple nums / den, in lowest terms."""
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(c, den) for c in nums)
+
+
 class CyclotomicField(Ring):
     """Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
 
@@ -349,23 +370,17 @@ class CyclotomicField(Ring):
             raise ValueError("Q(zeta_n) needs n >= 1")
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
-        self.degree = len(self.modulus) - 1
+        self.degree = d = len(self.modulus) - 1
         self.kind = ("CYC", n)
-        # zeta^k in basis coordinates for k = 0..n-1
-        self.zeta_powers = []
-        cur = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
-        for _ in range(n):
-            self.zeta_powers.append(cur)
-            cur = self._shift(cur)
-
-    def _shift(self, v):
-        # multiply by zeta and reduce by the monic modulus
-        w = [Fraction(0)] + list(v)
-        top = w.pop()
-        if top:
-            for j in range(self.degree):
-                w[j] -= top * self.modulus[j]
-        return tuple(w)
+        # zeta^k for k = 0..n-1, in integer coordinates: multiply by zeta
+        # and reduce by the monic modulus
+        powers = [[1] + [0] * (d - 1)]
+        for _ in range(n - 1):
+            w = [0] + powers[-1]
+            top = w.pop()
+            powers.append([c - top * p for c, p in zip(w, self.modulus)])
+        self._zeta_ints = powers
+        self.zeta_powers = [_fractions(p, 1) for p in powers]
 
     def zero(self):
         return tuple([Fraction(0)] * self.degree)
@@ -386,21 +401,22 @@ class CyclotomicField(Ring):
         return tuple(-a for a in x)
 
     def mul(self, x, y):
-        d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    prod[i + j] += a * b
-        for i in range(len(prod) - 1, d - 1, -1):
+        xs, dx = _over_common_den(x)
+        ys, dy = _over_common_den(y)
+        d, mod = self.degree, self.modulus
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    if b:
+                        prod[i + j] += a * b
+        # zeta^i = zeta^(i-d) * (zeta^d - Phi_n(zeta)), top degree down
+        for i in range(2 * d - 2, d - 1, -1):
             c = prod[i]
             if c:
-                prod[i] = Fraction(0)
-                for j in range(d + 1):
-                    prod[i - d + j] -= c * self.modulus[j]
-        return tuple(prod[:d])
+                for j in range(d):
+                    prod[i - d + j] -= c * mod[j]
+        return _fractions(prod[:d], dx * dy)
 
     def inv(self, x):
         if all(c == 0 for c in x):
@@ -415,13 +431,14 @@ class CyclotomicField(Ring):
 
     def _galois(self, x, k):
         """sigma_k: zeta -> zeta^k, an automorphism for k prime to n."""
-        acc = [Fraction(0)] * self.degree
-        for i, c in enumerate(x):
+        nums, den = _over_common_den(x)
+        acc = [0] * self.degree
+        for i, c in enumerate(nums):
             if c:
-                for j, p in enumerate(self.zeta_powers[i * k % self.n]):
+                for j, p in enumerate(self._zeta_ints[i * k % self.n]):
                     if p:
                         acc[j] += c * p
-        return tuple(acc)
+        return _fractions(acc, den)
 
     def conj(self, x):
         """zeta -> zeta^(n-1), the inversion automorphism sigma_-1."""
@@ -544,7 +561,8 @@ class UnitSubgroup:
     """Finite cyclic subgroup of R^x: a generator of exact order n.
 
     Members are exponents 0..n-1; embed() turns an exponent into the ring
-    element, exponent() inverts that (lookup, the powers are distinct).
+    element, exponent() inverts that (lookup, the powers are distinct), and
+    scale() multiplies a ring element by one.
     """
 
     def __init__(self, ring: Ring, order: int, generator):
@@ -565,6 +583,11 @@ class UnitSubgroup:
 
     def embed(self, k: int):
         return self.powers[k % self.order]
+
+    def scale(self, k: int, x):
+        """g^k * x, and x itself when k = 0 mod n."""
+        k %= self.order
+        return x if k == 0 else self.ring.mul(self.powers[k], x)
 
     def exponent(self, value) -> int:
         try:

@@ -25,8 +25,8 @@ as the negative certificate, and reports None (unknown) when the groupoid
 is not effective.
 
 The exhaustive scan rests on one lemma.  When the recipe of (a, b) has
-the single entry (c, t, s), delta_a v delta_b = s v_c delta_t with s a
-unit, so if delta_t generates the algebra so does every v with v_c != 0.
+the single entry (c, t, k), delta_a v delta_b = g^k v_c delta_t with g^k
+a unit, so if delta_t generates the algebra so does every v with v_c != 0.
 Candidates come in lead groups, one per position of the first nonzero
 coefficient, each opening with lead * delta_pos.  Once lead * delta_t
 passes its rank scan, every c with a one-entry recipe onto t is certified,
@@ -139,22 +139,22 @@ def reduce_against(ring, basis: list, vec) -> list:
 
 def _one_sided(ctx: Context):
     """How delta_a * v and v * delta_a read off a sparse row v: left[a] and
-    right[a] list entries (c, target, scalar), ascending in the arrow c
-    composable with a on that side, with target a c (resp. c a) and the
-    cocycle value there.  Targets are distinct and scalars are units."""
-    gpd = ctx.gpd
+    right[a] list entries (c, target, k), ascending in the arrow c
+    composable with a on that side, with target a c (resp. c a) and k the
+    cocycle exponent there, in 0..n-1.  Targets are distinct."""
+    gpd, table = ctx.gpd, ctx.coc.table
     left = [[] for _ in range(gpd.m)]
     right = [[] for _ in range(gpd.m)]
     for a, c in composable_pairs(gpd):
-        entry = gpd.comp[(a, c)], ctx.coc_val(a, c)
+        entry = gpd.comp[(a, c)], table[(a, c)]
         left[a].append((c,) + entry)
         right[c].append((a,) + entry)
     return left, right
 
 
-def _apply(ring, entries, v: dict) -> dict:
+def _apply(tgrp, entries, v: dict) -> dict:
     """The sparse row, with no zeros, that an entry list reads off v."""
-    return {t: ring.mul(s, v[c]) for c, t, s in entries if c in v}
+    return {t: tgrp.scale(k, v[c]) for c, t, k in entries if c in v}
 
 
 class Ideal:
@@ -179,9 +179,9 @@ class Ideal:
         bad = []
         for v in rows:
             for a in range(m):
-                if self.span.remainder(_apply(ctx.ring, left[a], v)):
+                if self.span.remainder(_apply(ctx.tgrp, left[a], v)):
                     bad.append("not closed under left delta_%d" % a)
-                if self.span.remainder(_apply(ctx.ring, right[a], v)):
+                if self.span.remainder(_apply(ctx.tgrp, right[a], v)):
                     bad.append("not closed under right delta_%d" % a)
         if bad:
             raise ValueError("; ".join(bad[:3]))
@@ -213,10 +213,10 @@ def ideal_generated(ctx: Context, elems: Iterable[Element]) -> Ideal:
         if f.ctx != ctx:
             raise ValueError("generator lives in a different context")
         for la in left:
-            w = _apply(ctx.ring, la, f.coeffs)
+            w = _apply(ctx.tgrp, la, f.coeffs)
             if w:
                 for rb in right:
-                    span.insert(_apply(ctx.ring, rb, w))
+                    span.insert(_apply(ctx.tgrp, rb, w))
     return Ideal(ctx, span.rows(ctx.gpd.m))
 
 
@@ -293,31 +293,34 @@ SimpleResult = namedtuple("SimpleResult", "simple certificate reason")
 
 def _product_recipes(ctx: Context):
     """Per arrow pair (a, b), how delta_a * v * delta_b reads off v: left[a]
-    followed through right[b], entries (c, a c b, scalar).  Recipes are
-    emitted round-robin across the range classes of the left factor so
-    that a rank scan touches many pivot positions early."""
-    gpd, mul = ctx.gpd, ctx.ring.mul
+    followed through right[b], entries (c, a c b, exponent sum mod n).
+    Recipes are emitted round-robin across the range classes of the left
+    factor so that a rank scan touches many pivot positions early."""
+    gpd, n = ctx.gpd, ctx.tgrp.order
     left, right = _one_sided(ctx)
-    right = [{c: (t, s) for c, t, s in rb} for rb in right]
+    right = [{c: (t, k) for c, t, k in rb} for rb in right]
     buckets = {}
     for a in range(gpd.m):
         for rb in right:
-            entries = [(c, rb[ac][0], mul(s, rb[ac][1])) for c, ac, s in left[a] if ac in rb]
+            entries = [(c, rb[ac][0], (k + rb[ac][1]) % n) for c, ac, k in left[a] if ac in rb]
             if entries:
                 buckets.setdefault(gpd.rng[a], []).append(entries)
     rounds = itertools.zip_longest(*(buckets[k] for k in sorted(buckets)))
     return [rec for rnd in rounds for rec in rnd if rec is not None]
 
 
-def _generates_everything(ring, m, vec, recipes) -> bool:
+def _generates_everything(tgrp, m, vec, recipes) -> bool:
     """Rank of span{delta_a vec delta_b} reaches m, by incremental insertion
-    with early exit; inline, since an _apply call per recipe costs ~20%."""
+    with early exit; inline, since an _apply call per recipe costs ~20%.
+    Like tgrp.scale it skips exponent 0; recipe exponents are already
+    reduced mod n."""
+    ring, powers = tgrp.ring, tgrp.powers
     span, v = Echelon(ring), _sparse(ring, vec)
     for recipe in recipes:
         w = {}
-        for c, t, s in recipe:
+        for c, t, k in recipe:
             if c in v:
-                w[t] = ring.mul(s, v[c])
+                w[t] = ring.mul(powers[k], v[c]) if k else v[c]
         if w and span.insert(w) and len(span.pivots) == m:
             return True
     return False
@@ -365,7 +368,7 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
         one_entry = [rec[0] for rec in recipes if len(rec) == 1]
         certified, group = set(), None
         for pos, vec in _candidates(ctx.ring, gpd.m, certified):
-            if not _generates_everything(ctx.ring, gpd.m, vec, recipes):
+            if not _generates_everything(ctx.tgrp, gpd.m, vec, recipes):
                 return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
             if pos != group:  # vec is lead * delta_pos, and it generates
                 group = pos

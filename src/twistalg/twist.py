@@ -127,9 +127,9 @@ def validate_twist(tw: Twist) -> list:
             v.append("projection breaks rng at %d" % e)
         if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
             v.append("projection breaks inv at %d" % e)
-    for (e, d), ed in total.comp.items():
-        if base.comp.get((tw.proj[e], tw.proj[d])) != tw.proj[ed]:
-            v.append("projection breaks composition at (%d, %d)" % (e, d))
+    bad = [(e, d) for (e, d), ed in total.comp.items()
+           if base.comp.get((tw.proj[e], tw.proj[d])) != tw.proj[ed]]
+    v += ["projection breaks composition at (%d, %d)" % pair for pair in sorted(bad)]
     if v:
         return v
     # embedding: injective homomorphism of the unit bundle, exact fibers

@@ -269,6 +269,71 @@ def test_coboundary_iso_rejects_wrong_connection():
         T.coboundary_iso(src, dst, [0, 1, 0, 0], T.one(src))
 
 
+# --- multiplying by g^k -------------------------------------------------------
+# The library skips the product by g^0 = 1; these references always multiply.
+
+
+def multiplying_convolve(f, g):
+    ctx = f.ctx
+    gpd, r, t = ctx.gpd, ctx.ring, ctx.tgrp
+    out = {}
+    for a, fa in f.coeffs.items():
+        for b, gb in g.coeffs.items():
+            if gpd.src[a] == gpd.rng[b]:
+                c = gpd.comp[(a, b)]
+                term = r.mul(t.embed(ctx.coc.table[(a, b)]), r.mul(fa, gb))
+                out[c] = r.add(out.get(c, r.zero()), term)
+    return T.from_coeffs(ctx, out)
+
+
+def multiplying_star(f):
+    ctx = f.ctx
+    r, t, inv = ctx.ring, ctx.tgrp, ctx.gpd.inv
+    return T.from_coeffs(ctx, {
+        inv[a]: r.mul(t.embed(-ctx.coc.table[(inv[a], a)]), ctx.conj(c)) for a, c in f.coeffs.items()
+    })
+
+
+def multiplying_coboundary_iso(ctx_dst, b, f):
+    r, t = ctx_dst.ring, ctx_dst.tgrp
+    return T.from_coeffs(ctx_dst, {a: r.mul(t.embed(b[a]), c) for a, c in f.coeffs.items()})
+
+
+# (ring, cocycle order, involution inverting the unit subgroup or None)
+SCALE_RINGS = [
+    ("Z", 2, "id"), ("Q", 2, "id"), ("GF(3)", 2, "id"), ("GF(5)", 4, None),
+    ("GF(5^2)", 2, "frobenius"), ("GF(3^2)", 4, "frobenius"),
+    ("Q(zeta_3)", 2, "conj"), ("Q(zeta_4)", 4, "conj"), ("Q(zeta_8)", 4, "conj"),
+]
+
+
+@pytest.mark.parametrize("ring_spec,n,involution", SCALE_RINGS)
+def test_scale_agrees_with_multiplying(ring_spec, n, involution):
+    rnd = random.Random("scale:" + ring_spec)
+    ring = T.parse_ring(ring_spec)
+    tgrp = T.unit_subgroup(ring, n)
+    for k in range(-3 * n, 3 * n + 1):
+        x = ring.random_element(rnd)
+        assert tgrp.scale(k, x) == ring.mul(tgrp.embed(k), x)
+    assert tgrp.scale(-n, x) is x
+    for gname in ("z2", "z4", "pair2", "klein", "swap2"):
+        g = T.build(gname)
+        dst_coc = T.enumerate_cocycles(g, n)[-1]
+        src_coc = T.trivial_cocycle(g, n)
+        while not any(src_coc.table.values()):
+            # a coboundary with entries outside 0..n-1, zero mod n on the units
+            b = [0 if a in g.unit_set else rnd.randint(-2 * n, 2 * n) for a in range(g.m)]
+            src_coc = T.apply_coboundary(dst_coc, b)
+        src = make_context(g, ring_spec, coc=src_coc, involution=involution)
+        dst = make_context(g, ring_spec, coc=dst_coc, involution=involution)
+        for _ in range(4):
+            f, h = random_element(src, rnd), random_element(src, rnd)
+            assert T.convolve(f, h) == multiplying_convolve(f, h)
+            if involution:
+                assert T.involute(f) == multiplying_star(f)
+            assert T.coboundary_iso(src, dst, b, f) == multiplying_coboundary_iso(dst, b, f)
+
+
 # --- gradings -----------------------------------------------------------------
 
 

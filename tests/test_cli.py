@@ -486,6 +486,44 @@ def test_bad_dim_record(fx, tmp_path, capsys):
     assert err == "error: line 2: bad dim record\n"
 
 
+def z2_grading_text(fx):
+    return "grading\ngroup cyclic 2\nbegin groupoid\n" + (fx / "z2.gpd").read_text() + "end\ndeg 1 1\n"
+
+
+# (kind, file text from the fixtures, begin record, its replacement, message)
+MISNAMED_BLOCKS = [
+    ("cocycle", lambda fx: (fx / "z2_neg.coc").read_text(), "begin groupoid", "begin base",
+     "expected a groupoid block inside the cocycle file"),
+    ("grading", z2_grading_text, "begin groupoid", "begin total",
+     "expected a groupoid block inside the grading file"),
+    ("twist", lambda fx: z2_neg_twist_text(), "begin base", "begin total",
+     "expected the base groupoid block first"),
+    ("twist", lambda fx: z2_neg_twist_text(), "begin total", "begin base",
+     "expected the total groupoid block second"),
+]
+
+
+@pytest.mark.parametrize("what,text,old,new,message", MISNAMED_BLOCKS)
+def test_misnamed_nested_block(what, text, old, new, message, fx, tmp_path, capsys):
+    # the error names the line of the misnamed begin record
+    lines = text(fx).splitlines()
+    assert run(capsys, "validate", what, write(tmp_path, "ok", "\n".join(lines) + "\n"))[0] == 0
+    line = lines.index(old) + 1
+    lines[line - 1] = new
+    code, out, err = run(capsys, "validate", what, write(tmp_path, "bad", "\n".join(lines) + "\n"))
+    assert_one_error_line(code, out, err)
+    assert err == "error: line %d: %s\n" % (line, message)
+
+
+@pytest.mark.parametrize("dim", ["-1", "3", "99"])
+def test_ideal_dimension_out_of_range(dim, fx, tmp_path, capsys):
+    idl = write(tmp_path, "i.idl", "# z2 has 2 arrows\nideal\ndim %s\nvec 0 0 1\n" % dim)
+    elt = write(tmp_path, "f.elt", "element\ncoeff 1 1\n")
+    code, out, err = run(capsys, "ideal", "--ring", "GF(3)", "member", str(fx / "z2.gpd"), idl, elt)
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 3: ideal dimension %s out of range for 2 arrows\n" % dim
+
+
 def test_unit_listed_twice(fx, tmp_path, capsys):
     bad = write(tmp_path, "g.gpd", (fx / "z2.gpd").read_text().replace("units 0", "units 0 0"))
     assert run(capsys, "validate", "groupoid", bad) == (1, "violation: unit 0 is listed more than once\n", "")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
+from twistalg.groupoid import associativity_failures
 
 
 def test_trivial_cocycle_validates():
@@ -220,6 +221,70 @@ def test_group_table_failure_between_non_generators():
     assert middles == {1, 2, 3}
     with pytest.raises(ValueError, match=r"not associative at \(1, 1, 3\)"):
         T.GroupTable(table)
+
+
+def head_group_table_error(table):
+    """GroupTable's checks in their old form, with associativity decided on
+    the dict-keyed one-unit groupoid of the table: the error message, or
+    None for a group."""
+    k = len(table)
+    if any(len(row) != k for row in table):
+        return "multiplication table is not square"
+    if any(not (0 <= x < k) for row in table for x in row):
+        return "table entry out of range"
+    ident = next(
+        (e for e in range(k) if all(table[e][x] == x == table[x][e] for x in range(k))), None
+    )
+    if ident is None:
+        return "table has no identity"
+    inv = [max((y for y in range(k) if table[x][y] == ident == table[y][x]), default=None)
+           for x in range(k)]
+    if None in inv:
+        return "table has a non-invertible element"
+    comp = {(a, b): x for a, row in enumerate(table) for b, x in enumerate(row)}
+    bad = associativity_failures(T.Groupoid([ident], [ident] * k, [ident] * k, inv, comp))
+    return "table is not associative at (%d, %d, %d)" % bad[0] if bad else None
+
+
+def relabelled(table, perm):
+    """The table with every element x renamed perm[x]."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, x in enumerate(row):
+            out[perm[a]][perm[b]] = perm[x]
+    return out
+
+
+def test_group_table_row_check_matches_the_old_check():
+    """Seeded group tables of order at most 6, relabelled and with one to
+    three entries changed: GroupTable raises the old message or none, and
+    accepts a table with identity and inverses exactly when the full k**3
+    triple check finds it associative."""
+    rnd = random.Random(11)
+    groups = [T.cyclic_group(k).table for k in range(1, 7)] + [T.klein_table().table, T.s3_table().table]
+    outcomes = set()
+    for base in groups:
+        k = len(base)
+        for trial in range(60):
+            perm = list(range(k))
+            rnd.shuffle(perm)
+            table = relabelled(base, perm)
+            for _ in range(trial % 4):
+                table[rnd.randrange(k)][rnd.randrange(k)] = rnd.choice(range(-1, k + 1))
+            want = head_group_table_error(table)
+            try:
+                T.GroupTable(table)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, table
+            if want is None or want.startswith("table is not associative"):
+                assoc = all(table[table[a][b]][c] == table[a][table[b][c]]
+                            for a in range(k) for b in range(k) for c in range(k))
+                assert (got is None) == assoc
+            outcomes.add(want and want.split(" at ")[0])
+    assert outcomes == {None, "table entry out of range", "table has no identity",
+                        "table has a non-invertible element", "table is not associative"}
 
 
 def test_grading_validation():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -238,3 +239,82 @@ def test_frobenius_is_the_p_th_power(p):
         for _ in range(p):
             xp = f.mul(xp, x)
         assert f.frobenius(x) == xp
+
+
+# --- the integer kernel of Q(zeta_n) against the Fraction schoolbook ---------
+
+
+def fraction_mul(r, x, y):
+    """Q(zeta_n) product on Fractions: schoolbook, then reduction by the
+    monic cyclotomic polynomial from the top degree down."""
+    d = r.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        for j in range(d + 1):
+            prod[i - d + j] -= c * r.modulus[j]
+    return tuple(prod[:d])
+
+
+def fraction_zeta_powers(r):
+    """zeta^0, ..., zeta^(n-1) on Fractions: shift by one degree, then
+    reduce the top coefficient by the monic cyclotomic polynomial."""
+    d = r.degree
+    powers = [(Fraction(1),) + (Fraction(0),) * (d - 1)]
+    for _ in range(r.n - 1):
+        w = [Fraction(0)] + list(powers[-1])
+        top = w.pop()
+        powers.append(tuple(w[j] - top * r.modulus[j] for j in range(d)))
+    return powers
+
+
+def fraction_galois(r, powers, x, k):
+    """sigma_k on Fractions: x_i zeta^(ik) summed over the coordinates."""
+    acc = [Fraction(0)] * r.degree
+    for i, c in enumerate(x):
+        for j, p in enumerate(powers[i * k % r.n]):
+            acc[j] += c * p
+    return tuple(acc)
+
+
+KERNEL_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24, 30, 105]
+
+
+def kernel_element(r, rnd):
+    """Coordinates over denominators that share factors, some zero."""
+    dens = (1, 2, 3, 4, 6, 9, 12, 18, 36)
+    return tuple(
+        Fraction(0) if rnd.random() < 0.3 else Fraction(rnd.randint(-40, 40), rnd.choice(dens))
+        for _ in range(r.degree)
+    )
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_cyclotomic_integer_kernel_matches_fractions(n):
+    r = T.CyclotomicField(n)
+    if n == 105:
+        assert -2 in r.modulus
+    rnd = random.Random("kernel:%d" % n)
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    powers = fraction_zeta_powers(r)
+    assert r.zeta_powers == powers
+    for _ in range(12 if n < 100 else 2):
+        x, y = kernel_element(r, rnd), kernel_element(r, rnd)
+        pairs = [(r.mul(x, y), fraction_mul(r, x, y))]
+        pairs += [(r._galois(x, k), fraction_galois(r, powers, x, k)) for k in units + [-1]]
+        for got, want in pairs:
+            assert got == want
+            assert hash(got) == hash(want)
+            assert r.fmt(got) == r.fmt(want)
+            assert all(type(c) is Fraction for c in got)
+        assert r.conj(r.mul(x, y)) == r.mul(r.conj(x), r.conj(y))
+        if not r.is_zero(x):
+            assert r.mul(x, r.inv(x)) == r.one()
+    z = r.zeta()
+    power = r.one()
+    for _ in range(n):
+        power = r.mul(power, z)
+    assert power == r.one()

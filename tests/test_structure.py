@@ -205,11 +205,11 @@ def test_product_table_matches_convolve(ring_spec):
         f = random_nonzero(ctx, rnd)
         for a in range(m):
             d = T.delta(ctx, a)
-            assert S._apply(ring, left[a], f.coeffs) == T.convolve(d, f).coeffs
-            assert S._apply(ring, right[a], f.coeffs) == T.convolve(f, d).coeffs
+            assert S._apply(ctx.tgrp, left[a], f.coeffs) == T.convolve(d, f).coeffs
+            assert S._apply(ctx.tgrp, right[a], f.coeffs) == T.convolve(f, d).coeffs
         for recipe, (a, b) in zip(recipes, pairs):
             want = T.convolve(T.convolve(T.delta(ctx, a), f), T.delta(ctx, b))
-            assert S._apply(ring, recipe, f.coeffs) == want.coeffs
+            assert S._apply(ctx.tgrp, recipe, f.coeffs) == want.coeffs
         basis = T.rref(ring, [T.to_vec(random_nonzero(ctx, rnd)) for _ in range(1 + seen % 2)])
         msg = convolve_closure_message(ctx, basis)
         if msg:
@@ -424,7 +424,7 @@ def plain_scan(ctx):
     for vec in itertools.product(ring.elements(), repeat=m):
         if next((c for c in vec if not ring.is_zero(c)), None) != lead:
             continue
-        if not S._generates_everything(ring, m, list(vec), recipes):
+        if not S._generates_everything(ctx.tgrp, m, list(vec), recipes):
             return False, list(vec)
     return True, None
 

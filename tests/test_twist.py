@@ -7,7 +7,7 @@ import pytest
 import twistalg as T
 from conftest import all_sections, carry_cocycle
 from twistalg.cli import main
-from twistalg.fileio import write_twist
+from twistalg.fileio import _read, parse_twist_block, write_twist
 
 
 def some_cocycles():
@@ -256,6 +256,24 @@ def test_validate_twist_projection_through_the_cli(tmp_path, capsys):
     assert code == 1 and err == ""
     # the file lists compositions in another order than build_twist made them
     assert sorted(out.splitlines()) == sorted("violation: " + v for v in T.validate_twist(tw))
+
+
+def test_validate_twist_sorts_composition_violations(tmp_path, capsys):
+    """Read from a file or built in memory, the swapped twist prints the
+    same lines, its composition violations in ascending pair order, though
+    the two total groupoids list their compositions in different orders."""
+    tw = _pair2_fibers_swapped()
+    path = str(tmp_path / "swapped.twi")
+    write_twist(path, tw)
+    read_back = _read(path, parse_twist_block)
+    assert read_back == tw and list(read_back.total.comp) != list(tw.total.comp)
+    assert main(["validate", "twist", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["violation: " + v for v in T.validate_twist(tw)]
+    assert T.validate_twist(read_back) == T.validate_twist(tw)
+    prefix = "violation: projection breaks composition at "
+    pairs = [tuple(map(int, x[len(prefix) + 1:-1].split(", "))) for x in out if x.startswith(prefix)]
+    assert len(pairs) == 24 and pairs == sorted(pairs)
 
 
 # Sections per (catalog groupoid, order): pair4 at order 2 alone has 2^21.
