@@ -5,27 +5,30 @@ transformation groupoids of finite group actions, disjoint unions) plus a
 small named catalog used by the test suite, the demos, and the CLI.  Every
 catalog entry carries the facts it is expected to satisfy; build() checks
 the axioms and asserts those facts before handing the groupoid out.
+enumerate_cocycles sets up the 2-cocycle identity as an integer system
+and takes Z^2 as its kernel mod n from the cocycle module's solver.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict, namedtuple
 from typing import Sequence
 
 from .cocycle import (
     Cocycle,
     GroupTable,
+    _kernel_mod,
     apply_coboundary,
     cyclic_group,
     trivial_cocycle,
-    validate_cocycle,
 )
 from .groupoid import (
     Groupoid,
     check_groupoid,
     composable_pairs,
-    composable_triples,
+    generator_middles,
     is_effective,
     is_minimal,
     orbits,
@@ -149,54 +152,32 @@ def free_pairs(g: Groupoid) -> list:
 
 def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
     """Every normalised cocycle with values in Z/n, in lexicographic order
-    of the value tuple over the free pairs (sorted).  Composable pairs
-    containing a unit are forced to 0 by normalisation; the free values are
-    set one at a time, and each 2-cocycle identity is checked as soon as the
-    last free value it involves is set, so a failing prefix is never
-    extended.  cap bounds the search nodes visited (a value set at any
-    depth); every cocycle found is validated before it is returned."""
+    of the value tuple over the free pairs (sorted); pairs with a unit
+    factor are forced to 0.  The free values are the kernel mod n of the
+    2-cocycle identity at the triples validate_cocycle checks, read off by
+    cocycle._kernel_mod.  cap bounds the number of cocycles, before any is
+    formed."""
     free = sorted(free_pairs(g))
-    k = len(free)
-    forced = {
-        (a, b): 0
-        for a, b in composable_pairs(g)
-        if a in g.unit_set or b in g.unit_set
-    }
-    # values[k] stands for every forced pair and stays 0
     where = {pair: i for i, pair in enumerate(free)}
-    checks = [[] for _ in range(k)]
-    for a, b, c in composable_triples(g):
-        ab, bc = g.comp[(a, b)], g.comp[(b, c)]
-        idx = tuple(where.get(p, k) for p in ((a, b), (ab, c), (a, bc), (b, c)))
-        last = max((i for i in idx if i < k), default=None)
-        if last is not None:
-            checks[last].append(idx)
-    out = []
-    values = [-1] * k + [0]
-    i = nodes = 0
-    while i >= 0:
-        if i == k:
-            table = dict(forced)
-            table.update(zip(free, values))
-            coc = Cocycle(g, n, table)
-            if not validate_cocycle(coc):
-                out.append(coc)
-            i -= 1
-            continue
-        values[i] += 1
-        if values[i] == n:
-            values[i] = -1
-            i -= 1
-            continue
-        nodes += 1
-        if nodes > cap:
-            raise ValueError("cocycle search visited more than %d nodes (cap)" % cap)
-        if all(
-            not (values[p] + values[q] - values[r] - values[s]) % n
-            for p, q, r, s in checks[i]
-        ):
-            i += 1
-    return out
+    comp, rows = g.comp, {}
+    for b, left, right in generator_middles(g):
+        for a in left:
+            ab = comp[(a, b)]
+            for c in right:
+                row = [0] * len(free)
+                for pair, sgn in (((a, b), 1), ((ab, c), 1), ((a, comp[(b, c)]), -1), ((b, c), -1)):
+                    if pair in where:
+                        row[where[pair]] += sgn
+                rows[tuple(row)] = None
+    gens = _kernel_mod(list(rows), len(free), n)
+    if math.prod(order for order, _ in gens) > cap:
+        raise ValueError("more than %d cocycles (cap)" % cap)
+    points = [(0,) * len(free)]
+    for order, col in gens:
+        steps = [[j * x for x in col] for j in range(order)]
+        points = [tuple((x + y) % n for x, y in zip(p, s)) for s in steps for p in points]
+    forced = {pair: 0 for pair in composable_pairs(g) if pair not in where}
+    return [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
 
 
 def z2_neg_cocycle() -> Cocycle:

@@ -5,13 +5,13 @@ distinguished cyclic unit subgroup), one per composable pair; the actual
 ring value g^exp is produced only inside the algebra layer.  On a valid
 groupoid the 2-cocycle identity holds everywhere once it holds at the
 middles in the groupoid's generating set, so validate_cocycle checks only
-those.  Storing exponents makes the coboundary relation a linear system
-over Z/n, which check_cohomologous solves exactly by integer
-diagonalization (Smith-style row/column reduction; the column transform is
-tracked, and each row operation is applied to the right-hand side).
-brute_force_cohomologous is the independent search over all
-n^(#non-unit arrows) candidate coboundaries, kept as a cross-validation
-oracle and fallback.
+those.  Storing exponents makes the coboundary relation and the 2-cocycle
+identity linear systems over Z/n.  One integer diagonalization,
+_diagonalize, solves both: check_cohomologous takes one solution of the
+first through _solve_mod, and catalog.enumerate_cocycles reads every
+solution of the second through _kernel_mod.  brute_force_cohomologous is
+the independent search over all n^(#non-unit arrows) candidate
+coboundaries, kept as the solver's test oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
 table) or into the integers; degrees are stored per arrow.
@@ -225,6 +225,22 @@ def _solve_mod(mat, rhs, n):
         nn = n // g
         y[i] = (pow(di // g, -1, nn) * (ri // g)) % nn
     return [sum(v[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
+
+
+def _kernel_mod(mat, cols, n):
+    """The solutions of mat * x == 0 (mod n) in (Z/n)^cols, as (order,
+    column) pairs whose cyclic groups sum directly to the kernel.  With
+    D = U * mat * V from _diagonalize, x = V * y solves it exactly when
+    d_i * y_i == 0 (mod n), that is, y_i is a multiple of n / gcd(d_i, n)
+    (d_i = 0 past the rank): column i of V times that step has order
+    gcd(d_i, n), and orders of 1 are left out."""
+    d, v, _ = _diagonalize(mat, [0] * len(mat), n)
+    gens = []
+    for i in range(cols):
+        order = math.gcd(d[i][i] if i < len(d) else 0, n)
+        if order > 1:
+            gens.append((order, [n // order * r[i] % n for r in v]))
+    return gens
 
 
 def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:

@@ -130,7 +130,7 @@ def _indexed(cur: _Cursor, word: str, size: int, fields: int, dense: bool = Fals
     """Yield (index, the fields after it) for the consecutive `<word> <index>
     ...` records.  fields counts those fields (0: one or more).  An index
     outside 0..size-1 or given twice is an error, and so, when dense, is an
-    index without a record."""
+    index without a record, on the line of the run's last record."""
     seen = set()
     while not cur.done() and cur.peek()[0] == word:
         toks = cur.next()
@@ -146,7 +146,8 @@ def _indexed(cur: _Cursor, word: str, size: int, fields: int, dense: bool = Fals
         yield i, toks[2:]
     if dense and len(seen) < size:
         i = next(i for i in range(size) if i not in seen)
-        raise ValueError("missing %s %d: %s records must cover 0..%d" % (word, i, word, size - 1))
+        raise ValueError("line %d: missing %s %d: %s records must cover 0..%d"
+                         % (cur.line(), word, i, word, size - 1))
 
 
 def _pairs(cur: _Cursor, word: str):

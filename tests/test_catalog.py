@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_free_pairs_skip_units():
     [
         ("pair1", 2, 1), ("z2", 2, 2), ("pair2", 2, 2), ("z3", 2, 4), ("z3", 3, 9),
         # n ** |free pairs| is 2 ** 25 and 2 ** 49, far past the cap; the
-        # nodes the pruned search visits are not
+        # cap bounds the cocycles returned, not the grid they lie in
         ("s3", 2, 32), ("z8", 2, 128),
     ],
 )
@@ -127,8 +128,67 @@ def test_enumeration_closed_under_group_ops():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        T.enumerate_cocycles(T.build("z4"), 4, cap=1000)  # the search visits 1,620 nodes
+    # |Z^2(z4; Z/4)| = 64, known before any cocycle is formed
+    g = T.build("z4")
+    with pytest.raises(ValueError, match="more than 63 cocycles"):
+        T.enumerate_cocycles(g, 4, cap=63)
+    assert len(T.enumerate_cocycles(g, 4, cap=64)) == 64
+
+
+@pytest.mark.parametrize(
+    "g,n,classes,coboundaries",
+    [
+        # |B^2| = n ** (non-unit arrows) / |Hom(G, Z/n)|
+        (T.pair_groupoid(4), 3, 1, 3 ** 12 // 3 ** 3),
+        (T.group_groupoid(T.s3_table()), 4, 2, 4 ** 5 // 2),
+        (T.group_groupoid(T.cyclic_group(12)), 2, 2, 2 ** 11 // 2),
+    ],
+    ids=["pair4-3", "s3-4", "z12-2"],
+)
+def test_enumeration_closed_form_counts(g, n, classes, coboundaries):
+    cocs = T.enumerate_cocycles(g, n)
+    assert len(cocs) == classes * coboundaries
+    assert len(set(cocs)) == len(cocs)
+    assert all(T.validate_cocycle(c) == [] for c in cocs)
+
+
+def test_enumeration_refuses_pair6_under_the_default_cap():
+    # |Z^2(pair6; Z/2)| = |B^2| = 2 ** 30 / 2 ** 5
+    with pytest.raises(ValueError, match="cap"):
+        T.enumerate_cocycles(T.pair_groupoid(6), 2)
+
+
+def relabel_groupoid(g, perm):
+    """The groupoid with every arrow a renamed perm[a]."""
+    new = [None] * g.m
+    for a, p in enumerate(perm):
+        new[p] = a
+    return T.Groupoid(
+        [perm[u] for u in g.units],
+        [perm[g.src[a]] for a in new],
+        [perm[g.rng[a]] for a in new],
+        [perm[g.inv[a]] for a in new],
+        {(perm[a], perm[b]): perm[c] for (a, b), c in g.comp.items()},
+    )
+
+
+@pytest.mark.parametrize("name", list(T.CATALOG))
+def test_enumeration_commutes_with_relabelling(name):
+    """A randomly relabelled copy has the relabelled cocycles: its free
+    pairs sort differently and its generating set differs, so the kernel
+    is read off another integer system."""
+    rnd = random.Random(name)
+    g = T.build(name)
+    for n in (2, 3):
+        perm = list(range(g.m))
+        rnd.shuffle(perm)
+        h = T.check_groupoid(relabel_groupoid(g, perm))
+        want = {
+            T.Cocycle(h, n, {(perm[a], perm[b]): k for (a, b), k in c.table.items()})
+            for c in T.enumerate_cocycles(g, n)
+        }
+        got = T.enumerate_cocycles(h, n)
+        assert len(got) == len(want) and set(got) == want
 
 
 def brute_cocycles(g, n):

@@ -478,6 +478,15 @@ def test_bad_field_record(what, name, old, new, match, fx, tmp_path, capsys):
     assert err == "error: %s\n" % match
 
 
+def test_missing_dense_record_names_its_line(fx, tmp_path, capsys):
+    text = (fx / "z2.gpd").read_text()
+    assert "inv 1 1\n" in text
+    bad = write(tmp_path, "bad.gpd", text.replace("inv 1 1\n", ""))
+    code, out, err = run(capsys, "validate", "groupoid", bad)
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 6: missing inv 1: inv records must cover 0..1\n"
+
+
 def test_bad_dim_record(fx, tmp_path, capsys):
     idl = write(tmp_path, "i.idl", "ideal\ndim one\nvec 0 0 1\n")
     elt = write(tmp_path, "f.elt", "element\ncoeff 1 1\n")

@@ -1,5 +1,6 @@
 """Cocycle identities, coboundaries, and the two cohomology testers."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -107,6 +108,21 @@ def test_solver_and_brute_force_agree():
                 if b1 is not None:
                     assert T.apply_coboundary(y, b1) == x
                     assert T.apply_coboundary(y, b2) == x
+
+
+def test_solver_witnesses_are_pinned():
+    """The diagonalization serves both the coboundary solver and the
+    cocycle enumerator, so the exact witnesses are pinned: a sha256 over
+    check_cohomologous(x, y) (b or None) for every ordered pair of
+    enumerated cocycles of z4, klein, pair3 and s3 with n = 2.  A kernel
+    that changes a witness must change this digest and say why."""
+    h = hashlib.sha256()
+    for name in ("z4", "klein", "pair3", "s3"):
+        cocs = T.enumerate_cocycles(T.build(name), 2)
+        for x in cocs:
+            for y in cocs:
+                h.update(repr(T.check_cohomologous(x, y)).encode() + b"\n")
+    assert h.hexdigest() == "5175df3f29e99db3ab128dd7aaeaa45e6fcea4392c4993d2f125d4995442e90f"
 
 
 def test_z4_mu2_has_two_classes():
