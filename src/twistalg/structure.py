@@ -10,6 +10,16 @@ sparse rows keyed by least-index pivot: generation, membership, the
 closure check, rref, reduce_against and the simplicity scan, every field
 alike, GF(2) included.  An Ideal checks that its basis is RREF and closed.
 
+The closure check looks only at the units and the greedy generators
+(groupoid.generating_set), and it is still exact.  Every non-unit arrow is
+a composable word s1...sk in the generators, and delta_s delta_t =
+g^sigma(s,t) delta_st with g^sigma(s,t) a unit, so delta_a is a unit
+multiple of delta_s1 ... delta_sk; a span closed under delta_s on both
+sides for each generator s is closed under every delta_a.  The units stay
+in the set because a unit need not be such a word: pair1 + pair1 has no
+generator at all, and there the span of delta_0 + delta_1 passes the
+generators but is not an ideal.
+
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
 factor, cut down by a singleton unit set (principality of an effective
@@ -44,7 +54,14 @@ from typing import Iterable
 
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
 from .cocycle import Grading, check_grading, kernel_arrows
-from .groupoid import composable_pairs, is_effective, is_minimal, orbits, subgroupoid
+from .groupoid import (
+    composable_pairs,
+    generating_set,
+    is_effective,
+    is_minimal,
+    orbits,
+    subgroupoid,
+)
 
 
 def to_vec(f: Element) -> list:
@@ -158,7 +175,13 @@ def _apply(tgrp, entries, v: dict) -> dict:
 
 
 class Ideal:
-    """Two-sided ideal with an RREF basis; both verified at build time."""
+    """Two-sided ideal with an RREF basis; both verified at build time.
+
+    Closure is checked under delta_a on both sides for a in the units and
+    the generators only (module docstring): words in the generators give
+    every other arrow up to a unit scalar, and a unit need not be such a
+    word.  A failure is named at the first of those arrows that shows it,
+    row by row, left before right, and the check stops at three."""
 
     def __init__(self, ctx: Context, basis):
         ring, m = ctx.ring, ctx.gpd.m
@@ -176,15 +199,17 @@ class Ideal:
             raise ValueError("ideal rows are not in reduced row echelon form")
         self.span = Echelon(ring, (dict(v) for v in rows))
         left, right = _one_sided(ctx)
-        bad = []
-        for v in rows:
-            for a in range(m):
-                if self.span.remainder(_apply(ctx.tgrp, left[a], v)):
-                    bad.append("not closed under left delta_%d" % a)
-                if self.span.remainder(_apply(ctx.tgrp, right[a], v)):
-                    bad.append("not closed under right delta_%d" % a)
+        closers = sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
+        failures = (
+            "not closed under %s delta_%d" % (side, a)
+            for v in rows
+            for a in closers
+            for side, entries in (("left", left[a]), ("right", right[a]))
+            if self.span.remainder(_apply(ctx.tgrp, entries, v))
+        )
+        bad = list(itertools.islice(failures, 3))
         if bad:
-            raise ValueError("; ".join(bad[:3]))
+            raise ValueError("; ".join(bad))
 
     @property
     def dim(self) -> int:

@@ -78,6 +78,20 @@ def carry_cocycle(n: int):
     return coc
 
 
+def relabel_groupoid(g, perm):
+    """The groupoid with every arrow a renamed perm[a]."""
+    new = [None] * g.m
+    for a, p in enumerate(perm):
+        new[p] = a
+    return T.Groupoid(
+        [perm[u] for u in g.units],
+        [perm[g.src[a]] for a in new],
+        [perm[g.rng[a]] for a in new],
+        [perm[g.inv[a]] for a in new],
+        {(perm[a], perm[b]): perm[c] for (a, b), c in g.comp.items()},
+    )
+
+
 def make_context(g, ring_spec, coc=None, involution=None):
     ring = T.parse_ring(ring_spec)
     if coc is None:

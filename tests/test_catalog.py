@@ -7,6 +7,7 @@ import random
 import pytest
 
 import twistalg as T
+from conftest import relabel_groupoid
 
 
 def test_every_entry_builds_and_facts_hold():
@@ -156,20 +157,6 @@ def test_enumeration_refuses_pair6_under_the_default_cap():
     # |Z^2(pair6; Z/2)| = |B^2| = 2 ** 30 / 2 ** 5
     with pytest.raises(ValueError, match="cap"):
         T.enumerate_cocycles(T.pair_groupoid(6), 2)
-
-
-def relabel_groupoid(g, perm):
-    """The groupoid with every arrow a renamed perm[a]."""
-    new = [None] * g.m
-    for a, p in enumerate(perm):
-        new[p] = a
-    return T.Groupoid(
-        [perm[u] for u in g.units],
-        [perm[g.src[a]] for a in new],
-        [perm[g.rng[a]] for a in new],
-        [perm[g.inv[a]] for a in new],
-        {(perm[a], perm[b]): perm[c] for (a, b), c in g.comp.items()},
-    )
 
 
 @pytest.mark.parametrize("name", list(T.CATALOG))

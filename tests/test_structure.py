@@ -1,5 +1,6 @@
 """Row reduction, ideals, unit-set witnesses, and the simplicity scan."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 import twistalg as T
 from twistalg import structure as S
-from conftest import carry_cocycle, make_context, random_nonzero
+from conftest import carry_cocycle, make_context, random_nonzero, relabel_groupoid
 
 GF2 = T.parse_ring("GF(2)")
 GF3 = T.parse_ring("GF(3)")
@@ -130,12 +131,12 @@ def test_ideal_kernel_matches_dense_rank(gname, p):
 # --- the delta-product table against convolve --------------------------------------
 
 
-def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None):
-    """Every catalog groupoid (whose algebra has at most max_size elements,
-    if given): untwisted, with its shipped cocycles, with a sample of its
-    enumerated ones (the given orders, searches over 20,000 nodes skipped)
-    and with a seeded order-4 coboundary, wherever the ring has the unit
-    group."""
+def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None, extra=()):
+    """Every catalog groupoid, then each extra groupoid (whose algebra has
+    at most max_size elements, if given): untwisted, with its shipped
+    cocycles, with a sample of its enumerated ones (the given orders,
+    searches over 20,000 nodes skipped) and with a seeded order-4
+    coboundary, wherever the ring has the unit group."""
     ring = T.parse_ring(ring_spec)
 
     def has_units(n):
@@ -144,11 +145,11 @@ def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None):
         except ValueError:
             return None
 
-    for name in T.CATALOG:
-        g = T.build(name)
+    shipped = [(T.build(name), T.fixture_cocycles(name).values()) for name in T.CATALOG]
+    for g, fixtures in shipped + [(g, ()) for g in extra]:
         if max_size and ring.size ** g.m > max_size:
             continue
-        cocs = [T.trivial_cocycle(g, 1)] + list(T.fixture_cocycles(name).values())
+        cocs = [T.trivial_cocycle(g, 1)] + list(fixtures)
         for n in orders:
             if has_units(n) is None:
                 continue
@@ -177,18 +178,29 @@ def two_sided_pairs(gpd):
     return [cls[i] for i in range(max(map(len, order))) for cls in order if i < len(cls)]
 
 
-def convolve_closure_message(ctx, basis):
-    """The message Ideal raises on a non-closed RREF basis, worked out with
-    convolve and reduce_against; empty when the span is closed."""
-    ring, bad = ctx.ring, []
+def convolve_closure_failures(ctx, basis, arrows=None):
+    """Where the span of an RREF basis is not closed under delta_a, worked
+    out with convolve and reduce_against at each of the given arrows (all
+    of them by default): per row, per arrow, left before right."""
+    ring = ctx.ring
     for row in basis:
         f = T.from_vec(ctx, row)
-        for a in range(ctx.gpd.m):
+        for a in range(ctx.gpd.m) if arrows is None else arrows:
             d = T.delta(ctx, a)
             for side, prod in (("left", T.convolve(d, f)), ("right", T.convolve(f, d))):
                 if any(not ring.is_zero(c) for c in T.reduce_against(ring, basis, T.to_vec(prod))):
-                    bad.append("not closed under %s delta_%d" % (side, a))
-    return "; ".join(bad[:3])
+                    yield "not closed under %s delta_%d" % (side, a)
+
+
+def convolve_closure_message(ctx, basis, arrows=None):
+    """The message Ideal raises on a non-closed RREF basis when it checks
+    the given arrows; empty when the span is closed under them."""
+    return "; ".join(itertools.islice(convolve_closure_failures(ctx, basis, arrows), 3))
+
+
+def closers(gpd):
+    """The arrows Ideal checks closure at: the units and the generators."""
+    return sorted(set(gpd.units) | set(T.generating_set(gpd)))
 
 
 @pytest.mark.parametrize("ring_spec", ["GF(3)", "GF(5)", "Q(zeta_4)"])
@@ -211,14 +223,119 @@ def test_product_table_matches_convolve(ring_spec):
             want = T.convolve(T.convolve(T.delta(ctx, a), f), T.delta(ctx, b))
             assert S._apply(ctx.tgrp, recipe, f.coeffs) == want.coeffs
         basis = T.rref(ring, [T.to_vec(random_nonzero(ctx, rnd)) for _ in range(1 + seen % 2)])
-        msg = convolve_closure_message(ctx, basis)
-        if msg:
+        # the verdict comes from every arrow; a failure is named at the
+        # first units and generators that show it
+        if convolve_closure_message(ctx, basis):
             with pytest.raises(ValueError) as exc:
                 T.Ideal(ctx, basis)
-            assert str(exc.value) == msg
+            assert str(exc.value) == convolve_closure_message(ctx, basis, closers(ctx.gpd))
         else:
             assert T.Ideal(ctx, basis).basis == tuple(basis)
     assert seen >= len(T.CATALOG) * 2
+
+
+# --- closure at the units and generators ------------------------------------------
+
+
+def closure_contexts(ring_spec, rnd):
+    """table_contexts plus pair1 + pair1 and pair1 + z2, where the unit of
+    pair1 is no word in the generators; each context is followed by a
+    random relabelling of its groupoid, carrying the cocycle along."""
+    pair1 = T.build("pair1")
+    unions = [T.disjoint_union(pair1, T.build(name)) for name in ("pair1", "z2")]
+    for ctx in table_contexts(ring_spec, rnd, extra=unions):
+        yield ctx
+        perm = list(range(ctx.gpd.m))
+        rnd.shuffle(perm)
+        h = T.check_groupoid(relabel_groupoid(ctx.gpd, perm))
+        table = {(perm[a], perm[b]): k for (a, b), k in ctx.coc.table.items()}
+        yield T.Context(h, ctx.ring, ctx.tgrp, T.Cocycle(h, ctx.coc.n, table))
+
+
+def seeded_spans(ctx, rnd):
+    """RREF bases: spans of one to three random elements and of a random
+    element on the units, then the left ideal, the right ideal and the
+    two-sided ideal of a sparse random element (sparse, so that they are
+    often proper)."""
+    ring, m = ctx.ring, ctx.gpd.m
+    for k in (1, 2, 3):
+        yield T.rref(ring, [T.to_vec(random_nonzero(ctx, rnd, 0.3 * k)) for _ in range(k)])
+    on_units = T.from_coeffs(ctx, {u: ring.random_element(rnd) for u in ctx.gpd.units})
+    yield T.rref(ring, [T.to_vec(on_units)])
+    f = random_nonzero(ctx, rnd, 1.5 / m)
+    deltas = [T.delta(ctx, a) for a in range(m)]
+    yield T.rref(ring, [T.to_vec(T.convolve(d, f)) for d in deltas])
+    yield T.rref(ring, [T.to_vec(T.convolve(f, d)) for d in deltas])
+    yield list(T.ideal_generated(ctx, [f]).basis)
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(3)", "GF(5)", "Q(zeta_4)"])
+def test_closure_at_units_and_generators_matches_every_arrow(ring_spec):
+    """Ideal checks closure at the units and the generators only; the span
+    must be accepted exactly when it is closed under delta_a, on both
+    sides, at every arrow a."""
+    rnd = random.Random("closure/" + ring_spec)
+    outcomes = {}
+    for ctx in closure_contexts(ring_spec, rnd):
+        for basis in seeded_spans(ctx, rnd):
+            # the whole algebra is closed; skip its m^3 reductions
+            want = len(basis) == ctx.gpd.m or next(convolve_closure_failures(ctx, basis), None) is None
+            try:
+                T.Ideal(ctx, basis)
+                got = True
+            except ValueError as exc:
+                assert str(exc).startswith("not closed under")
+                got = False
+            assert got is want, (ctx.gpd, ctx.coc.table, basis)
+            outcomes[want] = outcomes.get(want, 0) + 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def test_units_stay_among_the_closers():
+    # pair1 + pair1 has no generator, so a generators-only check would
+    # accept delta_0 + delta_1, which the unit deltas move out of its span
+    pair1 = T.build("pair1")
+    ctx = make_context(T.disjoint_union(pair1, pair1), "GF(3)")
+    assert T.generating_set(ctx.gpd) == []
+    msg = "not closed under left delta_0; not closed under right delta_0; not closed under left delta_1"
+    with pytest.raises(ValueError, match="^%s$" % msg):
+        T.Ideal(ctx, [[1, 1]])
+
+
+def test_closure_check_stops_at_three_violations(monkeypatch):
+    calls = []
+    apply = S._apply
+    monkeypatch.setattr(S, "_apply", lambda *args: calls.append(1) or apply(*args))
+    ctx = make_context(T.build("pair4"), "GF(3)")
+    # delta_1, delta_2, delta_3: the first row of matrix units off the
+    # diagonal; its third failure, left delta_8, is the 13th one-sided check
+    basis = T.rref(GF3, [T.to_vec(T.delta(ctx, a)) for a in (1, 2, 3)])
+    with pytest.raises(ValueError) as exc:
+        T.Ideal(ctx, basis)
+    assert str(exc.value) == convolve_closure_message(ctx, basis, closers(ctx.gpd))
+    assert str(exc.value).endswith("left delta_8")
+    assert len(calls) == 13 < 2 * len(closers(ctx.gpd)) * len(basis)
+
+
+def test_generated_ideal_bytes_are_pinned():
+    """sha256 over serialize_ideal(ideal_generated(ctx, [f])): every catalog
+    groupoid over four fields, untwisted and with its shipped cocycles, two
+    seeded generators each.  A change to the row kernel or the closure
+    check must keep these bytes."""
+    digest, count = hashlib.sha256(), 0
+    for name in T.CATALOG:
+        g = T.build(name)
+        cocs = [T.trivial_cocycle(g, 1)] + list(T.fixture_cocycles(name).values())
+        for spec in ("GF(3)", "GF(5)", "Q", "Q(zeta_4)"):
+            for i, coc in enumerate(cocs):
+                ctx = make_context(g, spec, coc=coc)
+                rnd = random.Random("%s/%s/%d" % (name, spec, i))
+                for _ in range(2):
+                    ideal = T.ideal_generated(ctx, [random_nonzero(ctx, rnd)])
+                    digest.update(("\n".join(T.serialize_ideal(ideal)) + "\n").encode())
+                    count += 1
+    assert count == 136
+    assert digest.hexdigest() == "e03ab0f3e010d4b039bf72d2b5b50266a93396b13f880258184e409500711113"
 
 
 # --- ideals ---------------------------------------------------------------------
