@@ -14,29 +14,32 @@ the independent search over all n^(#non-unit arrows) candidate
 coboundaries, kept as the solver's test oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
-table) or into the integers; degrees are stored per arrow.
+table) or into the integers; degrees are stored per arrow.  Tables are
+read-only; check_cocycle and check_grading validate once, not the groupoid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Optional, Sequence
 
-from .groupoid import AxiomError, Groupoid, composable_pairs, generator_middles
+from .groupoid import Groupoid, checked, composable_pairs, generator_middles
 
 
 class Cocycle:
     """Exponent table over Z/n on the composable pairs of a groupoid."""
 
-    __slots__ = ("gpd", "n", "table")
+    __slots__ = ("gpd", "n", "table", "checked")
 
     def __init__(self, gpd: Groupoid, n: int, table: dict):
         if n < 1:
             raise ValueError("cocycle order must be positive")
         self.gpd = gpd
         self.n = n
-        self.table = {pair: k % n for pair, k in table.items()}
+        self.table = MappingProxyType({pair: k % n for pair, k in table.items()})
+        self.checked = False
 
     def __eq__(self, other):
         return (
@@ -89,10 +92,7 @@ def validate_cocycle(coc: Cocycle) -> list:
 
 
 def check_cocycle(coc: Cocycle) -> Cocycle:
-    v = validate_cocycle(coc)
-    if v:
-        raise AxiomError("cocycle", v)
-    return coc
+    return checked(coc, "cocycle", validate_cocycle)
 
 
 def _same_context(x: Cocycle, y: Cocycle):
@@ -372,12 +372,15 @@ def cyclic_group(n: int) -> GroupTable:
 class Grading:
     """Groupoid homomorphism into a grading group; degree stored per arrow."""
 
+    __slots__ = ("gpd", "group", "deg", "checked")
+
     def __init__(self, gpd: Groupoid, group, deg: Sequence[int]):
         self.gpd = gpd
         self.group = group
         self.deg = tuple(deg)
         if len(self.deg) != gpd.m:
             raise ValueError("degree vector has wrong length")
+        self.checked = False
 
     def __eq__(self, other):
         return (
@@ -412,10 +415,7 @@ def validate_grading(grading: Grading) -> list:
 
 
 def check_grading(grading: Grading) -> Grading:
-    v = validate_grading(grading)
-    if v:
-        raise AxiomError("grading", v)
-    return grading
+    return checked(grading, "grading", validate_grading)
 
 
 def kernel_arrows(grading: Grading) -> list:

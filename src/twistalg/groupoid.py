@@ -8,9 +8,10 @@ hypotheses (ample, Hausdorff, etale) hold vacuously: every subset is a
 compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
-Composition is stored, not derived; validate_groupoid checks the axioms
-and reports violations as data rather than raising, and check_groupoid
-raises them as one AxiomError.  Associativity is checked on a generating
+Composition is stored, not derived, in a read-only table.  validate_groupoid
+reports the violations as data and ignores the checked flag; check_groupoid
+raises them as one AxiomError through the gate checked, which validates an
+object only until it first passes.  Associativity is checked on a generating
 set (Light's test): once typing and the unit laws hold, the middles b with
 (ab)c = a(bc) for all composable a, c are closed under composition, so the
 triples whose middle lies in generating_set(g) decide it.
@@ -18,6 +19,7 @@ triples whose middle lies in generating_set(g) decide it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 
@@ -31,8 +33,19 @@ class AxiomError(ValueError):
         super().__init__("invalid %s: %s" % (kind, "; ".join(self.violations[:4])))
 
 
+def checked(obj, kind: str, validate):
+    """obj, once validate(obj) is empty: validate runs only while obj.checked
+    is false, its first success sets it, and violations raise AxiomError."""
+    if not obj.checked:
+        v = validate(obj)
+        if v:
+            raise AxiomError(kind, v)
+        obj.checked = True
+    return obj
+
+
 class Groupoid:
-    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "_by_rng")
+    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng")
 
     def __init__(self, units, src, rng, inv, comp):
         self.src = tuple(src)
@@ -41,7 +54,8 @@ class Groupoid:
         self.m = len(self.src)
         self.units = tuple(sorted(units))
         self.unit_set = frozenset(self.units)
-        self.comp = dict(comp)
+        self.comp = MappingProxyType(dict(comp))
+        self.checked = False
         self._by_rng = None
 
     def arrows_by_rng(self):
@@ -193,10 +207,7 @@ def validate_groupoid(g: Groupoid) -> list:
 
 def check_groupoid(g: Groupoid) -> Groupoid:
     """g itself when valid, else AxiomError with every violation."""
-    v = validate_groupoid(g)
-    if v:
-        raise AxiomError("groupoid", v)
-    return g
+    return checked(g, "groupoid", validate_groupoid)
 
 
 def isotropy(g: Groupoid) -> frozenset:

@@ -110,9 +110,11 @@ class Echelon:
         j = self._lead(w)
         if j is None:
             return False
-        ring = self.ring
-        cinv = ring.inv(w.pop(j))
-        self.pivots[j] = {k: ring.mul(cinv, v) for k, v in w.items()}
+        ring, lead = self.ring, w.pop(j)
+        if lead != ring.one():
+            cinv = ring.inv(lead)
+            w = {k: ring.mul(cinv, v) for k, v in w.items()}
+        self.pivots[j] = w
         return True
 
     def remainder(self, w) -> dict:
@@ -180,8 +182,8 @@ class Ideal:
     Closure is checked under delta_a on both sides for a in the units and
     the generators only (module docstring): words in the generators give
     every other arrow up to a unit scalar, and a unit need not be such a
-    word.  A failure is named at the first of those arrows that shows it,
-    row by row, left before right, and the check stops at three."""
+    word.  A failure names its row and the first of those arrows that shows
+    it, rows in order, left before right, and the check stops at three."""
 
     def __init__(self, ctx: Context, basis):
         ring, m = ctx.ring, ctx.gpd.m
@@ -201,8 +203,8 @@ class Ideal:
         left, right = _one_sided(ctx)
         closers = sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
         failures = (
-            "not closed under %s delta_%d" % (side, a)
-            for v in rows
+            "not closed under %s delta_%d (row %d)" % (side, a, i)
+            for i, v in enumerate(rows)
             for a in closers
             for side, entries in (("left", left[a]), ("right", right[a]))
             if self.span.remainder(_apply(ctx.tgrp, entries, v))

@@ -4,7 +4,9 @@ A Twist bundles the extension groupoid (total), the base groupoid, the
 order n of the extending cyclic group, the central embedding of
 (unit, exponent) pairs, and the projection back onto the base.  Exactness,
 centrality, fiber sizes, and the homomorphism laws are all finite checks
-in validate_twist.
+in validate_twist.  The embedding is read-only like the groupoid tables;
+check_twist validates a twist once and then marks its base and total, whose
+groupoid pass validate_twist skips once they are marked.
 
 build_twist realizes the standard model on the carrier base x Z/n: the
 pair (a, k) gets arrow index a*n + k, multiplication twists the exponent
@@ -21,21 +23,23 @@ the cocycles their found sections induce.
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
-from .groupoid import AxiomError, Groupoid, composable_pairs, validate_groupoid
+from .groupoid import Groupoid, checked, composable_pairs, validate_groupoid
 
 
 class Twist:
-    __slots__ = ("base", "total", "n", "embed", "proj", "_fibers")
+    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
         self.base = base
         self.total = total
         self.n = n
-        self.embed = dict(embed)
+        self.embed = MappingProxyType(dict(embed))
         self.proj = tuple(proj)
+        self.checked = False
         self._fibers = None
 
     def fiber(self, a: int) -> tuple:
@@ -100,10 +104,9 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
 
 
 def validate_twist(tw: Twist) -> list:
-    """All extension axioms; violations as strings, empty when valid."""
-    v = []
-    v += ["base: " + s for s in validate_groupoid(tw.base)]
-    v += ["total: " + s for s in validate_groupoid(tw.total)]
+    """All extension axioms, but none of a marked base's or total's; empty when valid."""
+    v = ["%s: %s" % (name, s) for name, g in (("base", tw.base), ("total", tw.total))
+         if not g.checked for s in validate_groupoid(g)]
     if v:
         return v
     base, total, n = tw.base, tw.total, tw.n
@@ -172,9 +175,8 @@ def validate_twist(tw: Twist) -> list:
 
 
 def check_twist(tw: Twist) -> Twist:
-    v = validate_twist(tw)
-    if v:
-        raise AxiomError("twist", v)
+    checked(tw, "twist", validate_twist)
+    tw.base.checked = tw.total.checked = True
     return tw
 
 

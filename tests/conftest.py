@@ -7,6 +7,8 @@ test failed (or never ran) stays FAIL.
 
 import random
 
+import pytest
+
 import twistalg as T
 
 CRITERIA = {
@@ -114,3 +116,53 @@ def random_nonzero(ctx, rnd: random.Random, density: float = 0.6):
         f = random_element(ctx, rnd, density)
         if f.coeffs:
             return f
+
+
+# --- read-only tables and the validation gate -----------------------------
+
+
+def assert_read_only(table):
+    """Writes to a read-only table raise: item assignment and del, and the
+    dict methods, which the table lacks and which reject it when called
+    unbound."""
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    with pytest.raises(TypeError):
+        del table[key]
+    with pytest.raises(TypeError):
+        dict.update(table, {key: table[key]})
+    with pytest.raises(TypeError):
+        dict.pop(table, key)
+    assert not hasattr(table, "update") and not hasattr(table, "pop")
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind module.name, as the bench tracer does, to a wrapper that
+    records the first argument of every call; returns that list."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda obj, *rest: calls.append(obj) or original(obj, *rest))
+    return calls
+
+
+def assert_never_marked(obj, check, validate):
+    """An invalid object raises the same violations on every check and is
+    never marked; the validator reports them all even when the flag says
+    otherwise."""
+    want = validate(obj)
+    assert want
+    for _ in range(2):
+        with pytest.raises(T.AxiomError) as exc:
+            check(obj)
+        assert exc.value.violations == want and not obj.checked
+    obj.checked = True
+    assert validate(obj) == want
+
+
+def assert_flag_ignored(make, check):
+    """Two objects made alike are equal, and hash alike, whichever of them
+    has been checked."""
+    x, y = make(), make()
+    check(x)
+    assert x.checked and not y.checked
+    assert x == y and y == x and hash(x) == hash(y)

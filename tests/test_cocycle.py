@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
+from twistalg import cocycle as C
 from twistalg.groupoid import associativity_failures
+from conftest import (
+    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, make_context,
+)
 
 
 def test_trivial_cocycle_validates():
@@ -382,3 +386,64 @@ def test_generator_cocycle_identity_matches_triple_walk():
                     assert bool(listed) == bool(walk)
                     verdicts[not walk] += 1
     assert verdicts[True] > 100 and sum(verdicts.values()) > 1500
+
+
+# --- read-only tables behind one validation gate -----------------------------
+
+
+def test_table_is_read_only(tmp_path):
+    path = str(tmp_path / "z2_neg.coc")
+    T.write_cocycle(path, T.z2_neg_cocycle())
+    g = T.build("pair2")
+    made = T.Cocycle(g, 2, {pair: 0 for pair in g.comp})
+    listed = T.enumerate_cocycles(T.build("z4"), 2)[1]
+    for coc in (made, T.z2_neg_cocycle(), listed, T.read_cocycle(path)):
+        assert_read_only(coc.table)
+
+
+def test_one_cocycle_is_validated_once(monkeypatch):
+    coc = T.z2_neg_cocycle()
+    calls = count_calls(monkeypatch, C, "validate_cocycle")
+    make_context(coc.gpd, "GF(3)", coc)
+    make_context(coc.gpd, "GF(5)", coc)
+    T.build_twist(coc.gpd, coc)
+    assert calls == [coc] and coc.checked
+
+
+def test_derived_cocycles_start_unchecked():
+    coc = T.check_cocycle(T.z2_neg_cocycle())
+    tw = T.check_twist(T.build_twist(coc.gpd, coc))
+    derived = [
+        T.invert_cocycle(coc),
+        T.multiply_cocycles(coc, coc),
+        T.apply_coboundary(coc, [0, 1]),
+        T.induced_cocycle(tw, T.find_section(tw)),
+    ]
+    assert not any(d.checked for d in derived)
+
+
+def test_one_grading_is_validated_once(monkeypatch):
+    ctx = make_context(T.build("pair2"), "GF(3)")
+    grading = T.Grading(ctx.gpd, T.IntGroup(), [0, -1, 1, 0])
+    calls = count_calls(monkeypatch, C, "validate_grading")
+    f = T.from_coeffs(ctx, {1: 1, 2: 2})
+    ideal = T.ideal_generated(ctx, [f])
+    T.graded_components(f, grading)
+    T.is_graded_ideal(ideal, grading)
+    T.graded_ck_witness(ctx, grading, ideal)
+    assert calls == [grading] and grading.checked
+
+
+def test_invalid_cocycle_and_grading_are_never_marked():
+    g = T.build("pair2")
+    table = {pair: 0 for pair in g.comp}
+    table[(1, 2)] = 1
+    assert_never_marked(T.Cocycle(g, 2, table), T.check_cocycle, T.validate_cocycle)
+    grading = T.Grading(g, T.cyclic_group(2), [1, 0, 0, 0])
+    assert_never_marked(grading, T.check_grading, T.validate_grading)
+
+
+def test_cocycle_and_grading_equality_ignore_the_flag():
+    assert_flag_ignored(T.z2_neg_cocycle, T.check_cocycle)
+    g = T.build("pair2")
+    assert_flag_ignored(lambda: T.Grading(g, T.IntGroup(), [0, -1, 1, 0]), T.check_grading)

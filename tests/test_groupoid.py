@@ -6,6 +6,8 @@ import re
 import pytest
 
 import twistalg as T
+from twistalg import groupoid as G
+from conftest import assert_flag_ignored, assert_never_marked, assert_read_only, count_calls
 
 
 def mutate(g, **kw):
@@ -263,3 +265,35 @@ def test_generating_set_generates():
                 break
             reached |= more
         assert reached == set(range(g.m)), name
+
+
+# --- read-only tables behind one validation gate -----------------------------
+
+
+def test_comp_is_read_only(tmp_path):
+    path = str(tmp_path / "s3.gpd")
+    T.write_groupoid(path, T.build("s3"))
+    for g in (mutate(T.build("pair2")), T.build("s3"), T.read_groupoid(path)):
+        assert_read_only(g.comp)
+
+
+def test_check_groupoid_validates_once(monkeypatch):
+    g = mutate(T.build("pair3"))
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    assert not g.checked
+    for _ in range(3):
+        assert T.check_groupoid(g) is g
+    assert g.checked and calls == [g]
+    # the validator itself never reads the flag
+    assert G.validate_groupoid(g) == [] and len(calls) == 2
+
+
+def test_invalid_groupoid_is_never_marked():
+    g = T.build("pair2")
+    inv = list(g.inv)
+    inv[1] = 1
+    assert_never_marked(mutate(g, inv=inv), T.check_groupoid, T.validate_groupoid)
+
+
+def test_groupoid_equality_ignores_the_flag():
+    assert_flag_ignored(lambda: mutate(T.build("z4")), T.check_groupoid)

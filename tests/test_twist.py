@@ -5,7 +5,11 @@ import itertools
 import pytest
 
 import twistalg as T
-from conftest import all_sections, carry_cocycle
+from twistalg import twist as TW
+from conftest import (
+    all_sections, assert_flag_ignored, assert_never_marked, assert_read_only, carry_cocycle,
+    count_calls,
+)
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_twist_block, write_twist
 
@@ -308,3 +312,35 @@ def test_section_iso_is_the_closed_form(name):
                 for a in range(g.m):
                     for k in range(n):
                         assert mapping[a * n + k] == tw.act(k, sec[a])
+
+
+# --- read-only tables behind one validation gate -----------------------------
+
+
+def test_embed_is_read_only(tmp_path):
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    path = str(tmp_path / "z2_neg.twi")
+    write_twist(path, tw)
+    for t in (tw, _z2_twist(), T.read_twist(path)):
+        assert_read_only(t.embed)
+        assert_read_only(t.total.comp)
+
+
+def test_validate_twist_skips_checked_groupoids(monkeypatch):
+    tw = T.build_twist(T.build("z4"), carry_cocycle(4))
+    calls = count_calls(monkeypatch, TW, "validate_groupoid")
+    assert tw.base.checked and not tw.total.checked and not tw.checked
+    assert T.validate_twist(tw) == [] and calls == [tw.total]
+    assert T.check_twist(tw) is tw and len(calls) == 2
+    assert tw.checked and tw.base.checked and tw.total.checked
+    assert T.check_twist(tw) is tw and T.validate_twist(tw) == [] and len(calls) == 2
+
+
+def test_invalid_twist_is_never_marked():
+    tw = _z2_twist(proj=(0, 0, 1, 2))
+    assert_never_marked(tw, T.check_twist, T.validate_twist)
+    assert not tw.total.checked
+
+
+def test_twist_equality_ignores_the_flag():
+    assert_flag_ignored(_z2_twist, T.check_twist)
