@@ -1,38 +1,32 @@
-"""Stock groupoids and cocycle enumeration.
+"""Stock groupoids.
 
 Builders for the standard families (pair groupoids, group groupoids,
 transformation groupoids of finite group actions, disjoint unions) plus a
 small named catalog used by the test suite, the demos, and the CLI.  Every
 catalog entry carries the facts it is expected to satisfy; build() checks
-the axioms and asserts those facts before handing the groupoid out.
-enumerate_cocycles sets up the 2-cocycle identity as an integer system
-and takes Z^2 as its kernel mod n from the cocycle module's solver.
+the axioms and asserts those facts before handing the groupoid out.  The
+cocycle fixtures shipped with the catalog are built here as well; cocycle
+enumeration lives in the cocycle module, beside the solver it uses.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import OrderedDict, namedtuple
 from typing import Sequence
 
-from .cocycle import (
+# enumerate_cocycles and free_pairs live beside the solver they use and are
+# bound here too, so catalog.enumerate_cocycles still names them
+from .cocycle import (  # noqa: F401
     Cocycle,
     GroupTable,
-    _kernel_mod,
     apply_coboundary,
     cyclic_group,
+    enumerate_cocycles,
+    free_pairs,
     trivial_cocycle,
 )
-from .groupoid import (
-    Groupoid,
-    check_groupoid,
-    composable_pairs,
-    generator_middles,
-    is_effective,
-    is_minimal,
-    orbits,
-)
+from .groupoid import Groupoid, check_groupoid, is_effective, is_minimal, orbits
 
 
 def pair_groupoid(n: int) -> Groupoid:
@@ -138,46 +132,6 @@ def s3_table() -> GroupTable:
         for p in elems
     ]
     return GroupTable(table)
-
-
-def free_pairs(g: Groupoid) -> list:
-    """Composable pairs with both factors non-unit: the coordinates left
-    free once a cocycle is normalised."""
-    return [
-        (a, b)
-        for a, b in composable_pairs(g)
-        if a not in g.unit_set and b not in g.unit_set
-    ]
-
-
-def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
-    """Every normalised cocycle with values in Z/n, in lexicographic order
-    of the value tuple over the free pairs (sorted); pairs with a unit
-    factor are forced to 0.  The free values are the kernel mod n of the
-    2-cocycle identity at the triples validate_cocycle checks, read off by
-    cocycle._kernel_mod.  cap bounds the number of cocycles, before any is
-    formed."""
-    free = sorted(free_pairs(g))
-    where = {pair: i for i, pair in enumerate(free)}
-    comp, rows = g.comp, {}
-    for b, left, right in generator_middles(g):
-        for a in left:
-            ab = comp[(a, b)]
-            for c in right:
-                row = [0] * len(free)
-                for pair, sgn in (((a, b), 1), ((ab, c), 1), ((a, comp[(b, c)]), -1), ((b, c), -1)):
-                    if pair in where:
-                        row[where[pair]] += sgn
-                rows[tuple(row)] = None
-    gens = _kernel_mod(list(rows), len(free), n)
-    if math.prod(order for order, _ in gens) > cap:
-        raise ValueError("more than %d cocycles (cap)" % cap)
-    points = [(0,) * len(free)]
-    for order, col in gens:
-        steps = [[j * x for x in col] for j in range(order)]
-        points = [tuple((x + y) % n for x, y in zip(p, s)) for s in steps for p in points]
-    forced = {pair: 0 for pair in composable_pairs(g) if pair not in where}
-    return [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
 
 
 def z2_neg_cocycle() -> Cocycle:

@@ -6,12 +6,14 @@ ring value g^exp is produced only inside the algebra layer.  On a valid
 groupoid the 2-cocycle identity holds everywhere once it holds at the
 middles in the groupoid's generating set, so validate_cocycle checks only
 those.  Storing exponents makes the coboundary relation and the 2-cocycle
-identity linear systems over Z/n.  One integer diagonalization,
-_diagonalize, solves both: check_cohomologous takes one solution of the
-first through _solve_mod, and catalog.enumerate_cocycles reads every
-solution of the second through _kernel_mod.  brute_force_cohomologous is
-the independent search over all n^(#non-unit arrows) candidate
-coboundaries, kept as the solver's test oracle.
+identity linear systems over Z/n, and one solve, _solve_mod, serves both:
+from a single integer diagonalization it returns one solution and the
+kernel.  check_cohomologous takes a solution of the first, a coboundary
+linking two cocycles, which then agree in H^2 = Z^2 / B^2 (Brown,
+Cohomology of Groups, GTM 87), and enumerate_cocycles lists Z^2 as the
+kernel of the second.  brute_force_cohomologous is the
+independent search over all n^(#non-unit arrows) candidate coboundaries,
+kept as the solver's test oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
 table) or into the integers; degrees are stored per arrow.  Tables are
@@ -25,10 +27,10 @@ import math
 from types import MappingProxyType
 from typing import Optional, Sequence
 
-from .groupoid import Groupoid, checked, composable_pairs, generator_middles
+from .groupoid import BindOnce, Groupoid, checked, composable_pairs, generator_middles
 
 
-class Cocycle:
+class Cocycle(BindOnce):
     """Exponent table over Z/n on the composable pairs of a groupoid."""
 
     __slots__ = ("gpd", "n", "table", "checked")
@@ -154,7 +156,23 @@ def brute_force_cohomologous(
     return None
 
 
-def _diagonalize(mat, rhs, n):
+def _pivot(a, t, rows, cols):
+    """(i, j) of the least nonzero |a[i][j]| with i, j >= t, first in
+    row-major order, or None.  No entry is less than a unit, so the scan
+    stops at the first unit."""
+    best = None
+    for i in range(t, rows):
+        row = a[i]
+        for j in range(t, cols):
+            x = abs(row[j])
+            if x and (best is None or x < best[0]):
+                if x == 1:
+                    return i, j
+                best = (x, i, j)
+    return best[1:] if best else None
+
+
+def _diagonalize(mat, rhs, cols, n):
     """Integer diagonalization U * A * V = D with unimodular U, V.
 
     Returns (D, V, U * rhs mod n) as lists; U itself is never formed, each
@@ -163,20 +181,15 @@ def _diagonalize(mat, rhs, n):
     needed to solve linear systems, a diagonal D suffices.
     """
     rows = len(mat)
-    cols = len(mat[0]) if rows else 0
     a = [list(r) for r in mat]
     urhs = [x % n for x in rhs]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while True:
-        # least |entry|, first in row-major order
-        pivot = min(
-            ((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]),
-            default=None,
-        )
+        pivot = _pivot(a, t, rows, cols)
         if pivot is None:
             break
-        _, pi, pj = pivot
+        pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             urhs[t], urhs[pi] = urhs[pi], urhs[t]
@@ -206,41 +219,32 @@ def _diagonalize(mat, rhs, n):
     return a, v, urhs
 
 
-def _solve_mod(mat, rhs, n):
-    """One solution x of mat * x == rhs (mod n), or None."""
+def _solve_mod(mat, rhs, cols, n):
+    """Every solution of mat * x == rhs (mod n) in (Z/n)^cols, from one
+    _diagonalize: (x, kernel), x one solution or None, kernel the (order,
+    column) pairs whose cyclic groups sum directly to the solutions of
+    mat * x == 0.  With D = U * mat * V, x = V * y and c = U * rhs, row i
+    reads d_i * y_i == c_i (mod n), d_i = 0 past the rank.  With
+    g = gcd(d_i, n) it is solvable exactly when g divides c_i, by
+    y_i = (d_i / g)^-1 * (c_i / g) mod n / g, and y_i then moves in steps
+    of n / g: column i of V times that step has order g, and orders of 1
+    are left out."""
+    d, v, c = _diagonalize(mat, rhs, cols, n)
     rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    d, v, urhs = _diagonalize(mat, rhs, n)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] % n if i < cols else 0
-        ri = urhs[i]
-        if i >= cols or di == 0:
-            if ri % n != 0:
-                return None
-            continue
-        g = math.gcd(di, n)
-        if ri % g != 0:
-            return None
-        nn = n // g
-        y[i] = (pow(di // g, -1, nn) * (ri // g)) % nn
-    return [sum(v[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
-
-
-def _kernel_mod(mat, cols, n):
-    """The solutions of mat * x == 0 (mod n) in (Z/n)^cols, as (order,
-    column) pairs whose cyclic groups sum directly to the kernel.  With
-    D = U * mat * V from _diagonalize, x = V * y solves it exactly when
-    d_i * y_i == 0 (mod n), that is, y_i is a multiple of n / gcd(d_i, n)
-    (d_i = 0 past the rank): column i of V times that step has order
-    gcd(d_i, n), and orders of 1 are left out."""
-    d, v, _ = _diagonalize(mat, [0] * len(mat), n)
-    gens = []
+    solvable = not any(c[cols:])
+    y, kernel = [0] * cols, []
     for i in range(cols):
-        order = math.gcd(d[i][i] if i < len(d) else 0, n)
-        if order > 1:
-            gens.append((order, [n // order * r[i] % n for r in v]))
-    return gens
+        di, ci = (d[i][i], c[i]) if i < rows else (0, 0)
+        g = math.gcd(di, n)
+        if ci % g:
+            solvable = False
+        else:
+            y[i] = pow(di // g, -1, n // g) * (ci // g) % (n // g)
+        if g > 1:
+            kernel.append((g, [n // g * r[i] % n for r in v]))
+    if not solvable:
+        return None, kernel
+    return [sum(r[k] * y[k] for k in range(cols)) % n for r in v], kernel
 
 
 def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
@@ -265,7 +269,7 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
                 row[col[arrow]] += sgn
         mat.append(row)
         rhs.append((k - base.table[(a, c)]) % n)
-    x = _solve_mod(mat, rhs, n)
+    x, _ = _solve_mod(mat, rhs, len(free), n)
     if x is None:
         return None
     b = [0] * g.m
@@ -273,6 +277,46 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
         b[a] = x[i] % n
     assert apply_coboundary(base, b) == target
     return b
+
+
+def free_pairs(g: Groupoid) -> list:
+    """Composable pairs with both factors non-unit: the coordinates left
+    free once a cocycle is normalised."""
+    return [
+        (a, b)
+        for a, b in composable_pairs(g)
+        if a not in g.unit_set and b not in g.unit_set
+    ]
+
+
+def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
+    """Every normalised cocycle with values in Z/n, in lexicographic order
+    of the value tuple over the free pairs (sorted); pairs with a unit
+    factor are forced to 0.  The free values are the kernel mod n of the
+    2-cocycle identity at the triples validate_cocycle checks, read off the
+    same _solve_mod that check_cohomologous uses.  cap bounds the number of
+    cocycles, before any is formed."""
+    free = sorted(free_pairs(g))
+    where = {pair: i for i, pair in enumerate(free)}
+    comp, rows = g.comp, {}
+    for b, left, right in generator_middles(g):
+        for a in left:
+            ab = comp[(a, b)]
+            for c in right:
+                row = [0] * len(free)
+                for pair, sgn in (((a, b), 1), ((ab, c), 1), ((a, comp[(b, c)]), -1), ((b, c), -1)):
+                    if pair in where:
+                        row[where[pair]] += sgn
+                rows[tuple(row)] = None
+    _, gens = _solve_mod(list(rows), [0] * len(rows), len(free), n)
+    if math.prod(order for order, _ in gens) > cap:
+        raise ValueError("more than %d cocycles (cap)" % cap)
+    points = [(0,) * len(free)]
+    for order, col in gens:
+        steps = [[j * x for x in col] for j in range(order)]
+        points = [tuple((x + y) % n for x, y in zip(p, s)) for s in steps for p in points]
+    forced = {pair: 0 for pair in composable_pairs(g) if pair not in where}
+    return [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
 
 
 # --- gradings ----------------------------------------------------------------
@@ -369,7 +413,7 @@ def cyclic_group(n: int) -> GroupTable:
     return GroupTable([row[i:] + row[:i] for i in range(n)])
 
 
-class Grading:
+class Grading(BindOnce):
     """Groupoid homomorphism into a grading group; degree stored per arrow."""
 
     __slots__ = ("gpd", "group", "deg", "checked")

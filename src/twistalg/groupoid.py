@@ -8,7 +8,8 @@ hypotheses (ample, Hausdorff, etale) hold vacuously: every subset is a
 compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
-Composition is stored, not derived, in a read-only table.  validate_groupoid
+Composition is stored, not derived, in a read-only table, and no public
+attribute can be rebound once set (BindOnce).  validate_groupoid
 reports the violations as data and ignores the checked flag; check_groupoid
 raises them as one AxiomError through the gate checked, which validates an
 object only until it first passes.  Associativity is checked on a generating
@@ -44,7 +45,24 @@ def checked(obj, kind: str, validate):
     return obj
 
 
-class Groupoid:
+class BindOnce:
+    """Public slots bind once: rebinding or deleting one raises
+    AttributeError, so an object that passed the gate checked stays the
+    object it checked.  checked itself and the private caches (a leading
+    underscore) stay writable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if name != "checked" and not name.startswith("_") and hasattr(self, name):
+            raise AttributeError("%s.%s is already set" % (type(self).__name__, name))
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s.%s cannot be deleted" % (type(self).__name__, name))
+
+
+class Groupoid(BindOnce):
     __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng")
 
     def __init__(self, units, src, rng, inv, comp):

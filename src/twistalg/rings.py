@@ -130,7 +130,7 @@ class IntegerRing(Ring):
         raise ValueError("%r is not a unit in Z" % (x,))
 
     def parse(self, text):
-        return int(text)
+        return int(_literal(_INT_RE, text, "integer"))
 
     def fmt(self, x):
         return str(x)
@@ -168,7 +168,7 @@ class RationalRing(Ring):
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return Fraction(_literal(_RATIONAL_RE, text, "rational"))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % text) from None
 
@@ -216,7 +216,7 @@ class PrimeField(Ring):
         return iter(range(self.p))
 
     def parse(self, text):
-        return int(text) % self.p
+        return int(_literal(_INT_RE, text, "integer")) % self.p
 
     def fmt(self, x):
         return str(x % self.p)
@@ -484,7 +484,18 @@ class CyclotomicField(Ring):
 
 # --- literal parsing helpers -------------------------------------------------
 
-_TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?|[+-])?(?:\*?(zeta|w)(?:\^(\d+))?)?$")
+# int() and Fraction() also take non-ASCII digits and underscores (Fraction
+# from Python 3.11 on), and Fraction() decimals and exponents; every literal
+# is matched here first, so it parses the same on every supported Python
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_TERM_RE = re.compile(r"(%s|[+-])?(?:\*?(zeta|w)(?:\^([0-9]+))?)?" % _RATIONAL_RE.pattern)
+
+
+def _literal(pattern, text, kind):
+    if not pattern.fullmatch(text):
+        raise ValueError("bad %s literal %r" % (kind, text))
+    return text
 
 
 def _split_terms(text):
@@ -503,7 +514,7 @@ def _split_terms(text):
 
 
 def _parse_term(term, gen_name):
-    m = _TERM_RE.match(term)
+    m = _TERM_RE.fullmatch(term)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise ValueError("bad ring literal term %r" % term)
     coef_s, gen, k_s = m.groups()

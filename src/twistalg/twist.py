@@ -27,11 +27,11 @@ from types import MappingProxyType
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
-from .groupoid import Groupoid, checked, composable_pairs, validate_groupoid
+from .groupoid import BindOnce, Groupoid, checked, composable_pairs, validate_groupoid
 
 
-class Twist:
-    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers")
+class Twist(BindOnce):
+    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers", "_exponent")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
         self.base = base
@@ -41,6 +41,7 @@ class Twist:
         self.proj = tuple(proj)
         self.checked = False
         self._fibers = None
+        self._exponent = {e: k for (_, k), e in self.embed.items()}
 
     def fiber(self, a: int) -> tuple:
         """Total arrows over base arrow a, ascending."""
@@ -181,14 +182,16 @@ def check_twist(tw: Twist) -> Twist:
 
 
 def unique_scalar(tw: Twist, ref: int, other: int) -> int:
-    """The exponent k with other == act(k, ref); both in one fiber."""
+    """The exponent k with other == act(k, ref); both in one fiber.  By
+    exactness other * ref^-1 is the embedded (rng, k), so k is read off the
+    embedding and confirmed by one act."""
     if tw.proj[ref] != tw.proj[other]:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)
         )
-    for k in range(tw.n):
-        if tw.act(k, ref) == other:
-            return k
+    k = tw._exponent.get(tw.total.comp.get((other, tw.total.inv[ref])))
+    if k is not None and tw.act(k, ref) == other:
+        return k
     raise ValueError("no scalar links %d to %d; twist is invalid" % (ref, other))
 
 

@@ -393,14 +393,21 @@ def test_invalid_input_prints_violations(verb, fx, tmp_path, capsys):
     assert out and all(ln.startswith("violation: ") for ln in out.splitlines())
 
 
+# int() and Fraction() take underscores or non-ASCII digits on some or all
+# supported Pythons; no ring literal does
+BAD_DIGIT_LITERALS = [(ring, lit) for ring in ("Z", "Q", "GF(3)", "GF(3^2)", "Q(zeta_4)")
+                      for lit in ("1_0", "\u0663")]
+
+
 @pytest.mark.parametrize(
     "ring,text,match",
     [
         ("Q(zeta_4)", "element\ncoeff 0 1/0*zeta\n", "zero denominator"),
         ("GF(3^2)", "element\ncoeff 0 1/0+w\n", "zero denominator"),
         ("Q", "element\ncoeff 0 1\ncoeff 0 2\n", "line 3: repeated coeff 0"),
-    ],
-    ids=["cyclotomic-1/0", "gf9-1/0", "repeated-coeff"],
+    ] + [(ring, "element\ncoeff 0 %s\n" % lit, repr(lit)) for ring, lit in BAD_DIGIT_LITERALS],
+    ids=["cyclotomic-1/0", "gf9-1/0", "repeated-coeff"]
+    + ["%s-%s" % (ring, lit.encode("unicode_escape").decode()) for ring, lit in BAD_DIGIT_LITERALS],
 )
 def test_bad_element_file_is_one_error(ring, text, match, fx, tmp_path, capsys):
     f = write(tmp_path, "f.elt", text)

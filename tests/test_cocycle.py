@@ -129,6 +129,21 @@ def test_solver_witnesses_are_pinned():
     assert h.hexdigest() == "5175df3f29e99db3ab128dd7aaeaa45e6fcea4392c4993d2f125d4995442e90f"
 
 
+def test_solver_witnesses_are_pinned_for_larger_orders():
+    """As above with n = 3 and 4, where entries of absolute value 2 or more
+    reach the pivot rule: a sha256 over check_cohomologous(x, y) for 12
+    seeded pairs from base_cocycles per groupoid and order."""
+    h = hashlib.sha256()
+    for name in ("z4", "z8", "fix3", "swap2", "pair2_pair2", "pair4"):
+        g = T.build(name)
+        for n in (3, 4):
+            rnd = random.Random("witness pin:%s:%d" % (name, n))
+            for _ in range(12):
+                x, y = base_cocycles(g, n, rnd)
+                h.update(repr(T.check_cohomologous(x, y)).encode() + b"\n")
+    assert h.hexdigest() == "ca39db6e16366989062f7e07d63a961ced2817ab05954d609561210e7b0613e0"
+
+
 def test_z4_mu2_has_two_classes():
     g = T.build("z4")
     cocs = T.enumerate_cocycles(g, 2)

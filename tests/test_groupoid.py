@@ -297,3 +297,26 @@ def test_invalid_groupoid_is_never_marked():
 
 def test_groupoid_equality_ignores_the_flag():
     assert_flag_ignored(lambda: mutate(T.build("z4")), T.check_groupoid)
+
+
+# --- public attributes bind once ---------------------------------------------
+
+
+def bound_objects():
+    coc = T.z2_neg_cocycle()
+    return [coc.gpd, coc, T.Grading(coc.gpd, T.cyclic_group(2), [0, 1]),
+            T.build_twist(coc.gpd, coc)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["groupoid", "cocycle", "grading", "twist"])
+def test_public_attributes_bind_once(index):
+    obj = bound_objects()[index]
+    public = [name for name in type(obj).__slots__ if name != "checked" and name[0] != "_"]
+    for name in public:
+        with pytest.raises(AttributeError, match="already set"):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError, match="cannot be deleted"):
+            delattr(obj, name)
+    obj.checked = True
+    obj.checked = False
+    assert not obj.checked

@@ -62,6 +62,15 @@ def test_rational_literals():
         q.parse("1/0")
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_literals_are_ascii_decimal(name):
+    r = RINGS[name]
+    assert r.parse("+3") == r.parse("3") == r.neg(r.parse("-3"))
+    for text in ("1_0", "\u0663", "\uff13", "1.5", "1e3", "0x3", "3\n", "+-3"):
+        with pytest.raises(ValueError):
+            r.parse(text)
+
+
 @pytest.mark.parametrize("spec,text", [("Q(zeta_4)", "1/0*zeta"), ("GF(3^2)", "1/0+w")])
 def test_zero_denominator_in_term(spec, text):
     with pytest.raises(ValueError, match="zero denominator"):

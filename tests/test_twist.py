@@ -49,6 +49,38 @@ def test_twist_action_is_free_and_transitive():
         T.unique_scalar(tw, tw.fiber(0)[0], tw.fiber(1)[0])
 
 
+def test_unique_scalar_matches_the_search():
+    """The exponent read off the embedding is the one the search over
+    k = 0, 1, ... with act finds, on every same-fiber pair."""
+    pairs = 0
+    for name, n in (("z4", 2), ("klein", 2), ("s3", 2), ("pair3", 2), ("fix3", 2),
+                    ("z4", 3), ("fix3", 3)):
+        g = T.build(name)
+        for coc in T.enumerate_cocycles(g, n):
+            tw = T.build_twist(g, coc)
+            for a in range(g.m):
+                for ref, other in itertools.product(tw.fiber(a), repeat=2):
+                    want = next(k for k in range(n) if tw.act(k, ref) == other)
+                    assert T.unique_scalar(tw, ref, other) == want
+                    pairs += 1
+    assert pairs == 3282
+
+
+def test_unique_scalar_rejects_an_invalid_twist():
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    # every exponent embedded as the unit: no scalar moves arrow 2 to 3
+    bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
+    with pytest.raises(ValueError, match="no scalar links 2 to 3; twist is invalid"):
+        T.unique_scalar(bad, 2, 3)
+    # the unit 0 no longer fixes arrow 2: 2 * 2^-1 reads k = 0, and the
+    # confirming act rejects it
+    g = tw.total
+    total = T.Groupoid(g.units, g.src, g.rng, g.inv, {**g.comp, (0, 2): 3})
+    bad = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
+    with pytest.raises(ValueError, match="no scalar links 2 to 2; twist is invalid"):
+        T.unique_scalar(bad, 2, 2)
+
+
 @pytest.mark.parametrize("name,coc", COCYCLES, ids=lambda v: str(v)[:24])
 def test_canonical_section_reproduces_cocycle(name, coc):
     tw = T.build_twist(coc.gpd, coc)
