@@ -499,11 +499,10 @@ def _literal(pattern, text, kind):
 
 
 def _split_terms(text):
-    s = text.replace(" ", "")
-    if not s:
+    if not text:
         raise ValueError("empty ring literal")
     terms, cur = [], ""
-    for ch in s:
+    for ch in text:
         if ch in "+-" and cur and cur[-1] not in "+-*/^":
             terms.append(cur)
             cur = ch

@@ -2,23 +2,28 @@
 
 Ideals are stored as reduced row echelon bases in the delta-arrow
 coordinate system.  Since the unit space is finite the algebra is unital,
-so the two-sided ideal generated by f is already the linear span of
-delta_a * f * delta_b over all arrow pairs (a, b); generation, the closure
-check every Ideal runs and the simplicity scan read those products off one
-table (_one_sided).  Every row reduction over a field goes through Echelon,
-sparse rows keyed by least-index pivot: generation, membership, the
-closure check, rref, reduce_against and the simplicity scan, every field
-alike, GF(2) included.  An Ideal checks that its basis is RREF and closed.
+so the two-sided ideal generated by f is the linear span of delta_a * f *
+delta_b over all arrow pairs (a, b).  Every row reduction over a field goes
+through Echelon, sparse rows keyed by least-index pivot: generation,
+membership, the closure check, rref, reduce_against and the simplicity
+scan, every field alike, GF(2) included.
 
-The closure check looks only at the units and the greedy generators
-(groupoid.generating_set), and it is still exact.  Every non-unit arrow is
-a composable word s1...sk in the generators, and delta_s delta_t =
-g^sigma(s,t) delta_st with g^sigma(s,t) a unit, so delta_a is a unit
+Closure is tested only under the units and the greedy generators
+(groupoid.generating_set), and the test is still exact.  Every non-unit
+arrow is a composable word s1...sk in the generators, and delta_s delta_t
+= g^sigma(s,t) delta_st with g^sigma(s,t) a unit, so delta_a is a unit
 multiple of delta_s1 ... delta_sk; a span closed under delta_s on both
 sides for each generator s is closed under every delta_a.  The units stay
 in the set because a unit need not be such a word: pair1 + pair1 has no
 generator at all, and there the span of delta_0 + delta_1 passes the
-generators but is not an ideal.
+generators but is not an ideal.  _images reads those one-sided products
+off one table (_one_sided), which the simplicity scan shares.
+
+The test runs once per ideal.  An Ideal given a basis (by a caller, a file
+or the structural certificate) checks that the basis is RREF and closed.
+ideal_generated instead closes a worklist under the same arrows: every
+row that enlarges its span queues its images, so the finished span is
+closed by construction, and that is its closure check.
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -176,6 +181,22 @@ def _apply(tgrp, entries, v: dict) -> dict:
     return {t: tgrp.scale(k, v[c]) for c, t, k in entries if c in v}
 
 
+def _images(ctx: Context):
+    """The closure test's arrows, read off one _one_sided table: a function
+    of a sparse row v that yields (a, side, delta_a v or v delta_a) for a
+    in the units and the generators, ascending, left before right."""
+    left, right = _one_sided(ctx)
+    tgrp = ctx.tgrp
+    arms = [(a, side, entries)
+            for a in sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
+            for side, entries in (("left", left[a]), ("right", right[a]))]
+
+    def images(v: dict):
+        for a, side, entries in arms:
+            yield a, side, _apply(tgrp, entries, v)
+    return images
+
+
 class Ideal:
     """Two-sided ideal with an RREF basis; both verified at build time.
 
@@ -183,7 +204,9 @@ class Ideal:
     the generators only (module docstring): words in the generators give
     every other arrow up to a unit scalar, and a unit need not be such a
     word.  A failure names its row and the first of those arrows that shows
-    it, rows in order, left before right, and the check stops at three."""
+    it, rows in order, left before right, and the check stops at three.
+    ideal_generated passes the same test while it builds its span, and
+    hands that span to _closed instead."""
 
     def __init__(self, ctx: Context, basis):
         ring, m = ctx.ring, ctx.gpd.m
@@ -200,18 +223,25 @@ class Ideal:
                 or sum(j in v for v in rows for j in pivots) != len(rows)):
             raise ValueError("ideal rows are not in reduced row echelon form")
         self.span = Echelon(ring, (dict(v) for v in rows))
-        left, right = _one_sided(ctx)
-        closers = sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
+        images = _images(ctx)
         failures = (
             "not closed under %s delta_%d (row %d)" % (side, a, i)
             for i, v in enumerate(rows)
-            for a in closers
-            for side, entries in (("left", left[a]), ("right", right[a]))
-            if self.span.remainder(_apply(ctx.tgrp, entries, v))
+            for a, side, w in images(v)
+            if self.span.remainder(w)
         )
         bad = list(itertools.islice(failures, 3))
         if bad:
             raise ValueError("; ".join(bad))
+
+    @classmethod
+    def _closed(cls, ctx: Context, span: Echelon) -> Ideal:
+        """The ideal spanned by span, which the caller has closed under the
+        units and the generators; its basis comes from span.rows."""
+        self = cls.__new__(cls)
+        self.ctx, self.span = ctx, span
+        self.basis = tuple(span.rows(ctx.gpd.m))
+        return self
 
     @property
     def dim(self) -> int:
@@ -231,20 +261,26 @@ class Ideal:
 
 
 def ideal_generated(ctx: Context, elems: Iterable[Element]) -> Ideal:
-    """Smallest two-sided ideal containing the given elements."""
+    """Smallest two-sided ideal containing the given elements.
+
+    A worklist closes the span under the units and the generators: each
+    generator is inserted, and every row that enlarges the span queues its
+    images under those arrows, on both sides, for insertion in turn.  Each
+    spanning row then has its images in the final span, which is Ideal's
+    closure test passed at generation, so the span is an ideal; it holds
+    only sums of products delta_a f delta_b, so it is the least one."""
     if not ctx.ring.is_field:
         raise ValueError("ideals require field coefficients")
-    left, right = _one_sided(ctx)
-    span = Echelon(ctx.ring)
+    pending = []
     for f in elems:
         if f.ctx != ctx:
             raise ValueError("generator lives in a different context")
-        for la in left:
-            w = _apply(ctx.tgrp, la, f.coeffs)
-            if w:
-                for rb in right:
-                    span.insert(_apply(ctx.tgrp, rb, w))
-    return Ideal(ctx, span.rows(ctx.gpd.m))
+        pending.append(f.coeffs)
+    images, span = _images(ctx), Echelon(ctx.ring)
+    for v in pending:  # grows while it is read
+        if span.insert(dict(v)):
+            pending.extend(w for _, _, w in images(v) if w)
+    return Ideal._closed(ctx, span)
 
 
 def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
@@ -272,7 +308,8 @@ def _slide_witness(ideal: Ideal, f: Element, arrow: int):
     ctx = ideal.ctx
     slid = convolve(delta(ctx, ctx.gpd.inv[arrow]), f)
     unit = ctx.gpd.src[arrow]
-    assert not ctx.ring.is_zero(slid.value(unit))
+    if ctx.ring.is_zero(slid.value(unit)):
+        raise RuntimeError("arrow %d did not slide onto its source unit %d" % (arrow, unit))
     witness = frozenset([unit])
     if not ideal.member(char_fn(ctx, witness)):
         raise RuntimeError("witness indicator escaped the row space")
@@ -309,7 +346,8 @@ def graded_ck_witness(ctx: Context, grading: Grading, ideal: Ideal) -> frozenset
     part = graded_components(f, grading)[grading.deg[arrow]]
     witness, slid = _slide_witness(ideal, part, arrow)
     # slid lives in the identity-degree subalgebra and in the ideal
-    assert all(grading.deg[a] == grading.group.identity for a in slid.coeffs)
+    if any(grading.deg[a] != grading.group.identity for a in slid.coeffs):
+        raise RuntimeError("slid component left the identity-degree subalgebra")
     return witness
 
 

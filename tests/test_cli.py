@@ -675,3 +675,38 @@ def test_console_script_smoke(fx, tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "element\ncoeff 0 2\n"
+
+
+def test_optimized_interpreter_prints_the_same(fx, tmp_path):
+    """python -O strips assert statements; ideal gen, ideal member and
+    ck-witness must print the same bytes, write the same artifact and exit
+    the same way without them, errors included."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(T.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def cli(flags, *argv):
+        proc = subprocess.run([sys.executable, *flags, "-m", "twistalg.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    gpd = str(fx / "pair2_pair2.gpd")
+    gen = write(tmp_path, "gen.elt", "element\ncoeff 1 1\ncoeff 2 2\n")
+    other = write(tmp_path, "d4.elt", "element\ncoeff 4 1\n")
+    zero = write(tmp_path, "zero.idl", "ideal\ndim 0\n")
+    for flags, out in (([], "plain"), (["-O"], "opt")):
+        got = cli(flags, "ideal", "--ring", "GF(3)", "--out", str(tmp_path / out), "gen", gpd, gen)
+        assert got == (0, "dim: 4\nwrote ideal.idl\n", "")
+    assert (tmp_path / "opt" / "ideal.idl").read_bytes() == (tmp_path / "plain" / "ideal.idl").read_bytes()
+    idl = str(tmp_path / "plain" / "ideal.idl")
+    runs = [
+        ("ideal", "--ring", "GF(3)", "member", gpd, idl, gen),
+        ("ideal", "--ring", "GF(3)", "member", gpd, idl, other),
+        ("ck-witness", "--ring", "GF(3)", gpd, idl),
+        ("ck-witness", "--ring", "GF(3)", gpd, zero),
+    ]
+    plain = [cli([], *argv) for argv in runs]
+    assert [cli(["-O"], *argv) for argv in runs] == plain
+    assert [out for _, out, _ in plain[:3]] == ["member: true\n", "member: false\n", "witness: 0\n"]
+    assert plain[3] == (1, "", "error: zero ideal has no witness\n")

@@ -66,7 +66,9 @@ def test_rational_literals():
 def test_literals_are_ascii_decimal(name):
     r = RINGS[name]
     assert r.parse("+3") == r.parse("3") == r.neg(r.parse("-3"))
-    for text in ("1_0", "\u0663", "\uff13", "1.5", "1e3", "0x3", "3\n", "+-3"):
+    # whitespace too, in every ring: the extension rings once stripped spaces
+    for text in ("1_0", "\u0663", "\uff13", "1.5", "1e3", "0x3", "3\n", "+-3",
+                 " 3", "3 ", "1 + w", "1\t+w", "1 + zeta", "1\t+zeta"):
         with pytest.raises(ValueError):
             r.parse(text)
 

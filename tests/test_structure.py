@@ -319,12 +319,10 @@ def test_closure_check_stops_at_three_violations(monkeypatch):
     assert len(calls) == 13 < 2 * len(closers(ctx.gpd)) * len(basis)
 
 
-def test_generated_ideal_bytes_are_pinned():
-    """sha256 over serialize_ideal(ideal_generated(ctx, [f])): every catalog
-    groupoid over four fields, untwisted and with its shipped cocycles, two
-    seeded generators each.  A change to the row kernel or the closure
-    check must keep these bytes."""
-    digest, count = hashlib.sha256(), 0
+def pinned_ideals():
+    """(ctx, f, ideal_generated(ctx, [f])): every catalog groupoid over four
+    fields, untwisted and with its shipped cocycles, two seeded generators
+    each."""
     for name in T.CATALOG:
         g = T.build(name)
         cocs = [T.trivial_cocycle(g, 1)] + list(T.fixture_cocycles(name).values())
@@ -333,11 +331,58 @@ def test_generated_ideal_bytes_are_pinned():
                 ctx = make_context(g, spec, coc=coc)
                 rnd = random.Random("%s/%s/%d" % (name, spec, i))
                 for _ in range(2):
-                    ideal = T.ideal_generated(ctx, [random_nonzero(ctx, rnd)])
-                    digest.update(("\n".join(T.serialize_ideal(ideal)) + "\n").encode())
-                    count += 1
+                    f = random_nonzero(ctx, rnd)
+                    yield ctx, f, T.ideal_generated(ctx, [f])
+
+
+def test_generated_ideal_bytes_are_pinned():
+    """sha256 over serialize_ideal of every pinned ideal.  A change to the
+    row kernel or the closure check must keep these bytes."""
+    digest, count = hashlib.sha256(), 0
+    for _, _, ideal in pinned_ideals():
+        digest.update(("\n".join(T.serialize_ideal(ideal)) + "\n").encode())
+        count += 1
     assert count == 136
     assert digest.hexdigest() == "e03ab0f3e010d4b039bf72d2b5b50266a93396b13f880258184e409500711113"
+
+
+def test_generated_ideals_match_the_product_span():
+    """Oracle for the closure worklist: each pinned ideal, and each ideal of
+    pair1 + pair1 and pair1 + z2 (where the unit of pair1 is no word in the
+    generators), is closed under delta_a on both sides at every arrow,
+    worked out with convolve and not with Ideal; it holds its generator;
+    and its basis is the RREF of all m^2 products delta_a f delta_b."""
+    pair1 = T.build("pair1")
+    unions = [T.disjoint_union(pair1, T.build(name)) for name in ("pair1", "z2")]
+    extra = []
+    for g, spec in itertools.product(unions, ("GF(3)", "Q")):
+        ctx = make_context(g, spec)
+        rnd = random.Random("union/%d/%s" % (g.m, spec))
+        one = ctx.ring.one()
+        for f in [T.from_coeffs(ctx, {0: one, 1: one})] + [random_nonzero(ctx, rnd) for _ in range(4)]:
+            extra.append((ctx, f, T.ideal_generated(ctx, [f])))
+    for ctx, f, ideal in itertools.chain(pinned_ideals(), extra):
+        deltas = [T.delta(ctx, a) for a in range(ctx.gpd.m)]
+        products = [T.to_vec(T.convolve(T.convolve(da, f), db)) for da in deltas for db in deltas]
+        assert ideal.basis == tuple(T.rref(ctx.ring, products))
+        assert ideal.member(f)
+        assert next(convolve_closure_failures(ctx, ideal.basis), None) is None
+
+
+def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
+    built, reduced = [], []
+    one_sided, remainder = S._one_sided, S.Echelon.remainder
+    monkeypatch.setattr(S, "_one_sided", lambda ctx: built.append(1) or one_sided(ctx))
+    monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: reduced.append(1) or remainder(self, w))
+    ctx = make_context(T.build("pair2_pair2"), "GF(3)")
+    ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
+    assert 0 < ideal.dim < ctx.gpd.m
+    assert (len(built), len(reduced)) == (1, 0)
+    # a basis handed to Ideal is checked in full: a reduction per row,
+    # closer and side
+    assert T.Ideal(ctx, ideal.basis) == ideal
+    assert len(built) == 2
+    assert len(reduced) == ideal.dim * len(closers(ctx.gpd)) * 2
 
 
 # --- ideals ---------------------------------------------------------------------
@@ -482,6 +527,23 @@ def test_graded_ck_witness_rejects_ineffective_kernel():
     grading = T.Grading(ctx.gpd, T.cyclic_group(1), [0, 0])
     ideal = T.Ideal(ctx, T.rref(GF3, [[1, 0], [0, 1]]))
     with pytest.raises(ValueError):
+        T.graded_ck_witness(ctx, grading, ideal)
+
+
+def test_witness_guards_survive_optimization(monkeypatch):
+    # the guards raise, so that python -O keeps them
+    ctx = make_context(T.build("pair2"), "GF(3)")
+    ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
+    # delta_1 has no support on arrow 0, so nothing slides onto its unit
+    with pytest.raises(RuntimeError, match="^arrow 0 did not slide onto its source unit 0$"):
+        S._slide_witness(ideal, T.delta(ctx, 1), 0)
+
+    ctx = make_context(T.build("z4"), "Q(zeta_4)", coc=carry_cocycle(4))
+    grading = T.Grading(ctx.gpd, T.cyclic_group(4), [0, 1, 2, 3])
+    ideal = T.ideal_generated(ctx, [T.delta(ctx, 2)])
+    slide = S._slide_witness
+    monkeypatch.setattr(S, "_slide_witness", lambda *args: (slide(*args)[0], T.delta(ctx, 1)))
+    with pytest.raises(RuntimeError, match="^slid component left the identity-degree subalgebra$"):
         T.graded_ck_witness(ctx, grading, ideal)
 
 
