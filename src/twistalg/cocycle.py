@@ -27,7 +27,10 @@ import math
 from types import MappingProxyType
 from typing import Optional, Sequence
 
-from .groupoid import BindOnce, Groupoid, checked, composable_pairs, generator_middles
+from .groupoid import (
+    AxiomError, BindOnce, Groupoid, associativity_failures, check_groupoid, checked,
+    composable_pairs, generator_middles,
+)
 
 
 class Cocycle(BindOnce):
@@ -275,7 +278,8 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
     b = [0] * g.m
     for a, i in col.items():
         b[a] = x[i] % n
-    assert apply_coboundary(base, b) == target
+    if apply_coboundary(base, b) != target:
+        raise RuntimeError("solver coboundary does not link the cocycles")
     return b
 
 
@@ -322,26 +326,9 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
 # --- gradings ----------------------------------------------------------------
 
 
-def _table_generators(tbl, ident) -> list:
-    """groupoid.generating_set of the one-unit groupoid of a table: the
-    identity starts out reached, each new generator is the least element
-    not yet reached, and the reached set is kept closed under right
-    multiplication by the generators."""
-    gens, reached = [], {ident}
-    for x in range(len(tbl)):
-        if x not in reached:
-            gens.append(x)
-            todo = [tbl[r][x] for r in reached]
-            while todo:
-                y = todo.pop()
-                if y not in reached:
-                    reached.add(y)
-                    todo.extend(tbl[y][s] for s in gens)
-    return gens
-
-
 class GroupTable:
-    """Finite group given by its multiplication table (validated)."""
+    """Finite group given by its multiplication table, checked as its
+    one-unit groupoid gpd (what group_groupoid returns)."""
 
     def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
@@ -365,16 +352,17 @@ class GroupTable:
         if None in inv:
             raise ValueError("table has a non-invertible element")
         self.inverse = tuple(inv)
-        # (xg)y = x(gy) row by row for g in the generating set, which decides
-        # associativity (groupoid.associativity_failures on the one-unit
-        # groupoid of the table); the least failing (x, g, y) is reported
-        gens = _table_generators(tbl, ident)
-        for x, row in enumerate(tbl):
-            for g in gens:
-                xg, g_row = tbl[row[g]], tbl[g]
-                if xg != tuple(map(row.__getitem__, g_row)):
-                    y = next(y for y in range(k) if xg[y] != row[g_row[y]])
-                    raise ValueError("table is not associative at (%d, %d, %d)" % (x, g, y))
+        # elements are already 0..k-1, so the table is the composition.  With
+        # an identity and inverses only associativity can fail (inverses that
+        # are not unique already break it), and the least failing triple
+        # (x, g, y), g a generator, names the error
+        self.gpd = Groupoid([ident], [ident] * k, [ident] * k, inv,
+                            {(x, y): xy for x, row in enumerate(tbl) for y, xy in enumerate(row)})
+        try:
+            check_groupoid(self.gpd)
+        except AxiomError:
+            bad = associativity_failures(self.gpd)[0]
+            raise ValueError("table is not associative at (%d, %d, %d)" % bad) from None
         self.order = k
 
     def op(self, x, y):

@@ -9,13 +9,16 @@ compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
 Composition is stored, not derived, in a read-only table, and no public
-attribute can be rebound once set (BindOnce).  validate_groupoid
-reports the violations as data and ignores the checked flag; check_groupoid
-raises them as one AxiomError through the gate checked, which validates an
-object only until it first passes.  Associativity is checked on a generating
-set (Light's test): once typing and the unit laws hold, the middles b with
-(ab)c = a(bc) for all composable a, c are closed under composition, so the
-triples whose middle lies in generating_set(g) decide it.
+attribute can be rebound once set (BindOnce).  tabulate builds a groupoid
+given by a rule on labelled arrows, indexing the labels in sorted order; it
+checks nothing, and whoever builds checks (catalog.build, GroupTable, the
+file readers).  validate_groupoid reports the violations as data and
+ignores the checked flag; check_groupoid raises them as one AxiomError
+through the gate checked, which validates an object only until it first
+passes.  Associativity is checked on a generating set (Light's test): once
+typing and the unit laws hold, the middles b with (ab)c = a(bc) for all
+composable a, c are closed under composition, so the triples whose middle
+lies in generating_set(g) decide it.
 """
 
 from __future__ import annotations
@@ -184,16 +187,16 @@ def validate_groupoid(g: Groupoid) -> list:
             v.append("src(%d) = %d is not a unit" % (a, g.src[a]))
         if g.rng[a] not in g.unit_set:
             v.append("rng(%d) = %d is not a unit" % (a, g.rng[a]))
-    # composition domain must be exactly the composable pairs
-    expected = set(composable_pairs(g))
-    for pair in expected:
-        if pair not in g.comp:
-            v.append("comp undefined on composable pair (%d, %d)" % pair)
-    for pair in g.comp:
-        if pair not in expected:
-            v.append("comp defined on non-composable pair (%d, %d)" % pair)
-        elif not (0 <= g.comp[pair] < m):
-            v.append("comp(%d, %d) is out of range" % pair)
+    # composition domain must be exactly the composable pairs; the loops
+    # only run to name what the whole-table comparison finds wrong
+    expected, comp = set(composable_pairs(g)), g.comp
+    if comp.keys() != expected or not all(map(range(m).__contains__, comp.values())):
+        v += ["comp undefined on composable pair (%d, %d)" % p for p in expected if p not in comp]
+        for pair, ab in comp.items():
+            if pair not in expected:
+                v.append("comp defined on non-composable pair (%d, %d)" % pair)
+            elif not (0 <= ab < m):
+                v.append("comp(%d, %d) is out of range" % pair)
     if v:
         return v
     for (a, b), ab in g.comp.items():
@@ -262,24 +265,37 @@ def is_minimal(g: Groupoid) -> bool:
     return len(orbits(g)) == 1
 
 
+def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
+    """The groupoid on the labels in arrows, indexed in sorted order.
+
+    src, rng and inv send a label to a label, and mul(a, b) is the label of
+    the product; the units are the labels that are their own source, and
+    comp is filled in ascending order on every pair with src(a) == rng(b).
+    Nothing is checked: the caller checks what it builds.
+    """
+    labels = sorted(arrows)
+    index = {a: i for i, a in enumerate(labels)}
+    s = [index[src(a)] for a in labels]
+    r = [index[rng(a)] for a in labels]
+    by_rng = {}
+    for b, x in enumerate(r):
+        by_rng.setdefault(x, []).append(b)
+    comp = {(i, b): index[mul(a, labels[b])]
+            for i, a in enumerate(labels) for b in by_rng.get(s[i], ())}
+    units = [i for i, x in enumerate(s) if x == i]
+    return Groupoid(units, s, r, [index[inv(a)] for a in labels], comp)
+
+
 def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
     """Reindex a composition/inverse-closed arrow subset as its own groupoid.
 
     Returns (h, old_of_new) where old_of_new[new_index] = old index.
-    The caller guarantees closure; units of h are the units of g that
-    appear as sources/ranges of kept arrows (and themselves kept).
+    The caller guarantees closure; the units of h are the kept units of g.
     """
     keep = sorted(set(arrow_subset))
-    pos = {a: i for i, a in enumerate(keep)}
-    units = [pos[u] for u in g.units if u in pos]
-    src = [pos[g.src[a]] for a in keep]
-    rng = [pos[g.rng[a]] for a in keep]
-    inv = [pos[g.inv[a]] for a in keep]
-    comp = {}
-    for (a, b), ab in g.comp.items():
-        if a in pos and b in pos:
-            comp[(pos[a], pos[b])] = pos[ab]
-    return Groupoid(units, src, rng, inv, comp), keep
+    h = tabulate(keep, g.src.__getitem__, g.rng.__getitem__, g.inv.__getitem__,
+                 lambda a, b: g.comp[(a, b)])
+    return h, keep
 
 
 def restrict(g: Groupoid, unit_subset: Iterable[int]) -> Groupoid:
@@ -307,9 +323,11 @@ def is_bisection(g: Groupoid, subset: Iterable[int]) -> bool:
 
 
 def bisection_product(g: Groupoid, left, right) -> frozenset:
-    """{comp(a, b) : a in left, b in right, composable}; again a bisection."""
+    """{comp(a, b) : a in left, b in right, composable}; again a bisection
+    when left and right are, else ValueError."""
     out = {g.comp[(a, b)] for a in left for b in right if g.src[a] == g.rng[b]}
-    assert is_bisection(g, out)
+    if not is_bisection(g, out):
+        raise ValueError("an argument of the product is not a bisection")
     return frozenset(out)
 
 

@@ -283,7 +283,8 @@ class QuadraticGaloisField(Ring):
             raise ValueError("0 is not a unit in GF(%d^2)" % self.p)
         fx = self.frobenius(x)
         norm = self.mul(x, fx)
-        assert norm[1] == 0
+        if norm[1]:
+            raise RuntimeError("norm of %r is not in GF(%d)" % (x, self.p))
         n0inv = pow(norm[0], -1, self.p)
         return ((fx[0] * n0inv) % self.p, (fx[1] * n0inv) % self.p)
 
@@ -338,7 +339,8 @@ def cyclotomic_polynomial(n: int) -> list:
         for i in range(len(poly) - 1, dd - 1, -1):
             for j in range(dd):
                 poly[i - dd + j] -= poly[i] * den[j]
-        assert not any(poly[:dd])
+        if any(poly[:dd]):
+            raise RuntimeError("Phi_%d does not divide x^%d - 1" % (d, n))
         poly = poly[dd:]
     _CYC_CACHE[n] = poly
     return poly
@@ -426,7 +428,8 @@ class CyclotomicField(Ring):
             if gcd(k, self.n) == 1:
                 y = self.mul(y, self._galois(x, k))
         norm = self.mul(x, y)
-        assert not any(norm[1:])
+        if any(norm[1:]):
+            raise RuntimeError("norm of %r is not rational" % (x,))
         return tuple(c / norm[0] for c in y)
 
     def _galois(self, x, k):

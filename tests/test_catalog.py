@@ -1,5 +1,6 @@
 """Catalog groupoids, constructors, and the cocycle search."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -7,7 +8,9 @@ import random
 import pytest
 
 import twistalg as T
-from conftest import relabel_groupoid
+from twistalg import catalog as CAT
+from twistalg import groupoid as G
+from conftest import count_calls, relabel_groupoid
 
 
 def test_every_entry_builds_and_facts_hold():
@@ -18,6 +21,46 @@ def test_every_entry_builds_and_facts_hold():
         assert T.is_effective(g) is entry.facts[2]
         assert T.is_minimal(g) is entry.facts[3]
         assert len(T.orbits(g)) == entry.facts[4]
+
+
+def test_build_checks_the_facts(monkeypatch):
+    # an explicit raise, so that python -O keeps the check
+    entry = CAT.CATALOG["z2"]
+    monkeypatch.setitem(CAT.CATALOG, "z2", entry._replace(facts=(3, 1, False, True, 1)))
+    with pytest.raises(RuntimeError, match=r"^z2 has facts \(2, 1, False, True, 1\), "
+                                           r"expected \(3, 1, False, True, 1\)$"):
+        T.build("z2")
+
+
+@pytest.mark.parametrize("name", ["z8", "klein", "s3"])
+def test_catalog_group_is_validated_once(name, monkeypatch):
+    # the group table is checked as its one-unit groupoid, which build takes
+    # as already checked
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    g = T.build(name)
+    assert len(calls) == 1 and calls[0] is g
+
+
+def test_tables_are_pinned():
+    """The rule-built groupoids are indexed by tabulate, the others by
+    shifting or by their group table: a sha256 over the serialized tables
+    of 28 groupoids pins every index, as the hand-indexed builders had
+    them."""
+    gs = [T.pair_groupoid(n) for n in range(1, 9)] + [T.build(name) for name in T.CATALOG]
+    fix3 = T.build("fix3")
+    gs += [
+        T.action_groupoid(T.s3_table(), sorted(itertools.permutations(range(3)))),
+        T.action_groupoid(T.cyclic_group(4), [[(x + r) % 4 for x in range(4)] for r in range(4)]),
+        T.group_groupoid(T.cyclic_group(16)),
+        T.subgroupoid(fix3, sorted(T.isotropy(fix3)))[0],
+        T.subgroupoid(T.build("z4"), [0, 2])[0],
+        T.restrict(T.build("pair2_pair2"), [4, 7]),
+        T.disjoint_union(T.pair_groupoid(3), T.build("s3")),
+    ]
+    text = "".join("\n".join(T.serialize_groupoid(g)) + "\n" for g in gs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert len(gs) == 28
+    assert digest == "0d4ef499c44826134e53ea92159155f86c9cb10df3b1ad2ac7462daaf9800af7"
 
 
 def test_unknown_name():

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, printed lines, artifact files."""
 
+import ast
 import contextlib
 import io
 import os
@@ -678,9 +679,10 @@ def test_console_script_smoke(fx, tmp_path):
 
 
 def test_optimized_interpreter_prints_the_same(fx, tmp_path):
-    """python -O strips assert statements; ideal gen, ideal member and
-    ck-witness must print the same bytes, write the same artifact and exit
-    the same way without them, errors included."""
+    """python -O strips assert statements; ideal gen, ideal member,
+    ck-witness, cohomologous and twist iso must print the same bytes, write
+    the same artifact and exit the same way without them, errors
+    included."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(T.__file__).resolve().parents[1])]
@@ -706,7 +708,32 @@ def test_optimized_interpreter_prints_the_same(fx, tmp_path):
         ("ck-witness", "--ring", "GF(3)", gpd, idl),
         ("ck-witness", "--ring", "GF(3)", gpd, zero),
     ]
+    twi = {}
+    for name, coc in (("pair2_cob", T.pair2_coboundary_cocycle()), ("z2_neg", T.z2_neg_cocycle()),
+                      ("z2_triv", T.trivial_cocycle(T.build("z2"), 2))):
+        twi[name] = str(tmp_path / (name + ".twi"))
+        T.write_twist(twi[name], T.build_twist(coc.gpd, coc))
+    runs += [
+        ("cohomologous", str(fx / "pair2_cob.coc"), str(fx / "pair2_triv.coc")),
+        ("cohomologous", str(fx / "z2_neg.coc"), str(fx / "z2_triv.coc")),
+        ("twist", "iso", twi["pair2_cob"], twi["pair2_cob"]),
+        ("twist", "iso", twi["z2_neg"], twi["z2_triv"]),
+    ]
     plain = [cli([], *argv) for argv in runs]
     assert [cli(["-O"], *argv) for argv in runs] == plain
     assert [out for _, out, _ in plain[:3]] == ["member: true\n", "member: false\n", "witness: 0\n"]
     assert plain[3] == (1, "", "error: zero ideal has no witness\n")
+    verdicts = [out.splitlines()[0] for _, out, _ in plain[4:]]
+    assert verdicts == ["cohomologous: true", "cohomologous: false", "isomorphic: true",
+                        "isomorphic: false"]
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert statements, so every self-check in the
+    library raises explicitly instead."""
+    pkg = Path(T.__file__).resolve().parent
+    found = ["%s:%d" % (path.relative_to(pkg), node.lineno)
+             for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -159,6 +159,16 @@ def test_z4_mu2_has_two_classes():
     assert sorted(len(c) for c in classes) == [4, 4]
 
 
+def test_coboundary_guard_survives_optimization(monkeypatch):
+    # the witness check raises, so that python -O keeps it: with
+    # apply_coboundary made to ignore b, the solver's b no longer links them
+    target, base = T.pair2_coboundary_cocycle(), T.trivial_cocycle(T.build("pair2"), 2)
+    assert T.check_cohomologous(target, base) is not None
+    monkeypatch.setattr(C, "apply_coboundary", lambda coc, b: coc)
+    with pytest.raises(RuntimeError, match="^solver coboundary does not link the cocycles$"):
+        T.check_cohomologous(target, base)
+
+
 def test_cohomologous_rejects_mixed_contexts():
     with pytest.raises(ValueError):
         T.check_cohomologous(

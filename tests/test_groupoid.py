@@ -54,6 +54,21 @@ def test_validator_catches_extra_composition():
     assert T.validate_groupoid(mutate(g, comp=comp))
 
 
+def test_validator_names_each_bad_composition():
+    # missing, non-composable and out-of-range entries, listed in the order
+    # of the composable pairs and then of the table
+    g = T.build("pair2")
+    comp = dict(g.comp)
+    del comp[(1, 2)]
+    comp[(1, 1)] = 0
+    comp[(2, 1)] = 7
+    assert T.validate_groupoid(mutate(g, comp=comp)) == [
+        "comp undefined on composable pair (1, 2)",
+        "comp(2, 1) is out of range",
+        "comp defined on non-composable pair (1, 1)",
+    ]
+
+
 def test_validator_catches_nonunit_source():
     g = T.build("pair2")
     src = list(g.src)
@@ -122,6 +137,29 @@ def test_subgroupoid_reindexes():
     assert sub.m == 4
     assert [old_of_new[a] for a in range(4)] == [0, 1, 3, 4]
     assert sub == T.build("pair2")
+
+
+def test_tabulate_indexes_sorted_labels():
+    # the pair groupoid on points "x" < "y", its labels listed out of order
+    labels = [("y", "x"), ("x", "x"), ("y", "y"), ("x", "y")]
+    pair = G.tabulate(labels, lambda a: (a[1], a[1]), lambda a: (a[0], a[0]),
+                      lambda a: (a[1], a[0]), lambda a, b: (a[0], b[1]))
+    assert pair == T.pair_groupoid(2) and pair.units == (0, 3)
+    assert list(pair.comp) == sorted(pair.comp)
+    # the units are exactly the labels that are their own source, and
+    # nothing is checked: every product here is the unit "e"
+    g = G.tabulate(["s", "e", "t"], lambda a: "e", lambda a: "e", lambda a: a,
+                   lambda a, b: "e")
+    assert g.units == (0,) and g.src == g.rng == (0, 0, 0) and g.inv == (0, 1, 2)
+    assert "left unit law fails at arrow 1" in T.validate_groupoid(g)
+
+
+def test_bisection_product_rejects_a_non_bisection():
+    # the whole of pair2 is no bisection; its product with the unit at
+    # point 1 has two arrows with that source
+    g = T.build("pair2")
+    with pytest.raises(ValueError, match="^an argument of the product is not a bisection$"):
+        T.bisection_product(g, range(4), [0])
 
 
 def test_bisection_counts():

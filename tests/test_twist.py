@@ -132,6 +132,16 @@ def test_twists_isomorphic_iff_cohomologous():
     assert m is not None and T.validate_twist_morphism(m) == []
 
 
+def test_section_map_guard_survives_optimization(monkeypatch):
+    # the morphism laws are checked by a raise, so that python -O keeps it
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    monkeypatch.setattr(TW, "validate_twist_morphism", lambda mor: ["inverse law fails at 1"])
+    for run in (lambda: T.twists_isomorphic(tw, tw), lambda: T.section_iso(tw, T.find_section(tw))):
+        with pytest.raises(RuntimeError, match="^section map is not a twist isomorphism: "
+                                               "inverse law fails at 1$"):
+            run()
+
+
 @pytest.mark.parametrize("name,n", [("pair2", 3), ("z4", 4), ("s3", 3)])
 def test_twists_isomorphic_shifts_by_the_coboundary(name, n):
     # orders above 2, where shifting by b and by -b differ
