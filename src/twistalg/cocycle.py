@@ -6,14 +6,18 @@ ring value g^exp is produced only inside the algebra layer.  On a valid
 groupoid the 2-cocycle identity holds everywhere once it holds at the
 middles in the groupoid's generating set, so validate_cocycle checks only
 those.  Storing exponents makes the coboundary relation and the 2-cocycle
-identity linear systems over Z/n, and one solve, _solve_mod, serves both:
-from a single integer diagonalization it returns one solution and the
-kernel.  check_cohomologous takes a solution of the first, a coboundary
-linking two cocycles, which then agree in H^2 = Z^2 / B^2 (Brown,
-Cohomology of Groups, GTM 87), and enumerate_cocycles lists Z^2 as the
-kernel of the second.  brute_force_cohomologous is the
-independent search over all n^(#non-unit arrows) candidate coboundaries,
-kept as the solver's test oracle.
+identity linear systems over Z/n, and one solve serves both.
+_diagonalize reduces the integer matrix once, recording its row
+operations, and _solve_mod replays them on a right-hand side mod n to
+return one solution and the kernel.  check_cohomologous takes a solution
+of the first, a coboundary linking two cocycles, which then agree in
+H^2 = Z^2 / B^2 (Brown, Cohomology of Groups, GTM 87).  Its matrix depends
+on the groupoid alone, so the diagonalization is kept on the groupoid and
+shared by every order n and every pair of cocycles over it.
+enumerate_cocycles lists Z^2 as the kernel of the second, diagonalized on
+each call.  brute_force_cohomologous is the independent search over all
+n^(#non-unit arrows) candidate coboundaries, kept as the solver's test
+oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
 table) or into the integers; degrees are stored per arrow.  Tables are
@@ -175,18 +179,20 @@ def _pivot(a, t, rows, cols):
     return best[1:] if best else None
 
 
-def _diagonalize(mat, rhs, cols, n):
+def _diagonalize(mat, cols):
     """Integer diagonalization U * A * V = D with unimodular U, V.
 
-    Returns (D, V, U * rhs mod n) as lists; U itself is never formed, each
-    row operation is applied to rhs as it is made.  Plain gcd-style row and
-    column reduction; the divisibility chain of full Smith form is not
-    needed to solve linear systems, a diagonal D suffices.
+    Returns (d, V, ops): d the diagonal of D, V as a list of rows, and U as
+    its row operations in the order they were made, (i, t, None) for a swap
+    of rows i and t and (i, t, q) for row i -= q * row t.  D depends on A
+    alone, so _solve_mod replays ops on any right-hand side and any modulus.
+    Plain gcd-style row and column reduction; the divisibility chain of full
+    Smith form is not needed to solve linear systems, a diagonal D suffices.
     """
     rows = len(mat)
     a = [list(r) for r in mat]
-    urhs = [x % n for x in rhs]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    ops = []
     t = 0
     while True:
         pivot = _pivot(a, t, rows, cols)
@@ -195,7 +201,7 @@ def _diagonalize(mat, rhs, cols, n):
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            urhs[t], urhs[pi] = urhs[pi], urhs[t]
+            ops.append((t, pi, None))
         if pj != t:
             for r in a + v:
                 r[t], r[pj] = r[pj], r[t]
@@ -205,7 +211,7 @@ def _diagonalize(mat, rhs, cols, n):
                 q = a[i][t] // a[t][t]
                 for j in range(cols):
                     a[i][j] -= q * a[t][j]
-                urhs[i] = (urhs[i] - q * urhs[t]) % n
+                ops.append((i, t, q))
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -219,25 +225,31 @@ def _diagonalize(mat, rhs, cols, n):
                     dirty = True
         if not dirty:
             t += 1
-    return a, v, urhs
+    return [a[i][i] for i in range(min(rows, cols))], v, ops
 
 
-def _solve_mod(mat, rhs, cols, n):
-    """Every solution of mat * x == rhs (mod n) in (Z/n)^cols, from one
-    _diagonalize: (x, kernel), x one solution or None, kernel the (order,
-    column) pairs whose cyclic groups sum directly to the solutions of
-    mat * x == 0.  With D = U * mat * V, x = V * y and c = U * rhs, row i
-    reads d_i * y_i == c_i (mod n), d_i = 0 past the rank.  With
-    g = gcd(d_i, n) it is solvable exactly when g divides c_i, by
-    y_i = (d_i / g)^-1 * (c_i / g) mod n / g, and y_i then moves in steps
+def _solve_mod(diag, rhs, n):
+    """Every solution of mat * x == rhs (mod n) in (Z/n)^cols, from
+    diag = _diagonalize(mat, cols): (x, kernel), x one solution or None,
+    kernel the (order, column) pairs whose cyclic groups sum directly to the
+    solutions of mat * x == 0.  With D = U * mat * V, x = V * y and
+    c = U * rhs, row i reads d_i * y_i == c_i (mod n), d_i = 0 past the
+    rank.  With g = gcd(d_i, n) it is solvable exactly when g divides c_i,
+    by y_i = (d_i / g)^-1 * (c_i / g) mod n / g, and y_i then moves in steps
     of n / g: column i of V times that step has order g, and orders of 1
     are left out."""
-    d, v, c = _diagonalize(mat, rhs, cols, n)
-    rows = len(mat)
+    d, v, ops = diag
+    cols = len(v)
+    c = [x % n for x in rhs]
+    for i, t, q in ops:
+        if q is None:
+            c[i], c[t] = c[t], c[i]
+        else:
+            c[i] = (c[i] - q * c[t]) % n
     solvable = not any(c[cols:])
     y, kernel = [0] * cols, []
     for i in range(cols):
-        di, ci = (d[i][i], c[i]) if i < rows else (0, 0)
+        di, ci = (d[i], c[i]) if i < len(d) else (0, 0)
         g = math.gcd(di, n)
         if ci % g:
             solvable = False
@@ -250,34 +262,50 @@ def _solve_mod(mat, rhs, cols, n):
     return [sum(r[k] * y[k] for k in range(cols)) % n for r in v], kernel
 
 
+def _coboundary_solve(g: Groupoid):
+    """(pairs, free, diag) for the coboundary system of g: one row per
+    composable pair, sorted, reading b(a) + b(c) - b(ac) over the columns
+    free, the non-unit arrows, and diag its _diagonalize.  Built on the
+    first call and kept on g, whose tables never change; every order n and
+    every pair of cocycles over g share it."""
+    if g._coboundary_solve is None:
+        free = [a for a in range(g.m) if a not in g.unit_set]
+        col = {a: i for i, a in enumerate(free)}
+        pairs = sorted(g.comp)
+        mat = []
+        for a, c in pairs:
+            row = [0] * len(free)
+            for arrow, sgn in ((a, 1), (c, 1), (g.comp[(a, c)], -1)):
+                if arrow in col:
+                    row[col[arrow]] += sgn
+            mat.append(row)
+        g._coboundary_solve = (pairs, free, _diagonalize(mat, len(free)))
+    return g._coboundary_solve
+
+
 def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
     """A coboundary b with apply_coboundary(base, b) == target, or None.
 
     The difference of exponent tables must equal b(a) + b(c) - b(ac) mod n
     on every composable pair; unknowns are the non-unit arrow values,
-    solved by the exact integer diagonalization.  The witness is verified
-    before it is returned; brute_force_cohomologous is the exhaustive
-    search it is tested against.
+    solved by the exact integer diagonalization that _coboundary_solve
+    keeps per groupoid.  Both tables must be defined on exactly the
+    composable pairs, else ValueError.  The witness is verified before it
+    is returned; brute_force_cohomologous is the exhaustive search it is
+    tested against.
     """
     _same_context(target, base)
     g = target.gpd
-    n = target.n
-    free = [a for a in range(g.m) if a not in g.unit_set]
-    col = {a: i for i, a in enumerate(free)}
-    mat, rhs = [], []
-    for (a, c), k in sorted(target.table.items()):
-        row = [0] * len(free)
-        for arrow, sgn in ((a, 1), (c, 1), (g.comp[(a, c)], -1)):
-            if arrow in col:
-                row[col[arrow]] += sgn
-        mat.append(row)
-        rhs.append((k - base.table[(a, c)]) % n)
-    x, _ = _solve_mod(mat, rhs, len(free), n)
+    keys = g.comp.keys()
+    if target.table.keys() != keys or base.table.keys() != keys:
+        raise ValueError("cocycle table is not defined on exactly the composable pairs")
+    pairs, free, diag = _coboundary_solve(g)
+    x, _ = _solve_mod(diag, [target.table[p] - base.table[p] for p in pairs], target.n)
     if x is None:
         return None
     b = [0] * g.m
-    for a, i in col.items():
-        b[a] = x[i] % n
+    for a, xa in zip(free, x):
+        b[a] = xa
     if apply_coboundary(base, b) != target:
         raise RuntimeError("solver coboundary does not link the cocycles")
     return b
@@ -312,7 +340,7 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
                     if pair in where:
                         row[where[pair]] += sgn
                 rows[tuple(row)] = None
-    _, gens = _solve_mod(list(rows), [0] * len(rows), len(free), n)
+    _, gens = _solve_mod(_diagonalize(list(rows), len(free)), [0] * len(rows), n)
     if math.prod(order for order, _ in gens) > cap:
         raise ValueError("more than %d cocycles (cap)" % cap)
     points = [(0,) * len(free)]

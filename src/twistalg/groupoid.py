@@ -15,14 +15,20 @@ checks nothing, and whoever builds checks (catalog.build, GroupTable, the
 file readers).  validate_groupoid reports the violations as data and
 ignores the checked flag; check_groupoid raises them as one AxiomError
 through the gate checked, which validates an object only until it first
-passes.  Associativity is checked on a generating set (Light's test): once
-typing and the unit laws hold, the middles b with (ab)c = a(bc) for all
-composable a, c are closed under composition, so the triples whose middle
-lies in generating_set(g) decide it.
+passes.  It reads comp in one pass: the domain is exactly the composable
+pairs when there are as many keys as composable pairs and each key is an
+in-range composable pair, and the same pass checks typing and splits comp
+into per-arrow rows {c: ac}.  Associativity is checked on a generating set
+(Light's test): once typing and the unit laws hold, the middles b with
+(ab)c = a(bc) for all composable a, c are closed under composition, so the
+triples whose middle lies in generating_set(g) decide it.  Each a is
+checked against a generator b on whole rows, (ab)c against a(bc) for every
+c at once.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Optional
 
@@ -66,7 +72,8 @@ class BindOnce:
 
 
 class Groupoid(BindOnce):
-    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng")
+    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng",
+                 "_coboundary_solve")
 
     def __init__(self, units, src, rng, inv, comp):
         self.src = tuple(src)
@@ -78,6 +85,7 @@ class Groupoid(BindOnce):
         self.comp = MappingProxyType(dict(comp))
         self.checked = False
         self._by_rng = None
+        self._coboundary_solve = None  # filled by cocycle._coboundary_solve
 
     def arrows_by_rng(self):
         """unit -> sorted tuple of arrows with that range (cached)."""
@@ -143,21 +151,40 @@ def generating_set(g: Groupoid) -> list:
 def generator_middles(g: Groupoid):
     """(b, left, right) for each generator b: the arrows a with ab defined
     and the arrows c with bc defined."""
-    by = g.arrows_by_rng()
+    by_rng, by_src = g.arrows_by_rng(), {}
+    for a in range(g.m):
+        by_src.setdefault(g.src[a], []).append(a)
     for b in generating_set(g):
-        yield b, [a for a in range(g.m) if g.src[a] == g.rng[b]], by.get(g.src[b], ())
+        yield b, by_src.get(g.rng[b], ()), by_rng.get(g.src[b], ())
+
+
+def _rows(g: Groupoid) -> list:
+    """Row a of comp as {c: ac}."""
+    rows = [{} for _ in range(g.m)]
+    for (a, c), ac in g.comp.items():
+        rows[a][c] = ac
+    return rows
 
 
 def associativity_failures(g: Groupoid) -> list:
     """Sorted triples (a, b, c), b a generator, where (ab)c != a(bc).  Once
     typing and the unit laws hold, it is empty exactly when g is
     associative."""
-    comp, bad = g.comp, []
+    return _associativity_failures(g, _rows(g))
+
+
+def _associativity_failures(g: Groupoid, rows: list) -> list:
+    """associativity_failures on the rows of g: for each a, (ab)c is
+    compared with a(bc) for every c at once, and the triples are named only
+    where the two rows differ."""
+    bad = []
     for b, left, right in generator_middles(g):
-        bc = [(c, comp[(b, c)]) for c in right]
+        bc = list(map(rows[b].__getitem__, right))
         for a in left:
-            ab = comp[(a, b)]
-            bad += [(a, b, c) for c, x in bc if comp[(ab, c)] != comp[(a, x)]]
+            row = rows[a]
+            abc = rows[row[b]]
+            if list(map(abc.__getitem__, right)) != list(map(row.__getitem__, bc)):
+                bad += [(a, b, c) for c, x in zip(right, bc) if abc[c] != row[x]]
     return sorted(bad)
 
 
@@ -187,10 +214,24 @@ def validate_groupoid(g: Groupoid) -> list:
             v.append("src(%d) = %d is not a unit" % (a, g.src[a]))
         if g.rng[a] not in g.unit_set:
             v.append("rng(%d) = %d is not a unit" % (a, g.rng[a]))
-    # composition domain must be exactly the composable pairs; the loops
-    # only run to name what the whole-table comparison finds wrong
-    expected, comp = set(composable_pairs(g)), g.comp
-    if comp.keys() != expected or not all(map(range(m).__contains__, comp.values())):
+    # one pass over comp splits it into rows {c: ac} and checks its domain
+    # and typing.  The domain is exactly the composable pairs when there are
+    # as many keys as composable pairs and each key is an in-range
+    # composable pair with an in-range value; the loops below only run to
+    # name what that pass finds wrong
+    src, rng, comp = g.src, g.rng, g.comp
+    by, rows = g.arrows_by_rng(), [{} for _ in range(m)]
+    domain = len(comp) == sum(len(by.get(s, ())) for s in src)
+    typed = True
+    for (a, c), ac in comp.items():
+        if not (0 <= a < m and 0 <= c < m and 0 <= ac < m and src[a] == rng[c]):
+            domain = False
+            break
+        rows[a][c] = ac
+        if rng[ac] != rng[a] or src[ac] != src[c]:
+            typed = False
+    if not domain:
+        expected = set(composable_pairs(g))
         v += ["comp undefined on composable pair (%d, %d)" % p for p in expected if p not in comp]
         for pair, ab in comp.items():
             if pair not in expected:
@@ -199,30 +240,31 @@ def validate_groupoid(g: Groupoid) -> list:
                 v.append("comp(%d, %d) is out of range" % pair)
     if v:
         return v
-    for (a, b), ab in g.comp.items():
-        if g.rng[ab] != g.rng[a]:
-            v.append("rng(comp(%d, %d)) != rng(%d)" % (a, b, a))
-        if g.src[ab] != g.src[b]:
-            v.append("src(comp(%d, %d)) != src(%d)" % (a, b, b))
-    if v:
+    if not typed:
+        for (a, b), ab in comp.items():
+            if rng[ab] != rng[a]:
+                v.append("rng(comp(%d, %d)) != rng(%d)" % (a, b, a))
+            if src[ab] != src[b]:
+                v.append("src(comp(%d, %d)) != src(%d)" % (a, b, b))
         # a mistyped composite makes the associativity walk meaningless
         return v
-    for a in range(m):
-        if g.comp.get((a, g.src[a])) != a:
+    for a, row in enumerate(rows):
+        if row.get(src[a]) != a:
             v.append("right unit law fails at arrow %d" % a)
-        if g.comp.get((g.rng[a], a)) != a:
+        if rows[rng[a]].get(a) != a:
             v.append("left unit law fails at arrow %d" % a)
-    for a in range(m):
+    for a, row in enumerate(rows):
         ia = g.inv[a]
         if g.inv[ia] != a:
             v.append("inv(inv(%d)) != %d" % (a, a))
-        if g.src[ia] != g.rng[a] or g.rng[ia] != g.src[a]:
+        if src[ia] != rng[a] or rng[ia] != src[a]:
             v.append("inv(%d) does not swap source and range" % a)
-        if g.comp.get((a, ia)) != g.rng[a]:
+        if row.get(ia) != rng[a]:
             v.append("rng(g) = comp(g, inv(g)) fails at arrow %d" % a)
-        if g.comp.get((ia, a)) != g.src[a]:
+        if rows[ia].get(a) != src[a]:
             v.append("src(g) = comp(inv(g), g) fails at arrow %d" % a)
-    v += ["associativity fails at triple (%d, %d, %d)" % t for t in associativity_failures(g)]
+    v += ["associativity fails at triple (%d, %d, %d)" % t
+          for t in _associativity_failures(g, rows)]
     return v
 
 

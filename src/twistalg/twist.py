@@ -17,7 +17,10 @@ cohomologous cocycles give isomorphic twists.  Both isomorphisms are one
 section map, k.s1(a) -> (k + b(a)).s2(a): section_iso runs it from the
 model twist of the induced cocycle, with its canonical section and b = 0,
 and twists_isomorphic between two twists, with b the coboundary linking
-the cocycles their found sections induce.
+the cocycles their found sections induce.  A twist keeps the last section
+it induced a cocycle from together with that cocycle, so a round trip that
+induces from the found section, then compares twists and builds the
+equivariant context, computes it once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .groupoid import BindOnce, Groupoid, checked, composable_pairs, validate_gr
 
 
 class Twist(BindOnce):
-    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers", "_exponent")
+    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers", "_exponent",
+                 "_induced")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
         self.base = base
@@ -42,6 +46,7 @@ class Twist(BindOnce):
         self.checked = False
         self._fibers = None
         self._exponent = {e: k for (_, k), e in self.embed.items()}
+        self._induced = None  # (section, its induced cocycle), the last one computed
 
     def fiber(self, a: int) -> tuple:
         """Total arrows over base arrow a, ascending."""
@@ -228,7 +233,12 @@ def validate_section(tw: Twist, sec) -> list:
 
 def induced_cocycle(tw: Twist, sec) -> Cocycle:
     """The cocycle measuring failure of the section to be multiplicative:
-    sec(a) sec(b) equals the induced scalar acting on sec(ab)."""
+    sec(a) sec(b) equals the induced scalar acting on sec(ab).  The twist
+    keeps the last section it induced from with its cocycle, and returns
+    that cocycle again for an equal section."""
+    key = tuple(sec)
+    if tw._induced is not None and tw._induced[0] == key:
+        return tw._induced[1]
     bad = validate_section(tw, sec)
     if bad:
         raise ValueError("; ".join(bad))
@@ -236,7 +246,9 @@ def induced_cocycle(tw: Twist, sec) -> Cocycle:
     for a, b in composable_pairs(tw.base):
         prod = tw.total.comp[(sec[a], sec[b])]
         table[(a, b)] = unique_scalar(tw, sec[tw.base.comp[(a, b)]], prod)
-    return Cocycle(tw.base, tw.n, table)
+    coc = Cocycle(tw.base, tw.n, table)
+    tw._induced = (key, coc)
+    return coc
 
 
 # An arrow bijection between two twists over one base, commuting with the

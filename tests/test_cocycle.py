@@ -182,6 +182,48 @@ def test_cohomologous_rejects_mixed_contexts():
         )
 
 
+def test_cohomologous_rejects_a_table_off_the_composable_pairs():
+    # z4 with (3, 3) dropped from one table: one argument order used to fail
+    # the witness check and the other to raise KeyError (3, 3)
+    g = T.build("z4")
+    good = T.enumerate_cocycles(g, 2)[1]
+    bad = T.Cocycle(g, 2, {p: k for p, k in good.table.items() if p != (3, 3)})
+    msg = "^cocycle table is not defined on exactly the composable pairs$"
+    for target, base in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=msg):
+            T.check_cohomologous(target, base)
+    # a value on a non-composable pair is refused the same way
+    p = T.build("pair2")
+    extra = T.Cocycle(p, 2, {**T.trivial_cocycle(p, 2).table, (1, 1): 0})
+    for target, base in ((extra, T.trivial_cocycle(p, 2)), (T.trivial_cocycle(p, 2), extra)):
+        with pytest.raises(ValueError, match=msg):
+            T.check_cohomologous(target, base)
+
+
+def test_one_coboundary_diagonalization_per_groupoid(monkeypatch):
+    """The coboundary matrix depends on the groupoid alone, so one
+    diagonalization serves every order n and every pair of cocycles; an
+    equal but distinct groupoid makes its own."""
+    g, again = T.build("s3"), T.build("s3")
+    assert g == again and g is not again
+    rnd = random.Random("one solve")
+    cases = []
+    for h in (g, again, g):
+        for n in (2, 3, 4):
+            x = T.trivial_cocycle(h, n)
+            for _ in range(4):
+                b = [0 if a in h.unit_set else rnd.randrange(n) for a in range(h.m)]
+                cases.append((T.apply_coboundary(x, b), x))
+    calls = count_calls(monkeypatch, C, "_diagonalize")
+    for target, base in cases:
+        assert T.apply_coboundary(base, T.check_cohomologous(target, base)) == target
+    assert len(calls) == 2
+    # the enumerator solves its own system on every call, and keeps nothing
+    T.enumerate_cocycles(g, 2)
+    T.enumerate_cocycles(g, 2)
+    assert len(calls) == 4
+
+
 def test_brute_force_cap():
     g = T.build("s3")
     with pytest.raises(ValueError):

@@ -292,6 +292,37 @@ def test_failure_between_non_generators_is_caught():
     assert listed == [t for t in walk if t[1] == 1] and listed
 
 
+def test_associativity_failures_match_every_composable_triple():
+    """The row-based Light's test against every triple composable_triples
+    lists: over the catalog, twist totals of enumerated cocycles and seeded
+    corruptions that keep typing, it is empty exactly when all of them
+    associate."""
+    seen = set()
+    for name, g in ORACLE_GROUPOIDS:
+        rnd = random.Random("rows:" + name)
+        for h in [g] + typed_mutants(g, rnd, 4):
+            comp = h.comp
+            every = all(comp[(comp[(a, b)], c)] == comp[(a, comp[(b, c)])]
+                        for a, b, c in G.composable_triples(h))
+            assert (G.associativity_failures(h) == []) == every, name
+            seen.add(every)
+    assert seen == {True, False}
+
+
+def test_valid_groupoids_never_list_their_composable_pairs(monkeypatch):
+    # the domain check counts; composable_pairs runs only to name a failure
+    calls = count_calls(monkeypatch, G, "composable_pairs")
+    for name, g in ORACLE_GROUPOIDS:
+        assert T.validate_groupoid(g) == [], name
+    assert T.validate_groupoid(T.cyclic_group(12).gpd) == []
+    assert calls == []
+    g = T.build("pair2")
+    comp = dict(g.comp)
+    del comp[(1, 2)]
+    assert T.validate_groupoid(mutate(g, comp=comp)) == ["comp undefined on composable pair (1, 2)"]
+    assert len(calls) == 1
+
+
 def test_generating_set_generates():
     for name, g in ORACLE_GROUPOIDS:
         gens = T.generating_set(g)

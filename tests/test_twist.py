@@ -386,3 +386,47 @@ def test_invalid_twist_is_never_marked():
 
 def test_twist_equality_ignores_the_flag():
     assert_flag_ignored(_z2_twist, T.check_twist)
+
+
+# --- one induced cocycle per twist section -----------------------------------
+
+
+def test_alternating_sections_induce_as_fresh_twists_do():
+    coc = carry_cocycle(4)
+    tw = T.build_twist(coc.gpd, coc)
+    first, other = T.find_section(tw), all_sections(tw)[-1]
+    assert list(first) != other
+    for sec in (first, other, first, first, other, tuple(other)):
+        want = T.induced_cocycle(T.build_twist(coc.gpd, coc), sec)
+        assert T.induced_cocycle(tw, sec) == want
+    assert T.induced_cocycle(tw, first) == coc
+    assert T.induced_cocycle(tw, other) != coc
+
+
+def test_invalid_section_raises_on_every_call():
+    tw = T.build_twist(T.build("z4"), carry_cocycle(4))
+    sec = T.find_section(tw)
+    bad = (sec[0], sec[2]) + sec[2:]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^section misses the fiber at arrow 1$"):
+            T.induced_cocycle(tw, bad)
+        assert T.induced_cocycle(tw, sec) == carry_cocycle(4)
+
+
+def test_failed_unique_scalar_keeps_nothing():
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="twist is invalid"):
+            T.induced_cocycle(bad, T.find_section(tw))
+        assert bad._induced is None
+
+
+def test_twists_isomorphic_reuses_the_induced_cocycle(monkeypatch):
+    g = T.build("s3")
+    c1, c2 = T.enumerate_cocycles(g, 2)[:2]
+    tw, t2 = T.build_twist(g, c1), T.build_twist(g, c2)
+    T.induced_cocycle(tw, T.find_section(tw))
+    calls = count_calls(monkeypatch, TW, "unique_scalar")
+    T.twists_isomorphic(tw, t2)
+    assert len(calls) == len(g.comp) and all(t is t2 for t in calls)
