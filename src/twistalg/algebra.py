@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from . import rings
 from .cocycle import Cocycle, Grading, check_cocycle, check_grading, invert_cocycle
-from .groupoid import Groupoid, is_bisection
+from .groupoid import BindOnce, Groupoid, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, induced_cocycle, unique_scalar
 
@@ -40,8 +40,12 @@ def _check_coefficients(ring: Ring, tgrp: UnitSubgroup, conj: Optional[Involutio
             raise ValueError("involution does not invert the unit subgroup")
 
 
-class Context:
-    """Everything an algebra element needs to multiply and star."""
+class Context(BindOnce):
+    """Everything an algebra element needs to multiply and star.  Its
+    fields bind once (BindOnce); _scan_tables is filled by
+    structure._scan_tables on the first exhaustive is_simple."""
+
+    __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_scan_tables")
 
     def __init__(
         self,
@@ -62,6 +66,7 @@ class Context:
         self.tgrp = tgrp
         self.coc = coc
         self.conj = conj
+        self._scan_tables = None
 
     def coc_val(self, a: int, b: int):
         """The ring value of the cocycle on a composable pair."""

@@ -73,29 +73,38 @@ def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
 def validate_cocycle(coc: Cocycle) -> list:
     """Violations of totality, normalisation, and the 2-cocycle identity.
 
-    The groupoid must be valid; that is not checked here.  The identity is
-    checked at middles in generating_set only: on an associative groupoid
-    the defect d(a, b, c) has zero coboundary, which gives d(a, bb', c) = 0
-    whenever d vanishes at middles b and b', and normalisation makes it
-    vanish at units."""
-    g = coc.gpd
-    pairs = set(composable_pairs(g))
-    v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in coc.table]
-    v += ["value on non-composable pair (%d, %d)" % p for p in coc.table if p not in pairs]
-    if v:
-        return v
+    The groupoid must be valid; that is not checked here.  Totality holds
+    when the table's keys are comp's, and the pairs are named only when
+    they are not.  One pass over the table splits it into per-arrow rows
+    {c: value on (a, c)}, which the rest reads.  The identity is checked at
+    middles in generating_set only: on an associative groupoid the defect
+    d(a, b, c) has zero coboundary, which gives d(a, bb', c) = 0 whenever d
+    vanishes at middles b and b', and normalisation makes it vanish at
+    units."""
+    g, t = coc.gpd, coc.table
+    if t.keys() != g.comp.keys():
+        pairs = set(composable_pairs(g))
+        v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in t]
+        v += ["value on non-composable pair (%d, %d)" % p for p in t if p not in pairs]
+        if v:
+            return v
+    n, comp, v = coc.n, g.comp, []
+    rows = [{} for _ in range(g.m)]
+    for (a, c), k in t.items():
+        rows[a][c] = k
     for a in range(g.m):
-        if coc.table[(g.rng[a], a)] % coc.n != 0:
+        if rows[g.rng[a]][a] % n != 0:
             v.append("normalisation fails on (rng(%d), %d)" % (a, a))
-        if coc.table[(a, g.src[a])] % coc.n != 0:
+        if rows[a][g.src[a]] % n != 0:
             v.append("normalisation fails on (%d, src(%d))" % (a, a))
-    n, t, comp, bad = coc.n, coc.table, g.comp, []
+    bad = []
     for b, left, right in generator_middles(g):
         # value on (a,b) then (ab,c) must match (a,bc) then (b,c)
-        bc = [(c, comp[(b, c)], t[(b, c)]) for c in right]
+        bc = [(c, comp[(b, c)], rows[b][c]) for c in right]
         for a in left:
-            ab, k = comp[(a, b)], t[(a, b)]
-            bad += [(a, b, c) for c, x, y in bc if (k + t[(ab, c)] - t[(a, x)] - y) % n]
+            ta = rows[a]
+            k, tab = ta[b], rows[comp[(a, b)]]
+            bad += [(a, b, c) for c, x, y in bc if (k + tab[c] - ta[x] - y) % n]
     v += ["2-cocycle identity fails at triple (%d, %d, %d)" % abc for abc in sorted(bad)]
     return v
 

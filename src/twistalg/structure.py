@@ -39,16 +39,24 @@ minimality of an effective groupoid, with a proper invariant-orbit ideal
 as the negative certificate, and reports None (unknown) when the groupoid
 is not effective.
 
-The exhaustive scan rests on one lemma.  When the recipe of (a, b) has
-the single entry (c, t, k), delta_a v delta_b = g^k v_c delta_t with g^k
-a unit, so if delta_t generates the algebra so does every v with v_c != 0.
-Candidates come in lead groups, one per position of the first nonzero
-coefficient, each opening with lead * delta_pos.  Once lead * delta_t
-passes its rank scan, every c with a one-entry recipe onto t is certified,
-and groups led by a certified arrow are passed over, the current one
-included.  No failing candidate lies in a skipped group, so the verdict
-and certificate are the full scan's.  A twisted pair groupoid (a matrix
-algebra) takes one rank scan; a group has no one-entry recipe.
+The exhaustive scan rests on two lemmas.  One-entry: when the recipe of
+(a, b) has the single entry (c, t, k), delta_a v delta_b = g^k v_c
+delta_t with g^k a unit, so if delta_t generates the algebra so does every
+v with v_c != 0.  Candidates come in lead groups, one per position of the
+first nonzero coefficient, each opening with lead * delta_pos.  Once
+lead * delta_t passes its rank scan, every c with a one-entry recipe onto t
+is certified, and groups led by a certified arrow are passed over, the
+current one included.  A twisted pair groupoid (a matrix algebra) takes one
+rank scan.  Unit orbit: a group has no one-entry recipe, but there every
+delta_a is a unit of the algebra (delta_a delta_a^-1 = g^k delta_e), so
+u = lambda delta_a v delta_b, lambda a nonzero scalar, generates the ideal
+v does.  Once v passes its rank scan, each recipe's image of v, scaled so
+that its first nonzero coefficient is the scan's lead, joins a set, and a
+later candidate found there passes without a scan.  The set holds each
+vector as one integer, its digits (positions in ring.elements()) read in
+base q, which keeps it a fraction of the size of a set of tuples.  Both lemmas skip only
+candidates that pass, so the verdict and certificate are the full scan's.
+The recipes are built once per context (_scan_tables).
 """
 
 from __future__ import annotations
@@ -374,6 +382,16 @@ def _product_recipes(ctx: Context):
     return [rec for rnd in rounds for rec in rnd if rec is not None]
 
 
+def _scan_tables(ctx: Context):
+    """(recipes, one_entry) for the exhaustive scan: _product_recipes and
+    the entry of each one-entry recipe.  Built on the first call and kept on
+    ctx, whose fields never change, so repeated verdicts share them."""
+    if ctx._scan_tables is None:
+        recipes = _product_recipes(ctx)
+        ctx._scan_tables = recipes, [rec[0] for rec in recipes if len(rec) == 1]
+    return ctx._scan_tables
+
+
 def _generates_everything(tgrp, m, vec, recipes) -> bool:
     """Rank of span{delta_a vec delta_b} reaches m, by incremental insertion
     with early exit; inline, since an _apply call per recipe costs ~20%.
@@ -389,6 +407,26 @@ def _generates_everything(tgrp, m, vec, recipes) -> bool:
         if w and span.insert(w) and len(span.pivots) == m:
             return True
     return False
+
+
+def _orbit(tgrp, place, digit, vec, recipes) -> set:
+    """The codes of every nonzero delta_a vec delta_b, each scaled so that
+    its first nonzero coefficient is vec's.  A vector's code is the sum of
+    digit[x_i] * place[i]; on a group each of these vectors generates the
+    ideal vec does (module docstring)."""
+    ring, powers = tgrp.ring, tgrp.powers
+    v = _sparse(ring, vec)
+    lead = v[min(v)]
+    out = set()
+    for recipe in recipes:
+        w = {}
+        for c, t, k in recipe:
+            if c in v:
+                w[t] = ring.mul(powers[k], v[c]) if k else v[c]
+        if w:
+            s = ring.mul(lead, ring.inv(w[min(w)]))
+            out.add(sum(digit[ring.mul(s, x)] * place[t] for t, x in w.items()))
+    return out
 
 
 def _candidates(ring, m, certified):
@@ -415,11 +453,13 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
     exhaustive: every nonzero element must generate the full algebra;
     needs a finite field with size**arrows <= cap.  The certificate of a
     negative answer is the lexicographically first failing element.  Lead
-    groups certified through a one-entry recipe are passed over (module
-    docstring); every field takes the same Echelon rank scan.  structural:
-    answers from minimality when the groupoid is effective, with a proper
-    ideal built from a nontrivial invariant unit set as negative
-    certificate; on a non-effective groupoid the verdict is None (unknown).
+    groups certified through a one-entry recipe are passed over, and on a
+    group so is every candidate in the unit orbit of one that passed
+    (module docstring); every field takes the same Echelon rank scan, and
+    the recipes are built once per context.  structural: answers from
+    minimality when the groupoid is effective, with a proper ideal built
+    from a nontrivial invariant unit set as negative certificate; on a
+    non-effective groupoid the verdict is None (unknown).
     """
     if not ctx.ring.is_field:
         raise ValueError("simplicity is defined here over field coefficients")
@@ -429,12 +469,20 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
             raise ValueError("exhaustive mode needs a finite field")
         if ctx.ring.size ** gpd.m > cap:
             raise ValueError("search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap))
-        recipes = _product_recipes(ctx)
-        one_entry = [rec[0] for rec in recipes if len(rec) == 1]
-        certified, group = set(), None
+        recipes, one_entry = _scan_tables(ctx)
+        # vectors are coded in base q (module docstring); a one-arrow group
+        # has one candidate and nothing to skip
+        on_group = len(gpd.units) == 1 and gpd.m > 1
+        if on_group:
+            digit = {e: i for i, e in enumerate(ctx.ring.elements())}
+            place = [len(digit) ** (gpd.m - 1 - i) for i in range(gpd.m)]
+        passed, certified, group = set(), set(), None
         for pos, vec in _candidates(ctx.ring, gpd.m, certified):
-            if not _generates_everything(ctx.tgrp, gpd.m, vec, recipes):
-                return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
+            if not (on_group and sum(digit[x] * p for x, p in zip(vec, place)) in passed):
+                if not _generates_everything(ctx.tgrp, gpd.m, vec, recipes):
+                    return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
+                if on_group:
+                    passed |= _orbit(ctx.tgrp, place, digit, vec, recipes)
             if pos != group:  # vec is lead * delta_pos, and it generates
                 group = pos
                 certified.update(c for c, t, _ in one_entry if t == pos)

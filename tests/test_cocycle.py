@@ -455,6 +455,57 @@ def test_generator_cocycle_identity_matches_triple_walk():
     assert verdicts[True] > 100 and sum(verdicts.values()) > 1500
 
 
+def slow_validate_cocycle(coc):
+    """validate_cocycle's list read off the tuple-keyed tables: totality in
+    set(composable_pairs) order, normalisation per arrow, and the identity
+    at every composable triple with a generator middle, sorted."""
+    g, t, n = coc.gpd, coc.table, coc.n
+    pairs = set(T.composable_pairs(g))
+    v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in t]
+    v += ["value on non-composable pair (%d, %d)" % p for p in t if p not in pairs]
+    if v:
+        return v
+    for a in range(g.m):
+        if t[(g.rng[a], a)] % n:
+            v.append("normalisation fails on (rng(%d), %d)" % (a, a))
+        if t[(a, g.src[a])] % n:
+            v.append("normalisation fails on (%d, src(%d))" % (a, a))
+    gens, comp = set(T.generating_set(g)), g.comp
+    bad = [(a, b, c) for a, b, c in T.composable_triples(g) if b in gens
+           and (t[(a, b)] + t[(comp[(a, b)], c)] - t[(a, comp[(b, c)])] - t[(b, c)]) % n]
+    return v + ["2-cocycle identity fails at triple (%d, %d, %d)" % abc for abc in sorted(bad)]
+
+
+def test_cocycle_violations_match_the_slow_validator():
+    """Seeded corruptions: changed values anywhere (units included), dropped
+    pairs and added non-composable pairs; the lists agree entry by entry."""
+    groupoids = [(name, T.build(name)) for name in T.CATALOG] + [("pair5", T.pair_groupoid(5))]
+    kinds = {}
+    for name, g in groupoids:
+        pairs = sorted(g.comp)
+        outside = [(a, c) for a in range(g.m) for c in range(g.m) if (a, c) not in g.comp]
+        for n in (2, 3, 4):
+            rnd = random.Random("cocycle corruptions:%s:%d" % (name, n))
+            for base in base_cocycles(g, n, rnd):
+                assert T.validate_cocycle(base) == slow_validate_cocycle(base) == []
+                for _ in range(15):
+                    table = dict(base.table)
+                    kind = rnd.choice(["value", "value", "drop", "add"] if outside else ["value", "drop"])
+                    for _ in range(rnd.randint(1, 3)):
+                        if kind == "value":
+                            pair = rnd.choice(pairs)
+                            table[pair] = table[pair] + rnd.randrange(1, n)
+                        elif kind == "drop":
+                            table.pop(rnd.choice(pairs), None)
+                        else:
+                            table[rnd.choice(outside)] = rnd.randrange(n)
+                    coc = T.Cocycle(g, n, table)
+                    want = slow_validate_cocycle(coc)
+                    assert T.validate_cocycle(coc) == want
+                    kinds[kind] = kinds.get(kind, 0) + bool(want)
+    assert min(kinds.values()) > 100, kinds
+
+
 # --- read-only tables behind one validation gate -----------------------------
 
 

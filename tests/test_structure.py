@@ -9,7 +9,7 @@ import pytest
 
 import twistalg as T
 from twistalg import structure as S
-from conftest import carry_cocycle, make_context, random_nonzero, relabel_groupoid
+from conftest import carry_cocycle, count_calls, make_context, random_nonzero, relabel_groupoid
 
 GF2 = T.parse_ring("GF(2)")
 GF3 = T.parse_ring("GF(3)")
@@ -595,6 +595,39 @@ def test_exhaustive_matches_manual_scan(gname, ring_spec):
         assert T.ideal_generated(ctx, [res.certificate]).dim < ctx.gpd.m
 
 
+def klein_form_cocycle(mat):
+    """The bilinear form x^T mat y on (Z/2)^2 as an order-2 cocycle on the
+    Klein group, whose arrow i has bits (i & 1, i >> 1); its algebra is
+    simple exactly when mat01 != mat10."""
+    g = T.build("klein")
+    assert all(g.comp[(x, y)] == x ^ y for x in range(4) for y in range(4))
+    bits = lambda x: (x & 1, x >> 1)
+    return T.Cocycle(g, 2, {(x, y): sum(mat[i][j] * bits(x)[i] * bits(y)[j]
+                                        for i in range(2) for j in range(2))
+                            for x in range(4) for y in range(4)})
+
+
+def group_contexts(ring_spec, rnd):
+    """Twisted group algebras past table_contexts' size bound, where the
+    unit-orbit skip does most: Klein with a nondegenerate and a degenerate
+    bilinear form, each also moved by a seeded coboundary, and z4 with each
+    enumerated cocycle of order 2 and 4 that the ring has units for; none
+    in characteristic 2, which has no unit of order 2."""
+    ring = T.parse_ring(ring_spec)
+    if (ring.size - 1) % 2:
+        return
+    for mat in (((0, 1), (0, 0)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 0))):
+        coc = klein_form_cocycle(mat)
+        b = [0] + [rnd.randrange(2) for _ in range(3)]
+        for c in (coc, T.apply_coboundary(coc, b)):
+            yield T.Context(c.gpd, ring, T.unit_subgroup(ring, 2), c)
+    z4 = T.build("z4")
+    for n in (2, 4):
+        if (ring.size - 1) % n == 0:
+            for coc in T.enumerate_cocycles(z4, n)[1:]:
+                yield T.Context(z4, ring, T.unit_subgroup(ring, n), coc)
+
+
 def plain_scan(ctx):
     """Oracle for the skipped lead groups: every candidate (leading
     coefficient the least nonzero element) in lexicographic order, each
@@ -610,16 +643,44 @@ def plain_scan(ctx):
     return True, None
 
 
-@pytest.mark.parametrize("ring_spec", ["GF(2)", "GF(3)", "GF(5)", "GF(2^2)", "GF(3^2)"])
+@pytest.mark.parametrize("ring_spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)"])
 def test_exhaustive_scan_matches_plain_scan(ring_spec):
-    verdicts = set()
-    for ctx in table_contexts(ring_spec, random.Random(ring_spec), (2, 3, 4), 2 ** 12):
+    verdicts, rnd = set(), random.Random(ring_spec)
+    for ctx in itertools.chain(table_contexts(ring_spec, rnd, (2, 3, 4), 2 ** 12),
+                               group_contexts(ring_spec, rnd)):
         res = T.is_simple(ctx, mode="exhaustive")
         want, cert = plain_scan(ctx)
         assert res.simple is want
         assert (res.certificate and T.to_vec(res.certificate)) == cert
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_orbit_is_the_normalized_two_sided_translates():
+    """On a group every delta_a v delta_b, scaled to v's lead, generates the
+    ideal v does: _orbit against convolve and ideal_generated."""
+    rnd = random.Random("orbits")
+    for ctx in group_contexts("GF(5)", rnd):
+        ring, m = ctx.ring, ctx.gpd.m
+        recipes = S._product_recipes(ctx)
+        elems = list(ring.elements())
+        digit = {e: i for i, e in enumerate(elems)}
+        place = [len(elems) ** (m - 1 - i) for i in range(m)]
+        decode = lambda code: [elems[code // p % len(elems)] for p in place]
+        for _ in range(3):
+            v = random_nonzero(ctx, rnd)
+            vec = T.to_vec(v)
+            lead = v.coeffs[min(v.coeffs)]
+            want = set()
+            for a in range(m):
+                for b in range(m):
+                    w = T.convolve(T.convolve(T.delta(ctx, a), v), T.delta(ctx, b))
+                    s = ring.mul(lead, ring.inv(w.coeffs[min(w.coeffs)]))
+                    want.add(tuple(T.to_vec(T.scale(s, w))))
+            got = [tuple(decode(code)) for code in S._orbit(ctx.tgrp, place, digit, vec, recipes)]
+            assert sorted(got) == sorted(want)
+            ideal = T.ideal_generated(ctx, [v])
+            assert all(T.ideal_generated(ctx, [T.from_vec(ctx, u)]) == ideal for u in want)
 
 
 def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
@@ -629,11 +690,39 @@ def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
     pair4 = make_context(T.build("pair4"), "GF(2)")
     assert T.is_simple(pair4, mode="exhaustive").simple is True
     assert 0 < len(calls) <= pair4.gpd.m
-    # a group algebra has no one-entry recipe: all (3^2 - 1) / 2 candidates
+    # a group algebra has no one-entry recipe, but its unit orbits: of the
+    # (3^2 - 1) / 2 candidates delta_0 lies in delta_1's orbit and
+    # 1 + 2 delta_1 in that of 1 + delta_1
     calls.clear()
     z2_neg = make_context(T.build("z2"), "GF(3)", coc=T.z2_neg_cocycle())
     assert T.is_simple(z2_neg, mode="exhaustive").simple is True
-    assert len(calls) == 4
+    assert len(calls) == 2
+    # a nondegenerate Klein twist over GF(3^2): 70 of the 820 candidates
+    calls.clear()
+    klein = make_context(T.build("klein"), "GF(3^2)", coc=klein_form_cocycle(((0, 1), (0, 0))))
+    assert T.is_simple(klein, mode="exhaustive").simple is True
+    assert len(calls) == 70
+
+
+def test_scan_tables_are_built_once_per_context(monkeypatch):
+    calls = count_calls(monkeypatch, S, "_product_recipes")
+    ctx = make_context(T.build("klein"), "GF(3)", coc=klein_form_cocycle(((0, 1), (0, 0))))
+    again = make_context(ctx.gpd, "GF(3)", coc=ctx.coc)
+    for _ in range(3):
+        assert T.is_simple(ctx, mode="exhaustive").simple is True
+    assert T.is_simple(again, mode="exhaustive").simple is True
+    assert calls == [ctx, again]
+
+
+def test_context_fields_bind_once():
+    ctx = make_context(T.build("z2"), "GF(3)", coc=T.z2_neg_cocycle())
+    with pytest.raises(AttributeError):
+        ctx.coc = T.trivial_cocycle(ctx.gpd, 2)
+    with pytest.raises(AttributeError):
+        del ctx.ring
+    with pytest.raises(AttributeError):
+        ctx.extra = None
+    assert ctx.coc == T.z2_neg_cocycle()
 
 
 def test_exhaustive_twisted_flip():
