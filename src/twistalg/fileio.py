@@ -289,7 +289,10 @@ def parse_grading_block(cur: _Cursor) -> Grading:
         grp = IntGroup()
         ident = 0
     elif kind == "cyclic":
-        grp = cyclic_group(cur.ints(toks[2:], 1)[0])
+        k = cur.ints(toks[2:], 1)[0]
+        if k > 1024:  # its table and groupoid grow as k^2
+            raise ValueError("line %d: cyclic group order %d exceeds 1024" % (cur.line(), k))
+        grp = cyclic_group(k)
         ident = 0
     elif kind == "table":
         k = cur.ints(toks[2:], 1)[0]

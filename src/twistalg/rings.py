@@ -26,24 +26,34 @@ y / N(x), where y is the product of the other conjugates and the norm
 N(x) = x*y lies in the prime field.  A UnitSubgroup is a finite cyclic
 group of units given by a generator and its order; its members travel as
 exponents mod n and are embedded into the ring only when a coefficient
-is needed; scale(k, x) multiplies by g^k and skips g^0 = 1.  Involutions cover the identity, conj and the Frobenius; the
-name "auto" picks conj on Q(zeta_n), the Frobenius on GF(p^2) and the
-identity on the other kinds.  No floating point anywhere.
+is needed; scale(k, x) multiplies by g^k and skips g^0 = 1.  Involutions
+cover the identity, conj and the Frobenius; the name "auto" picks conj on
+Q(zeta_n), the Frobenius on GF(p^2) and the identity on the other kinds.
+No floating point anywhere.
+
+Each ring class carries its kind: its spec (its repr), its "auto"
+involution and its canonical unit generators.  As building a ring and
+searching its units grow with it, parse_ring accepts GF(p) and GF(p^2)
+with at most 2^20 elements and Q(zeta_n) with n <= 1024.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 
 class Ring:
-    """Exact commutative unital ring; subclasses fix the element type."""
+    """Exact commutative unital ring; subclasses fix the element type and
+    their kind (module docstring).  Z and Q keep the default "auto"
+    involution and unit generators."""
 
-    kind: tuple = ("?",)
+    kind: tuple = ("?",)  # what == and hash compare
     is_field = False
     size = None  # element count when finite, else None
+    _auto_involution = "id"
 
     def zero(self):
         raise NotImplementedError
@@ -88,8 +98,11 @@ class Ring:
     def __hash__(self):
         return hash(self.kind)
 
-    def __repr__(self):
-        return spec_string(self)
+    def _unit_generator(self, n: int):
+        """Generator of the canonical order-n unit subgroup: 1 or -1."""
+        if n > 2:
+            raise ValueError("%s has no order-%d unit subgroup" % (self, n))
+        return self.one() if n == 1 else self.neg(self.one())
 
 
 def _is_prime(p: int) -> bool:
@@ -138,6 +151,9 @@ class IntegerRing(Ring):
     def random_element(self, rnd):
         return rnd.randint(-9, 9)
 
+    def __repr__(self):
+        return "Z"
+
 
 class RationalRing(Ring):
     kind = ("Q",)
@@ -178,10 +194,24 @@ class RationalRing(Ring):
     def random_element(self, rnd):
         return Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
 
+    def __repr__(self):
+        return "Q"
 
-class PrimeField(Ring):
+
+class _FiniteField(Ring):
+    """GF(p) and GF(p^2)."""
+
     is_field = True
 
+    def _unit_generator(self, n: int):
+        """The first element of exact order n in elements() order."""
+        if (self.size - 1) % n:
+            raise ValueError("%s^x has no order-%d subgroup" % (self, n))
+        return next(x for x in self.elements()
+                    if not self.is_zero(x) and _multiplicative_order(self, x, n) == n)
+
+
+class PrimeField(_FiniteField):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError("GF(%d): modulus must be prime" % p)
@@ -224,6 +254,9 @@ class PrimeField(Ring):
     def random_element(self, rnd):
         return rnd.randrange(self.p)
 
+    def __repr__(self):
+        return "GF(%d)" % self.p
+
 
 def _least_nonresidue(p: int) -> int:
     for t in range(2, p):
@@ -232,14 +265,14 @@ def _least_nonresidue(p: int) -> int:
     raise ValueError("no quadratic nonresidue mod %d" % p)
 
 
-class QuadraticGaloisField(Ring):
+class QuadraticGaloisField(_FiniteField):
     """GF(p^2) with basis 1, w where w^2 = s*w + t.
 
     Odd p: s = 0 and t = the least quadratic nonresidue mod p.
     p = 2: w^2 = w + 1.  Elements are pairs (a, b) of residues.
     """
 
-    is_field = True
+    _auto_involution = "frobenius"
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -319,14 +352,13 @@ class QuadraticGaloisField(Ring):
     def random_element(self, rnd):
         return (rnd.randrange(self.p), rnd.randrange(self.p))
 
+    def __repr__(self):
+        return "GF(%d^2)" % self.p
 
-_CYC_CACHE: dict = {}
 
-
+@functools.cache
 def cyclotomic_polynomial(n: int) -> list:
     """Integer coefficient list of Phi_n, ascending degree, monic."""
-    if n in _CYC_CACHE:
-        return _CYC_CACHE[n]
     # x^n - 1 = prod of Phi_d over d | n; divide the smaller ones out.
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
@@ -342,7 +374,6 @@ def cyclotomic_polynomial(n: int) -> list:
         if any(poly[:dd]):
             raise RuntimeError("Phi_%d does not divide x^%d - 1" % (d, n))
         poly = poly[dd:]
-    _CYC_CACHE[n] = poly
     return poly
 
 
@@ -366,6 +397,7 @@ class CyclotomicField(Ring):
     """Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
 
     is_field = True
+    _auto_involution = "conj"
 
     def __init__(self, n: int):
         if n < 1:
@@ -484,6 +516,17 @@ class CyclotomicField(Ring):
             Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(self.degree)
         )
 
+    def _unit_generator(self, n: int):
+        """zeta^(m/n) when n | m, else -1 for n = 2."""
+        if self.n % n == 0:
+            return self.zeta(self.n // n)
+        if n == 2:
+            return self.neg(self.one())
+        raise ValueError("Q(zeta_%d) has no canonical order-%d subgroup" % (self.n, n))
+
+    def __repr__(self):
+        return "Q(zeta_%d)" % self.n
+
 
 # --- literal parsing helpers -------------------------------------------------
 
@@ -539,32 +582,22 @@ _SPEC_RE = re.compile(r"^(Z|Q|GF\((\d+)\)|GF\((\d+)\^2\)|Q\(zeta_(\d+)\))$")
 
 
 def parse_ring(spec: str) -> Ring:
-    """Parse a ring spec string: Z, Q, GF(p), GF(p^2), Q(zeta_n)."""
+    """Parse a ring spec string: Z, Q, GF(p), GF(p^2), Q(zeta_n), within the
+    bounds in the module docstring."""
     m = _SPEC_RE.match(spec.replace(" ", ""))
     if not m:
         raise ValueError("unknown ring spec %r" % spec)
-    if m.group(2):
-        return PrimeField(int(m.group(2)))
-    if m.group(3):
-        return QuadraticGaloisField(int(m.group(3)))
+    if m.group(2) or m.group(3):
+        p = int(m.group(2) or m.group(3))
+        if (p if m.group(2) else p * p) > 2 ** 20:
+            raise ValueError("%s has more than 2^20 elements" % m.group(1))
+        return PrimeField(p) if m.group(2) else QuadraticGaloisField(p)
     if m.group(4):
-        return CyclotomicField(int(m.group(4)))
+        n = int(m.group(4))
+        if n > 1024:
+            raise ValueError("%s: n may be at most 1024" % m.group(1))
+        return CyclotomicField(n)
     return IntegerRing() if m.group(1) == "Z" else RationalRing()
-
-
-def spec_string(ring: Ring) -> str:
-    k = ring.kind
-    if k == ("Z",):
-        return "Z"
-    if k == ("Q",):
-        return "Q"
-    if k[0] == "GF":
-        return "GF(%d)" % k[1]
-    if k[0] == "GF2":
-        return "GF(%d^2)" % k[1]
-    if k[0] == "CYC":
-        return "Q(zeta_%d)" % k[1]
-    raise ValueError("unknown ring %r" % (ring,))
 
 
 # --- unit subgroups ----------------------------------------------------------
@@ -641,59 +674,30 @@ def unit_subgroup(ring: Ring, n: int) -> UnitSubgroup:
     """
     if n < 1:
         raise ValueError("subgroup order must be positive")
-    k = ring.kind
-    if k in (("Z",), ("Q",)):
-        if n == 1:
-            return UnitSubgroup(ring, 1, ring.one())
-        if n == 2:
-            return UnitSubgroup(ring, 2, ring.neg(ring.one()))
-        raise ValueError("%s has no order-%d unit subgroup" % (ring, n))
-    if k[0] in ("GF", "GF2"):
-        group_order = ring.size - 1
-        if group_order % n != 0:
-            raise ValueError("%s^x has no order-%d subgroup" % (ring, n))
-        for x in ring.elements():
-            if ring.is_zero(x):
-                continue
-            if _multiplicative_order(ring, x, n) == n:
-                return UnitSubgroup(ring, n, x)
-        raise ValueError("no order-%d element found in %s" % (n, ring))
-    if k[0] == "CYC":
-        m = k[1]
-        if n == 1:
-            return UnitSubgroup(ring, 1, ring.one())
-        if m % n == 0:
-            return UnitSubgroup(ring, n, ring.zeta(m // n))
-        if n == 2:
-            return UnitSubgroup(ring, 2, ring.neg(ring.one()))
-        raise ValueError("Q(zeta_%d) has no canonical order-%d subgroup" % (m, n))
-    raise ValueError("unsupported ring %r" % (ring,))
+    return UnitSubgroup(ring, n, ring._unit_generator(n))
 
 
 # --- involutions -------------------------------------------------------------
 
 
 class Involution:
-    """Ring automorphism of order <= 2: id, cyclotomic conj, or Frobenius."""
+    """Ring automorphism of order <= 2: id, or the ring's own conj
+    (Q(zeta_n)) or frobenius (GF(p^2)) method."""
 
     KINDS = ("id", "conj", "frobenius")
+    _FIELDS = {"conj": "cyclotomic fields", "frobenius": "GF(p^2)"}
 
     def __init__(self, ring: Ring, name: str):
         if name not in self.KINDS:
             raise ValueError("unknown involution %r" % name)
-        if name == "conj" and ring.kind[0] != "CYC":
-            raise ValueError("conj is only defined on cyclotomic fields")
-        if name == "frobenius" and ring.kind[0] != "GF2":
-            raise ValueError("frobenius is only defined on GF(p^2)")
+        if name != "id" and not hasattr(ring, name):
+            raise ValueError("%s is only defined on %s" % (name, self._FIELDS[name]))
         self.ring = ring
         self.name = name
+        self._map = None if name == "id" else getattr(ring, name)
 
     def __call__(self, x):
-        if self.name == "id":
-            return x
-        if self.name == "conj":
-            return self.ring.conj(x)
-        return self.ring.frobenius(x)
+        return x if self._map is None else self._map(x)
 
     def __eq__(self, other):
         return (
@@ -709,13 +713,10 @@ class Involution:
         return "Involution(%s, %s)" % (self.ring, self.name)
 
 
-_AUTO_INVOLUTION = {"Z": "id", "Q": "id", "GF": "id", "GF2": "frobenius", "CYC": "conj"}
-
-
 def parse_involution(ring: Ring, name: str) -> Involution:
-    """The involution called name on ring; "auto" picks one by ring kind."""
+    """The involution called name on ring; "auto" picks the ring's own."""
     if name == "auto":
-        name = _AUTO_INVOLUTION[ring.kind[0]]
+        name = ring._auto_involution
     return Involution(ring, name)
 
 

@@ -223,14 +223,10 @@ class Ideal:
         self.ctx = ctx
         self.basis = tuple(tuple(r) for r in basis)
         rows = [_sparse(ring, r) for r in self.basis]
-        # RREF: m entries per row, each row leads with a one, pivots ascend,
-        # and no row has an entry in another row's pivot column
-        pivots = [min(v, default=m) for v in rows]
-        if (any(len(r) != m for r in self.basis) or pivots != sorted(set(pivots))
-                or any(v.get(j) != ring.one() for v, j in zip(rows, pivots))
-                or sum(j in v for v in rows for j in pivots) != len(rows)):
-            raise ValueError("ideal rows are not in reduced row echelon form")
+        # RREF exactly when the rows are their span's canonical basis
         self.span = Echelon(ring, (dict(v) for v in rows))
+        if any(len(r) != m for r in self.basis) or self.span.rows(m) != list(self.basis):
+            raise ValueError("ideal rows are not in reduced row echelon form")
         images = _images(ctx)
         failures = (
             "not closed under %s delta_%d (row %d)" % (side, a, i)

@@ -556,6 +556,98 @@ def test_large_cyclic_grading_group(fx, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("k", ["1025", "1000000000"])
+def test_cyclic_grading_group_is_bounded(k, fx, tmp_path, capsys):
+    # the table and its groupoid have k^2 entries, so one record could
+    # exhaust memory; the bound is checked before either is built
+    body = (fx / "z2.gpd").read_text()
+    grd = write(tmp_path, "z2.grd", "grading\ngroup cyclic %s\nbegin groupoid\n%send\n" % (k, body))
+    start = time.perf_counter()
+    err = "error: line 2: cyclic group order %s exceeds 1024\n" % k
+    assert run(capsys, "validate", "grading", grd) == (1, "", err)
+    assert time.perf_counter() - start < 1.0
+
+
+# the least prime past each field bound, composites refused by size before
+# any primality test, and the least n past 1024; without the bounds each of
+# these still fails fast, where a large prime or n would hang or exhaust memory
+@pytest.mark.parametrize("spec,message", [
+    ("GF(1048583)", "GF(1048583) has more than 2^20 elements"),
+    ("GF(1000000000000000000)", "GF(1000000000000000000) has more than 2^20 elements"),
+    ("GF(1031^2)", "GF(1031^2) has more than 2^20 elements"),
+    ("GF(1025^2)", "GF(1025^2) has more than 2^20 elements"),
+    ("Q(zeta_1025)", "Q(zeta_1025): n may be at most 1024"),
+])
+def test_oversize_ring_spec_is_one_error(spec, message, fx, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", "--ring", spec, "--groupoid", str(fx / "z2.gpd"), "a.elt", "b.elt")
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err)
+    assert err == "error: %s\n" % message
+
+
+def test_largest_ring_specs_parse():
+    for spec, size in (("GF(1048573)", 1048573), ("GF(1021^2)", 1021 ** 2)):
+        assert T.parse_ring(spec).size == size
+    assert T.parse_ring("Q(zeta_1024)").degree == 512
+
+
+@pytest.fixture(scope="module")
+def emitted(fx, tmp_path_factory):
+    """One file of every kind the library writes: two fixtures, plus what
+    the verbs that write the rest made over z2."""
+    d = tmp_path_factory.mktemp("emitted")
+    for name in ("z2.gpd", "z2_neg.coc", "z2_triv.coc"):
+        shutil.copy(fx / name, d)
+    gpd, neg, triv, twi = (str(d / x) for x in ("z2.gpd", "z2_neg.coc", "z2_triv.coc", "twist.twi"))
+    elt = write(d, "e.elt", "element\ncoeff 1 1\n")
+    T.write_grading(str(d / "z2.grd"), T.Grading(T.build("z2"), T.cyclic_group(2), [0, 1]))
+    for argv in (["twist", "build", gpd, neg], ["twist", "section", twi], ["twist", "iso", twi, twi],
+                 ["cohomologous", neg, triv], ["decompose", "--groupoid", gpd, elt],
+                 ["ideal", "gen", "--ring", "GF(3)", gpd, elt]):
+        assert quiet_main(argv + ["--out", str(d)]) == 0
+    return d
+
+
+def truncated(emitted, tmp_path, name, keep):
+    """name cut to its first keep lines.  A bare `element`, `section` or
+    `morphism` line is a whole (empty) file, so those are cut to nothing."""
+    lines = (emitted / name).read_text().splitlines(keepends=True)
+    assert len(lines) > keep
+    return write(tmp_path, name, "".join(lines[:keep]))
+
+
+# (file, lines kept, argv reading the cut file through path)
+TRUNCATED_CLI = [
+    ("z2.gpd", 1, lambda cut, path: ["validate", "groupoid", cut]),
+    ("z2_neg.coc", 1, lambda cut, path: ["validate", "cocycle", cut]),
+    ("z2.grd", 1, lambda cut, path: ["validate", "grading", cut]),
+    ("twist.twi", 1, lambda cut, path: ["validate", "twist", cut]),
+    ("e.elt", 0, lambda cut, path: ["star", "--groupoid", path("z2.gpd"), cut]),
+    ("ideal.idl", 1, lambda cut, path: ["ideal", "member", "--ring", "GF(3)", path("z2.gpd"),
+                                        cut, path("e.elt")]),
+]
+
+
+@pytest.mark.parametrize("name,keep,argv", TRUNCATED_CLI)
+def test_truncated_file_is_unexpected_end(name, keep, argv, emitted, tmp_path, capsys):
+    cut = truncated(emitted, tmp_path, name, keep)
+    out = run(capsys, *argv(cut, lambda x: str(emitted / x)))
+    assert out == (1, "", "error: unexpected end of file\n")
+
+
+# the kinds no verb reads back
+@pytest.mark.parametrize("name,keep,reader", [
+    ("section.sec", 0, T.read_section),
+    ("morphism.mor", 0, T.read_morphism),
+    ("coboundary.cob", 1, T.read_coboundary),
+    ("parts.dec", 1, lambda p: T.read_decomposition(p, T.parse_ring("Q"))),
+])
+def test_truncated_artifact_is_unexpected_end(name, keep, reader, emitted, tmp_path):
+    with pytest.raises(ValueError, match="^unexpected end of file$"):
+        reader(truncated(emitted, tmp_path, name, keep))
+
+
 def z2_neg_twist_text():
     return "\n".join(T.serialize_twist(T.build_twist(T.build("z2"), T.z2_neg_cocycle()))) + "\n"
 

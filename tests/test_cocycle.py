@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -565,3 +566,70 @@ def test_cocycle_and_grading_equality_ignore_the_flag():
     assert_flag_ignored(T.z2_neg_cocycle, T.check_cocycle)
     g = T.build("pair2")
     assert_flag_ignored(lambda: T.Grading(g, T.IntGroup(), [0, -1, 1, 0]), T.check_grading)
+
+
+# --- the integer kernel on matrices without unit entries ---------------------
+
+
+def non_unit_matrices():
+    """Integer matrices with no entry +-1, so no pivot is a unit: two fixed
+    ones and seeded random ones up to 4 x 3."""
+    rnd = random.Random(20)
+    entries = [0, 0, 2, -2, 3, -3, 4, -4, 5, 6, -6]
+    out = [([[2, 3], [4, 5]], 2), ([[6, 4], [4, 6]], 2)]
+    for _ in range(40):
+        rows, cols = rnd.randint(1, 4), rnd.randint(1, 3)
+        out.append(([[rnd.choice(entries) for _ in range(cols)] for _ in range(rows)], cols))
+    return out
+
+
+def test_diagonalize_replays_to_the_diagonal():
+    """U * A * V = D, with U replayed from ops and D the returned diagonal;
+    V has determinant +-1."""
+    remainders = 0
+    for mat, cols in non_unit_matrices():
+        d, v, ops = C._diagonalize(mat, cols)
+        ua = [list(r) for r in mat]
+        for i, t, q in ops:
+            if q is None:
+                ua[i], ua[t] = ua[t], ua[i]
+            else:
+                ua[i] = [x - q * y for x, y in zip(ua[i], ua[t])]
+            # a row op whose pivot does not divide its column leaves a remainder
+            remainders += q is not None and ua[i][t] != 0
+        uav = [[sum(r[k] * v[k][j] for k in range(cols)) for j in range(cols)] for r in ua]
+        assert uav == [[d[i] if i == j else 0 for j in range(cols)] for i in range(len(mat))]
+        assert abs(_det(v)) == 1
+    assert remainders > 0
+
+
+def _det(m):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+def test_solve_mod_matches_brute_force(n):
+    """x solves A x = b mod n exactly when a solution exists, and the kernel
+    orders and columns sum directly to every solution of A x = 0."""
+    rnd = random.Random(n)
+    for mat, cols in non_unit_matrices():
+        diag = C._diagonalize(mat, cols)
+        space = list(itertools.product(range(n), repeat=cols))
+
+        def image(x):
+            return [sum(a * xi for a, xi in zip(row, x)) % n for row in mat]
+
+        homogeneous = {x for x in space if not any(image(x))}
+        for rhs in ([0] * len(mat), image(rnd.choice(space)),
+                    [rnd.randrange(n) for _ in mat]):
+            solutions = {x for x in space if image(x) == rhs}
+            x, kernel = C._solve_mod(diag, rhs, n)
+            assert (x is None) == (not solutions)
+            assert x is None or tuple(x) in solutions
+            spanned = {tuple(sum(k * c[i] for k, (_, c) in zip(ks, kernel)) % n for i in range(cols))
+                       for ks in itertools.product(*(range(order) for order, _ in kernel))}
+            assert spanned == homogeneous
+            assert len(homogeneous) == math.prod(order for order, _ in kernel)

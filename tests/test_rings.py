@@ -329,3 +329,61 @@ def test_cyclotomic_integer_kernel_matches_fractions(n):
     for _ in range(n):
         power = r.mul(power, z)
     assert power == r.one()
+
+
+# --- the ring layer's outward text -------------------------------------------
+
+
+def test_ring_reprs_are_their_specs():
+    for spec in ("Z", "Q", "GF(2)", "GF(5)", "GF(2^2)", "GF(3^2)", "Q(zeta_1)", "Q(zeta_8)"):
+        assert repr(T.parse_ring(spec)) == spec
+    assert repr(T.parse_involution(T.parse_ring("GF(3^2)"), "auto")) == "Involution(GF(3^2), frobenius)"
+    assert repr(T.unit_subgroup(T.parse_ring("GF(5)"), 4)) == "UnitSubgroup(order=4, gen=2)"
+
+
+def _message(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("spec,msg", [
+    ("R", "unknown ring spec 'R'"),
+    ("GF(p)", "unknown ring spec 'GF(p)'"),
+    ("GF(3^3)", "unknown ring spec 'GF(3^3)'"),
+    ("GF(4)", "GF(4): modulus must be prime"),
+    ("GF(0)", "GF(0): modulus must be prime"),
+    ("GF(6^2)", "GF(6^2): p must be prime"),
+    ("GF(1^2)", "GF(1^2): p must be prime"),
+    ("Q(zeta_0)", "Q(zeta_n) needs n >= 1"),
+])
+def test_parse_ring_refusal_messages(spec, msg):
+    assert _message(T.parse_ring, spec) == msg
+
+
+@pytest.mark.parametrize("spec,n,msg", [
+    ("Z", 0, "subgroup order must be positive"),
+    ("Z", 3, "Z has no order-3 unit subgroup"),
+    ("Q", 4, "Q has no order-4 unit subgroup"),
+    ("GF(5)", 3, "GF(5)^x has no order-3 subgroup"),
+    ("GF(2)", 2, "GF(2)^x has no order-2 subgroup"),
+    ("GF(3^2)", 5, "GF(3^2)^x has no order-5 subgroup"),
+    ("Q(zeta_4)", 3, "Q(zeta_4) has no canonical order-3 subgroup"),
+    ("Q(zeta_3)", 4, "Q(zeta_3) has no canonical order-4 subgroup"),
+])
+def test_unit_subgroup_refusal_messages(spec, n, msg):
+    assert _message(T.unit_subgroup, T.parse_ring(spec), n) == msg
+
+
+@pytest.mark.parametrize("spec,name,msg", [
+    ("Q", "conj", "conj is only defined on cyclotomic fields"),
+    ("GF(3^2)", "conj", "conj is only defined on cyclotomic fields"),
+    ("GF(3)", "frobenius", "frobenius is only defined on GF(p^2)"),
+    ("Q(zeta_4)", "frobenius", "frobenius is only defined on GF(p^2)"),
+    ("Q", "hermitian", "unknown involution 'hermitian'"),
+    ("Q(zeta_4)", "none", "unknown involution 'none'"),
+])
+def test_involution_refusal_messages(spec, name, msg):
+    ring = T.parse_ring(spec)
+    assert _message(T.parse_involution, ring, name) == msg
+    assert _message(T.Involution, ring, name) == msg
