@@ -7,10 +7,10 @@ involution on the ring that inverts the subgroup.  Every function on a
 finite discrete groupoid is locally constant with compact support, so the
 algebra is the free module on the arrows; nothing else needs tracking.
 
-Multiplication is the cocycle-twisted convolution, summed over composable
-factorizations taken from the two supports.  The star operation combines
-the inverse map, the cocycle value at (arrow, inverse), and the ring
-involution.  The equivariant picture lives in EquivContext /
+Multiplication is the cocycle-twisted convolution, read off the context's
+one regular-representation table (Context.regular).  The star operation
+combines the inverse map, the cocycle value at (arrow, inverse), and the
+ring involution.  The equivariant picture lives in EquivContext /
 EquivariantElement: functions on a twist's total groupoid that scale along
 fibers, encoded by their values on a chosen section; their convolution is
 computed from the twist's own tables (not through any cocycle), which
@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from . import rings
 from .cocycle import Cocycle, Grading, check_cocycle, check_grading, invert_cocycle
-from .groupoid import BindOnce, Groupoid, is_bisection
+from .groupoid import BindOnce, Groupoid, composable_pairs, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, induced_cocycle, unique_scalar
 
@@ -42,10 +42,10 @@ def _check_coefficients(ring: Ring, tgrp: UnitSubgroup, conj: Optional[Involutio
 
 class Context(BindOnce):
     """Everything an algebra element needs to multiply and star.  Its
-    fields bind once (BindOnce); _scan_tables is filled by
-    structure._scan_tables on the first exhaustive is_simple."""
+    fields bind once (BindOnce); regular() and structure._scan_tables fill
+    the private caches _regular and _scan_tables on first use."""
 
-    __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_scan_tables")
+    __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_regular", "_scan_tables")
 
     def __init__(
         self,
@@ -66,7 +66,25 @@ class Context(BindOnce):
         self.tgrp = tgrp
         self.coc = coc
         self.conj = conj
+        self._regular = None
         self._scan_tables = None
+
+    def regular(self):
+        """(left, right), built on the first call: how delta_a * v and
+        v * delta_a read off a sparse row v.  left[a] and right[a] list
+        entries (c, target, k), ascending in the arrow c composable with a
+        on that side, with target a c (resp. c a) and k the cocycle
+        exponent there, in 0..n-1.  Targets are distinct."""
+        if self._regular is None:
+            gpd, table = self.gpd, self.coc.table
+            left = [[] for _ in range(gpd.m)]
+            right = [[] for _ in range(gpd.m)]
+            for a, c in composable_pairs(gpd):
+                entry = gpd.comp[(a, c)], table[(a, c)]
+                left[a].append((c,) + entry)
+                right[c].append((a,) + entry)
+            self._regular = left, right
+        return self._regular
 
     def coc_val(self, a: int, b: int):
         """The ring value of the cocycle on a composable pair."""
@@ -172,19 +190,16 @@ def _same(f: Element, g: Element):
 
 
 def convolve(f: Element, g: Element) -> Element:
-    """(f g)(c) = sum over factorizations c = a b of coc(a,b) f(a) g(b)."""
+    """(f g)(t) = sum over t = a c of coc(a,c) f(a) g(c): for each a in
+    the support of f, the entries of left[a] whose c is in that of g."""
     _same(f, g)
     ctx = f.ctx
-    gpd, r, table, scale = ctx.gpd, ctx.ring, ctx.coc.table, ctx.tgrp.scale
+    r, scale, left, gc = ctx.ring, ctx.tgrp.scale, ctx.regular()[0], g.coeffs
     out: dict = {}
     for a, fa in f.coeffs.items():
-        sa = gpd.src[a]
-        for b, gb in g.coeffs.items():
-            if gpd.rng[b] != sa:
-                continue
-            c = gpd.comp[(a, b)]
-            term = scale(table[(a, b)], r.mul(fa, gb))
-            out[c] = r.add(out.get(c, r.zero()), term)
+        for c, t, k in left[a]:
+            if c in gc:
+                out[t] = r.add(out.get(t, r.zero()), scale(k, r.mul(fa, gc[c])))
     return Element(ctx, out)
 
 

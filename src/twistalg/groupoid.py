@@ -23,7 +23,9 @@ into per-arrow rows {c: ac}.  Associativity is checked on a generating set
 (ab)c = a(bc) for all composable a, c are closed under composition, so the
 triples whose middle lies in generating_set(g) decide it.  Each a is
 checked against a generator b on whole rows, (ab)c against a(bc) for every
-c at once.
+c at once.  generating_set walks once per groupoid and keeps the result in
+the private slot _generators, which validate_groupoid, validate_cocycle and
+the ideal closure test all read; each call hands out a new list.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class BindOnce:
 
 class Groupoid(BindOnce):
     __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng",
-                 "_coboundary_solve")
+                 "_generators", "_coboundary_solve")
 
     def __init__(self, units, src, rng, inv, comp):
         self.src = tuple(src)
@@ -85,6 +87,7 @@ class Groupoid(BindOnce):
         self.comp = MappingProxyType(dict(comp))
         self.checked = False
         self._by_rng = None
+        self._generators = None
         self._coboundary_solve = None  # filled by cocycle._coboundary_solve
 
     def arrows_by_rng(self):
@@ -130,22 +133,25 @@ def composable_triples(g: Groupoid):
 
 
 def generating_set(g: Groupoid) -> list:
-    """Greedy generators, ascending.  The units start out reached; each new
-    generator is the least arrow not yet reached, and the reached set is
-    kept closed under right composition with the generators.  Needs comp
-    defined on every composable pair."""
-    src, rng, comp = g.src, g.rng, g.comp
-    gens, reached = [], set(g.units)
-    for x in range(g.m):
-        if x not in reached:
-            gens.append(x)
-            todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
-            while todo:
-                y = todo.pop()
-                if y not in reached:
-                    reached.add(y)
-                    todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
-    return gens
+    """Greedy generators, ascending, as a new list.  The units start out
+    reached; each new generator is the least arrow not yet reached, and the
+    reached set is kept closed under right composition with the generators.
+    Needs comp defined on every composable pair.  The walk runs once per
+    groupoid, which keeps its result in g._generators."""
+    if g._generators is None:
+        src, rng, comp = g.src, g.rng, g.comp
+        gens, reached = [], set(g.units)
+        for x in range(g.m):
+            if x not in reached:
+                gens.append(x)
+                todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
+                while todo:
+                    y = todo.pop()
+                    if y not in reached:
+                        reached.add(y)
+                        todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
+        g._generators = tuple(gens)
+    return list(g._generators)
 
 
 def generator_middles(g: Groupoid):

@@ -116,6 +116,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class IntegerRing(Ring):
     kind = ("Z",)
 
@@ -203,12 +217,32 @@ class _FiniteField(Ring):
 
     is_field = True
 
+    def _power(self, x, e: int):
+        """x^e by square-and-multiply."""
+        out = self.one()
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
+
     def _unit_generator(self, n: int):
-        """The first element of exact order n in elements() order."""
-        if (self.size - 1) % n:
+        """The first element of exact order n in elements() order.  With g
+        the first primitive root, found by testing g^((q-1)/r) != 1 for each
+        prime r of q - 1, those elements are the powers h^k, gcd(k, n) = 1,
+        of h = g^((q-1)/n).  elements() ascends in the values themselves
+        (residues, or pairs compared lexicographically), so min is first."""
+        q1, one = self.size - 1, self.one()
+        if q1 % n:
             raise ValueError("%s^x has no order-%d subgroup" % (self, n))
-        return next(x for x in self.elements()
-                    if not self.is_zero(x) and _multiplicative_order(self, x, n) == n)
+        primes = _prime_factors(q1)
+        g = next(x for x in self.elements() if not self.is_zero(x)
+                 and all(self._power(x, q1 // r) != one for r in primes))
+        h, powers = self._power(g, q1 // n), [one]
+        for _ in range(n - 1):
+            powers.append(self.mul(powers[-1], h))
+        return min(x for k, x in enumerate(powers) if gcd(k, n) == 1)
 
 
 class PrimeField(_FiniteField):
@@ -654,15 +688,6 @@ class UnitSubgroup:
 
     def __repr__(self):
         return "UnitSubgroup(order=%d, gen=%s)" % (self.order, self.ring.fmt(self.generator))
-
-
-def _multiplicative_order(ring, x, bound):
-    cur = x
-    for k in range(1, bound + 1):
-        if cur == ring.one():
-            return k
-        cur = ring.mul(cur, x)
-    return None
 
 
 def unit_subgroup(ring: Ring, n: int) -> UnitSubgroup:

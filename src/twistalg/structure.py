@@ -17,7 +17,8 @@ sides for each generator s is closed under every delta_a.  The units stay
 in the set because a unit need not be such a word: pair1 + pair1 has no
 generator at all, and there the span of delta_0 + delta_1 passes the
 generators but is not an ideal.  _images reads those one-sided products
-off one table (_one_sided), which the simplicity scan shares.
+off the context's regular-representation table (Context.regular), which
+convolve and the simplicity scan share.
 
 The test runs once per ideal.  An Ideal given a basis (by a caller, a file
 or the structural certificate) checks that the basis is RREF and closed.
@@ -68,7 +69,6 @@ from typing import Iterable
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
 from .cocycle import Grading, check_grading, kernel_arrows
 from .groupoid import (
-    composable_pairs,
     generating_set,
     is_effective,
     is_minimal,
@@ -169,31 +169,11 @@ def reduce_against(ring, basis: list, vec) -> list:
     return [rem.get(j, ring.zero()) for j in range(len(vec))]
 
 
-def _one_sided(ctx: Context):
-    """How delta_a * v and v * delta_a read off a sparse row v: left[a] and
-    right[a] list entries (c, target, k), ascending in the arrow c
-    composable with a on that side, with target a c (resp. c a) and k the
-    cocycle exponent there, in 0..n-1.  Targets are distinct."""
-    gpd, table = ctx.gpd, ctx.coc.table
-    left = [[] for _ in range(gpd.m)]
-    right = [[] for _ in range(gpd.m)]
-    for a, c in composable_pairs(gpd):
-        entry = gpd.comp[(a, c)], table[(a, c)]
-        left[a].append((c,) + entry)
-        right[c].append((a,) + entry)
-    return left, right
-
-
-def _apply(tgrp, entries, v: dict) -> dict:
-    """The sparse row, with no zeros, that an entry list reads off v."""
-    return {t: tgrp.scale(k, v[c]) for c, t, k in entries if c in v}
-
-
 def _images(ctx: Context):
-    """The closure test's arrows, read off one _one_sided table: a function
+    """The closure test's arrows, read off the context's table: a function
     of a sparse row v that yields (a, side, delta_a v or v delta_a) for a
     in the units and the generators, ascending, left before right."""
-    left, right = _one_sided(ctx)
+    left, right = ctx.regular()
     tgrp = ctx.tgrp
     arms = [(a, side, entries)
             for a in sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
@@ -201,7 +181,7 @@ def _images(ctx: Context):
 
     def images(v: dict):
         for a, side, entries in arms:
-            yield a, side, _apply(tgrp, entries, v)
+            yield a, side, {t: tgrp.scale(k, v[c]) for c, t, k in entries if c in v}
     return images
 
 
@@ -366,7 +346,7 @@ def _product_recipes(ctx: Context):
     Recipes are emitted round-robin across the range classes of the left
     factor so that a rank scan touches many pivot positions early."""
     gpd, n = ctx.gpd, ctx.tgrp.order
-    left, right = _one_sided(ctx)
+    left, right = ctx.regular()
     right = [{c: (t, k) for c, t, k in rb} for rb in right]
     buckets = {}
     for a in range(gpd.m):

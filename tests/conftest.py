@@ -118,6 +118,41 @@ def random_nonzero(ctx, rnd: random.Random, density: float = 0.6):
             return f
 
 
+def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None, extra=()):
+    """Every catalog groupoid, then each extra groupoid (whose algebra has
+    at most max_size elements, if given): untwisted, with its shipped
+    cocycles, with a sample of its enumerated ones (the given orders,
+    searches over 20,000 nodes skipped) and with a seeded order-4
+    coboundary, wherever the ring has the unit group."""
+    ring = T.parse_ring(ring_spec)
+
+    def has_units(n):
+        try:
+            return T.unit_subgroup(ring, n)
+        except ValueError:
+            return None
+
+    shipped = [(T.build(name), T.fixture_cocycles(name).values()) for name in T.CATALOG]
+    for g, fixtures in shipped + [(g, ()) for g in extra]:
+        if max_size and ring.size ** g.m > max_size:
+            continue
+        cocs = [T.trivial_cocycle(g, 1)] + list(fixtures)
+        for n in orders:
+            if has_units(n) is None:
+                continue
+            try:
+                found = T.enumerate_cocycles(g, n, cap=20000)
+            except ValueError:
+                continue
+            cocs += found[:: max(1, len(found) // 3)]
+        b = [0 if a in g.unit_set else rnd.randrange(4) for a in range(g.m)]
+        cocs.append(T.apply_coboundary(T.trivial_cocycle(g, 4), b))
+        for coc in cocs:
+            tgrp = has_units(coc.n)
+            if tgrp is not None:
+                yield T.Context(g, ring, tgrp, coc)
+
+
 # --- read-only tables and the validation gate -----------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
-from conftest import carry_cocycle, make_context, random_element, random_nonzero
+from conftest import carry_cocycle, make_context, random_element, random_nonzero, table_contexts
 
 
 def ctx_q_pair2():
@@ -107,6 +107,32 @@ def test_delta_product_non_composable_is_zero():
     ctx = ctx_q_pair2()
     # arrows 1 and 1: src(1) = 1, rng(1) = 0, not composable with itself
     assert T.convolve(T.delta(ctx, 1), T.delta(ctx, 1)) == T.zero(ctx)
+
+
+def brute_convolve(f, g) -> dict:
+    """f g as a sum over every (a, c) in the composition table, with the
+    cocycle value g^k multiplied out of the subgroup's generator: the
+    product rule read off the raw tables, sharing nothing with convolve."""
+    ctx, r = f.ctx, f.ctx.ring
+    out = {}
+    for (a, c), t in ctx.gpd.comp.items():
+        term = r.mul(f.value(a), g.value(c))
+        for _ in range(ctx.coc.table[(a, c)]):
+            term = r.mul(ctx.tgrp.generator, term)
+        out[t] = r.add(out.get(t, r.zero()), term)
+    return {t: x for t, x in out.items() if not r.is_zero(x)}
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(5)", "GF(3^2)", "Q", "Q(zeta_4)"])
+def test_convolve_matches_brute_force_sum(ring_spec):
+    rnd = random.Random("brute/" + ring_spec)
+    twisted = 0
+    for ctx in table_contexts(ring_spec, rnd):
+        twisted += any(ctx.coc.table.values())
+        for _ in range(3):
+            f, g = random_element(ctx, rnd), random_element(ctx, rnd, density=0.4)
+            assert T.convolve(f, g).coeffs == brute_convolve(f, g)
+    assert twisted >= len(T.CATALOG)
 
 
 @pytest.mark.parametrize("maker", [ctx_q_pair2, ctx_gf3_z2_neg, ctx_cyc_z4_carry])

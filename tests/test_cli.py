@@ -568,6 +568,22 @@ def test_cyclic_grading_group_is_bounded(k, fx, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n", [1000, 100000])
+def test_twist_order_is_bounded(n, fx, tmp_path, capsys):
+    # the z2_neg file at order n would build a total groupoid with 4 n^2
+    # composable pairs; build_twist refuses it before allocating any
+    text = (fx / "z2_neg.coc").read_text()
+    assert len(text.splitlines()) == 13
+    coc = write(tmp_path, "big.coc", text.replace("order 2\n", "order %d\n" % n))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "build", str(fx / "z2.gpd"), coc, "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err)
+    assert err == ("error: twist would have %d composable pairs, |base.comp| * n^2 = 4 * %d^2,"
+                   " more than 2^20\n" % (4 * n * n, n))
+    assert not (tmp_path / "twist.twi").exists()
+
+
 # the least prime past each field bound, composites refused by size before
 # any primality test, and the least n past 1024; without the bounds each of
 # these still fails fast, where a large prime or n would hang or exhaust memory
@@ -584,6 +600,15 @@ def test_oversize_ring_spec_is_one_error(spec, message, fx, capsys):
     assert time.perf_counter() - start < 1.0
     assert_one_error_line(code, out, err)
     assert err == "error: %s\n" % message
+
+
+def test_unit_subgroup_of_the_largest_quadratic_field_is_fast(fx, tmp_path, capsys):
+    # -1, the element of order 2, comes last in GF(1021^2)'s elements()
+    dg = write(tmp_path, "dg.elt", "element\ncoeff 1 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mul", "--ring", "GF(1021^2)", "--cocycle", str(fx / "z2_neg.coc"), dg, dg)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "element\ncoeff 0 1020\n")
 
 
 def test_largest_ring_specs_parse():

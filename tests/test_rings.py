@@ -158,6 +158,32 @@ def test_unit_subgroup_generators():
         T.unit_subgroup(RINGS["Z"], 3)
 
 
+def first_of_order_by_walk(ring, n):
+    """The first element of exact order n in elements() order, by a walk
+    that takes every element's order in turn."""
+    for x in ring.elements():
+        if ring.is_zero(x):
+            continue
+        cur, k = x, 1
+        while cur != ring.one():
+            cur, k = ring.mul(cur, x), k + 1
+        if k == n:
+            return x
+
+
+def test_unit_generator_matches_the_walk():
+    specs = ["GF(%d)" % p for p in range(2, 122) if all(p % d for d in range(2, p))]
+    specs += ["GF(%d^2)" % p for p in (2, 3, 5, 7, 11)]
+    checked = 0
+    for spec in specs:
+        ring = T.parse_ring(spec)
+        for n in range(1, ring.size):
+            if (ring.size - 1) % n == 0:
+                assert T.unit_subgroup(ring, n).generator == first_of_order_by_walk(ring, n), (spec, n)
+                checked += 1
+    assert checked > 200
+
+
 def test_unit_subgroup_embed_exponent():
     tgrp = T.unit_subgroup(RINGS["GF(5)"], 4)
     for k in range(8):

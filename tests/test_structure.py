@@ -9,7 +9,9 @@ import pytest
 
 import twistalg as T
 from twistalg import structure as S
-from conftest import carry_cocycle, count_calls, make_context, random_nonzero, relabel_groupoid
+from conftest import (
+    carry_cocycle, count_calls, make_context, random_nonzero, relabel_groupoid, table_contexts,
+)
 
 GF2 = T.parse_ring("GF(2)")
 GF3 = T.parse_ring("GF(3)")
@@ -131,41 +133,6 @@ def test_ideal_kernel_matches_dense_rank(gname, p):
 # --- the delta-product table against convolve --------------------------------------
 
 
-def table_contexts(ring_spec, rnd, orders=(2, 4), max_size=None, extra=()):
-    """Every catalog groupoid, then each extra groupoid (whose algebra has
-    at most max_size elements, if given): untwisted, with its shipped
-    cocycles, with a sample of its enumerated ones (the given orders,
-    searches over 20,000 nodes skipped) and with a seeded order-4
-    coboundary, wherever the ring has the unit group."""
-    ring = T.parse_ring(ring_spec)
-
-    def has_units(n):
-        try:
-            return T.unit_subgroup(ring, n)
-        except ValueError:
-            return None
-
-    shipped = [(T.build(name), T.fixture_cocycles(name).values()) for name in T.CATALOG]
-    for g, fixtures in shipped + [(g, ()) for g in extra]:
-        if max_size and ring.size ** g.m > max_size:
-            continue
-        cocs = [T.trivial_cocycle(g, 1)] + list(fixtures)
-        for n in orders:
-            if has_units(n) is None:
-                continue
-            try:
-                found = T.enumerate_cocycles(g, n, cap=20000)
-            except ValueError:
-                continue
-            cocs += found[:: max(1, len(found) // 3)]
-        b = [0 if a in g.unit_set else rnd.randrange(4) for a in range(g.m)]
-        cocs.append(T.apply_coboundary(T.trivial_cocycle(g, 4), b))
-        for coc in cocs:
-            tgrp = has_units(coc.n)
-            if tgrp is not None:
-                yield T.Context(g, ring, tgrp, coc)
-
-
 def two_sided_pairs(gpd):
     """The arrow pairs (a, b) with delta_a * v * delta_b not always zero,
     round-robin over the range of a, each range class in ascending (a, b)."""
@@ -203,6 +170,11 @@ def closers(gpd):
     return sorted(set(gpd.units) | set(T.generating_set(gpd)))
 
 
+def read_off(ctx, entries, f):
+    """The sparse row that a list of (c, target, k) entries reads off f."""
+    return {t: ctx.tgrp.scale(k, f.coeffs[c]) for c, t, k in entries if c in f.coeffs}
+
+
 @pytest.mark.parametrize("ring_spec", ["GF(3)", "GF(5)", "Q(zeta_4)"])
 def test_product_table_matches_convolve(ring_spec):
     rnd = random.Random(ring_spec)
@@ -210,18 +182,18 @@ def test_product_table_matches_convolve(ring_spec):
     for ctx in table_contexts(ring_spec, rnd):
         seen += 1
         ring, m = ctx.ring, ctx.gpd.m
-        left, right = S._one_sided(ctx)
+        left, right = ctx.regular()
         recipes = S._product_recipes(ctx)
         pairs = two_sided_pairs(ctx.gpd)
         assert len(recipes) == len(pairs)
         f = random_nonzero(ctx, rnd)
         for a in range(m):
             d = T.delta(ctx, a)
-            assert S._apply(ctx.tgrp, left[a], f.coeffs) == T.convolve(d, f).coeffs
-            assert S._apply(ctx.tgrp, right[a], f.coeffs) == T.convolve(f, d).coeffs
+            assert read_off(ctx, left[a], f) == T.convolve(d, f).coeffs
+            assert read_off(ctx, right[a], f) == T.convolve(f, d).coeffs
         for recipe, (a, b) in zip(recipes, pairs):
             want = T.convolve(T.convolve(T.delta(ctx, a), f), T.delta(ctx, b))
-            assert S._apply(ctx.tgrp, recipe, f.coeffs) == want.coeffs
+            assert read_off(ctx, recipe, f) == want.coeffs
         basis = T.rref(ring, [T.to_vec(random_nonzero(ctx, rnd)) for _ in range(1 + seen % 2)])
         # the verdict comes from every arrow; a failure is named at the
         # first units and generators that show it
@@ -306,17 +278,17 @@ def test_units_stay_among_the_closers():
 
 def test_closure_check_stops_at_three_violations(monkeypatch):
     calls = []
-    apply = S._apply
-    monkeypatch.setattr(S, "_apply", lambda *args: calls.append(1) or apply(*args))
+    remainder = S.Echelon.remainder
+    monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: calls.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair4"), "GF(3)")
     # delta_1, delta_2, delta_3: the first row of matrix units off the
     # diagonal; its third failure, left delta_8, is the 13th one-sided check
     basis = T.rref(GF3, [T.to_vec(T.delta(ctx, a)) for a in (1, 2, 3)])
     with pytest.raises(ValueError) as exc:
         T.Ideal(ctx, basis)
+    assert len(calls) == 13 < 2 * len(closers(ctx.gpd)) * len(basis)
     assert str(exc.value) == convolve_closure_message(ctx, basis, closers(ctx.gpd))
     assert str(exc.value).endswith("left delta_8 (row 0)")
-    assert len(calls) == 13 < 2 * len(closers(ctx.gpd)) * len(basis)
 
 
 def pinned_ideals():
@@ -371,18 +343,42 @@ def test_generated_ideals_match_the_product_span():
 
 def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
     built, reduced = [], []
-    one_sided, remainder = S._one_sided, S.Echelon.remainder
-    monkeypatch.setattr(S, "_one_sided", lambda ctx: built.append(1) or one_sided(ctx))
+    regular, remainder = T.Context.regular, S.Echelon.remainder
+    # a call that finds the context's table empty builds it
+    monkeypatch.setattr(T.Context, "regular", lambda ctx: built.append(ctx._regular is None) or regular(ctx))
     monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: reduced.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair2_pair2"), "GF(3)")
     ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
     assert 0 < ideal.dim < ctx.gpd.m
-    assert (len(built), len(reduced)) == (1, 0)
+    assert (built, len(reduced)) == ([True], 0)
     # a basis handed to Ideal is checked in full: a reduction per row,
     # closer and side
     assert T.Ideal(ctx, ideal.basis) == ideal
-    assert len(built) == 2
     assert len(reduced) == ideal.dim * len(closers(ctx.gpd)) * 2
+    # products and the exhaustive scan read the same table
+    assert T.convolve(T.delta(ctx, 1), T.one(ctx)) == T.delta(ctx, 1)
+    assert T.is_simple(ctx, mode="exhaustive").simple is False
+    assert built == [True, False, False, False]
+
+
+def test_generating_set_walks_once_per_groupoid(monkeypatch):
+    walks, original = [], T.groupoid.generating_set
+
+    def counted(g):
+        walks.append(g._generators is None)
+        return original(g)
+    for module in (T.groupoid, S):
+        monkeypatch.setattr(module, "generating_set", counted)
+    g = T.pair_groupoid(3)
+    coc = T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
+    ctx = T.Context(g, GF3, T.unit_subgroup(GF3, 2), coc)
+    assert T.ideal_generated(ctx, [T.delta(ctx, 1)]).dim == g.m
+    # check_groupoid, check_cocycle and the closure test
+    assert walks == [True, False, False]
+    # each call hands out a new list, and changing one leaves the cache be
+    gens = T.generating_set(g)
+    gens.append(0)
+    assert T.generating_set(g) == gens[:-1] == list(g._generators)
 
 
 # --- ideals ---------------------------------------------------------------------
