@@ -75,7 +75,7 @@ class BindOnce:
 
 class Groupoid(BindOnce):
     __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng",
-                 "_generators", "_coboundary_solve")
+                 "_by_src", "_generators", "_coboundary_solve")
 
     def __init__(self, units, src, rng, inv, comp):
         self.src = tuple(src)
@@ -87,17 +87,28 @@ class Groupoid(BindOnce):
         self.comp = MappingProxyType(dict(comp))
         self.checked = False
         self._by_rng = None
+        self._by_src = None
         self._generators = None
         self._coboundary_solve = None  # filled by cocycle._coboundary_solve
+
+    def _arrows_by(self, ends) -> dict:
+        """unit -> sorted tuple of the arrows a with ends[a] == unit."""
+        by = {u: [] for u in self.units}
+        for a, x in enumerate(ends):
+            by.setdefault(x, []).append(a)
+        return {u: tuple(v) for u, v in by.items()}
 
     def arrows_by_rng(self):
         """unit -> sorted tuple of arrows with that range (cached)."""
         if self._by_rng is None:
-            by = {u: [] for u in self.units}
-            for a in range(self.m):
-                by.setdefault(self.rng[a], []).append(a)
-            self._by_rng = {u: tuple(v) for u, v in by.items()}
+            self._by_rng = self._arrows_by(self.rng)
         return self._by_rng
+
+    def arrows_by_src(self):
+        """unit -> sorted tuple of arrows with that source (cached)."""
+        if self._by_src is None:
+            self._by_src = self._arrows_by(self.src)
+        return self._by_src
 
     def __eq__(self, other):
         return (
@@ -157,9 +168,7 @@ def generating_set(g: Groupoid) -> list:
 def generator_middles(g: Groupoid):
     """(b, left, right) for each generator b: the arrows a with ab defined
     and the arrows c with bc defined."""
-    by_rng, by_src = g.arrows_by_rng(), {}
-    for a in range(g.m):
-        by_src.setdefault(g.src[a], []).append(a)
+    by_rng, by_src = g.arrows_by_rng(), g.arrows_by_src()
     for b in generating_set(g):
         yield b, by_src.get(g.rng[b], ()), by_rng.get(g.src[b], ())
 

@@ -31,6 +31,14 @@ cover the identity, conj and the Frobenius; the name "auto" picks conj on
 Q(zeta_n), the Frobenius on GF(p^2) and the identity on the other kinds.
 No floating point anywhere.
 
+The unit group of a finite field GF(q) is cyclic.  Each finite field
+finds its first primitive root g in elements() order (_primitive_root) and
+keeps, from the first call of _logs on, a discrete-log table: antilog[i]
+= g^i for i < q - 1 and log its inverse, so a product of nonzero elements
+is a sum of logs mod q - 1.  The exhaustive simplicity scan works in those
+coordinates.  Q(zeta_n) keeps the powers of zeta as integer coordinates
+and makes their Fraction tuples on demand.
+
 Each ring class carries its kind: its spec (its repr), its "auto"
 involution and its canonical unit generators.  As building a ring and
 searching its units grow with it, parse_ring accepts GF(p) and GF(p^2)
@@ -216,6 +224,7 @@ class _FiniteField(Ring):
     """GF(p) and GF(p^2)."""
 
     is_field = True
+    _log_tables = None  # filled by _logs
 
     def _power(self, x, e: int):
         """x^e by square-and-multiply."""
@@ -227,19 +236,35 @@ class _FiniteField(Ring):
             e >>= 1
         return out
 
+    def _primitive_root(self):
+        """The first generator of the unit group in elements() order: the
+        first x with x^((q-1)/r) != 1 for each prime r of q - 1."""
+        q1, one = self.size - 1, self.one()
+        primes = _prime_factors(q1)
+        return next(x for x in self.elements() if not self.is_zero(x)
+                    and all(self._power(x, q1 // r) != one for r in primes))
+
+    def _logs(self):
+        """(log, antilog) to the base _primitive_root(): antilog[i] is g^i
+        for i < q - 1, and log maps each nonzero element back to its i.
+        Built on the first call and kept on the ring."""
+        if self._log_tables is None:
+            g, antilog = self._primitive_root(), [self.one()]
+            for _ in range(self.size - 2):
+                antilog.append(self.mul(antilog[-1], g))
+            self._log_tables = {x: i for i, x in enumerate(antilog)}, antilog
+        return self._log_tables
+
     def _unit_generator(self, n: int):
         """The first element of exact order n in elements() order.  With g
-        the first primitive root, found by testing g^((q-1)/r) != 1 for each
-        prime r of q - 1, those elements are the powers h^k, gcd(k, n) = 1,
-        of h = g^((q-1)/n).  elements() ascends in the values themselves
-        (residues, or pairs compared lexicographically), so min is first."""
+        the first primitive root, those elements are the powers h^k,
+        gcd(k, n) = 1, of h = g^((q-1)/n).  elements() ascends in the values
+        themselves (residues, or pairs compared lexicographically), so min
+        is first."""
         q1, one = self.size - 1, self.one()
         if q1 % n:
             raise ValueError("%s^x has no order-%d subgroup" % (self, n))
-        primes = _prime_factors(q1)
-        g = next(x for x in self.elements() if not self.is_zero(x)
-                 and all(self._power(x, q1 // r) != one for r in primes))
-        h, powers = self._power(g, q1 // n), [one]
+        h, powers = self._power(self._primitive_root(), q1 // n), [one]
         for _ in range(n - 1):
             powers.append(self.mul(powers[-1], h))
         return min(x for k, x in enumerate(powers) if gcd(k, n) == 1)
@@ -448,19 +473,24 @@ class CyclotomicField(Ring):
             top = w.pop()
             powers.append([c - top * p for c, p in zip(w, self.modulus)])
         self._zeta_ints = powers
-        self.zeta_powers = [_fractions(p, 1) for p in powers]
+        self._one = _fractions(powers[0], 1)
+
+    @property
+    def zeta_powers(self) -> list:
+        """zeta^k for k = 0..n-1 as Fraction tuples, built on each read."""
+        return [self.zeta(k) for k in range(self.n)]
 
     def zero(self):
         return tuple([Fraction(0)] * self.degree)
 
     def one(self):
-        return self.zeta_powers[0]
+        return self._one
 
     def is_zero(self, x):
         return not any(x)
 
     def zeta(self, k: int = 1):
-        return self.zeta_powers[k % self.n]
+        return _fractions(self._zeta_ints[k % self.n], 1)
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))

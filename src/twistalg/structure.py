@@ -55,8 +55,14 @@ v does.  Once v passes its rank scan, each recipe's image of v, scaled so
 that its first nonzero coefficient is the scan's lead, joins a set, and a
 later candidate found there passes without a scan.  The set holds each
 vector as one integer, its digits (positions in ring.elements()) read in
-base q, which keeps it a fraction of the size of a set of tuples.  Both lemmas skip only
-candidates that pass, so the verdict and certificate are the full scan's.
+base q, which keeps it a fraction of the size of a set of tuples.  The
+orbit is worked out in discrete-log coordinates: the nonzero elements of
+GF(q) are the powers of a primitive root (Lidl and Niederreiter, Finite
+Fields, ch. 9), so with the ring's log and antilog tables every product
+and rescaling is an integer sum mod q - 1 and every digit one lookup,
+without ring arithmetic.  A candidate's own code is read off its index in
+the enumeration.  Both lemmas skip only candidates that pass, so the
+verdict and certificate are the full scan's.
 The recipes are built once per context (_scan_tables).
 """
 
@@ -389,38 +395,40 @@ def _orbit(tgrp, place, digit, vec, recipes) -> set:
     """The codes of every nonzero delta_a vec delta_b, each scaled so that
     its first nonzero coefficient is vec's.  A vector's code is the sum of
     digit[x_i] * place[i]; on a group each of these vectors generates the
-    ideal vec does (module docstring)."""
-    ring, powers = tgrp.ring, tgrp.powers
-    v = _sparse(ring, vec)
+    ideal vec does (module docstring).  Entries travel as discrete logs
+    (ring._logs): g^k v_c is log g^k + log v_c, and the scaling adds
+    log lead - log of the first entry, mod q - 1."""
+    log, antilog = tgrp.ring._logs()
+    q1, exps = len(antilog), [log[p] for p in tgrp.powers]
+    v = {c: log[x] for c, x in enumerate(vec) if x in log}
     lead = v[min(v)]
     out = set()
     for recipe in recipes:
-        w = {}
-        for c, t, k in recipe:
-            if c in v:
-                w[t] = ring.mul(powers[k], v[c]) if k else v[c]
+        w = [(t, v[c] + exps[k]) for c, t, k in recipe if c in v]
         if w:
-            s = ring.mul(lead, ring.inv(w[min(w)]))
-            out.add(sum(digit[ring.mul(s, x)] * place[t] for t, x in w.items()))
+            s = lead - min(w)[1]
+            out.add(sum([digit[antilog[(x + s) % q1]] * place[t] for t, x in w]))
     return out
 
 
 def _candidates(ring, m, certified):
-    """(lead position, vector) for every nonzero vector whose leading
+    """(lead position, code, vector) for every nonzero vector whose leading
     coefficient is the least nonzero field element, in ascending
     lexicographic order (the first failure here is the first in the whole
     algebra, as scaling keeps the generated ideal).  elements() lists zero
     first, so each lead group opens with lead * delta_pos; the rest of a
-    group whose position joins certified (the caller's set) is skipped."""
+    group whose position joins certified (the caller's set) is skipped.
+    The code is _orbit's: the lead's digit times q^(m-1-pos) plus the
+    tail's index in product order."""
     elems = list(ring.elements())
-    lead = next(e for e in elems if not ring.is_zero(e))
+    lead_digit, lead = next((i, e) for i, e in enumerate(elems) if not ring.is_zero(e))
     z = ring.zero()
     for pos in range(m - 1, -1, -1):
-        head = [z] * pos + [lead]
-        for tail in itertools.product(elems, repeat=m - 1 - pos):
+        head, base = [z] * pos + [lead], lead_digit * len(elems) ** (m - 1 - pos)
+        for i, tail in enumerate(itertools.product(elems, repeat=m - 1 - pos)):
             if pos in certified:
                 break
-            yield pos, head + list(tail)
+            yield pos, base + i, head + list(tail)
 
 
 def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> SimpleResult:
@@ -430,12 +438,15 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
     needs a finite field with size**arrows <= cap.  The certificate of a
     negative answer is the lexicographically first failing element.  Lead
     groups certified through a one-entry recipe are passed over, and on a
-    group so is every candidate in the unit orbit of one that passed
-    (module docstring); every field takes the same Echelon rank scan, and
-    the recipes are built once per context.  structural: answers from
-    minimality when the groupoid is effective, with a proper ideal built
-    from a nontrivial invariant unit set as negative certificate; on a
-    non-effective groupoid the verdict is None (unknown).
+    group so is every candidate in the unit orbit of one that passed; the
+    orbit's codes are worked out in discrete-log coordinates, and each
+    candidate's code is read off its enumeration index (module docstring).
+    Every field takes the same Echelon rank scan, and the recipes are built
+    once per context.  structural: answers from minimality when the
+    groupoid is effective, with a proper ideal built from a nontrivial
+    invariant unit set as negative certificate; on a non-effective groupoid
+    the verdict is None (unknown).  In both modes the zero algebra (no
+    arrows) is not simple.
     """
     if not ctx.ring.is_field:
         raise ValueError("simplicity is defined here over field coefficients")
@@ -445,6 +456,11 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
             raise ValueError("exhaustive mode needs a finite field")
         if ctx.ring.size ** gpd.m > cap:
             raise ValueError("search space %d**%d exceeds cap %d" % (ctx.ring.size, gpd.m, cap))
+    elif mode != "structural":
+        raise ValueError("unknown mode %r" % mode)
+    if not gpd.m:
+        return SimpleResult(False, None, "the zero algebra is not simple")
+    if mode == "exhaustive":
         recipes, one_entry = _scan_tables(ctx)
         # vectors are coded in base q (module docstring); a one-arrow group
         # has one candidate and nothing to skip
@@ -453,8 +469,8 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
             digit = {e: i for i, e in enumerate(ctx.ring.elements())}
             place = [len(digit) ** (gpd.m - 1 - i) for i in range(gpd.m)]
         passed, certified, group = set(), set(), None
-        for pos, vec in _candidates(ctx.ring, gpd.m, certified):
-            if not (on_group and sum(digit[x] * p for x, p in zip(vec, place)) in passed):
+        for pos, code, vec in _candidates(ctx.ring, gpd.m, certified):
+            if code not in passed:
                 if not _generates_everything(ctx.tgrp, gpd.m, vec, recipes):
                     return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
                 if on_group:
@@ -463,14 +479,12 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
                 group = pos
                 certified.update(c for c, t, _ in one_entry if t == pos)
         return SimpleResult(True, None, "every nonzero element generates the algebra")
-    if mode == "structural":
-        if not is_effective(gpd):
-            return SimpleResult(None, None, "groupoid is not effective")
-        if is_minimal(gpd):
-            return SimpleResult(True, None, "effective and minimal")
-        orb = orbits(gpd)[0]
-        inside = set(orb)
-        rows = ({a: ctx.ring.one()} for a in range(gpd.m) if gpd.src[a] in inside)
-        cert = Ideal(ctx, Echelon(ctx.ring, rows).rows(gpd.m))
-        return SimpleResult(False, cert, "proper ideal over invariant units %s" % (sorted(orb),))
-    raise ValueError("unknown mode %r" % mode)
+    if not is_effective(gpd):
+        return SimpleResult(None, None, "groupoid is not effective")
+    if is_minimal(gpd):
+        return SimpleResult(True, None, "effective and minimal")
+    orb = orbits(gpd)[0]
+    inside = set(orb)
+    rows = ({a: ctx.ring.one()} for a in range(gpd.m) if gpd.src[a] in inside)
+    cert = Ideal(ctx, Echelon(ctx.ring, rows).rows(gpd.m))
+    return SimpleResult(False, cert, "proper ideal over invariant units %s" % (sorted(orb),))

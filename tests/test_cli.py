@@ -285,6 +285,15 @@ def test_simple_structural_outputs(fx, tmp_path, capsys):
     assert (tmp_path / "certificate.idl").exists()
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "structural"])
+def test_simple_zero_algebra_is_not_simple(mode, tmp_path, capsys):
+    # a simple algebra is nonzero by definition
+    gpd = write(tmp_path, "zero.gpd", "groupoid\narrows 0\nunits\n")
+    assert run(capsys, "validate", "groupoid", gpd)[:2] == (0, "ok\n")
+    code, out, err = run(capsys, "simple", "--ring", "GF(3)", "--mode", mode, gpd)
+    assert (code, out, err) == (0, "simple: false\nreason: the zero algebra is not simple\n", "")
+
+
 # --- catalog ----------------------------------------------------------------------
 
 
@@ -615,6 +624,15 @@ def test_largest_ring_specs_parse():
     for spec, size in (("GF(1048573)", 1048573), ("GF(1021^2)", 1021 ** 2)):
         assert T.parse_ring(spec).size == size
     assert T.parse_ring("Q(zeta_1024)").degree == 512
+
+
+def test_largest_cyclotomic_field_parses_fast():
+    # its n powers of zeta become Fraction tuples only when read
+    T.rings.cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    ring = T.parse_ring("Q(zeta_1024)")
+    assert time.perf_counter() - start < 0.3
+    assert ring.zeta(1023) == tuple(-c for c in ring.zeta(511))
 
 
 @pytest.fixture(scope="module")

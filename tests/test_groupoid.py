@@ -357,6 +357,20 @@ def test_check_groupoid_validates_once(monkeypatch):
     assert G.validate_groupoid(g) == [] and len(calls) == 2
 
 
+def test_arrows_by_src_is_built_once_per_groupoid(monkeypatch):
+    builds, original = [], G.Groupoid.arrows_by_src
+
+    def counted(g):
+        builds.append(g._by_src is None)
+        return original(g)
+    monkeypatch.setattr(G.Groupoid, "arrows_by_src", counted)
+    g = T.pair_groupoid(3)
+    T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
+    # the associativity check and the cocycle identity on the generators
+    assert builds == [True, False]
+    assert g.arrows_by_src() == {u: tuple(a for a in range(g.m) if g.src[a] == u) for u in g.units}
+
+
 def test_invalid_groupoid_is_never_marked():
     g = T.build("pair2")
     inv = list(g.inv)

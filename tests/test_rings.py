@@ -184,6 +184,22 @@ def test_unit_generator_matches_the_walk():
     assert checked > 200
 
 
+def test_log_tables_are_a_bijection_onto_the_units():
+    specs = ["GF(%d)" % p for p in range(2, 122) if all(p % d for d in range(2, p))]
+    specs += ["GF(%d^2)" % p for p in (2, 3, 5, 7, 11)]
+    for spec in specs:
+        ring = T.parse_ring(spec)
+        q1 = ring.size - 1
+        log, antilog = tables = ring._logs()
+        assert ring._logs() is tables
+        assert sorted(antilog) == [x for x in ring.elements() if not ring.is_zero(x)]
+        assert len(log) == q1 and all(log[antilog[i]] == i for i in range(q1))
+        # antilog holds the powers of the least primitive root
+        g = ring._primitive_root()
+        assert g == T.unit_subgroup(ring, q1).generator
+        assert all(ring.mul(antilog[i], g) == antilog[(i + 1) % q1] for i in range(q1)), spec
+
+
 def test_unit_subgroup_embed_exponent():
     tgrp = T.unit_subgroup(RINGS["GF(5)"], 4)
     for k in range(8):

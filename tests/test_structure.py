@@ -679,6 +679,56 @@ def test_orbit_is_the_normalized_two_sided_translates():
             assert all(T.ideal_generated(ctx, [T.from_vec(ctx, u)]) == ideal for u in want)
 
 
+def ring_orbit(tgrp, place, digit, vec, recipes) -> set:
+    """Oracle for _orbit's discrete-log route: the same codes by ring
+    arithmetic, every translate multiplied out and rescaled to vec's lead
+    with ring.mul and ring.inv."""
+    ring, powers = tgrp.ring, tgrp.powers
+    v = {c: x for c, x in enumerate(vec) if not ring.is_zero(x)}
+    lead = v[min(v)]
+    out = set()
+    for recipe in recipes:
+        w = {t: ring.mul(powers[k], v[c]) for c, t, k in recipe if c in v}
+        if w:
+            s = ring.mul(lead, ring.inv(w[min(w)]))
+            out.add(sum(digit[ring.mul(s, x)] * place[t] for t, x in w.items()))
+    return out
+
+
+GROUPS = ("z2", "z3", "z4", "z8", "klein", "s3")
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)"])
+def test_orbit_matches_ring_arithmetic(ring_spec):
+    """Every catalog group with more than one arrow, untwisted, and the
+    twisted group algebras of group_contexts, on random vectors."""
+    assert GROUPS == tuple(name for name in T.CATALOG
+                           if len(T.build(name).units) == 1 and T.build(name).m > 1)
+    rnd = random.Random("log orbits " + ring_spec)
+    untwisted = (make_context(T.build(name), ring_spec) for name in GROUPS)
+    for ctx in itertools.chain(untwisted, group_contexts(ring_spec, rnd)):
+        m, recipes = ctx.gpd.m, S._product_recipes(ctx)
+        digit = {e: i for i, e in enumerate(ctx.ring.elements())}
+        place = [len(digit) ** (m - 1 - i) for i in range(m)]
+        for _ in range(4):
+            vec = T.to_vec(random_nonzero(ctx, rnd))
+            got = S._orbit(ctx.tgrp, place, digit, vec, recipes)
+            assert got and got == ring_orbit(ctx.tgrp, place, digit, vec, recipes)
+
+
+@pytest.mark.parametrize("ring_spec,m", [("GF(2)", 5), ("GF(3)", 4), ("GF(5)", 3), ("GF(2^2)", 3),
+                                         ("GF(3^2)", 3)])
+def test_candidate_codes_are_the_base_q_digits(ring_spec, m):
+    ring = T.parse_ring(ring_spec)
+    digit = {e: i for i, e in enumerate(ring.elements())}
+    place = [len(digit) ** (m - 1 - i) for i in range(m)]
+    codes = []
+    for pos, code, vec in S._candidates(ring, m, set()):
+        assert code == sum(digit[x] * p for x, p in zip(vec, place))
+        codes.append(code)
+    assert len(set(codes)) == len(codes) == (ring.size ** m - 1) // (ring.size - 1)
+
+
 def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
     calls = []
     full_check = S._generates_everything
