@@ -60,10 +60,16 @@ orbit is worked out in discrete-log coordinates: the nonzero elements of
 GF(q) are the powers of a primitive root (Lidl and Niederreiter, Finite
 Fields, ch. 9), so with the ring's log and antilog tables every product
 and rescaling is an integer sum mod q - 1 and every digit one lookup,
-without ring arithmetic.  A candidate's own code is read off its index in
-the enumeration.  Both lemmas skip only candidates that pass, so the
-verdict and certificate are the full scan's.
-The recipes are built once per context (_scan_tables).
+without ring arithmetic.  Both lemmas skip only candidates that pass, so
+the verdict and certificate are the full scan's.
+
+The candidates themselves are enumerated as codes, not as vectors.
+elements() lists zero first, so the least nonzero element has digit 1,
+the lead group of position pos is the range of codes from q^(m-1-pos) up
+to twice that, and ascending codes are lexicographic order.  A sparse
+row {i: elements()[digit i]} is decoded only for a code that is scanned,
+and a group led by a certified arrow is never entered.  The recipes are
+built once per context (_scan_tables).
 """
 
 from __future__ import annotations
@@ -374,13 +380,13 @@ def _scan_tables(ctx: Context):
     return ctx._scan_tables
 
 
-def _generates_everything(tgrp, m, vec, recipes) -> bool:
-    """Rank of span{delta_a vec delta_b} reaches m, by incremental insertion
-    with early exit; inline, since an _apply call per recipe costs ~20%.
-    Like tgrp.scale it skips exponent 0; recipe exponents are already
-    reduced mod n."""
+def _generates_everything(tgrp, m, v, recipes) -> bool:
+    """Rank of span{delta_a v delta_b} reaches m, for the sparse row v, by
+    incremental insertion with early exit; the recipes are applied inline,
+    as a call per recipe costs ~20%.  Like tgrp.scale it skips exponent 0;
+    recipe exponents are already reduced mod n."""
     ring, powers = tgrp.ring, tgrp.powers
-    span, v = Echelon(ring), _sparse(ring, vec)
+    span = Echelon(ring)
     for recipe in recipes:
         w = {}
         for c, t, k in recipe:
@@ -391,44 +397,24 @@ def _generates_everything(tgrp, m, vec, recipes) -> bool:
     return False
 
 
-def _orbit(tgrp, place, digit, vec, recipes) -> set:
-    """The codes of every nonzero delta_a vec delta_b, each scaled so that
-    its first nonzero coefficient is vec's.  A vector's code is the sum of
-    digit[x_i] * place[i]; on a group each of these vectors generates the
-    ideal vec does (module docstring).  Entries travel as discrete logs
-    (ring._logs): g^k v_c is log g^k + log v_c, and the scaling adds
-    log lead - log of the first entry, mod q - 1."""
+def _orbit(tgrp, place, digit, v, recipes) -> set:
+    """The codes of every nonzero delta_a v delta_b, for the sparse row v,
+    each scaled so that its first nonzero coefficient is v's.  A vector's
+    code is the sum of digit[x_i] * place[i]; on a group each of these
+    vectors generates the ideal v does (module docstring).  Entries travel
+    as discrete logs (ring._logs): g^k v_c is log g^k + log v_c, and the
+    scaling adds log lead - log of the first entry, mod q - 1."""
     log, antilog = tgrp.ring._logs()
     q1, exps = len(antilog), [log[p] for p in tgrp.powers]
-    v = {c: log[x] for c, x in enumerate(vec) if x in log}
-    lead = v[min(v)]
+    logv = {c: log[x] for c, x in v.items()}
+    lead = logv[min(logv)]
     out = set()
     for recipe in recipes:
-        w = [(t, v[c] + exps[k]) for c, t, k in recipe if c in v]
+        w = [(t, logv[c] + exps[k]) for c, t, k in recipe if c in logv]
         if w:
             s = lead - min(w)[1]
             out.add(sum([digit[antilog[(x + s) % q1]] * place[t] for t, x in w]))
     return out
-
-
-def _candidates(ring, m, certified):
-    """(lead position, code, vector) for every nonzero vector whose leading
-    coefficient is the least nonzero field element, in ascending
-    lexicographic order (the first failure here is the first in the whole
-    algebra, as scaling keeps the generated ideal).  elements() lists zero
-    first, so each lead group opens with lead * delta_pos; the rest of a
-    group whose position joins certified (the caller's set) is skipped.
-    The code is _orbit's: the lead's digit times q^(m-1-pos) plus the
-    tail's index in product order."""
-    elems = list(ring.elements())
-    lead_digit, lead = next((i, e) for i, e in enumerate(elems) if not ring.is_zero(e))
-    z = ring.zero()
-    for pos in range(m - 1, -1, -1):
-        head, base = [z] * pos + [lead], lead_digit * len(elems) ** (m - 1 - pos)
-        for i, tail in enumerate(itertools.product(elems, repeat=m - 1 - pos)):
-            if pos in certified:
-                break
-            yield pos, base + i, head + list(tail)
 
 
 def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> SimpleResult:
@@ -439,14 +425,15 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
     negative answer is the lexicographically first failing element.  Lead
     groups certified through a one-entry recipe are passed over, and on a
     group so is every candidate in the unit orbit of one that passed; the
-    orbit's codes are worked out in discrete-log coordinates, and each
-    candidate's code is read off its enumeration index (module docstring).
-    Every field takes the same Echelon rank scan, and the recipes are built
-    once per context.  structural: answers from minimality when the
-    groupoid is effective, with a proper ideal built from a nontrivial
-    invariant unit set as negative certificate; on a non-effective groupoid
-    the verdict is None (unknown).  In both modes the zero algebra (no
-    arrows) is not simple.
+    orbit's codes are worked out in discrete-log coordinates.  Candidates
+    are enumerated as base-q codes, and a sparse row is built only for a
+    code that is scanned (module docstring).  Every field takes the same
+    Echelon rank scan, and the recipes are built once per context.
+    structural: answers from minimality when the groupoid is effective,
+    with the ideal generated by the indicator of a proper invariant unit
+    set U as negative certificate (it is spanned by the delta_a with src a
+    in U); on a non-effective groupoid the verdict is None (unknown).  In
+    both modes the zero algebra (no arrows) is not simple.
     """
     if not ctx.ring.is_field:
         raise ValueError("simplicity is defined here over field coefficients")
@@ -462,29 +449,30 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
         return SimpleResult(False, None, "the zero algebra is not simple")
     if mode == "exhaustive":
         recipes, one_entry = _scan_tables(ctx)
-        # vectors are coded in base q (module docstring); a one-arrow group
-        # has one candidate and nothing to skip
-        on_group = len(gpd.units) == 1 and gpd.m > 1
-        if on_group:
-            digit = {e: i for i, e in enumerate(ctx.ring.elements())}
-            place = [len(digit) ** (gpd.m - 1 - i) for i in range(gpd.m)]
-        passed, certified, group = set(), set(), None
-        for pos, code, vec in _candidates(ctx.ring, gpd.m, certified):
-            if code not in passed:
-                if not _generates_everything(ctx.tgrp, gpd.m, vec, recipes):
-                    return SimpleResult(False, from_vec(ctx, vec), "element generates a proper ideal")
-                if on_group:
-                    passed |= _orbit(ctx.tgrp, place, digit, vec, recipes)
-            if pos != group:  # vec is lead * delta_pos, and it generates
-                group = pos
-                certified.update(c for c, t, _ in one_entry if t == pos)
+        elems, m = list(ctx.ring.elements()), gpd.m
+        q = len(elems)
+        digit = {e: i for i, e in enumerate(elems)}
+        place = [q ** (m - 1 - i) for i in range(m)]
+        # a one-arrow group has one candidate and nothing to skip
+        on_group = len(gpd.units) == 1 and m > 1
+        passed, certified = set(), set()
+        for pos in range(m - 1, -1, -1):
+            for code in range(place[pos], 2 * place[pos]):
+                if pos in certified:
+                    break
+                if code not in passed:
+                    v = {i: elems[d] for i in range(pos, m) if (d := code // place[i] % q)}
+                    if not _generates_everything(ctx.tgrp, m, v, recipes):
+                        return SimpleResult(False, Element(ctx, v), "element generates a proper ideal")
+                    if on_group:
+                        passed |= _orbit(ctx.tgrp, place, digit, v, recipes)
+                if code == place[pos]:  # lead * delta_pos, and it generates
+                    certified.update(c for c, t, _ in one_entry if t == pos)
         return SimpleResult(True, None, "every nonzero element generates the algebra")
     if not is_effective(gpd):
         return SimpleResult(None, None, "groupoid is not effective")
     if is_minimal(gpd):
         return SimpleResult(True, None, "effective and minimal")
     orb = orbits(gpd)[0]
-    inside = set(orb)
-    rows = ({a: ctx.ring.one()} for a in range(gpd.m) if gpd.src[a] in inside)
-    cert = Ideal(ctx, Echelon(ctx.ring, rows).rows(gpd.m))
+    cert = ideal_generated(ctx, [char_fn(ctx, orb)])
     return SimpleResult(False, cert, "proper ideal over invariant units %s" % (sorted(orb),))

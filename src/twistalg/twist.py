@@ -263,6 +263,16 @@ TwistMorphism = namedtuple("TwistMorphism", "src dst mapping")
 
 
 def validate_twist_morphism(mor: TwistMorphism) -> list:
+    """The independent axioms of a twist isomorphism: a bijection of total
+    arrows that is a homomorphism and commutes with the embeddings and the
+    projections.  Empty when they hold.
+
+    The inverse law and action equivariance follow, so they are not
+    checked.  f(rng e) = f(rng e) f(rng e) is idempotent, hence a unit, so
+    f(e) f(inv e) = f(rng e) is rng f(e) and f(inv e) = inv f(e).  With
+    x = proj(rng e), which is also proj(rng f(e)) by the projection
+    diagram, f(act(k, e)) = f(embed(x, k)) f(e) = embed(x, k) f(e) =
+    act(k, f(e)) by the embedding diagram."""
     t1, t2, f = mor.src, mor.dst, mor.mapping
     v = []
     if t1.base != t2.base or t1.n != t2.n:
@@ -272,20 +282,12 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
     for (e, d), ed in t1.total.comp.items():
         if t2.total.comp.get((f[e], f[d])) != f[ed]:
             v.append("homomorphism law fails at (%d, %d)" % (e, d))
-    for e in range(t1.total.m):
-        if f[t1.total.inv[e]] != t2.total.inv[f[e]]:
-            v.append("inverse law fails at %d" % e)
     for key, e in t1.embed.items():
         if f[e] != t2.embed[key]:
             v.append("embedding diagram fails at (%d, %d)" % key)
     for e in range(t1.total.m):
         if t2.proj[f[e]] != t1.proj[e]:
             v.append("projection diagram fails at %d" % e)
-    # respect for the unit-group action (implied, but checked directly)
-    for e in range(t1.total.m):
-        for k in range(t1.n):
-            if f[t1.act(k, e)] != t2.act(k, f[e]):
-                v.append("action equivariance fails at (%d, %d)" % (e, k))
     return v
 
 

@@ -194,6 +194,15 @@ def test_twist_iso_negative(fx, tmp_path, capsys):
     assert out.splitlines()[-1] == "none"
 
 
+def test_twist_iso_refuses_different_bases(fx, tmp_path, capsys):
+    for name, coc in (("z2", "z2_neg"), ("pair2", "pair2_cob")):
+        run(capsys, "twist", "build", str(fx / (name + ".gpd")), str(fx / (coc + ".coc")),
+            "--out", str(tmp_path / name))
+    got = run(capsys, "twist", "iso", str(tmp_path / "z2" / "twist.twi"),
+              str(tmp_path / "pair2" / "twist.twi"))
+    assert got == (1, "", "error: twists do not share a base groupoid and order\n")
+
+
 def test_psi_restricts_along_section(fx, tmp_path, capsys):
     run(capsys, "twist", "build", str(fx / "z2.gpd"), str(fx / "z2_neg.coc"),
         "--out", str(tmp_path))

@@ -634,7 +634,7 @@ def plain_scan(ctx):
     for vec in itertools.product(ring.elements(), repeat=m):
         if next((c for c in vec if not ring.is_zero(c)), None) != lead:
             continue
-        if not S._generates_everything(ctx.tgrp, m, list(vec), recipes):
+        if not S._generates_everything(ctx.tgrp, m, S._sparse(ring, vec), recipes):
             return False, list(vec)
     return True, None
 
@@ -665,7 +665,6 @@ def test_orbit_is_the_normalized_two_sided_translates():
         decode = lambda code: [elems[code // p % len(elems)] for p in place]
         for _ in range(3):
             v = random_nonzero(ctx, rnd)
-            vec = T.to_vec(v)
             lead = v.coeffs[min(v.coeffs)]
             want = set()
             for a in range(m):
@@ -673,7 +672,7 @@ def test_orbit_is_the_normalized_two_sided_translates():
                     w = T.convolve(T.convolve(T.delta(ctx, a), v), T.delta(ctx, b))
                     s = ring.mul(lead, ring.inv(w.coeffs[min(w.coeffs)]))
                     want.add(tuple(T.to_vec(T.scale(s, w))))
-            got = [tuple(decode(code)) for code in S._orbit(ctx.tgrp, place, digit, vec, recipes)]
+            got = [tuple(decode(code)) for code in S._orbit(ctx.tgrp, place, digit, v.coeffs, recipes)]
             assert sorted(got) == sorted(want)
             ideal = T.ideal_generated(ctx, [v])
             assert all(T.ideal_generated(ctx, [T.from_vec(ctx, u)]) == ideal for u in want)
@@ -712,21 +711,8 @@ def test_orbit_matches_ring_arithmetic(ring_spec):
         place = [len(digit) ** (m - 1 - i) for i in range(m)]
         for _ in range(4):
             vec = T.to_vec(random_nonzero(ctx, rnd))
-            got = S._orbit(ctx.tgrp, place, digit, vec, recipes)
+            got = S._orbit(ctx.tgrp, place, digit, S._sparse(ctx.ring, vec), recipes)
             assert got and got == ring_orbit(ctx.tgrp, place, digit, vec, recipes)
-
-
-@pytest.mark.parametrize("ring_spec,m", [("GF(2)", 5), ("GF(3)", 4), ("GF(5)", 3), ("GF(2^2)", 3),
-                                         ("GF(3^2)", 3)])
-def test_candidate_codes_are_the_base_q_digits(ring_spec, m):
-    ring = T.parse_ring(ring_spec)
-    digit = {e: i for i, e in enumerate(ring.elements())}
-    place = [len(digit) ** (m - 1 - i) for i in range(m)]
-    codes = []
-    for pos, code, vec in S._candidates(ring, m, set()):
-        assert code == sum(digit[x] * p for x, p in zip(vec, place))
-        codes.append(code)
-    assert len(set(codes)) == len(codes) == (ring.size ** m - 1) // (ring.size - 1)
 
 
 def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
@@ -748,6 +734,18 @@ def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
     klein = make_context(T.build("klein"), "GF(3^2)", coc=klein_form_cocycle(((0, 1), (0, 0))))
     assert T.is_simple(klein, mode="exhaustive").simple is True
     assert len(calls) == 70
+    # the same twist over prime fields, the sign twist over GF(7), and two
+    # matrix algebras whose first rank scan certifies every lead group
+    for gpd, ring_spec, coc, scans in (
+            (T.build("klein"), "GF(3)", klein.coc, 7),
+            (T.build("klein"), "GF(5)", klein.coc, 21),
+            (T.build("klein"), "GF(7)", klein.coc, 34),
+            (T.build("z2"), "GF(7)", T.z2_neg_cocycle(), 4),
+            (T.build("pair3"), "GF(3)", None, 1),
+            (T.build("swap2"), "GF(5)", None, 1)):
+        calls.clear()
+        assert T.is_simple(make_context(gpd, ring_spec, coc=coc), mode="exhaustive").simple is True
+        assert len(calls) == scans, (ring_spec, scans)
 
 
 def test_scan_tables_are_built_once_per_context(monkeypatch):

@@ -1,6 +1,7 @@
 """Central extensions: construction, sections, induced cocycles, morphisms."""
 
 import itertools
+import random
 
 import pytest
 
@@ -135,10 +136,10 @@ def test_twists_isomorphic_iff_cohomologous():
 def test_section_map_guard_survives_optimization(monkeypatch):
     # the morphism laws are checked by a raise, so that python -O keeps it
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
-    monkeypatch.setattr(TW, "validate_twist_morphism", lambda mor: ["inverse law fails at 1"])
+    monkeypatch.setattr(TW, "validate_twist_morphism", lambda mor: ["projection diagram fails at 1"])
     for run in (lambda: T.twists_isomorphic(tw, tw), lambda: T.section_iso(tw, T.find_section(tw))):
         with pytest.raises(RuntimeError, match="^section map is not a twist isomorphism: "
-                                               "inverse law fails at 1$"):
+                                               "projection diagram fails at 1$"):
             run()
 
 
@@ -212,6 +213,34 @@ def test_twist_morphism_validator_rejects_non_equivariant_map():
     bad = T.TwistMorphism(tw, tw, [1, 0, 2, 3])
     assert T.validate_twist_morphism(bad)
     assert T.validate_twist_morphism(mor) == []
+
+
+def test_twist_morphism_validator_refusals():
+    z2 = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    z2_3 = T.build_twist(T.build("z2"), T.trivial_cocycle(T.build("z2"), 3))
+    pair2 = T.build_twist(T.build("pair2"), T.pair2_coboundary_cocycle())
+    for other in (pair2, z2_3):
+        mor = T.TwistMorphism(z2, other, range(z2.total.m))
+        assert T.validate_twist_morphism(mor) == ["twists do not share a base groupoid and order"]
+    for mapping in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4)):
+        mor = T.TwistMorphism(z2, z2, mapping)
+        assert T.validate_twist_morphism(mor) == ["mapping is not a bijection of total arrows"]
+    # the Klein automorphism swapping arrows 1 and 2, lifted to the untwisted
+    # order-two twist: a homomorphism fixing the embedding, off the projection
+    klein = T.build("klein")
+    assert [klein.comp[(a, b)] for a, b in ((1, 1), (1, 2), (1, 3), (2, 3))] == [0, 3, 2, 1]
+    tw = T.build_twist(klein, T.trivial_cocycle(klein, 2))
+    lifted = T.TwistMorphism(tw, tw, (0, 1, 4, 5, 2, 3, 6, 7))
+    assert T.validate_twist_morphism(lifted) == ["projection diagram fails at %d" % e
+                                                 for e in range(2, 6)]
+
+
+def test_validate_section_refusals():
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    assert T.validate_section(tw, (0,)) == ["section has wrong length"]
+    assert T.validate_section(tw, (1, 2)) == ["section sends unit 0 to a non-unit"]
+    with pytest.raises(ValueError, match="^section sends unit 0 to a non-unit$"):
+        T.induced_cocycle(tw, (1, 2))
 
 
 def _z2_twist(**edits):
@@ -430,3 +459,82 @@ def test_twists_isomorphic_reuses_the_induced_cocycle(monkeypatch):
     calls = count_calls(monkeypatch, TW, "unique_scalar")
     T.twists_isomorphic(tw, t2)
     assert len(calls) == len(g.comp) and all(t is t2 for t in calls)
+
+
+def full_morphism_failures(mor):
+    """Oracle for validate_twist_morphism: every law it once checked,
+    the inverse law and action equivariance included, in the same order."""
+    t1, t2, f = mor.src, mor.dst, mor.mapping
+    if t1.base != t2.base or t1.n != t2.n:
+        return ["twists do not share a base groupoid and order"]
+    if len(f) != t1.total.m or set(f) != set(range(t2.total.m)):
+        return ["mapping is not a bijection of total arrows"]
+    v = ["homomorphism law fails at (%d, %d)" % (e, d)
+         for (e, d), ed in t1.total.comp.items() if t2.total.comp.get((f[e], f[d])) != f[ed]]
+    v += ["inverse law fails at %d" % e
+          for e in range(t1.total.m) if f[t1.total.inv[e]] != t2.total.inv[f[e]]]
+    v += ["embedding diagram fails at (%d, %d)" % key
+          for key, e in t1.embed.items() if f[e] != t2.embed[key]]
+    v += ["projection diagram fails at %d" % e
+          for e in range(t1.total.m) if t2.proj[f[e]] != t1.proj[e]]
+    v += ["action equivariance fails at (%d, %d)" % (e, k)
+          for e in range(t1.total.m) for k in range(t1.n) if f[t1.act(k, e)] != t2.act(k, f[e])]
+    return v
+
+
+def sampled_mappings(t1, t2, rnd, count):
+    """Bijections of total arrows near an isomorphism, if there is one:
+    the isomorphism, it after a permutation inside each fiber or one swap,
+    a fiber-preserving bijection, and a bijection at random."""
+    iso = T.twists_isomorphic(t1, t2)
+    arrows = list(range(t1.total.m))
+    for _ in range(count):
+        fibered = [0] * t1.total.m
+        for a in range(t1.base.m):
+            for e, d in zip(t1.fiber(a), rnd.sample(t2.fiber(a), t1.n)):
+                fibered[e] = d
+        yield fibered
+        yield rnd.sample(arrows, len(arrows))
+        if iso is not None:
+            yield iso.mapping
+            yield [iso.mapping[e] for e in fibered]
+            swapped = list(iso.mapping)
+            i, j = rnd.sample(arrows, 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield swapped
+
+
+def test_morphism_validator_matches_the_full_predicate():
+    """Dropping the inverse law and action equivariance accepts the same
+    mappings and drops only their messages: every bijection of total arrows
+    between twists of order 2 over z2 and z3, seeded samples over pair2 and
+    klein, and twists over different bases."""
+    implied = ("inverse law", "action equivariance")
+    verdicts = []
+
+    def compare(t1, t2, mapping):
+        mor = T.TwistMorphism(t1, t2, tuple(mapping))
+        full = full_morphism_failures(mor)
+        assert T.validate_twist_morphism(mor) == [x for x in full if not x.startswith(implied)]
+        verdicts.append(not full)
+
+    twists = {name: [T.build_twist(c.gpd, c) for c in T.enumerate_cocycles(T.build(name), 2)]
+              for name in ("z2", "z3", "pair2", "klein")}
+    for name in ("z2", "z3"):
+        for t1, t2 in itertools.product(twists[name], repeat=2):
+            for mapping in itertools.permutations(range(t1.total.m)):
+                compare(t1, t2, mapping)
+    # 4 * 4! + 16 * 6! bijections; over z2 the two classes are not
+    # isomorphic and each twist has two automorphisms, over z3 every pair
+    # of the four twists has exactly one isomorphism
+    assert (len(verdicts), sum(verdicts)) == (11_616, 20)
+    del verdicts[:]
+    rnd = random.Random("twist morphisms")
+    for name, pairs in (("pair2", 4), ("klein", 24)):
+        for _ in range(pairs):
+            t1, t2 = rnd.choice(twists[name]), rnd.choice(twists[name])
+            for mapping in sampled_mappings(t1, t2, rnd, 4):
+                compare(t1, t2, mapping)
+    for t1, t2 in (twists["z2"][0], twists["pair2"][0]), (twists["pair2"][1], twists["klein"][1]):
+        compare(t1, t2, range(t1.total.m))
+    assert set(verdicts) == {True, False}
