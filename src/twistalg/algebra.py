@@ -12,9 +12,12 @@ one regular-representation table (Context.regular).  The star operation
 combines the inverse map, the cocycle value at (arrow, inverse), and the
 ring involution.  The equivariant picture lives in EquivContext /
 EquivariantElement: functions on a twist's total groupoid that scale along
-fibers, encoded by their values on a chosen section; their convolution is
-computed from the twist's own tables (not through any cocycle), which
-keeps the comparison with the cocycle picture an honest two-route check.
+fibers, encoded by their values on a chosen section.  An EquivContext
+carries ctx, the Context of the algebra psi lands in (the inverted induced
+cocycle), and takes its coefficient data from there; the equivariant
+convolution and star are still computed from the twist's own tables (not
+through any cocycle), which keeps the comparison with the cocycle picture
+an honest two-route check.
 """
 
 from __future__ import annotations
@@ -26,18 +29,6 @@ from .cocycle import Cocycle, Grading, check_cocycle, check_grading, invert_cocy
 from .groupoid import BindOnce, Groupoid, composable_pairs, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, induced_cocycle, unique_scalar
-
-
-def _check_coefficients(ring: Ring, tgrp: UnitSubgroup, conj: Optional[Involution]):
-    """The unit subgroup and the involution live in the ring, and the
-    involution inverts the subgroup."""
-    if tgrp.ring != ring:
-        raise ValueError("unit subgroup lives in a different ring")
-    if conj is not None:
-        if conj.ring != ring:
-            raise ValueError("involution acts on a different ring")
-        if not rings.check_t_inverse_involution(ring, conj, tgrp):
-            raise ValueError("involution does not invert the unit subgroup")
 
 
 class Context(BindOnce):
@@ -59,7 +50,13 @@ class Context(BindOnce):
             raise ValueError("cocycle lives over a different groupoid")
         if coc.n != tgrp.order:
             raise ValueError("cocycle order does not match the unit subgroup")
-        _check_coefficients(ring, tgrp, conj)
+        if tgrp.ring != ring:
+            raise ValueError("unit subgroup lives in a different ring")
+        if conj is not None:
+            if conj.ring != ring:
+                raise ValueError("involution acts on a different ring")
+            if not rings.check_t_inverse_involution(ring, conj, tgrp):
+                raise ValueError("involution does not invert the unit subgroup")
         check_cocycle(coc)
         self.gpd = gpd
         self.ring = ring
@@ -295,7 +292,10 @@ def graded_components(f: Element, grading: Grading) -> dict:
 
 
 class EquivContext:
-    """A twist, a chosen section, and the coefficient data."""
+    """A twist, a chosen section, and ctx: the Context of the algebra psi
+    lands in, carrying the coefficient data and the inverted induced
+    cocycle.  The equivariant products read ring, tgrp and conj from ctx
+    but compute from the twist's own tables, never from ctx.coc."""
 
     def __init__(
         self,
@@ -305,29 +305,24 @@ class EquivContext:
         tgrp: UnitSubgroup,
         conj: Optional[Involution] = None,
     ):
-        # the cocycle of the algebra psi lands in; checks the section
-        self.coc = invert_cocycle(induced_cocycle(twist, section))
         if tgrp.order != twist.n:
             raise ValueError("unit subgroup order does not match the twist")
-        _check_coefficients(ring, tgrp, conj)
+        # induced_cocycle checks the section
+        coc = invert_cocycle(induced_cocycle(twist, section))
         self.twist = twist
         self.section = tuple(section)
-        self.ring = ring
-        self.tgrp = tgrp
-        self.conj = conj
+        self.ctx = Context(twist.base, ring, tgrp, coc, conj)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, EquivContext)
             and self.twist == other.twist
             and self.section == other.section
-            and self.ring == other.ring
-            and self.tgrp == other.tgrp
-            and self.conj == other.conj
+            and self.ctx == other.ctx
         )
 
     def __hash__(self):
-        return hash((self.twist, self.section, self.ring, self.tgrp, self.conj))
+        return hash((self.twist, self.section, self.ctx))
 
 
 class EquivariantElement:
@@ -339,17 +334,18 @@ class EquivariantElement:
 
     def __init__(self, ectx: EquivContext, h: dict):
         self.ectx = ectx
-        r = ectx.ring
+        r = ectx.ctx.ring
         self.h = {a: c for a, c in h.items() if not r.is_zero(c)}
 
     def value(self, e: int):
         """Evaluate at any total arrow."""
-        tw = self.ectx.twist
+        ectx = self.ectx
+        tw = ectx.twist
         a = tw.proj[e]
         c = self.h.get(a)
         if c is None:
-            return self.ectx.ring.zero()
-        return self.ectx.tgrp.scale(unique_scalar(tw, self.ectx.section[a], e), c)
+            return ectx.ctx.ring.zero()
+        return ectx.ctx.tgrp.scale(unique_scalar(tw, ectx.section[a], e), c)
 
     def __eq__(self, other):
         return (
@@ -373,7 +369,7 @@ def equiv_convolve(f: EquivariantElement, g: EquivariantElement) -> EquivariantE
     base = tw.base
     total = tw.total
     sec = ectx.section
-    r = ectx.ring
+    r = ectx.ctx.ring
     by_rng = base.arrows_by_rng()
     out = {}
     for a in range(base.m):
@@ -395,21 +391,22 @@ def equiv_star(f: EquivariantElement) -> EquivariantElement:
     """Star in the equivariant picture: conjugate of the value at the
     total-groupoid inverse."""
     ectx = f.ectx
-    if ectx.conj is None:
+    r, conj = ectx.ctx.ring, ectx.ctx.conj
+    if conj is None:
         raise ValueError("context carries no involution")
     tw = ectx.twist
     out = {}
     for a in range(tw.base.m):
         val = f.value(tw.total.inv[ectx.section[a]])
-        if not ectx.ring.is_zero(val):
-            out[a] = ectx.conj(val)
+        if not r.is_zero(val):
+            out[a] = conj(val)
     return EquivariantElement(ectx, out)
 
 
 def _check_target(ectx: EquivContext, ctx: Context):
-    if ctx.coc != ectx.coc:
+    if ctx.coc != ectx.ctx.coc:
         raise ValueError("target cocycle is not the inverted induced cocycle")
-    if ctx.ring != ectx.ring or ctx.tgrp != ectx.tgrp or ctx.conj != ectx.conj:
+    if ctx != ectx.ctx:
         raise ValueError("target context disagrees on coefficient data")
 
 

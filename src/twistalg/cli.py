@@ -168,9 +168,8 @@ def _cmd_psi(args) -> int:
     tgrp = unit_subgroup(ring, tw.n)
     conj = _involution(args, ring)
     ectx = EquivContext(tw, find_section(tw), ring, tgrp, conj)
-    ctx = Context(tw.base, ring, tgrp, ectx.coc, conj)
-    h = fileio.read_element(args.elt, ctx)
-    out = psi(EquivariantElement(ectx, h.coeffs), ctx)
+    h = fileio.read_element(args.elt, ectx.ctx)
+    out = psi(EquivariantElement(ectx, h.coeffs), ectx.ctx)
     _artifact(args, "psi.elt", fileio.serialize_element(out))
     return 0
 

@@ -51,7 +51,7 @@ class Cocycle(BindOnce):
         self.checked = False
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Cocycle)
             and self.gpd == other.gpd
             and self.n == other.n
@@ -452,7 +452,7 @@ class Grading(BindOnce):
         self.checked = False
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Grading)
             and self.gpd == other.gpd
             and self.group == other.group

@@ -111,7 +111,7 @@ class Groupoid(BindOnce):
         return self._by_src
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Groupoid)
             and self.units == other.units
             and self.src == other.src

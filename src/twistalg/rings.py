@@ -114,14 +114,7 @@ class Ring:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p > 1 and _prime_factors(p) == [p]
 
 
 def _prime_factors(n: int) -> list:
@@ -776,6 +769,7 @@ def parse_involution(ring: Ring, name: str) -> Involution:
 
 
 def check_t_inverse_involution(ring: Ring, conj: Involution, tgrp: UnitSubgroup) -> bool:
-    """True iff conj(z) * z == 1 for every element z of the subgroup."""
-    one = ring.one()
-    return all(ring.mul(conj(z), z) == one for z in tgrp.powers)
+    """True iff conj(z) * z == 1 for every element z of the subgroup.
+    Every Involution is a ring automorphism, so conj(g^k) g^k is
+    (conj(g) g)^k and the generator g decides it."""
+    return ring.mul(conj(tgrp.generator), tgrp.generator) == ring.one()

@@ -63,7 +63,7 @@ class Twist(BindOnce):
         return self.total.comp[(self.embed[(x, k % self.n)], e)]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Twist)
             and self.base == other.base
             and self.total == other.total

@@ -262,6 +262,7 @@ def equiv_pair(gname, ring_spec, coc, involution):
     sec = T.find_section(tw)
     ectx = T.EquivContext(tw, sec, ring, tgrp, conj)
     target = T.Context(g, ring, tgrp, T.invert_cocycle(T.induced_cocycle(tw, sec)), conj)
+    assert ectx.ctx == target
     return tw, ectx, target
 
 

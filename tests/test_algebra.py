@@ -50,6 +50,12 @@ def test_char_fn_rejects_non_arrow():
         T.char_fn(ctx, [99])
 
 
+def test_char_fn_rejects_non_bisection():
+    ctx = ctx_q_pair2()  # arrows 0 and 1 both range in unit 0
+    with pytest.raises(ValueError, match="^subset is not a bisection$"):
+        T.char_fn(ctx, [0, 1])
+
+
 def test_add_sub_scale():
     ctx = ctx_q_pair2()
     rnd = random.Random(11)
@@ -295,6 +301,25 @@ def test_coboundary_iso_rejects_wrong_connection():
         T.coboundary_iso(src, dst, [0, 1, 0, 0], T.one(src))
 
 
+def test_coboundary_iso_guards():
+    g = T.build("pair2")
+    src = make_context(g, "GF(5)", coc=T.trivial_cocycle(g, 2))
+    b = [0, 0, 0, 0]
+    for dst, message in (
+        (make_context(T.build("z2"), "GF(5)", coc=T.trivial_cocycle(T.build("z2"), 2)),
+         "contexts disagree on groupoid or ring"),
+        (make_context(g, "GF(3)", coc=T.trivial_cocycle(g, 2)),
+         "contexts disagree on groupoid or ring"),
+        (make_context(g, "GF(5)", coc=T.trivial_cocycle(g, 4)),
+         "contexts disagree on the unit subgroup"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            T.coboundary_iso(src, dst, b, T.one(src))
+    elsewhere = make_context(g, "GF(5)", coc=T.trivial_cocycle(g, 2), involution="id")
+    with pytest.raises(ValueError, match="^element lives in a different context$"):
+        T.coboundary_iso(src, src, b, T.one(elsewhere))
+
+
 # --- multiplying by g^k -------------------------------------------------------
 # The library skips the product by g^0 = 1; these references always multiply.
 
@@ -409,6 +434,7 @@ def equiv_setup(gname, ring_spec, coc, involution=None):
     conj = T.parse_involution(ring, involution) if involution else None
     ectx = T.EquivContext(tw, sec, ring, tgrp, conj)
     target = T.Context(g, ring, tgrp, T.invert_cocycle(T.induced_cocycle(tw, sec)), conj)
+    assert ectx.ctx == target
     return ectx, target
 
 
@@ -419,7 +445,7 @@ def test_equivariant_value_respects_scaling():
     e0 = ectx.section[1]
     assert f.value(e0) == 2
     other = next(e for e in tw.fiber(1) if e != e0)
-    assert f.value(other) == ectx.ring.mul(ectx.tgrp.embed(1), 2)
+    assert f.value(other) == ectx.ctx.ring.mul(ectx.ctx.tgrp.embed(1), 2)
     assert f.value(ectx.section[0]) == 0
 
 
@@ -449,6 +475,50 @@ def test_psi_rejects_wrong_target_cocycle():
         T.psi(f, wrong)
     with pytest.raises(ValueError):
         T.psi_inverse(ectx, T.one(wrong))
+
+
+def test_psi_rejects_target_with_other_coefficient_data():
+    ectx, target = equiv_setup("z2", "GF(3)", T.z2_neg_cocycle(), "id")
+    no_conj = T.Context(target.gpd, target.ring, target.tgrp, target.coc)
+    f = T.EquivariantElement(ectx, {0: 1})
+    message = "^target context disagrees on coefficient data$"
+    with pytest.raises(ValueError, match=message):
+        T.psi(f, no_conj)
+    with pytest.raises(ValueError, match=message):
+        T.psi_inverse(ectx, T.delta(no_conj, 0))
+
+
+def test_equiv_convolve_rejects_other_context():
+    ectx, _ = equiv_setup("z2", "GF(3)", T.z2_neg_cocycle(), "id")
+    other, _ = equiv_setup("z2", "GF(3)", T.z2_neg_cocycle())
+    with pytest.raises(ValueError, match="^elements live in different equivariant contexts$"):
+        T.equiv_convolve(T.EquivariantElement(ectx, {0: 1}), T.EquivariantElement(other, {0: 1}))
+
+
+def model_twist(base, n, table):
+    """build_twist's tables on base x Z/n for a cocycle table it is not
+    asked to check: (a, k) is arrow a*n + k."""
+    arrows = range(base.m * n)
+    inv = [base.inv[e // n] * n + (-table[(e // n, base.inv[e // n])] - e % n) % n for e in arrows]
+    comp = {(a * n + k, b * n + l): ab * n + (table[(a, b)] + k + l) % n
+            for (a, b), ab in base.comp.items() for k in range(n) for l in range(n)}
+    total = T.Groupoid([u * n for u in base.units], [base.src[e // n] * n for e in arrows],
+                       [base.rng[e // n] * n for e in arrows], inv, comp)
+    embed = {(u, k): u * n + k for u in base.units for k in range(n)}
+    return T.Twist(base, total, n, embed, [e // n for e in arrows])
+
+
+def test_equiv_context_checks_the_cocycle_it_maps_into():
+    g = T.build("z3")
+    ring = T.parse_ring("Q")
+    tgrp = T.unit_subgroup(ring, 2)
+    good = T.apply_coboundary(T.trivial_cocycle(g, 2), [0, 1, 0])  # a nonzero table
+    assert model_twist(g, 2, good.table) == T.build_twist(g, good)
+    # normalised, but (1, 1, 2) breaks the identity: s(1,1) + s(2,2) = 1, s(1,2) + s(1,0) = 0
+    table = {pair: int(pair == (1, 1)) for pair in g.comp}
+    tw = model_twist(g, 2, table)
+    with pytest.raises(T.AxiomError):
+        T.EquivContext(tw, T.find_section(tw), ring, tgrp)
 
 
 def test_equiv_star_needs_involution():

@@ -203,6 +203,18 @@ def test_twist_iso_refuses_different_bases(fx, tmp_path, capsys):
     assert got == (1, "", "error: twists do not share a base groupoid and order\n")
 
 
+def test_twist_iso_needs_two_files(fx, tmp_path, capsys):
+    run(capsys, "twist", "build", str(fx / "z2.gpd"), str(fx / "z2_neg.coc"), "--out", str(tmp_path))
+    got = run(capsys, "twist", "iso", str(tmp_path / "twist.twi"))
+    assert got == (2, "", "error: twist iso needs two twist files\n")
+
+
+def test_mul_needs_a_groupoid_or_cocycle(tmp_path, capsys):
+    f = write(tmp_path, "f.elt", "element\ncoeff 0 1\n")
+    got = run(capsys, "mul", "--ring", "Q", f, f)
+    assert got == (1, "", "error: need a groupoid file or --cocycle/--groupoid\n")
+
+
 def test_psi_restricts_along_section(fx, tmp_path, capsys):
     run(capsys, "twist", "build", str(fx / "z2.gpd"), str(fx / "z2_neg.coc"),
         "--out", str(tmp_path))

@@ -76,6 +76,17 @@ def test_validator_catches_nonunit_source():
     assert T.validate_groupoid(mutate(g, src=src))
 
 
+def test_validator_names_table_and_unit_faults():
+    g = T.build("pair2")  # units 0 and 3; arrow 1 runs 3 -> 0, arrow 2 runs 0 -> 3
+    assert T.validate_groupoid(mutate(g, rng=list(g.rng)[:-1])) == [
+        "src/rng/inv tables have mismatched lengths"]
+    assert T.validate_groupoid(mutate(g, units=[0, 1])) == [
+        "unit 1 is not its own source and range"]
+    rng = list(g.rng)
+    rng[1] = 2
+    assert "rng(1) = 2 is not a unit" in T.validate_groupoid(mutate(g, rng=rng))
+
+
 def test_validator_catches_broken_associativity():
     # a 3-cycle composition table on the s3 carrier cannot stay associative
     # once one product is redirected; easier: corrupt z4's table

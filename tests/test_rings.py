@@ -222,6 +222,33 @@ def test_t_inverse_involution_checks():
     assert T.check_t_inverse_involution(c4, conj, T.unit_subgroup(c4, 4))
 
 
+def t_inverse_on_every_power(ring, conj, tgrp):
+    """The reference predicate: conj(z) * z == 1 checked on each power."""
+    return all(ring.mul(conj(z), z) == ring.one() for z in tgrp.powers)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_t_inverse_involution_decided_by_the_generator(name):
+    ring = RINGS[name]
+    conjs = []
+    for kind in T.Involution.KINDS:
+        try:
+            conjs.append(T.parse_involution(ring, kind))
+        except ValueError:
+            pass
+    tgrps = []
+    for n in range(1, 25):
+        try:
+            tgrps.append(T.unit_subgroup(ring, n))
+        except ValueError:
+            pass
+    assert conjs and tgrps
+    for conj in conjs:
+        for tgrp in tgrps:
+            assert T.check_t_inverse_involution(ring, conj, tgrp) == \
+                t_inverse_on_every_power(ring, conj, tgrp), (conj, tgrp)
+
+
 def test_involution_ring_guards():
     with pytest.raises(ValueError):
         T.parse_involution(RINGS["Q"], "conj")
@@ -415,6 +442,13 @@ def test_parse_ring_refusal_messages(spec, msg):
 ])
 def test_unit_subgroup_refusal_messages(spec, n, msg):
     assert _message(T.unit_subgroup, T.parse_ring(spec), n) == msg
+
+
+def test_unit_subgroup_generator_refusals():
+    gf5, gf7 = RINGS["GF(5)"], T.parse_ring("GF(7)")
+    assert _message(T.UnitSubgroup, gf7, 2, 3) == "generator order does not divide 2"
+    assert _message(T.UnitSubgroup, gf5, 4, 4) == "generator order is smaller than 4"
+    assert _message(T.unit_subgroup(gf5, 2).exponent, 2) == "2 is not in the unit subgroup"
 
 
 @pytest.mark.parametrize("spec,name,msg", [

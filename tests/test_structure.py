@@ -415,6 +415,15 @@ def test_ideal_needs_field():
         T.Ideal(ctx, [])
 
 
+def test_ideal_generated_guards():
+    ctx = make_context(T.build("pair2"), "Z")
+    with pytest.raises(ValueError, match="^ideals require field coefficients$"):
+        T.ideal_generated(ctx, [T.delta(ctx, 1)])
+    ctx, other = make_context(T.build("pair2"), "GF(3)"), make_context(T.build("pair2"), "GF(5)")
+    with pytest.raises(ValueError, match="^generator lives in a different context$"):
+        T.ideal_generated(ctx, [T.delta(ctx, 0), T.delta(other, 1)])
+
+
 def test_ideal_generated_contains_generators():
     ctx = make_context(T.build("pair2_pair2"), "GF(3)")
     rnd = random.Random(5)
@@ -516,6 +525,15 @@ def test_graded_ck_witness_rejects_non_graded_ideal():
     ideal = T.Ideal(ctx, T.rref(GF3, [[1, 1]]))
     with pytest.raises(ValueError):
         T.graded_ck_witness(ctx, grading, ideal)
+
+
+def test_graded_ck_witness_rejects_foreign_and_zero_ideals():
+    ctx, grading = z2_span_grading()
+    other = make_context(T.build("z2"), "GF(5)")
+    with pytest.raises(ValueError, match="^ideal lives in a different context$"):
+        T.graded_ck_witness(ctx, grading, T.Ideal(other, [[1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^zero ideal has no witness$"):
+        T.graded_ck_witness(ctx, grading, T.Ideal(ctx, []))
 
 
 def test_graded_ck_witness_rejects_ineffective_kernel():

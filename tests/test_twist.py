@@ -36,6 +36,25 @@ def test_built_twist_validates(name, coc):
         assert len(tw.fiber(a)) == coc.n
 
 
+def test_equality_of_equal_copies_and_different_objects():
+    """__eq__ answers at once for an object and itself; a copy is still
+    compared table by table."""
+    g, h = T.build("z2"), T.build("pair2")
+    neg, triv = T.z2_neg_cocycle(), T.trivial_cocycle(g, 2)
+    tw = T.build_twist(g, neg)
+    grading = T.Grading(g, T.cyclic_group(2), [0, 1])
+    copies = [
+        (g, T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp), h),
+        (neg, T.Cocycle(g, 2, dict(neg.table)), triv),
+        (grading, T.Grading(g, T.cyclic_group(2), [0, 1]), T.Grading(g, T.cyclic_group(1), [0, 0])),
+        (tw, T.Twist(g, tw.total, 2, tw.embed, tw.proj), T.build_twist(g, triv)),
+    ]
+    for obj, copy, other in copies:
+        assert obj == obj and obj == copy and copy == obj
+        assert hash(obj) == hash(copy)
+        assert obj != other and other != obj
+
+
 def test_twist_action_is_free_and_transitive():
     g = T.build("pair2")
     coc = T.enumerate_cocycles(g, 2)[1]
