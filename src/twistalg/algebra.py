@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import rings
-from .cocycle import Cocycle, Grading, check_cocycle, check_grading, invert_cocycle
+from .cocycle import (
+    Cocycle, Grading, apply_coboundary, check_cocycle, check_grading, invert_cocycle,
+)
 from .groupoid import BindOnce, Groupoid, composable_pairs, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, induced_cocycle, unique_scalar
@@ -254,8 +256,6 @@ def coboundary_iso(ctx_src: Context, ctx_dst: Context, b, f: Element) -> Element
     """Pointwise multiplication by the coboundary, an isomorphism between
     the two twisted algebras when src cocycle == dst cocycle perturbed by b.
     """
-    from .cocycle import apply_coboundary
-
     if ctx_src.gpd != ctx_dst.gpd or ctx_src.ring != ctx_dst.ring:
         raise ValueError("contexts disagree on groupoid or ring")
     if ctx_src.tgrp != ctx_dst.tgrp:

@@ -4,9 +4,13 @@ One verb per invocation, all inputs and outputs in the text formats of
 fileio, whose readers check every input file as they read it.  Exit
 codes: 0 success, 1 an input that breaks its axioms (one `violation:`
 line per violation on stdout) or any other error (one `error:` line on
-stderr), 2 usage error (argparse).  Output is
-deterministic byte for byte: artifact files have fixed names inside
---out, and everything printed is derived from sorted structures.
+stderr), 2 usage error (argparse).  Each `twist` and `ideal` sub-verb
+reads exactly the files it names in _FILES (build: groupoid, cocycle;
+iso: two twists; section, induced: one twist; gen: groupoid, generators;
+member: groupoid, ideal, element); an extra or a missing one is a usage
+error too.  Output is deterministic byte for byte: artifact files have
+fixed names inside --out, and everything printed is derived from sorted
+structures.
 """
 
 from __future__ import annotations
@@ -142,12 +146,12 @@ def _cmd_cohomologous(args) -> int:
 
 def _cmd_twist(args) -> int:
     if args.what == "build":
-        tw = build_twist(fileio.read_groupoid(args.file), fileio.read_cocycle(args.cocfile))
+        tw = build_twist(fileio.read_groupoid(args.file), fileio.read_cocycle(args.files[0]))
         _artifact(args, "twist.twi", fileio.serialize_twist(tw))
         return 0
     if args.what == "iso":
         t1 = fileio.read_twist(args.file)
-        t2 = fileio.read_twist(args.second)
+        t2 = fileio.read_twist(args.files[0])
         mor = twists_isomorphic(t1, t2)
         print("isomorphic: %s" % _bool(mor is not None))
         _artifact(args, "morphism.mor", fileio.serialize_morphism(None if mor is None else mor.mapping))
@@ -189,13 +193,13 @@ def _cmd_ideal(args) -> int:
     g = fileio.read_groupoid(args.file)
     ctx = _context(args, gpd=g)
     if args.what == "gen":
-        gens = [fileio.read_element(p, ctx) for p in args.elts]
+        gens = [fileio.read_element(p, ctx) for p in args.files]
         ideal = ideal_generated(ctx, gens)
         print("dim: %d" % ideal.dim)
         _artifact(args, "ideal.idl", fileio.serialize_ideal(ideal))
         return 0
-    ideal = fileio.read_ideal(args.idl, ctx)
-    f = fileio.read_element(args.elt, ctx)
+    ideal = fileio.read_ideal(args.files[0], ctx)
+    f = fileio.read_element(args.files[1], ctx)
     print("member: %s" % _bool(ideal.member(f)))
     return 0
 
@@ -310,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", help="central extension commands")
     p.add_argument("what", choices=["build", "iso", "section", "induced"])
     p.add_argument("file", help="groupoid file for build, twist file otherwise")
-    p.add_argument("cocfile", nargs="?", help="cocycle file (build)")
-    p.add_argument("second", nargs="?", help="second twist file (iso)")
+    p.add_argument("files", nargs="*", help="cocycle file (build), second twist file (iso)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_twist)
 
@@ -334,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="groupoid file")
     _add_ctx(p)
     p.add_argument("--out")
-    p.add_argument("idl", nargs="?", help="ideal file (member)")
-    p.add_argument("elt", nargs="?", help="element file (member)")
-    p.add_argument("elts", nargs="*", help="generator element files (gen)")
+    p.add_argument("files", nargs="*", help="generator files (gen), ideal and element file (member)")
     p.set_defaults(fn=_cmd_ideal)
 
     p = sub.add_parser("ck-witness", help="unit-set witness inside a nonzero ideal")
@@ -368,27 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (verb, what) -> the least and most files after the first (None: no
+# bound), and how a wrong count names the files
+_FILES = {
+    ("twist", "build"): (1, 1, "a groupoid file and a cocycle file"),
+    ("twist", "iso"): (1, 1, "two twist files"),
+    ("twist", "section"): (0, 0, "one twist file"),
+    ("twist", "induced"): (0, 0, "one twist file"),
+    ("ideal", "gen"): (1, None, "at least one element file"),
+    ("ideal", "member"): (2, 2, "an ideal file and an element file"),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verb == "ideal" and args.what == "gen":
-        # positionals after the groupoid are all generators in gen mode
-        gens = [x for x in (args.idl, args.elt) if x] + list(args.elts)
-        if not gens:
-            print("error: ideal gen needs at least one element file", file=sys.stderr)
+    if (args.verb, getattr(args, "what", None)) in _FILES:
+        least, most, files = _FILES[args.verb, args.what]
+        if len(args.files) < least or most is not None and len(args.files) > most:
+            print("error: %s %s needs %s" % (args.verb, args.what, files), file=sys.stderr)
             return 2
-        args.elts = gens
-    if args.verb == "ideal" and args.what == "member" and (not args.idl or not args.elt):
-        print("error: ideal member needs an ideal file and an element file", file=sys.stderr)
-        return 2
-    if args.verb == "twist":
-        if args.what == "build" and not args.cocfile:
-            print("error: twist build needs a groupoid file and a cocycle file", file=sys.stderr)
-            return 2
-        if args.what == "iso":
-            args.second = args.second or args.cocfile
-            if not args.second:
-                print("error: twist iso needs two twist files", file=sys.stderr)
-                return 2
     try:
         return args.fn(args)
     except AxiomError as exc:

@@ -14,14 +14,18 @@ values is exact equality:
                cyclotomic polynomial
 
 Elements are plain hashable Python values; the Ring object owns the
-arithmetic.  Inside mul and the Galois maps, Q(zeta_n) works fraction
-free: each operand becomes integer numerators over one common
-denominator, the product and its reduction by the monic integer
-cyclotomic polynomial run on Python ints, and only the output coordinates
-become Fractions again; element values are always tuples of Fractions in
-lowest terms.  Both extension fields work through their Galois
-automorphisms: conj on Q(zeta_n) is sigma_-1, where sigma_k sends zeta to
-zeta^k, and GF(p^2) has the Frobenius x -> x^p.  Each inverts x as
+arithmetic.  Ring's defaults are the arithmetic of Python numbers: 0, 1,
+x + y, -x, x * y, x == 0 and str(x).  Z keeps all of them, Q all but its
+Fraction zero and one, and GF(p) all but add, neg, mul and fmt, which
+reduce mod p; the tuple-valued GF(p^2) and Q(zeta_n) override every one.
+Inside mul and the Galois maps, Q(zeta_n) works fraction free: each
+operand becomes integer numerators over one common denominator, the
+product and its reduction by the monic integer cyclotomic polynomial run
+on Python ints, and only the output coordinates become Fractions again;
+element values are always tuples of Fractions in lowest terms.  Both
+extension fields work through their Galois automorphisms: conj on
+Q(zeta_n) is sigma_-1, where sigma_k sends zeta to zeta^k, and GF(p^2)
+has the Frobenius x -> x^p.  Each inverts x as
 y / N(x), where y is the product of the other conjugates and the norm
 N(x) = x*y lies in the prime field.  A UnitSubgroup is a finite cyclic
 group of units given by a generator and its order; its members travel as
@@ -55,8 +59,9 @@ from math import gcd, lcm
 
 class Ring:
     """Exact commutative unital ring; subclasses fix the element type and
-    their kind (module docstring).  Z and Q keep the default "auto"
-    involution and unit generators."""
+    their kind (module docstring).  The arithmetic defaults are those of
+    Python numbers, which the tuple-valued kinds override.  Z and Q keep
+    the default "auto" involution and unit generators."""
 
     kind: tuple = ("?",)  # what == and hash compare
     is_field = False
@@ -64,19 +69,19 @@ class Ring:
     _auto_involution = "id"
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
+        return 1
 
     def add(self, x, y):
-        raise NotImplementedError
+        return x + y
 
     def neg(self, x):
-        raise NotImplementedError
+        return -x
 
     def mul(self, x, y):
-        raise NotImplementedError
+        return x * y
 
     def inv(self, x):
         raise NotImplementedError
@@ -85,7 +90,7 @@ class Ring:
         return self.add(x, self.neg(y))
 
     def is_zero(self, x):
-        return x == self.zero()
+        return x == 0
 
     def elements(self):
         """Iterate all elements in canonical order; finite rings only."""
@@ -95,7 +100,7 @@ class Ring:
         raise NotImplementedError
 
     def fmt(self, x) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def random_element(self, rnd):
         raise NotImplementedError
@@ -134,24 +139,6 @@ def _prime_factors(n: int) -> list:
 class IntegerRing(Ring):
     kind = ("Z",)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
     def inv(self, x):
         if x in (1, -1):
             return x
@@ -159,9 +146,6 @@ class IntegerRing(Ring):
 
     def parse(self, text):
         return int(_literal(_INT_RE, text, "integer"))
-
-    def fmt(self, x):
-        return str(x)
 
     def random_element(self, rnd):
         return rnd.randint(-9, 9)
@@ -180,18 +164,6 @@ class RationalRing(Ring):
     def one(self):
         return Fraction(1)
 
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
     def inv(self, x):
         if x == 0:
             raise ValueError("0 is not a unit in Q")
@@ -202,9 +174,6 @@ class RationalRing(Ring):
             return Fraction(_literal(_RATIONAL_RE, text, "rational"))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % text) from None
-
-    def fmt(self, x):
-        return str(x)
 
     def random_element(self, rnd):
         return Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
@@ -270,15 +239,6 @@ class PrimeField(_FiniteField):
         self.p = p
         self.kind = ("GF", p)
         self.size = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def is_zero(self, x):
-        return x == 0
 
     def add(self, x, y):
         return (x + y) % self.p

@@ -38,6 +38,8 @@ class Twist(BindOnce):
                  "_induced")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
+        if n < 1:
+            raise ValueError("twist order must be positive")
         self.base = base
         self.total = total
         self.n = n

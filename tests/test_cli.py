@@ -209,6 +209,29 @@ def test_twist_iso_needs_two_files(fx, tmp_path, capsys):
     assert got == (2, "", "error: twist iso needs two twist files\n")
 
 
+EXTRA_FILE = [
+    (["twist", "iso", "twist.twi", "triv.twi", "twist.twi"], "twist iso needs two twist files"),
+    (["twist", "section", "twist.twi", "z2.gpd"], "twist section needs one twist file"),
+    (["twist", "induced", "twist.twi", "z2.gpd"], "twist induced needs one twist file"),
+    (["twist", "build", "z2.gpd", "z2_neg.coc", "z2_triv.coc"],
+     "twist build needs a groupoid file and a cocycle file"),
+    (["ideal", "--ring", "GF(3)", "member", "z2.gpd", "ideal.idl", "e.elt", "e.elt"],
+     "ideal member needs an ideal file and an element file"),
+]
+
+
+@pytest.mark.parametrize("argv,need", EXTRA_FILE, ids=[n.split(" needs")[0] for _, n in EXTRA_FILE])
+def test_an_extra_file_is_a_usage_error(emitted, tmp_path, capsys, argv, need):
+    """Every file after the verb is read or refused; none is ignored."""
+    triv = T.build_twist(T.build("z2"), T.read_cocycle(str(emitted / "z2_triv.coc")))
+    T.write_twist(str(tmp_path / "triv.twi"), triv)
+    paths = [str((tmp_path if a == "triv.twi" else emitted) / a) if "." in a else a for a in argv]
+    out = tmp_path / "out"
+    got = run(capsys, *paths, "--out", str(out))
+    assert got == (2, "", "error: %s\n" % need)
+    assert not out.exists()
+
+
 def test_mul_needs_a_groupoid_or_cocycle(tmp_path, capsys):
     f = write(tmp_path, "f.elt", "element\ncoeff 0 1\n")
     got = run(capsys, "mul", "--ring", "Q", f, f)

@@ -327,6 +327,26 @@ def test_validate_twist_centrality_through_the_cli(tmp_path, capsys):
     assert "violation: centrality fails at arrow 5, exponent 1" in out.splitlines()
 
 
+EMPTY_TWIST = ("twist\norder %d\nbegin base\ngroupoid\narrows 0\nunits\nend\n"
+               "begin total\ngroupoid\narrows 0\nunits\nend\n")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_twist_order_must_be_positive(n, tmp_path, capsys):
+    g = T.build("z2")
+    tw = T.build_twist(g, T.trivial_cocycle(g, 2))
+    with pytest.raises(ValueError, match="^twist order must be positive$"):
+        T.Twist(tw.base, tw.total, n, tw.embed, tw.proj)
+    # over the empty groupoid no other check fails, so only the order refuses it
+    path = tmp_path / "empty.twi"
+    path.write_text(EMPTY_TWIST % n)
+    for verb in (["validate", "twist"], ["twist", "section"], ["twist", "induced"]):
+        assert main(verb + [str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: twist order must be positive\n")
+    path.write_text(EMPTY_TWIST % 1)
+    assert main(["validate", "twist", str(path)]) == 0
+
+
 def _pair2_fibers_swapped():
     """The untwisted order-two twist over pair2 with the fibers over base
     arrows 1 and 2 swapped.  Units still go to units and inverses to
