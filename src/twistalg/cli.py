@@ -7,10 +7,10 @@ line per violation on stdout) or any other error (one `error:` line on
 stderr), 2 usage error (argparse).  Each `twist` and `ideal` sub-verb
 reads exactly the files it names in _FILES (build: groupoid, cocycle;
 iso: two twists; section, induced: one twist; gen: groupoid, generators;
-member: groupoid, ideal, element); an extra or a missing one is a usage
-error too.  Output is deterministic byte for byte: artifact files have
-fixed names inside --out, and everything printed is derived from sorted
-structures.
+member: groupoid, ideal, element), flags before, between or after them;
+an extra or a missing one is a usage error too.  Output is deterministic
+byte for byte: artifact files have fixed names inside --out, and
+everything printed is derived from sorted structures.
 """
 
 from __future__ import annotations
@@ -382,9 +382,17 @@ _FILES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if (args.verb, getattr(args, "what", None)) in _FILES:
-        least, most, files = _FILES[args.verb, args.what]
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    key = args.verb, getattr(args, "what", None)
+    # argparse fills files from one run of positionals; the files after a
+    # flag come back left over
+    if key in _FILES and not any(r.startswith("-") for r in rest):
+        args.files += rest
+    elif rest:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
+    if key in _FILES:
+        least, most, files = _FILES[key]
         if len(args.files) < least or most is not None and len(args.files) > most:
             print("error: %s %s needs %s" % (args.verb, args.what, files), file=sys.stderr)
             return 2

@@ -277,6 +277,23 @@ def _least_nonresidue(p: int) -> int:
     raise ValueError("no quadratic nonresidue mod %d" % p)
 
 
+def _fmt_terms(coords, gen: str) -> str:
+    """The literal c0+c1*gen+c2*gen^2..., zero terms left out and a
+    coefficient of 1 or -1 written as gen or -gen; "0" for no terms."""
+    parts = []
+    for i, c in enumerate(coords):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            power = gen if i == 1 else "%s^%d" % (gen, i)
+            parts.append(power if c == 1 else "-" + power if c == -1 else "%s*%s" % (c, power))
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
 class QuadraticGaloisField(_FiniteField):
     """GF(p^2) with basis 1, w where w^2 = s*w + t.
 
@@ -353,13 +370,7 @@ class QuadraticGaloisField(_FiniteField):
         return acc
 
     def fmt(self, x):
-        a, b = x
-        if b == 0:
-            return str(a)
-        wpart = "w" if b == 1 else "%d*w" % b
-        if a == 0:
-            return wpart
-        return "%d+%s" % (a, wpart)
+        return _fmt_terms(x, "w")
 
     def random_element(self, rnd):
         return (rnd.randrange(self.p), rnd.randrange(self.p))
@@ -507,26 +518,7 @@ class CyclotomicField(Ring):
         return acc
 
     def fmt(self, x):
-        parts = []
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                gen = "zeta" if i == 1 else "zeta^%d" % i
-                if c == 1:
-                    parts.append(gen)
-                elif c == -1:
-                    parts.append("-" + gen)
-                else:
-                    parts.append("%s*%s" % (c, gen))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _fmt_terms(x, "zeta")
 
     def random_element(self, rnd):
         return tuple(

@@ -43,33 +43,35 @@ is not effective.
 The exhaustive scan rests on two lemmas.  One-entry: when the recipe of
 (a, b) has the single entry (c, t, k), delta_a v delta_b = g^k v_c
 delta_t with g^k a unit, so if delta_t generates the algebra so does every
-v with v_c != 0.  Candidates come in lead groups, one per position of the
-first nonzero coefficient, each opening with lead * delta_pos.  Once
-lead * delta_t passes its rank scan, every c with a one-entry recipe onto t
-is certified, and groups led by a certified arrow are passed over, the
-current one included.  A twisted pair groupoid (a matrix algebra) takes one
-rank scan.  Unit orbit: a group has no one-entry recipe, but there every
-delta_a is a unit of the algebra (delta_a delta_a^-1 = g^k delta_e), so
-u = lambda delta_a v delta_b, lambda a nonzero scalar, generates the ideal
-v does.  Once v passes its rank scan, each recipe's image of v, scaled so
-that its first nonzero coefficient is the scan's lead, joins a set, and a
-later candidate found there passes without a scan.  The set holds each
-vector as one integer, its digits (positions in ring.elements()) read in
-base q, which keeps it a fraction of the size of a set of tuples.  The
-orbit is worked out in discrete-log coordinates: the nonzero elements of
-GF(q) are the powers of a primitive root (Lidl and Niederreiter, Finite
-Fields, ch. 9), so with the ring's log and antilog tables every product
-and rescaling is an integer sum mod q - 1 and every digit one lookup,
-without ring arithmetic.  Both lemmas skip only candidates that pass, so
-the verdict and certificate are the full scan's.
+v with v_c != 0.  A recipe (a, b) has one entry per arrow from rng b to src
+a, so one-entry recipes exist only where the isotropy is trivial, and the
+arrows c with one onto the last arrow m - 1 are none or all the arrows
+within the orbit of m - 1.  The scan opens with lead * delta_(m-1), which
+generates only the span of those arrows.  If it passes, G is transitive:
+either every arrow has a one-entry recipe onto m - 1, G is a twisted pair
+groupoid (a matrix algebra) and the scan answers after that one rank scan,
+or the isotropy is nontrivial and no recipe has one entry.  Unit orbit: on
+a group every delta_a is a unit of the algebra (delta_a delta_a^-1 = g^k
+delta_e), so u = lambda delta_a v delta_b, lambda a nonzero scalar,
+generates the ideal v does.  Once v passes its rank scan, each recipe's
+image of v, scaled so that its first nonzero coefficient is the scan's
+lead, joins a set, and a later candidate found there passes without a
+scan.  The set holds each vector as one integer, its digits (positions in
+ring.elements()) read in base q, which keeps it a fraction of the size of
+a set of tuples.  The orbit is worked out in discrete-log coordinates: the
+nonzero elements of GF(q) are the powers of a primitive root (Lidl and
+Niederreiter, Finite Fields, ch. 9), so with the ring's log and antilog
+tables every product and rescaling is an integer sum mod q - 1 and every
+digit one lookup, without ring arithmetic.  Both lemmas pass over only
+candidates that generate, so the verdict and certificate are the full
+scan's.
 
 The candidates themselves are enumerated as codes, not as vectors.
 elements() lists zero first, so the least nonzero element has digit 1,
 the lead group of position pos is the range of codes from q^(m-1-pos) up
 to twice that, and ascending codes are lexicographic order.  A sparse
-row {i: elements()[digit i]} is decoded only for a code that is scanned,
-and a group led by a certified arrow is never entered.  The recipes are
-built once per context (_scan_tables).
+row {i: elements()[digit i]} is decoded only for a code that is scanned.
+The recipes are built once per context (_scan_tables).
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def ck_witness(ctx: Context, ideal: Ideal) -> frozenset:
     arrow, slide that arrow to a unit by convolving with the inverse
     delta, and cut down by the singleton at the source.  Effectiveness
     (principality here) collapses the cut to a scalar multiple of the
-    indicator.  Membership is certified against the row space.
+    indicator.  Membership is checked against the row space.
     """
     if ctx != ideal.ctx:
         raise ValueError("ideal lives in a different context")
@@ -353,30 +355,25 @@ SimpleResult = namedtuple("SimpleResult", "simple certificate reason")
 
 
 def _product_recipes(ctx: Context):
-    """Per arrow pair (a, b), how delta_a * v * delta_b reads off v: left[a]
-    followed through right[b], entries (c, a c b, exponent sum mod n).
-    Recipes are emitted round-robin across the range classes of the left
-    factor so that a rank scan touches many pivot positions early."""
-    gpd, n = ctx.gpd, ctx.tgrp.order
+    """Per arrow pair (a, b), in ascending order, how delta_a * v * delta_b
+    reads off v: left[a] followed through right[b], entries (c, a c b,
+    exponent sum mod n).  Pairs whose product is always zero are left out."""
+    n = ctx.tgrp.order
     left, right = ctx.regular()
     right = [{c: (t, k) for c, t, k in rb} for rb in right]
-    buckets = {}
-    for a in range(gpd.m):
-        for rb in right:
-            entries = [(c, rb[ac][0], (k + rb[ac][1]) % n) for c, ac, k in left[a] if ac in rb]
-            if entries:
-                buckets.setdefault(gpd.rng[a], []).append(entries)
-    rounds = itertools.zip_longest(*(buckets[k] for k in sorted(buckets)))
-    return [rec for rnd in rounds for rec in rnd if rec is not None]
+    return [rec for la in left for rb in right
+            if (rec := [(c, rb[ac][0], (k + rb[ac][1]) % n) for c, ac, k in la if ac in rb])]
 
 
 def _scan_tables(ctx: Context):
-    """(recipes, one_entry) for the exhaustive scan: _product_recipes and
-    the entry of each one-entry recipe.  Built on the first call and kept on
-    ctx, whose fields never change, so repeated verdicts share them."""
+    """(recipes, covers) for the exhaustive scan: _product_recipes, and
+    whether every arrow has a one-entry recipe onto the last arrow m - 1.
+    Built on the first call and kept on ctx, whose fields never change, so
+    repeated verdicts share them."""
     if ctx._scan_tables is None:
-        recipes = _product_recipes(ctx)
-        ctx._scan_tables = recipes, [rec[0] for rec in recipes if len(rec) == 1]
+        recipes, last = _product_recipes(ctx), ctx.gpd.m - 1
+        onto = {rec[0][0] for rec in recipes if len(rec) == 1 and rec[0][1] == last}
+        ctx._scan_tables = recipes, len(onto) == ctx.gpd.m
     return ctx._scan_tables
 
 
@@ -422,13 +419,14 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
 
     exhaustive: every nonzero element must generate the full algebra;
     needs a finite field with size**arrows <= cap.  The certificate of a
-    negative answer is the lexicographically first failing element.  Lead
-    groups certified through a one-entry recipe are passed over, and on a
-    group so is every candidate in the unit orbit of one that passed; the
-    orbit's codes are worked out in discrete-log coordinates.  Candidates
-    are enumerated as base-q codes, and a sparse row is built only for a
-    code that is scanned (module docstring).  Every field takes the same
-    Echelon rank scan, and the recipes are built once per context.
+    negative answer is the lexicographically first failing element.  When
+    every arrow has a one-entry recipe onto the last arrow, the first rank
+    scan decides; on a group every candidate in the unit orbit of one that
+    passed is passed over, the orbit's codes worked out in discrete-log
+    coordinates.  Candidates are enumerated as base-q codes, and a sparse
+    row is built only for a code that is scanned (module docstring).  Every
+    field takes the same Echelon rank scan, and the recipes are built once
+    per context.
     structural: answers from minimality when the groupoid is effective,
     with the ideal generated by the indicator of a proper invariant unit
     set U as negative certificate (it is spanned by the delta_a with src a
@@ -448,27 +446,27 @@ def is_simple(ctx: Context, mode: str = "structural", cap: int = 2 ** 20) -> Sim
     if not gpd.m:
         return SimpleResult(False, None, "the zero algebra is not simple")
     if mode == "exhaustive":
-        recipes, one_entry = _scan_tables(ctx)
+        recipes, covers = _scan_tables(ctx)
         elems, m = list(ctx.ring.elements()), gpd.m
         q = len(elems)
         digit = {e: i for i, e in enumerate(elems)}
         place = [q ** (m - 1 - i) for i in range(m)]
         # a one-arrow group has one candidate and nothing to skip
         on_group = len(gpd.units) == 1 and m > 1
-        passed, certified = set(), set()
+        simple = SimpleResult(True, None, "every nonzero element generates the algebra")
+        passed = set()
         for pos in range(m - 1, -1, -1):
             for code in range(place[pos], 2 * place[pos]):
-                if pos in certified:
-                    break
-                if code not in passed:
-                    v = {i: elems[d] for i in range(pos, m) if (d := code // place[i] % q)}
-                    if not _generates_everything(ctx.tgrp, m, v, recipes):
-                        return SimpleResult(False, Element(ctx, v), "element generates a proper ideal")
-                    if on_group:
-                        passed |= _orbit(ctx.tgrp, place, digit, v, recipes)
-                if code == place[pos]:  # lead * delta_pos, and it generates
-                    certified.update(c for c, t, _ in one_entry if t == pos)
-        return SimpleResult(True, None, "every nonzero element generates the algebra")
+                if code in passed:
+                    continue
+                v = {i: elems[d] for i in range(pos, m) if (d := code // place[i] % q)}
+                if not _generates_everything(ctx.tgrp, m, v, recipes):
+                    return SimpleResult(False, Element(ctx, v), "element generates a proper ideal")
+                if covers:  # one-entry lemma: every candidate generates
+                    return simple
+                if on_group:
+                    passed |= _orbit(ctx.tgrp, place, digit, v, recipes)
+        return simple
     if not is_effective(gpd):
         return SimpleResult(None, None, "groupoid is not effective")
     if is_minimal(gpd):

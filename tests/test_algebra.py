@@ -152,6 +152,15 @@ def test_convolution_associative_random(maker):
         assert T.convolve(T.convolve(f, g), h) == T.convolve(f, T.convolve(g, h))
 
 
+@pytest.mark.parametrize("maker", [ctx_q_pair2, ctx_gf3_z2_neg, ctx_cyc_z4_carry])
+def test_element_product_is_convolution(maker):
+    ctx = maker()
+    rnd = random.Random("mul " + str(ctx.ring.kind))
+    for _ in range(6):
+        f, g = random_element(ctx, rnd), random_element(ctx, rnd)
+        assert (f * g).coeffs == brute_convolve(f, g)
+
+
 @given(
     st.dictionaries(st.integers(0, 3), st.integers(0, 2), max_size=4),
     st.dictionaries(st.integers(0, 3), st.integers(0, 2), max_size=4),

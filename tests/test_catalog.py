@@ -78,6 +78,11 @@ def test_pair_groupoid_shape():
     assert g.comp[(1, 5)] == 2  # (1,2)(2,3) = (1,3)
 
 
+def test_pair_groupoid_needs_a_point():
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        T.pair_groupoid(0)
+
+
 def test_group_groupoid_is_the_group():
     tbl = T.s3_table()
     g = T.group_groupoid(tbl)

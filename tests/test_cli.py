@@ -232,6 +232,45 @@ def test_an_extra_file_is_a_usage_error(emitted, tmp_path, capsys, argv, need):
     assert not out.exists()
 
 
+def test_files_after_a_flag_are_read(emitted, tmp_path, capsys):
+    """A flag between the files of twist or ideal: every file is still
+    read, and the call prints and writes what the flags-first call does."""
+    triv = T.build_twist(T.build("z2"), T.read_cocycle(str(emitted / "z2_triv.coc")))
+    T.write_twist(str(tmp_path / "triv.twi"), triv)
+    twi, gpd, elt = (str(emitted / x) for x in ("twist.twi", "z2.gpd", "e.elt"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    got = run(capsys, "twist", "iso", twi, "--out", str(a), str(tmp_path / "triv.twi"))
+    assert got == run(capsys, "twist", "iso", "--out", str(b), twi, str(tmp_path / "triv.twi"))
+    assert got == (0, "isomorphic: false\nwrote morphism.mor\n", "")
+    assert (a / "morphism.mor").read_bytes() == (b / "morphism.mor").read_bytes()
+
+    got = run(capsys, "ideal", "--ring", "GF(3)", "member", gpd, "--cocycle",
+              str(emitted / "z2_triv.coc"), str(emitted / "ideal.idl"), elt)
+    assert got == (0, "member: true\n", "")
+
+    # 1 + delta_1 and 1 - delta_1 span the two idempotent ideals of GF(3)[Z/2]
+    e1 = write(tmp_path, "e1.elt", "element\ncoeff 0 1\ncoeff 1 1\n")
+    e2 = write(tmp_path, "e2.elt", "element\ncoeff 0 1\ncoeff 1 2\n")
+    got = run(capsys, "ideal", "--ring", "GF(3)", "gen", gpd, e1, "--out", str(a), e2)
+    assert got == (0, "dim: 2\nwrote ideal.idl\n", "")
+    assert run(capsys, "ideal", "--ring", "GF(3)", "gen", gpd, e1)[1].startswith("dim: 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "iso", "twist.twi", "twist.twi", "--bogus"],
+    ["mul", "--groupoid", "z2.gpd", "e.elt", "e.elt", "e.elt"],
+])
+def test_unrecognized_arguments_are_a_usage_error(emitted, capsys, argv):
+    """The last argument is left over, and argparse refuses it."""
+    paths = [str(emitted / a) if "." in a else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(paths)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: %s\n" % paths[-1])
+
+
 def test_mul_needs_a_groupoid_or_cocycle(tmp_path, capsys):
     f = write(tmp_path, "f.elt", "element\ncoeff 0 1\n")
     got = run(capsys, "mul", "--ring", "Q", f, f)
@@ -597,6 +636,14 @@ def test_ideal_dimension_out_of_range(dim, fx, tmp_path, capsys):
 def test_unit_listed_twice(fx, tmp_path, capsys):
     bad = write(tmp_path, "g.gpd", (fx / "z2.gpd").read_text().replace("units 0", "units 0 0"))
     assert run(capsys, "validate", "groupoid", bad) == (1, "violation: unit 0 is listed more than once\n", "")
+
+
+def test_grading_degree_out_of_range(emitted, tmp_path, capsys):
+    text = (emitted / "z2.grd").read_text()
+    assert "group table 2\n" in text and text.endswith("deg 1 1\n")
+    bad = write(tmp_path, "bad.grd", text.replace("deg 1 1\n", "deg 1 5\n"))
+    got = run(capsys, "validate", "grading", bad)
+    assert got == (1, "violation: degree of arrow 1 is out of range\n", "")
 
 
 def test_large_cyclic_grading_group(fx, tmp_path, capsys):

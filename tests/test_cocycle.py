@@ -375,6 +375,19 @@ def test_group_table_row_check_matches_the_old_check():
                         "table has a non-invertible element", "table is not associative"}
 
 
+@pytest.mark.parametrize("make,msg", [
+    (lambda: T.Cocycle(T.build("z2"), 0, {}), "cocycle order must be positive"),
+    (lambda: T.apply_coboundary(T.trivial_cocycle(T.build("z2"), 2), [0]),
+     "coboundary vector has wrong length"),
+    (lambda: T.GroupTable([[0, 1], [1]]), "multiplication table is not square"),
+    (lambda: T.Grading(T.build("z2"), T.cyclic_group(2), [0]), "degree vector has wrong length"),
+])
+def test_constructor_refusals(make, msg):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == msg
+
+
 def test_grading_validation():
     p3 = T.build("pair3")
     # degree of (i, j) is d(i) - d(j) with d = (0, 1, 1) on the points

@@ -140,6 +140,11 @@ def test_restrict_rejects_noninvariant_set():
         T.restrict(p2, [0])
 
 
+def test_restrict_rejects_a_non_unit():
+    with pytest.raises(ValueError, match="^1 is not a unit$"):
+        T.restrict(T.build("pair2"), [0, 1])
+
+
 def test_subgroupoid_reindexes():
     p3 = T.build("pair3")
     # arrows among points {1,2}: indices (i-1)*3+(j-1) for i,j in {1,2}

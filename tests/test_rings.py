@@ -54,6 +54,83 @@ def test_literal_round_trip(name):
         assert r.parse(text) == x
 
 
+def pair_fmt(x):
+    """Oracle for GF(p^2) literals: a + b*w written term by term."""
+    a, b = x
+    if b == 0:
+        return str(a)
+    wpart = "w" if b == 1 else "%d*w" % b
+    if a == 0:
+        return wpart
+    return "%d+%s" % (a, wpart)
+
+
+def power_basis_fmt(x):
+    """Oracle for Q(zeta_n) literals: the nonzero terms joined by their
+    signs, a coefficient of 1 or -1 written as the bare power."""
+    parts = []
+    for i, c in enumerate(x):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            gen = "zeta" if i == 1 else "zeta^%d" % i
+            if c == 1:
+                parts.append(gen)
+            elif c == -1:
+                parts.append("-" + gen)
+            else:
+                parts.append("%s*%s" % (c, gen))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+@pytest.mark.parametrize("spec", ["GF(%d^2)" % p for p in (2, 3, 5, 7, 11, 13)]
+                         + ["Q(zeta_%d)" % n for n in range(1, 13)])
+def test_extension_literals_match_their_oracle(spec):
+    """Both extension fields share one term formatter: every element of
+    GF(p^2), and 500 random values of Q(zeta_n), print as their oracle
+    does and parse back to themselves."""
+    r = T.parse_ring(spec)
+    if spec.startswith("GF"):
+        values, oracle = list(r.elements()), pair_fmt
+    else:
+        rnd = random.Random(spec)
+        values, oracle = [r.random_element(rnd) for _ in range(500)], power_basis_fmt
+    for x in values:
+        assert r.fmt(x) == oracle(x)
+        assert r.parse(r.fmt(x)) == x
+
+
+def test_inverses_and_their_refusals():
+    z = RINGS["Z"]
+    assert (z.inv(1), z.inv(-1)) == (1, -1)
+    with pytest.raises(ValueError, match="^2 is not a unit in Z$"):
+        z.inv(2)
+    for name in ("Q", "GF(5)", "Q(zeta_5)"):
+        r = RINGS[name]
+        with pytest.raises(ValueError) as exc:
+            r.inv(r.zero())
+        assert str(exc.value) == "0 is not a unit in %s" % name
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("1/2", "fractional literal '1/2' in GF(p^2)"),
+    ("w^2", "bad GF(p^2) literal term 'w^2'"),
+    ("zeta", "generator 'zeta' not valid here"),
+    ("", "empty ring literal"),
+])
+def test_quadratic_field_literal_refusals(text, msg):
+    with pytest.raises(ValueError) as exc:
+        RINGS["GF(3^2)"].parse(text)
+    assert str(exc.value) == msg
+
+
 def test_rational_literals():
     q = RINGS["Q"]
     assert q.parse("-3/2") == Fraction(-3, 2)

@@ -24,6 +24,16 @@ def test_vec_round_trip():
     assert T.to_vec(f) == [Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1)]
 
 
+def test_ideal_refuses_another_context():
+    g = T.build("pair2")
+    ctx, other = make_context(g, "GF(3)"), make_context(g, "GF(5)")
+    ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
+    with pytest.raises(ValueError, match="^element lives in a different context$"):
+        ideal.member(T.delta(other, 1))
+    with pytest.raises(ValueError, match="^ideal lives in a different context$"):
+        T.ck_witness(other, ideal)
+
+
 # --- row reduction ------------------------------------------------------------
 
 
@@ -135,14 +145,9 @@ def test_ideal_kernel_matches_dense_rank(gname, p):
 
 def two_sided_pairs(gpd):
     """The arrow pairs (a, b) with delta_a * v * delta_b not always zero,
-    round-robin over the range of a, each range class in ascending (a, b)."""
-    classes = {}
-    for a in range(gpd.m):
-        for b in range(gpd.m):
-            if any(gpd.rng[c] == gpd.src[a] and gpd.src[c] == gpd.rng[b] for c in range(gpd.m)):
-                classes.setdefault(gpd.rng[a], []).append((a, b))
-    order = [classes[k] for k in sorted(classes)]
-    return [cls[i] for i in range(max(map(len, order))) for cls in order if i < len(cls)]
+    in ascending (a, b) order."""
+    return [(a, b) for a in range(gpd.m) for b in range(gpd.m)
+            if any(gpd.rng[c] == gpd.src[a] and gpd.src[c] == gpd.rng[b] for c in range(gpd.m))]
 
 
 def convolve_closure_failures(ctx, basis, arrows=None):
@@ -764,6 +769,49 @@ def test_exhaustive_scan_skips_certified_lead_groups(monkeypatch):
         calls.clear()
         assert T.is_simple(make_context(gpd, ring_spec, coc=coc), mode="exhaustive").simple is True
         assert len(calls) == scans, (ring_spec, scans)
+
+
+def one_entry_onto_last(gpd):
+    """Oracle for the one-entry set, off the composition table: the arrows c
+    that are the only arrow from rng b to src a for some (a, b) with
+    a c b = m - 1."""
+    m, comp = gpd.m, gpd.comp
+    out = set()
+    for a in range(m):
+        for b in range(m):
+            hom = [c for c in range(m) if gpd.rng[c] == gpd.src[a] and gpd.src[c] == gpd.rng[b]]
+            if len(hom) == 1 and comp[(comp[(a, hom[0])], b)] == m - 1:
+                out.add(hom[0])
+    return out
+
+
+@pytest.mark.parametrize("ring_spec", ["GF(2)", "GF(3)", "GF(5)"])
+def test_one_entry_cover_is_all_or_nothing(ring_spec):
+    """The lemma the scan stops on: whenever the first candidate, lead *
+    delta_(m-1), generates the algebra, the arrows with a one-entry recipe
+    onto m - 1 are all of them or none, and when none, no recipe has one
+    entry.  Every catalog groupoid, untwisted and with up to six
+    enumerated order-2 cocycles wherever the ring has units of order 2."""
+    ring = T.parse_ring(ring_spec)
+    lead = next(e for e in ring.elements() if not ring.is_zero(e))
+    seen = set()
+    for name in T.CATALOG:
+        g = T.build(name)
+        cocs = [T.trivial_cocycle(g, 1)]
+        if (ring.size - 1) % 2 == 0:
+            cocs += T.enumerate_cocycles(g, 2, cap=20000)[1:7]
+        onto = one_entry_onto_last(g)
+        for coc in cocs:
+            ctx = T.Context(g, ring, T.unit_subgroup(ring, coc.n), coc)
+            recipes, covers = S._scan_tables(ctx)
+            assert covers is (onto == set(range(g.m)))
+            if not S._generates_everything(ctx.tgrp, g.m, {g.m - 1: lead}, recipes):
+                seen.add("proper part" if onto else "fails")
+                continue
+            assert covers or not onto, (name, onto)
+            assert covers or all(len(rec) > 1 for rec in recipes), name
+            seen.add(covers)
+    assert {True, False, "proper part"} <= seen
 
 
 def test_scan_tables_are_built_once_per_context(monkeypatch):

@@ -36,6 +36,12 @@ def test_built_twist_validates(name, coc):
         assert len(tw.fiber(a)) == coc.n
 
 
+def test_build_twist_refuses_a_cocycle_over_another_groupoid():
+    coc = T.trivial_cocycle(T.build("pair2"), 2)
+    with pytest.raises(ValueError, match="^cocycle lives over a different groupoid$"):
+        T.build_twist(T.build("z2"), coc)
+
+
 def test_equality_of_equal_copies_and_different_objects():
     """__eq__ answers at once for an object and itself; a copy is still
     compared table by table."""
