@@ -17,7 +17,8 @@ carries ctx, the Context of the algebra psi lands in (the inverted induced
 cocycle), and takes its coefficient data from there; the equivariant
 convolution and star are still computed from the twist's own tables (not
 through any cocycle), which keeps the comparison with the cocycle picture
-an honest two-route check.
+an honest two-route check.  Among those tables is the section's exponent
+table, which the context holds and every value reads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cocycle import (
 )
 from .groupoid import BindOnce, Groupoid, composable_pairs, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
-from .twist import Twist, induced_cocycle, unique_scalar
+from .twist import Twist, _exponents, induced_cocycle
 
 
 class Context(BindOnce):
@@ -295,7 +296,10 @@ class EquivContext:
     """A twist, a chosen section, and ctx: the Context of the algebra psi
     lands in, carrying the coefficient data and the inverted induced
     cocycle.  The equivariant products read ring, tgrp and conj from ctx
-    but compute from the twist's own tables, never from ctx.coc."""
+    but compute from the twist's own tables, never from ctx.coc.  The
+    context holds the section's exponent table in _exponents, the one the
+    induced cocycle was read from; a twist whose fibers are not free,
+    transitive orbits is refused here, when that table is built."""
 
     def __init__(
         self,
@@ -311,6 +315,7 @@ class EquivContext:
         coc = invert_cocycle(induced_cocycle(twist, section))
         self.twist = twist
         self.section = tuple(section)
+        self._exponents = _exponents(twist, self.section)
         self.ctx = Context(twist.base, ring, tgrp, coc, conj)
 
     def __eq__(self, other):
@@ -328,7 +333,8 @@ class EquivContext:
 class EquivariantElement:
     """Fiber-scaling function on the total groupoid, stored by its values
     on the section: the full function is value(e) = g^k * h(a) where e sits
-    over a and k is the unique scalar from sec(a) to e."""
+    over a and k is the unique scalar from sec(a) to e, read off the
+    context's exponent table."""
 
     __slots__ = ("ectx", "h")
 
@@ -340,12 +346,10 @@ class EquivariantElement:
     def value(self, e: int):
         """Evaluate at any total arrow."""
         ectx = self.ectx
-        tw = ectx.twist
-        a = tw.proj[e]
-        c = self.h.get(a)
+        c = self.h.get(ectx.twist.proj[e])
         if c is None:
             return ectx.ctx.ring.zero()
-        return ectx.ctx.tgrp.scale(unique_scalar(tw, ectx.section[a], e), c)
+        return ectx.ctx.tgrp.scale(ectx._exponents[e], c)
 
     def __eq__(self, other):
         return (

@@ -24,8 +24,9 @@ into per-arrow rows {c: ac}.  Associativity is checked on a generating set
 triples whose middle lies in generating_set(g) decide it.  Each a is
 checked against a generator b on whole rows, (ab)c against a(bc) for every
 c at once.  generating_set walks once per groupoid and keeps the result in
-the private slot _generators, which validate_groupoid, validate_cocycle and
-the ideal closure test all read; each call hands out a new list.
+the private slot _generators, which validate_groupoid, validate_cocycle,
+validate_twist (on its total) and the ideal closure test all read; each
+call hands out a new list.
 """
 
 from __future__ import annotations

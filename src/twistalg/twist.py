@@ -4,9 +4,12 @@ A Twist bundles the extension groupoid (total), the base groupoid, the
 order n of the extending cyclic group, the central embedding of
 (unit, exponent) pairs, and the projection back onto the base.  Exactness,
 centrality, fiber sizes, and the homomorphism laws are all finite checks
-in validate_twist.  The embedding is read-only like the groupoid tables;
-check_twist validates a twist once and then marks its base and total, whose
-groupoid pass validate_twist skips once they are marked.
+in validate_twist.  Two of them are decided on generators: the projection's
+composition law on the pairs whose right factor is a unit or lies in
+generating_set(total), and centrality at exponent 1; the full loops run
+only to name what fails.  The embedding is read-only like the groupoid
+tables; check_twist validates a twist once and then marks its base and
+total, whose groupoid pass validate_twist skips once they are marked.
 
 build_twist realizes the standard model on the carrier base x Z/n: the
 pair (a, k) gets arrow index a*n + k, multiplication twists the exponent
@@ -17,25 +20,35 @@ cohomologous cocycles give isomorphic twists.  Both isomorphisms are one
 section map, k.s1(a) -> (k + b(a)).s2(a): section_iso runs it from the
 model twist of the induced cocycle, with its canonical section and b = 0,
 and twists_isomorphic between two twists, with b the coboundary linking
-the cocycles their found sections induce.  A twist keeps the last section
-it induced a cocycle from together with that cocycle, so a round trip that
-induces from the found section, then compares twists and builds the
-equivariant context, computes it once.
+the cocycles their found sections induce.
+
+A section's exponent table holds, for every total arrow e, the k with
+e = act(k, sec(proj e)); it is built with n acts per base arrow, and
+building it refuses a twist whose fibers are not free, transitive Z/n
+orbits.  induced_cocycle, the section map and the equivariant picture in
+algebra read it; unique_scalar answers the same question for one pair.  A
+twist keeps the last section it built a table for with that table, and the
+last section it induced a cocycle from with that cocycle, so a round trip
+that induces from the found section, then compares twists and builds the
+equivariant context, computes each once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from types import MappingProxyType
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
-from .groupoid import BindOnce, Groupoid, checked, composable_pairs, validate_groupoid
+from .groupoid import (
+    BindOnce, Groupoid, checked, composable_pairs, generating_set, validate_groupoid,
+)
 
 
 class Twist(BindOnce):
     __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers", "_exponent",
-                 "_induced")
+                 "_exponents", "_induced")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
         if n < 1:
@@ -47,7 +60,8 @@ class Twist(BindOnce):
         self.proj = tuple(proj)
         self.checked = False
         self._fibers = None
-        self._exponent = {e: k for (_, k), e in self.embed.items()}
+        self._exponent = {e: k for (_, k), e in self.embed.items()}  # read by unique_scalar
+        self._exponents = None  # (section, its exponent table), the last one built
         self._induced = None  # (section, its induced cocycle), the last one computed
 
     def fiber(self, a: int) -> tuple:
@@ -123,7 +137,17 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
 
 
 def validate_twist(tw: Twist) -> list:
-    """All extension axioms, but none of a marked base's or total's; empty when valid."""
+    """All extension axioms, but none of a marked base's or total's; empty when valid.
+
+    Once base and total are groupoids, two laws are decided on generators.
+    The pairs (e, s) on which the projection respects composition are
+    closed under composing s on the right, by associativity in both
+    groupoids, and every total arrow is a unit followed by elements of
+    generating_set(total); so the pairs whose s is a unit or a generator
+    decide the law.  Centrality at exponent 1 decides it at every exponent,
+    since embed(u, k) = embed(u, 1)^k is checked first.  Where either
+    decision fails, the full loop names every failing pair or exponent, so
+    the list is the one the full checks give."""
     v = ["%s: %s" % (name, s) for name, g in (("base", tw.base), ("total", tw.total))
          if not g.checked for s in validate_groupoid(g)]
     if v:
@@ -149,9 +173,11 @@ def validate_twist(tw: Twist) -> list:
             v.append("projection breaks rng at %d" % e)
         if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
             v.append("projection breaks inv at %d" % e)
-    bad = [(e, d) for (e, d), ed in total.comp.items()
-           if base.comp.get((tw.proj[e], tw.proj[d])) != tw.proj[ed]]
-    v += ["projection breaks composition at (%d, %d)" % pair for pair in sorted(bad)]
+    proj, comp, bcomp, by_src = tw.proj, total.comp, base.comp, total.arrows_by_src()
+    if any(bcomp.get((proj[e], proj[s])) != proj[comp[(e, s)]]
+           for s in chain(total.units, generating_set(total)) for e in by_src[total.rng[s]]):
+        bad = [(e, d) for (e, d), ed in comp.items() if bcomp.get((proj[e], proj[d])) != proj[ed]]
+        v += ["projection breaks composition at (%d, %d)" % pair for pair in sorted(bad)]
     if v:
         return v
     # embedding: injective homomorphism of the unit bundle, exact fibers
@@ -182,14 +208,14 @@ def validate_twist(tw: Twist) -> list:
             v.append("exactness fails over unit %d" % u)
     if v:
         return v
-    for e in range(total.m):
-        ru = tw.proj[total.rng[e]]
-        su = tw.proj[total.src[e]]
-        for k in range(n):
-            left = total.comp[(tw.embed[(ru, k)], e)]
-            right = total.comp[(e, tw.embed[(su, k)])]
-            if left != right:
-                v.append("centrality fails at arrow %d, exponent %d" % (e, k))
+    embed, src, rng, one = tw.embed, total.src, total.rng, 1 % n
+    if any(comp[(embed[(proj[rng[e]], one)], e)] != comp[(e, embed[(proj[src[e]], one)])]
+           for e in range(total.m)):
+        for e in range(total.m):
+            ru, su = proj[rng[e]], proj[src[e]]
+            for k in range(n):
+                if comp[(embed[(ru, k)], e)] != comp[(e, embed[(su, k)])]:
+                    v.append("centrality fails at arrow %d, exponent %d" % (e, k))
     return v
 
 
@@ -202,7 +228,8 @@ def check_twist(tw: Twist) -> Twist:
 def unique_scalar(tw: Twist, ref: int, other: int) -> int:
     """The exponent k with other == act(k, ref); both in one fiber.  By
     exactness other * ref^-1 is the embedded (rng, k), so k is read off the
-    embedding and confirmed by one act."""
+    embedding and confirmed by one act.  It answers for one pair what a
+    section's exponent table answers for every arrow at once."""
     if tw.proj[ref] != tw.proj[other]:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)
@@ -230,8 +257,10 @@ def validate_section(tw: Twist, sec) -> list:
     v = []
     if len(sec) != tw.base.m:
         return ["section has wrong length"]
-    for a in range(tw.base.m):
-        if tw.proj[sec[a]] != a:
+    for a, e in enumerate(sec):
+        if not 0 <= e < tw.total.m:
+            v.append("section sends arrow %d to a non-arrow" % a)
+        elif tw.proj[e] != a:
             v.append("section misses the fiber at arrow %d" % a)
     for u in tw.base.units:
         if sec[u] not in tw.total.unit_set:
@@ -239,21 +268,69 @@ def validate_section(tw: Twist, sec) -> list:
     return v
 
 
+def _exponent_table(tw: Twist, sec: tuple) -> tuple:
+    """k[e] for every total arrow e, with e = act(k[e], sec[proj e]), from
+    n acts per base arrow; sec must pass validate_section.  Raises
+    ValueError unless every fiber is a free, transitive Z/n-orbit."""
+    total, n, proj = tw.total, tw.n, tw.proj
+    comp, rng = total.comp, total.rng
+    embedded = {u: [tw.embed.get((u, k)) for k in range(n)] for u in tw.base.units}
+    table = [None] * total.m
+    for a, s in enumerate(sec):
+        for k, z in enumerate(embedded.get(proj[rng[s]], ())):
+            e = comp.get((z, s))
+            if e is None or proj[e] != a or table[e] is not None:
+                _refuse_orbit(tw, sec, a)
+            table[e] = k
+    if None in table:
+        _refuse_orbit(tw, sec, proj[table.index(None)])
+    return tuple(table)
+
+
+def _refuse_orbit(tw: Twist, sec: tuple, a: int):
+    """Raise for the fiber over a, which is not the free, transitive orbit
+    of sec[a]: name an arrow of it that no scalar reaches, if there is one."""
+    s = sec[a]
+    orbit = {tw.total.comp.get((tw.embed.get((tw.proj[tw.total.rng[s]], k)), s))
+             for k in range(tw.n)}
+    missing = [e for e in tw.fiber(a) if e not in orbit]
+    if missing:
+        raise ValueError("no scalar links %d to %d; twist is invalid" % (s, missing[0]))
+    raise ValueError("the scalars do not act freely on the fiber over arrow %d;"
+                     " twist is invalid" % a)
+
+
+def _exponents(tw: Twist, sec) -> tuple:
+    """The exponent table of sec.  The twist keeps the last section it
+    built a table for with that table, and returns it again for an equal
+    section."""
+    key = tuple(sec)
+    if tw._exponents is None or tw._exponents[0] != key:
+        tw._exponents = (key, _exponent_table(tw, key))
+    return tw._exponents[1]
+
+
 def induced_cocycle(tw: Twist, sec) -> Cocycle:
     """The cocycle measuring failure of the section to be multiplicative:
-    sec(a) sec(b) equals the induced scalar acting on sec(ab).  The twist
-    keeps the last section it induced from with its cocycle, and returns
-    that cocycle again for an equal section."""
+    sec(a) sec(b) equals the induced scalar acting on sec(ab), read off the
+    section's exponent table.  The twist keeps the last section it induced
+    from with its cocycle, and returns that cocycle again for an equal
+    section."""
     key = tuple(sec)
     if tw._induced is not None and tw._induced[0] == key:
         return tw._induced[1]
-    bad = validate_section(tw, sec)
+    bad = validate_section(tw, key)
     if bad:
         raise ValueError("; ".join(bad))
+    k = _exponents(tw, key)
+    comp, bcomp, proj = tw.total.comp, tw.base.comp, tw.proj
     table = {}
     for a, b in composable_pairs(tw.base):
-        prod = tw.total.comp[(sec[a], sec[b])]
-        table[(a, b)] = unique_scalar(tw, sec[tw.base.comp[(a, b)]], prod)
+        prod = comp[(key[a], key[b])]
+        ab = bcomp[(a, b)]
+        if proj[prod] != ab:
+            raise ValueError("arrows %d and %d sit over different base arrows" % (key[ab], prod))
+        table[(a, b)] = k[prod]
     coc = Cocycle(tw.base, tw.n, table)
     tw._induced = (key, coc)
     return coc
@@ -295,13 +372,14 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
 
 def _section_map(t1: Twist, s1, t2: Twist, s2, b) -> TwistMorphism:
     """The isomorphism k.s1(a) -> (k + b(a)).s2(a) from t1 onto t2, for
-    sections s1, s2 whose induced cocycles differ by the coboundary of b."""
+    sections s1, s2 whose induced cocycles differ by the coboundary of b,
+    read off the two sections' exponent tables."""
     n = t1.n
-    mapping = [0] * t1.total.m
-    for a in range(t1.base.m):
-        for k in range(n):
-            mapping[t1.act(k, s1[a])] = t2.act((k + b[a]) % n, s2[a])
-    mor = TwistMorphism(t1, t2, tuple(mapping))
+    k1, k2 = _exponents(t1, s1), _exponents(t2, s2)
+    at = [0] * t2.total.m  # at[a*n + k] = act(k, s2[a])
+    for e, k in enumerate(k2):
+        at[t2.proj[e] * n + k] = e
+    mor = TwistMorphism(t1, t2, tuple(at[a * n + (k + b[a]) % n] for a, k in zip(t1.proj, k1)))
     bad = validate_twist_morphism(mor)
     if bad:
         raise RuntimeError("section map is not a twist isomorphism: %s" % "; ".join(bad[:3]))

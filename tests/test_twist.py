@@ -9,7 +9,7 @@ import twistalg as T
 from twistalg import twist as TW
 from conftest import (
     all_sections, assert_flag_ignored, assert_never_marked, assert_read_only, carry_cocycle,
-    count_calls,
+    count_calls, relabel_groupoid,
 )
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_twist_block, write_twist
@@ -105,6 +105,58 @@ def test_unique_scalar_rejects_an_invalid_twist():
     bad = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
     with pytest.raises(ValueError, match="no scalar links 2 to 2; twist is invalid"):
         T.unique_scalar(bad, 2, 2)
+
+
+def _invalid_z2_twists():
+    """The two invalid twists of test_unique_scalar_rejects_an_invalid_twist,
+    with the message each one's exponent table raises."""
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    g = tw.total
+    total = T.Groupoid(g.units, g.src, g.rng, g.inv, {**g.comp, (0, 2): 3})
+    return [(T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj), "0 to 1"),
+            (T.Twist(tw.base, total, 2, tw.embed, tw.proj), "2 to 2")]
+
+
+def test_exponent_table_matches_unique_scalar():
+    """k[e] is unique_scalar(sec[proj e], e) for every total arrow, under
+    the canonical section and the section picking the greatest arrow of
+    every fiber off the units, over the twists of
+    test_unique_scalar_matches_the_search."""
+    arrows = 0
+    for name, n in (("z4", 2), ("klein", 2), ("s3", 2), ("pair3", 2), ("fix3", 2),
+                    ("z4", 3), ("fix3", 3)):
+        g = T.build(name)
+        for coc in T.enumerate_cocycles(g, n):
+            tw = T.build_twist(g, coc)
+            canonical = T.find_section(tw)
+            greatest = tuple(s if a in g.unit_set else max(tw.fiber(a))
+                             for a, s in enumerate(canonical))
+            assert canonical != greatest
+            for sec in (canonical, greatest):
+                want = tuple(T.unique_scalar(tw, sec[tw.proj[e]], e) for e in range(tw.total.m))
+                assert TW._exponents(tw, sec) == want
+                arrows += tw.total.m
+    assert arrows == 2 * 1398
+
+
+def test_exponent_table_refuses_an_invalid_twist():
+    """Every road to the table raises and keeps neither cache."""
+    ring = T.parse_ring("Q")
+    tgrp = T.unit_subgroup(ring, 2)
+    for bad, pair in _invalid_z2_twists():
+        sec = T.find_section(bad)
+        for run in (lambda: TW._exponents(bad, sec), lambda: T.induced_cocycle(bad, sec),
+                    lambda: T.EquivContext(bad, sec, ring, tgrp)):
+            with pytest.raises(ValueError, match="^no scalar links %s; twist is invalid$" % pair):
+                run()
+            assert bad._exponents is None and bad._induced is None
+    # a fiber with fewer than n arrows, every one of them reached
+    bad = _z2_twist(proj=(0, 1, 1, 1))
+    assert T.validate_section(bad, (0, 1)) == []
+    with pytest.raises(ValueError, match="^the scalars do not act freely on the fiber over"
+                                         " arrow 0; twist is invalid$"):
+        T.induced_cocycle(bad, (0, 1))
+    assert bad._exponents is None and bad._induced is None
 
 
 @pytest.mark.parametrize("name,coc", COCYCLES, ids=lambda v: str(v)[:24])
@@ -268,6 +320,25 @@ def test_validate_section_refusals():
         T.induced_cocycle(tw, (1, 2))
 
 
+def test_section_entries_off_the_total_arrows():
+    """An entry below 0 or at least total.m is a violation, not an index:
+    -1 used to pass as the last total arrow, and total.m raised
+    IndexError."""
+    tw = T.build_twist(T.build("z4"), T.enumerate_cocycles(T.build("z4"), 2)[1])
+    ring = T.parse_ring("Q")
+    tgrp = T.unit_subgroup(ring, 2)
+    canonical = T.find_section(tw)
+    for e in (-1, tw.total.m):
+        sec = canonical[:-1] + (e,)
+        assert T.validate_section(tw, sec) == ["section sends arrow 3 to a non-arrow"]
+        for run in (lambda: T.induced_cocycle(tw, sec), lambda: T.EquivContext(tw, sec, ring, tgrp)):
+            with pytest.raises(ValueError, match="^section sends arrow 3 to a non-arrow$"):
+                run()
+    unit = (-1,) + canonical[1:]
+    assert T.validate_section(tw, unit) == ["section sends arrow 0 to a non-arrow",
+                                            "section sends unit 0 to a non-unit"]
+
+
 def _z2_twist(**edits):
     """The sign twist over the order-two group, with some fields replaced."""
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
@@ -331,6 +402,172 @@ def test_validate_twist_centrality_through_the_cli(tmp_path, capsys):
     assert code == 1 and err == ""
     assert out.splitlines() == ["violation: " + v for v in T.validate_twist(tw)]
     assert "violation: centrality fails at arrow 5, exponent 1" in out.splitlines()
+
+
+def full_twist_failures(tw):
+    """Oracle for validate_twist: the projection's composition law on every
+    composable pair and centrality at every exponent, in the same order."""
+    v = ["%s: %s" % (name, s) for name, g in (("base", tw.base), ("total", tw.total))
+         if not g.checked for s in T.validate_groupoid(g)]
+    if v:
+        return v
+    base, total, n = tw.base, tw.total, tw.n
+    if len(tw.proj) != total.m:
+        return ["projection table has wrong length"]
+    if any(not (0 <= a < base.m) for a in tw.proj):
+        return ["projection hits a non-arrow"]
+    if total.m != base.m * n:
+        v.append("total groupoid size is not |base| * n")
+    for a in range(base.m):
+        if len(tw.fiber(a)) != n:
+            v.append("fiber over arrow %d has size %d, want %d" % (a, len(tw.fiber(a)), n))
+    proj_units = {tw.proj[e] for e in total.units}
+    if proj_units != base.unit_set or len(total.units) != len(base.units):
+        v.append("projection does not restrict to a unit bijection")
+    for e in range(total.m):
+        if tw.proj[total.src[e]] != base.src[tw.proj[e]]:
+            v.append("projection breaks src at %d" % e)
+        if tw.proj[total.rng[e]] != base.rng[tw.proj[e]]:
+            v.append("projection breaks rng at %d" % e)
+        if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
+            v.append("projection breaks inv at %d" % e)
+    bad = [(e, d) for (e, d), ed in total.comp.items()
+           if base.comp.get((tw.proj[e], tw.proj[d])) != tw.proj[ed]]
+    v += ["projection breaks composition at (%d, %d)" % pair for pair in sorted(bad)]
+    if v:
+        return v
+    keys = set(tw.embed.keys())
+    want = {(u, k) for u in base.units for k in range(n)}
+    if keys != want:
+        return ["embedding domain is not units x exponents"]
+    vals = list(tw.embed.values())
+    if any(not (0 <= e < total.m) for e in vals):
+        return ["embedding hits a non-arrow"]
+    if len(set(vals)) != len(vals):
+        v.append("embedding is not injective")
+    for u in base.units:
+        e0 = tw.embed[(u, 0)]
+        if e0 not in total.unit_set or tw.proj[e0] != u:
+            v.append("embedding of (unit %d, 0) is not the unit over it" % u)
+        for k in range(n):
+            e = tw.embed[(u, k)]
+            if tw.proj[e] != u:
+                v.append("exactness fails: embed(%d, %d) leaves the fiber" % (u, k))
+            if total.src[e] != tw.embed[(u, 0)] or total.rng[e] != tw.embed[(u, 0)]:
+                v.append("embedded element (%d, %d) is not an isotropy arrow" % (u, k))
+            got = total.comp.get((tw.embed[(u, k)], tw.embed[(u, 1 % n)]))
+            if got != tw.embed[(u, (k + 1) % n)]:
+                v.append("embedding is not a homomorphism at (%d, %d)" % (u, k))
+        if set(tw.fiber(u)) != {tw.embed[(u, k)] for k in range(n)}:
+            v.append("exactness fails over unit %d" % u)
+    if v:
+        return v
+    for e in range(total.m):
+        ru = tw.proj[total.rng[e]]
+        su = tw.proj[total.src[e]]
+        for k in range(n):
+            if total.comp[(tw.embed[(ru, k)], e)] != total.comp[(e, tw.embed[(su, k)])]:
+                v.append("centrality fails at arrow %d, exponent %d" % (e, k))
+    return v
+
+
+def _union_twist(t1, t2):
+    """The twist of one order over the disjoint union of the bases whose
+    total is the disjoint union of the totals."""
+    base, total = T.disjoint_union(t1.base, t2.base), T.disjoint_union(t1.total, t2.total)
+    embed = dict(t1.embed)
+    embed.update({(u + t1.base.m, k): e + t1.total.m for (u, k), e in t2.embed.items()})
+    return T.Twist(base, total, t1.n, embed, list(t1.proj) + [a + t1.base.m for a in t2.proj])
+
+
+def _klein_fibers_crossed():
+    """The untwisted order-two twist over the Klein group, its non-zero
+    exponents over arrows 1 and 2 exchanged.  Every arrow of (Z/2)^3 is its
+    own inverse and there is one unit, so src, rng and inv survive, and only
+    the composition law breaks."""
+    klein = T.build("klein")
+    tw = T.build_twist(klein, T.trivial_cocycle(klein, 2))
+    return T.Twist(klein, tw.total, 2, tw.embed, (0, 0, 1, 2, 2, 1, 3, 3))
+
+
+def _isolated_unit_on_a_loop():
+    """An order-one twist of two isolated units and the order-two group
+    over two copies of that group, one isolated unit sent to a loop.  No
+    generator of the total reaches that unit, so only the pair of it with
+    itself shows that composition breaks."""
+    z2, pair1 = T.build("z2"), T.build("pair1")
+    total = T.disjoint_union(T.disjoint_union(pair1, pair1), z2)
+    return T.Twist(T.disjoint_union(z2, z2), total, 1, {(0, 0): 2, (2, 0): 0}, (2, 3, 0, 1))
+
+
+def _mutants(tw, rnd):
+    """Seeded edits of a valid twist: two projection entries swapped, the
+    projection shuffled, two embedded arrows swapped, one embedded arrow
+    moved, the total relabelled on its non-units (a groupoid again), and
+    one composite of the total changed."""
+    m, proj, embed = tw.total.m, list(tw.proj), dict(tw.embed)
+    i, j = rnd.sample(range(m), 2)
+    swapped = list(proj)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield T.Twist(tw.base, tw.total, tw.n, tw.embed, swapped)
+    yield T.Twist(tw.base, tw.total, tw.n, tw.embed, rnd.sample(proj, m))
+    keys = rnd.sample(sorted(embed), min(2, len(embed)))
+    moved = dict(embed)
+    moved[keys[0]], moved[keys[-1]] = embed[keys[-1]], embed[keys[0]]
+    yield T.Twist(tw.base, tw.total, tw.n, moved, proj)
+    moved = dict(embed)
+    moved[keys[0]] = rnd.randrange(m)
+    yield T.Twist(tw.base, tw.total, tw.n, moved, proj)
+    g = tw.total
+    others = [a for a in range(m) if a not in g.unit_set]
+    perm = list(range(m))
+    for a, b in zip(others, rnd.sample(others, len(others))):
+        perm[a] = b
+    yield T.Twist(tw.base, relabel_groupoid(g, perm), tw.n, embed, proj)
+    pair = rnd.choice(sorted(g.comp))
+    comp = dict(g.comp)
+    comp[pair] = rnd.randrange(m)
+    yield T.Twist(tw.base, T.Groupoid(g.units, g.src, g.rng, g.inv, comp), tw.n, embed, proj)
+
+
+def test_validate_twist_matches_the_full_checks():
+    """Deciding projection composition on units and generators and
+    centrality at exponent 1 gives the violation list of the full checks:
+    on the twists of up to 16 enumerated cocycles of order 2 and 3 over
+    every catalog groupoid (a seeded sample where there are more), on
+    seeded mutations of them, and on exact twists that break one law."""
+    rnd = random.Random("twist laws")
+    seen = set()
+
+    def compare(tw):
+        want = full_twist_failures(tw)
+        assert T.validate_twist(tw) == want
+        seen.update(x.split(" at ")[0] for x in want)
+
+    for name in T.CATALOG:
+        g = T.build(name)
+        for n in (2, 3):
+            cocs = T.enumerate_cocycles(g, n)
+            for coc in rnd.sample(cocs, 16) if len(cocs) > 16 else cocs:
+                tw = T.build_twist(g, coc)
+                compare(tw)
+                for bad in _mutants(tw, rnd):
+                    compare(bad)
+    s3 = _s3_over_z2()
+    z6 = T.build_twist(T.build("z2"), T.trivial_cocycle(T.build("z2"), 3))
+    klein = T.build_twist(T.build("klein"), T.trivial_cocycle(T.build("klein"), 2))
+    assert T.validate_twist(s3) == ["centrality fails at arrow %d, exponent %d" % (e, k)
+                                    for e in (1, 2, 5) for k in (1, 2)]
+    assert all(x.startswith("projection breaks composition at ")
+               for x in T.validate_twist(_klein_fibers_crossed()))
+    assert "projection breaks composition at (1, 1)" in T.validate_twist(_isolated_unit_on_a_loop())
+    for tw in (s3, _union_twist(s3, z6), _union_twist(z6, s3), _klein_fibers_crossed(),
+               _union_twist(klein, _klein_fibers_crossed()), _pair2_fibers_swapped(),
+               _isolated_unit_on_a_loop()):
+        assert T.validate_twist(tw)
+        compare(tw)
+    assert {"centrality fails", "projection breaks composition", "projection breaks src",
+            "embedding is not a homomorphism", "total: associativity fails"} <= seen
 
 
 EMPTY_TWIST = ("twist\norder %d\nbegin base\ngroupoid\narrows 0\nunits\nend\n"
@@ -497,13 +734,24 @@ def test_failed_unique_scalar_keeps_nothing():
 
 
 def test_twists_isomorphic_reuses_the_induced_cocycle(monkeypatch):
+    """One exponent table per (twist, section) across a round trip: the
+    induced cocycle builds the first twist's, twists_isomorphic the
+    second's, and EquivContext and psi build none."""
     g = T.build("s3")
     c1, c2 = T.enumerate_cocycles(g, 2)[:2]
     tw, t2 = T.build_twist(g, c1), T.build_twist(g, c2)
-    T.induced_cocycle(tw, T.find_section(tw))
-    calls = count_calls(monkeypatch, TW, "unique_scalar")
+    builds = count_calls(monkeypatch, TW, "_exponent_table")
+    scalars = count_calls(monkeypatch, TW, "unique_scalar")
+    sec = T.find_section(tw)
+    T.induced_cocycle(tw, sec)
+    assert builds == [tw]
     T.twists_isomorphic(tw, t2)
-    assert len(calls) == len(g.comp) and all(t is t2 for t in calls)
+    assert builds == [tw, t2]
+    ring = T.parse_ring("Q(zeta_4)")
+    ectx = T.EquivContext(tw, sec, ring, T.unit_subgroup(ring, 2), T.parse_involution(ring, "conj"))
+    f = T.EquivariantElement(ectx, {a: ring.parse("1+zeta") for a in range(g.m)})
+    T.psi(T.equiv_convolve(f, T.equiv_star(f)), ectx.ctx)
+    assert builds == [tw, t2] and scalars == []
 
 
 def full_morphism_failures(mor):
