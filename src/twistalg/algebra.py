@@ -29,17 +29,17 @@ from . import rings
 from .cocycle import (
     Cocycle, Grading, apply_coboundary, check_cocycle, check_grading, invert_cocycle,
 )
-from .groupoid import BindOnce, Groupoid, composable_pairs, is_bisection
+from .groupoid import BindOnce, Groupoid, composable_pairs, derived, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
-from .twist import Twist, _exponents, induced_cocycle
+from .twist import Twist, _exponent_table, induced_cocycle
 
 
 class Context(BindOnce):
     """Everything an algebra element needs to multiply and star.  Its
-    fields bind once (BindOnce); regular() and structure._scan_tables fill
-    the private caches _regular and _scan_tables on first use."""
+    fields bind once (BindOnce); regular() and structure._scan_tables are
+    kept on the context (derived)."""
 
-    __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_regular", "_scan_tables")
+    __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_derived")
 
     def __init__(
         self,
@@ -66,25 +66,23 @@ class Context(BindOnce):
         self.tgrp = tgrp
         self.coc = coc
         self.conj = conj
-        self._regular = None
-        self._scan_tables = None
+        self._derived = {}
 
+    @derived
     def regular(self):
-        """(left, right), built on the first call: how delta_a * v and
-        v * delta_a read off a sparse row v.  left[a] and right[a] list
-        entries (c, target, k), ascending in the arrow c composable with a
-        on that side, with target a c (resp. c a) and k the cocycle
-        exponent there, in 0..n-1.  Targets are distinct."""
-        if self._regular is None:
-            gpd, table = self.gpd, self.coc.table
-            left = [[] for _ in range(gpd.m)]
-            right = [[] for _ in range(gpd.m)]
-            for a, c in composable_pairs(gpd):
-                entry = gpd.comp[(a, c)], table[(a, c)]
-                left[a].append((c,) + entry)
-                right[c].append((a,) + entry)
-            self._regular = left, right
-        return self._regular
+        """(left, right): how delta_a * v and v * delta_a read off a sparse
+        row v.  left[a] and right[a] list entries (c, target, k), ascending
+        in the arrow c composable with a on that side, with target a c
+        (resp. c a) and k the cocycle exponent there, in 0..n-1.  Targets
+        are distinct."""
+        gpd, table = self.gpd, self.coc.table
+        left = [[] for _ in range(gpd.m)]
+        right = [[] for _ in range(gpd.m)]
+        for a, c in composable_pairs(gpd):
+            entry = gpd.comp[(a, c)], table[(a, c)]
+            left[a].append((c,) + entry)
+            right[c].append((a,) + entry)
+        return left, right
 
     def coc_val(self, a: int, b: int):
         """The ring value of the cocycle on a composable pair."""
@@ -315,7 +313,7 @@ class EquivContext:
         coc = invert_cocycle(induced_cocycle(twist, section))
         self.twist = twist
         self.section = tuple(section)
-        self._exponents = _exponents(twist, self.section)
+        self._exponents = _exponent_table(twist, self.section)
         self.ctx = Context(twist.base, ring, tgrp, coc, conj)
 
     def __eq__(self, other):

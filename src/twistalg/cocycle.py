@@ -12,8 +12,8 @@ operations, and _solve_mod replays them on a right-hand side mod n to
 return one solution and the kernel.  check_cohomologous takes a solution
 of the first, a coboundary linking two cocycles, which then agree in
 H^2 = Z^2 / B^2 (Brown, Cohomology of Groups, GTM 87).  Its matrix depends
-on the groupoid alone, so the diagonalization is kept on the groupoid and
-shared by every order n and every pair of cocycles over it.
+on the groupoid alone, so the diagonalization is kept on the groupoid
+(derived) and shared by every order n and every pair of cocycles over it.
 enumerate_cocycles lists Z^2 as the kernel of the second, diagonalized on
 each call.  brute_force_cohomologous is the independent search over all
 n^(#non-unit arrows) candidate coboundaries, kept as the solver's test
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .groupoid import (
     AxiomError, BindOnce, Groupoid, associativity_failures, check_groupoid, checked,
-    composable_pairs, generator_middles,
+    composable_pairs, derived, generator_middles,
 )
 
 
@@ -271,25 +271,23 @@ def _solve_mod(diag, rhs, n):
     return [sum(r[k] * y[k] for k in range(cols)) % n for r in v], kernel
 
 
+@derived
 def _coboundary_solve(g: Groupoid):
     """(pairs, free, diag) for the coboundary system of g: one row per
     composable pair, sorted, reading b(a) + b(c) - b(ac) over the columns
-    free, the non-unit arrows, and diag its _diagonalize.  Built on the
-    first call and kept on g, whose tables never change; every order n and
-    every pair of cocycles over g share it."""
-    if g._coboundary_solve is None:
-        free = [a for a in range(g.m) if a not in g.unit_set]
-        col = {a: i for i, a in enumerate(free)}
-        pairs = sorted(g.comp)
-        mat = []
-        for a, c in pairs:
-            row = [0] * len(free)
-            for arrow, sgn in ((a, 1), (c, 1), (g.comp[(a, c)], -1)):
-                if arrow in col:
-                    row[col[arrow]] += sgn
-            mat.append(row)
-        g._coboundary_solve = (pairs, free, _diagonalize(mat, len(free)))
-    return g._coboundary_solve
+    free, the non-unit arrows, and diag its _diagonalize.  Kept on g
+    (derived); every order n and every pair of cocycles over g share it."""
+    free = [a for a in range(g.m) if a not in g.unit_set]
+    col = {a: i for i, a in enumerate(free)}
+    pairs = sorted(g.comp)
+    mat = []
+    for a, c in pairs:
+        row = [0] * len(free)
+        for arrow, sgn in ((a, 1), (c, 1), (g.comp[(a, c)], -1)):
+            if arrow in col:
+                row[col[arrow]] += sgn
+        mat.append(row)
+    return pairs, free, _diagonalize(mat, len(free))
 
 
 def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:

@@ -23,15 +23,14 @@ into per-arrow rows {c: ac}.  Associativity is checked on a generating set
 (ab)c = a(bc) for all composable a, c are closed under composition, so the
 triples whose middle lies in generating_set(g) decide it.  Each a is
 checked against a generator b on whole rows, (ab)c against a(bc) for every
-c at once.  generating_set walks once per groupoid and keeps the result in
-the private slot _generators, which validate_groupoid, validate_cocycle,
-validate_twist (on its total) and the ideal closure test all read; each
-call hands out a new list.
+c at once.  generating_set's walk is kept on the groupoid (derived), and
+validate_groupoid, validate_cocycle, validate_twist (on its total) and the
+ideal closure test all read it; each call hands out a new list.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import wraps
 from types import MappingProxyType
 from typing import Iterable, Optional
 
@@ -60,8 +59,8 @@ def checked(obj, kind: str, validate):
 class BindOnce:
     """Public slots bind once: rebinding or deleting one raises
     AttributeError, so an object that passed the gate checked stays the
-    object it checked.  checked itself and the private caches (a leading
-    underscore) stay writable."""
+    object it checked.  checked itself and the private slots (a leading
+    underscore, such as the tables kept by derived) stay writable."""
 
     __slots__ = ()
 
@@ -74,9 +73,22 @@ class BindOnce:
         raise AttributeError("%s.%s cannot be deleted" % (type(self).__name__, name))
 
 
+def derived(build):
+    """build(obj, *args), kept in obj._derived[build] for the last args it
+    was called with and returned again while the args are equal; a build
+    that raises keeps nothing.  This is sound only because BindOnce fields
+    never rebind, so args must be immutable as well."""
+    @wraps(build)
+    def get(obj, *args):
+        kept = obj._derived.get(build)
+        if kept is None or kept[0] != args:
+            kept = obj._derived[build] = args, build(obj, *args)
+        return kept[1]
+    return get
+
+
 class Groupoid(BindOnce):
-    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_by_rng",
-                 "_by_src", "_generators", "_coboundary_solve")
+    __slots__ = ("m", "units", "unit_set", "src", "rng", "inv", "comp", "checked", "_derived")
 
     def __init__(self, units, src, rng, inv, comp):
         self.src = tuple(src)
@@ -87,10 +99,7 @@ class Groupoid(BindOnce):
         self.unit_set = frozenset(self.units)
         self.comp = MappingProxyType(dict(comp))
         self.checked = False
-        self._by_rng = None
-        self._by_src = None
-        self._generators = None
-        self._coboundary_solve = None  # filled by cocycle._coboundary_solve
+        self._derived = {}
 
     def _arrows_by(self, ends) -> dict:
         """unit -> sorted tuple of the arrows a with ends[a] == unit."""
@@ -99,17 +108,17 @@ class Groupoid(BindOnce):
             by.setdefault(x, []).append(a)
         return {u: tuple(v) for u, v in by.items()}
 
+    @derived
     def arrows_by_rng(self):
-        """unit -> sorted tuple of arrows with that range (cached)."""
-        if self._by_rng is None:
-            self._by_rng = self._arrows_by(self.rng)
-        return self._by_rng
+        """unit -> sorted tuple of arrows with that range, kept on the
+        groupoid (derived)."""
+        return self._arrows_by(self.rng)
 
+    @derived
     def arrows_by_src(self):
-        """unit -> sorted tuple of arrows with that source (cached)."""
-        if self._by_src is None:
-            self._by_src = self._arrows_by(self.src)
-        return self._by_src
+        """unit -> sorted tuple of arrows with that source, kept on the
+        groupoid (derived)."""
+        return self._arrows_by(self.src)
 
     def __eq__(self, other):
         return self is other or (
@@ -148,22 +157,25 @@ def generating_set(g: Groupoid) -> list:
     """Greedy generators, ascending, as a new list.  The units start out
     reached; each new generator is the least arrow not yet reached, and the
     reached set is kept closed under right composition with the generators.
-    Needs comp defined on every composable pair.  The walk runs once per
-    groupoid, which keeps its result in g._generators."""
-    if g._generators is None:
-        src, rng, comp = g.src, g.rng, g.comp
-        gens, reached = [], set(g.units)
-        for x in range(g.m):
-            if x not in reached:
-                gens.append(x)
-                todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
-                while todo:
-                    y = todo.pop()
-                    if y not in reached:
-                        reached.add(y)
-                        todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
-        g._generators = tuple(gens)
-    return list(g._generators)
+    Needs comp defined on every composable pair.  The walk is kept on the
+    groupoid (derived)."""
+    return list(_generator_walk(g))
+
+
+@derived
+def _generator_walk(g: Groupoid) -> tuple:
+    src, rng, comp = g.src, g.rng, g.comp
+    gens, reached = [], set(g.units)
+    for x in range(g.m):
+        if x not in reached:
+            gens.append(x)
+            todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
+            while todo:
+                y = todo.pop()
+                if y not in reached:
+                    reached.add(y)
+                    todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
+    return tuple(gens)
 
 
 def generator_middles(g: Groupoid):

@@ -71,7 +71,7 @@ elements() lists zero first, so the least nonzero element has digit 1,
 the lead group of position pos is the range of codes from q^(m-1-pos) up
 to twice that, and ascending codes are lexicographic order.  A sparse
 row {i: elements()[digit i]} is decoded only for a code that is scanned.
-The recipes are built once per context (_scan_tables).
+The recipes are kept on the context (derived, _scan_tables).
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from typing import Iterable
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
 from .cocycle import Grading, check_grading, kernel_arrows
 from .groupoid import (
+    derived,
     generating_set,
     is_effective,
     is_minimal,
@@ -365,16 +366,14 @@ def _product_recipes(ctx: Context):
             if (rec := [(c, rb[ac][0], (k + rb[ac][1]) % n) for c, ac, k in la if ac in rb])]
 
 
+@derived
 def _scan_tables(ctx: Context):
     """(recipes, covers) for the exhaustive scan: _product_recipes, and
     whether every arrow has a one-entry recipe onto the last arrow m - 1.
-    Built on the first call and kept on ctx, whose fields never change, so
-    repeated verdicts share them."""
-    if ctx._scan_tables is None:
-        recipes, last = _product_recipes(ctx), ctx.gpd.m - 1
-        onto = {rec[0][0] for rec in recipes if len(rec) == 1 and rec[0][1] == last}
-        ctx._scan_tables = recipes, len(onto) == ctx.gpd.m
-    return ctx._scan_tables
+    Kept on ctx (derived), so repeated verdicts share them."""
+    recipes, last = _product_recipes(ctx), ctx.gpd.m - 1
+    onto = {rec[0][0] for rec in recipes if len(rec) == 1 and rec[0][1] == last}
+    return recipes, len(onto) == ctx.gpd.m
 
 
 def _generates_everything(tgrp, m, v, recipes) -> bool:

@@ -26,11 +26,11 @@ A section's exponent table holds, for every total arrow e, the k with
 e = act(k, sec(proj e)); it is built with n acts per base arrow, and
 building it refuses a twist whose fibers are not free, transitive Z/n
 orbits.  induced_cocycle, the section map and the equivariant picture in
-algebra read it; unique_scalar answers the same question for one pair.  A
-twist keeps the last section it built a table for with that table, and the
-last section it induced a cocycle from with that cocycle, so a round trip
-that induces from the found section, then compares twists and builds the
-equivariant context, computes each once.
+algebra read it; unique_scalar answers the same question for one pair by
+search.  The fibers, the exponent table and the induced cocycle are kept
+on the twist (derived), so a round trip that induces from the found
+section, then compares twists and builds the equivariant context,
+computes each once.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
 from .groupoid import (
-    BindOnce, Groupoid, checked, composable_pairs, generating_set, validate_groupoid,
+    BindOnce, Groupoid, checked, composable_pairs, derived, generating_set, validate_groupoid,
 )
 
 
 class Twist(BindOnce):
-    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_fibers", "_exponent",
-                 "_exponents", "_induced")
+    __slots__ = ("base", "total", "n", "embed", "proj", "checked", "_derived")
 
     def __init__(self, base: Groupoid, total: Groupoid, n: int, embed: dict, proj):
         if n < 1:
@@ -59,19 +58,18 @@ class Twist(BindOnce):
         self.embed = MappingProxyType(dict(embed))
         self.proj = tuple(proj)
         self.checked = False
-        self._fibers = None
-        self._exponent = {e: k for (_, k), e in self.embed.items()}  # read by unique_scalar
-        self._exponents = None  # (section, its exponent table), the last one built
-        self._induced = None  # (section, its induced cocycle), the last one computed
+        self._derived = {}
 
     def fiber(self, a: int) -> tuple:
         """Total arrows over base arrow a, ascending."""
-        if self._fibers is None:
-            fibers = {}
-            for e, a0 in enumerate(self.proj):
-                fibers.setdefault(a0, []).append(e)
-            self._fibers = {k: tuple(v) for k, v in fibers.items()}
-        return self._fibers.get(a, ())
+        return self._fibers().get(a, ())
+
+    @derived
+    def _fibers(self) -> dict:
+        fibers = {}
+        for e, a in enumerate(self.proj):
+            fibers.setdefault(a, []).append(e)
+        return {a: tuple(v) for a, v in fibers.items()}
 
     def act(self, k: int, e: int) -> int:
         """The unit-group action: compose with the central element at rng(e)."""
@@ -226,31 +224,32 @@ def check_twist(tw: Twist) -> Twist:
 
 
 def unique_scalar(tw: Twist, ref: int, other: int) -> int:
-    """The exponent k with other == act(k, ref); both in one fiber.  By
-    exactness other * ref^-1 is the embedded (rng, k), so k is read off the
-    embedding and confirmed by one act.  It answers for one pair what a
+    """The exponent k with other == act(k, ref); both in one fiber.  It is
+    the search over k = 0, 1, ..., n - 1, and answers for one pair what a
     section's exponent table answers for every arrow at once."""
     if tw.proj[ref] != tw.proj[other]:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)
         )
-    k = tw._exponent.get(tw.total.comp.get((other, tw.total.inv[ref])))
-    if k is not None and tw.act(k, ref) == other:
-        return k
+    for k in range(tw.n):
+        if tw.act(k, ref) == other:
+            return k
     raise ValueError("no scalar links %d to %d; twist is invalid" % (ref, other))
 
 
 def find_section(tw: Twist) -> tuple:
     """Deterministic global section: unit fibers pick their unit, other
     fibers the least total index.  Composing with the projection gives the
-    identity by construction."""
-    sec = [0] * tw.base.m
-    for a in range(tw.base.m):
-        if a in tw.base.unit_set:
-            sec[a] = tw.embed[(a, 0)]
-        else:
-            sec[a] = min(tw.fiber(a))
-    return tuple(sec)
+    identity by construction.  A unit missing from the embedding, or an
+    empty fiber, raises ValueError."""
+    units = tw.base.unit_set
+    sec = tuple(tw.embed.get((a, 0)) if a in units else min(tw.fiber(a), default=None)
+                for a in range(tw.base.m))
+    if None in sec:
+        a = sec.index(None)
+        raise ValueError(("unit %d has no embedded (%d, 0)" % (a, a) if a in units else
+                          "the fiber over arrow %d is empty" % a) + "; twist is invalid")
+    return sec
 
 
 def validate_section(tw: Twist, sec) -> list:
@@ -268,10 +267,12 @@ def validate_section(tw: Twist, sec) -> list:
     return v
 
 
+@derived
 def _exponent_table(tw: Twist, sec: tuple) -> tuple:
     """k[e] for every total arrow e, with e = act(k[e], sec[proj e]), from
     n acts per base arrow; sec must pass validate_section.  Raises
-    ValueError unless every fiber is a free, transitive Z/n-orbit."""
+    ValueError unless every fiber is a free, transitive Z/n-orbit.  Kept on
+    the twist (derived) for the last section."""
     total, n, proj = tw.total, tw.n, tw.proj
     comp, rng = total.comp, total.rng
     embedded = {u: [tw.embed.get((u, k)) for k in range(n)] for u in tw.base.units}
@@ -300,40 +301,29 @@ def _refuse_orbit(tw: Twist, sec: tuple, a: int):
                      " twist is invalid" % a)
 
 
-def _exponents(tw: Twist, sec) -> tuple:
-    """The exponent table of sec.  The twist keeps the last section it
-    built a table for with that table, and returns it again for an equal
-    section."""
-    key = tuple(sec)
-    if tw._exponents is None or tw._exponents[0] != key:
-        tw._exponents = (key, _exponent_table(tw, key))
-    return tw._exponents[1]
-
-
 def induced_cocycle(tw: Twist, sec) -> Cocycle:
     """The cocycle measuring failure of the section to be multiplicative:
     sec(a) sec(b) equals the induced scalar acting on sec(ab), read off the
-    section's exponent table.  The twist keeps the last section it induced
-    from with its cocycle, and returns that cocycle again for an equal
+    section's exponent table.  Kept on the twist (derived) for the last
     section."""
-    key = tuple(sec)
-    if tw._induced is not None and tw._induced[0] == key:
-        return tw._induced[1]
-    bad = validate_section(tw, key)
+    return _induced_cocycle(tw, tuple(sec))
+
+
+@derived
+def _induced_cocycle(tw: Twist, sec: tuple) -> Cocycle:
+    bad = validate_section(tw, sec)
     if bad:
         raise ValueError("; ".join(bad))
-    k = _exponents(tw, key)
+    k = _exponent_table(tw, sec)
     comp, bcomp, proj = tw.total.comp, tw.base.comp, tw.proj
     table = {}
     for a, b in composable_pairs(tw.base):
-        prod = comp[(key[a], key[b])]
+        prod = comp[(sec[a], sec[b])]
         ab = bcomp[(a, b)]
         if proj[prod] != ab:
-            raise ValueError("arrows %d and %d sit over different base arrows" % (key[ab], prod))
+            raise ValueError("arrows %d and %d sit over different base arrows" % (sec[ab], prod))
         table[(a, b)] = k[prod]
-    coc = Cocycle(tw.base, tw.n, table)
-    tw._induced = (key, coc)
-    return coc
+    return Cocycle(tw.base, tw.n, table)
 
 
 # An arrow bijection between two twists over one base, commuting with the
@@ -375,7 +365,7 @@ def _section_map(t1: Twist, s1, t2: Twist, s2, b) -> TwistMorphism:
     sections s1, s2 whose induced cocycles differ by the coboundary of b,
     read off the two sections' exponent tables."""
     n = t1.n
-    k1, k2 = _exponents(t1, s1), _exponents(t2, s2)
+    k1, k2 = _exponent_table(t1, tuple(s1)), _exponent_table(t2, tuple(s2))
     at = [0] * t2.total.m  # at[a*n + k] = act(k, s2[a])
     for e, k in enumerate(k2):
         at[t2.proj[e] * n + k] = e

@@ -172,6 +172,12 @@ def assert_read_only(table):
     assert not hasattr(table, "update") and not hasattr(table, "pop")
 
 
+def kept(obj, table):
+    """What obj keeps of a derived table (groupoid.derived): the pair
+    (args, value) of its last build, or None."""
+    return obj._derived.get(table.__wrapped__)
+
+
 def count_calls(monkeypatch, module, name):
     """Rebind module.name, as the bench tracer does, to a wrapper that
     records the first argument of every call; returns that list."""

@@ -1,6 +1,7 @@
 """Text formats: round trips, hand-written files, and rejection paths."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,9 @@ def test_groupoid_round_trip(name, tmp_path):
     T.write_groupoid(p, g)
     assert T.read_groupoid(p) == g
     # byte stability
-    first = open(p, "rb").read()
+    first = Path(p).read_bytes()
     T.write_groupoid(p, T.read_groupoid(p))
-    assert open(p, "rb").read() == first
+    assert Path(p).read_bytes() == first
     assert first.endswith(b"\n")
     assert b"\r" not in first
 
@@ -213,7 +214,7 @@ def test_element_round_trip(ring_spec, coeffs, tmp_path):
     T.write_element(p, f)
     assert T.read_element(p, ctx) == f
     # literals contain no spaces: every coeff line has exactly 3 tokens
-    for ln in open(p).read().splitlines()[1:]:
+    for ln in Path(p).read_text().splitlines()[1:]:
         assert len(ln.split()) == 3
 
 

@@ -7,7 +7,9 @@ import pytest
 
 import twistalg as T
 from twistalg import groupoid as G
-from conftest import assert_flag_ignored, assert_never_marked, assert_read_only, count_calls
+from conftest import (
+    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, kept,
+)
 
 
 def mutate(g, **kw):
@@ -377,7 +379,7 @@ def test_arrows_by_src_is_built_once_per_groupoid(monkeypatch):
     builds, original = [], G.Groupoid.arrows_by_src
 
     def counted(g):
-        builds.append(g._by_src is None)
+        builds.append(kept(g, original) is None)
         return original(g)
     monkeypatch.setattr(G.Groupoid, "arrows_by_src", counted)
     g = T.pair_groupoid(3)

@@ -10,7 +10,7 @@ import pytest
 import twistalg as T
 from twistalg import structure as S
 from conftest import (
-    carry_cocycle, count_calls, make_context, random_nonzero, relabel_groupoid, table_contexts,
+    carry_cocycle, count_calls, kept, make_context, random_nonzero, relabel_groupoid, table_contexts,
 )
 
 GF2 = T.parse_ring("GF(2)")
@@ -350,7 +350,7 @@ def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
     built, reduced = [], []
     regular, remainder = T.Context.regular, S.Echelon.remainder
     # a call that finds the context's table empty builds it
-    monkeypatch.setattr(T.Context, "regular", lambda ctx: built.append(ctx._regular is None) or regular(ctx))
+    monkeypatch.setattr(T.Context, "regular", lambda ctx: built.append(kept(ctx, regular) is None) or regular(ctx))
     monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: reduced.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair2_pair2"), "GF(3)")
     ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
@@ -370,7 +370,7 @@ def test_generating_set_walks_once_per_groupoid(monkeypatch):
     walks, original = [], T.groupoid.generating_set
 
     def counted(g):
-        walks.append(g._generators is None)
+        walks.append(kept(g, T.groupoid._generator_walk) is None)
         return original(g)
     for module in (T.groupoid, S):
         monkeypatch.setattr(module, "generating_set", counted)
@@ -383,7 +383,7 @@ def test_generating_set_walks_once_per_groupoid(monkeypatch):
     # each call hands out a new list, and changing one leaves the cache be
     gens = T.generating_set(g)
     gens.append(0)
-    assert T.generating_set(g) == gens[:-1] == list(g._generators)
+    assert T.generating_set(g) == gens[:-1] == list(kept(g, T.groupoid._generator_walk)[1])
 
 
 # --- ideals ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ import twistalg as T
 from twistalg import twist as TW
 from conftest import (
     all_sections, assert_flag_ignored, assert_never_marked, assert_read_only, carry_cocycle,
-    count_calls, relabel_groupoid,
+    count_calls, kept, relabel_groupoid,
 )
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_twist_block, write_twist
@@ -76,8 +76,8 @@ def test_twist_action_is_free_and_transitive():
 
 
 def test_unique_scalar_matches_the_search():
-    """The exponent read off the embedding is the one the search over
-    k = 0, 1, ... with act finds, on every same-fiber pair."""
+    """unique_scalar gives the exponent that the search over k = 0, 1, ...
+    with act finds, on every same-fiber pair."""
     pairs = 0
     for name, n in (("z4", 2), ("klein", 2), ("s3", 2), ("pair3", 2), ("fix3", 2),
                     ("z4", 3), ("fix3", 3)):
@@ -98,8 +98,7 @@ def test_unique_scalar_rejects_an_invalid_twist():
     bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
     with pytest.raises(ValueError, match="no scalar links 2 to 3; twist is invalid"):
         T.unique_scalar(bad, 2, 3)
-    # the unit 0 no longer fixes arrow 2: 2 * 2^-1 reads k = 0, and the
-    # confirming act rejects it
+    # the unit 0 no longer fixes arrow 2, and no scalar moves it to itself
     g = tw.total
     total = T.Groupoid(g.units, g.src, g.rng, g.inv, {**g.comp, (0, 2): 3})
     bad = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
@@ -134,7 +133,7 @@ def test_exponent_table_matches_unique_scalar():
             assert canonical != greatest
             for sec in (canonical, greatest):
                 want = tuple(T.unique_scalar(tw, sec[tw.proj[e]], e) for e in range(tw.total.m))
-                assert TW._exponents(tw, sec) == want
+                assert TW._exponent_table(tw, sec) == want
                 arrows += tw.total.m
     assert arrows == 2 * 1398
 
@@ -145,18 +144,31 @@ def test_exponent_table_refuses_an_invalid_twist():
     tgrp = T.unit_subgroup(ring, 2)
     for bad, pair in _invalid_z2_twists():
         sec = T.find_section(bad)
-        for run in (lambda: TW._exponents(bad, sec), lambda: T.induced_cocycle(bad, sec),
+        for run in (lambda: TW._exponent_table(bad, sec), lambda: T.induced_cocycle(bad, sec),
                     lambda: T.EquivContext(bad, sec, ring, tgrp)):
             with pytest.raises(ValueError, match="^no scalar links %s; twist is invalid$" % pair):
                 run()
-            assert bad._exponents is None and bad._induced is None
+            assert kept(bad, TW._exponent_table) is None and kept(bad, TW._induced_cocycle) is None
     # a fiber with fewer than n arrows, every one of them reached
     bad = _z2_twist(proj=(0, 1, 1, 1))
     assert T.validate_section(bad, (0, 1)) == []
     with pytest.raises(ValueError, match="^the scalars do not act freely on the fiber over"
                                          " arrow 0; twist is invalid$"):
         T.induced_cocycle(bad, (0, 1))
-    assert bad._exponents is None and bad._induced is None
+    assert kept(bad, TW._exponent_table) is None and kept(bad, TW._induced_cocycle) is None
+
+
+def test_find_section_names_what_breaks_an_invalid_twist():
+    """An empty fiber, or a unit whose (u, 0) is not embedded, is named in
+    a ValueError, and twists_isomorphic passes it on either way round."""
+    tw = _z2_twist()
+    for bad, what in ((_z2_twist(proj=(0, 0, 0, 0)), "the fiber over arrow 1 is empty"),
+                      (_z2_twist(embed={(0, 1): 1}), "unit 0 has no embedded (0, 0)")):
+        for run in (lambda: T.find_section(bad), lambda: T.twists_isomorphic(bad, tw),
+                    lambda: T.twists_isomorphic(tw, bad)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == what + "; twist is invalid"
 
 
 @pytest.mark.parametrize("name,coc", COCYCLES, ids=lambda v: str(v)[:24])
@@ -730,28 +742,31 @@ def test_failed_unique_scalar_keeps_nothing():
     for _ in range(2):
         with pytest.raises(ValueError, match="twist is invalid"):
             T.induced_cocycle(bad, T.find_section(tw))
-        assert bad._induced is None
+        assert kept(bad, TW._induced_cocycle) is None
 
 
 def test_twists_isomorphic_reuses_the_induced_cocycle(monkeypatch):
     """One exponent table per (twist, section) across a round trip: the
     induced cocycle builds the first twist's, twists_isomorphic the
-    second's, and EquivContext and psi build none."""
+    second's, and EquivContext and psi build none.  A build keeps a new
+    (args, value) pair, so the same pair means no rebuild."""
     g = T.build("s3")
     c1, c2 = T.enumerate_cocycles(g, 2)[:2]
     tw, t2 = T.build_twist(g, c1), T.build_twist(g, c2)
-    builds = count_calls(monkeypatch, TW, "_exponent_table")
     scalars = count_calls(monkeypatch, TW, "unique_scalar")
     sec = T.find_section(tw)
     T.induced_cocycle(tw, sec)
-    assert builds == [tw]
+    first = kept(tw, TW._exponent_table)
+    assert first[0] == (sec,) and kept(t2, TW._exponent_table) is None
     T.twists_isomorphic(tw, t2)
-    assert builds == [tw, t2]
+    second = kept(t2, TW._exponent_table)
+    assert kept(tw, TW._exponent_table) is first and second is not None
     ring = T.parse_ring("Q(zeta_4)")
     ectx = T.EquivContext(tw, sec, ring, T.unit_subgroup(ring, 2), T.parse_involution(ring, "conj"))
     f = T.EquivariantElement(ectx, {a: ring.parse("1+zeta") for a in range(g.m)})
     T.psi(T.equiv_convolve(f, T.equiv_star(f)), ectx.ctx)
-    assert builds == [tw, t2] and scalars == []
+    assert kept(tw, TW._exponent_table) is first and kept(t2, TW._exponent_table) is second
+    assert ectx._exponents is first[1] and scalars == []
 
 
 def full_morphism_failures(mor):
