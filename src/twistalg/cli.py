@@ -4,13 +4,14 @@ One verb per invocation, all inputs and outputs in the text formats of
 fileio, whose readers check every input file as they read it.  Exit
 codes: 0 success, 1 an input that breaks its axioms (one `violation:`
 line per violation on stdout) or any other error (one `error:` line on
-stderr), 2 usage error (argparse).  Each `twist` and `ideal` sub-verb
-reads exactly the files it names in _FILES (build: groupoid, cocycle;
-iso: two twists; section, induced: one twist; gen: groupoid, generators;
-member: groupoid, ideal, element), flags before, between or after them;
-an extra or a missing one is a usage error too.  Output is deterministic
-byte for byte: artifact files have fixed names inside --out, and
-everything printed is derived from sorted structures.
+stderr), 2 usage error (argparse).  Each `twist`, `ideal` and `catalog`
+sub-verb reads exactly the files or names it lists in _FILES (build:
+groupoid, cocycle; iso: two twists; section, induced: one twist; gen:
+groupoid, generators; member: groupoid, ideal, element; list: none; emit:
+at most one catalog name, all when none), flags before, between or after
+them; an extra or a missing one is a usage error too.  Output is
+deterministic byte for byte: artifact files have fixed names inside
+--out, and everything printed is derived from sorted structures.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def _cmd_catalog(args) -> int:
         for entry in CATALOG.values():
             print("%-12s %s" % (entry.name, entry.summary))
         return 0
-    written = emit_fixtures(args.out or ".", args.name)
+    written = emit_fixtures(args.out or ".", args.files[0] if args.files else "all")
     for fname in written:
         print("wrote %s" % fname)
     return 0
@@ -362,16 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="stock groupoids and fixtures")
     p.add_argument("what", choices=["list", "emit"])
-    p.add_argument("name", nargs="?", default="all", help="catalog name or 'all' (emit)")
+    p.add_argument("files", nargs="*", metavar="name", help="catalog name or 'all' (emit)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_catalog)
 
     return ap
 
 
-# (verb, what) -> the least and most files after the first (None: no
-# bound), and how a wrong count names the files
+# (verb, what) -> the least and most of args.files, the files after the
+# first or a catalog name (None: no bound), and how a wrong count names them
 _FILES = {
+    ("catalog", "list"): (0, 0, "no catalog name"),
+    ("catalog", "emit"): (0, 1, "at most one catalog name"),
     ("twist", "build"): (1, 1, "a groupoid file and a cocycle file"),
     ("twist", "iso"): (1, 1, "two twist files"),
     ("twist", "section"): (0, 0, "one twist file"),

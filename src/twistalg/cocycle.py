@@ -21,7 +21,10 @@ oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
 table) or into the integers; degrees are stored per arrow.  Tables are
-read-only; check_cocycle and check_grading validate once, not the groupoid.
+read-only.  check_cocycle and check_grading are the gates: each checks the
+groupoid the object stands on (check_groupoid) before the object itself,
+and each check runs only until it first passes.  validate_cocycle and
+validate_grading report violations as data and assume a valid groupoid.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
 def validate_cocycle(coc: Cocycle) -> list:
     """Violations of totality, normalisation, and the 2-cocycle identity.
 
-    The groupoid must be valid; that is not checked here.  Totality holds
-    when the table's keys are comp's, and the pairs are named only when
-    they are not.  One pass over the table splits it into per-arrow rows
-    {c: value on (a, c)}, which the rest reads.  The identity is checked at
-    middles in generating_set only: on an associative groupoid the defect
-    d(a, b, c) has zero coboundary, which gives d(a, bb', c) = 0 whenever d
-    vanishes at middles b and b', and normalisation makes it vanish at
-    units."""
+    The groupoid must be valid; check_cocycle checks it first, this
+    function does not.  Totality holds when the table's keys are comp's,
+    and the pairs are named only when they are not.  One pass over the
+    table splits it into per-arrow rows {c: value on (a, c)}, which the
+    rest reads.  The identity is checked at middles in generating_set
+    only: on an associative groupoid the defect d(a, b, c) has zero
+    coboundary, which gives d(a, bb', c) = 0 whenever d vanishes at middles
+    b and b', and normalisation makes it vanish at units."""
     g, t = coc.gpd, coc.table
     if t.keys() != g.comp.keys():
         pairs = set(composable_pairs(g))
@@ -110,6 +113,9 @@ def validate_cocycle(coc: Cocycle) -> list:
 
 
 def check_cocycle(coc: Cocycle) -> Cocycle:
+    """coc itself once its groupoid and then coc are valid, else AxiomError
+    of kind groupoid or cocycle."""
+    check_groupoid(coc.gpd)
     return checked(coc, "cocycle", validate_cocycle)
 
 
@@ -462,6 +468,9 @@ class Grading(BindOnce):
 
 
 def validate_grading(grading: Grading) -> list:
+    """Violations of the degree range and the homomorphism laws.  The
+    groupoid must be valid; check_grading checks it first, this function
+    does not."""
     g = grading.gpd
     grp = grading.group
     deg = grading.deg
@@ -482,6 +491,9 @@ def validate_grading(grading: Grading) -> list:
 
 
 def check_grading(grading: Grading) -> Grading:
+    """grading itself once its groupoid and then grading are valid, else
+    AxiomError of kind groupoid or grading."""
+    check_groupoid(grading.gpd)
     return checked(grading, "grading", validate_grading)
 
 

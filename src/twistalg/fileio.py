@@ -16,10 +16,11 @@ one index (_indexed) need an index in range and given once, and a dense
 table (arrow, inv, q, map, part) a record for every index; a comp, val or
 i record (_pairs) may not repeat its pair.  A record with too few or too
 many integer fields, or one that is not a decimal integer, is `line N:
-bad <word> record`.  A groupoid, a cocycle or grading (after its
-groupoid) and a twist must satisfy their axioms, else AxiomError carries
-every violation.  An ideal must be its own reduced row echelon form and
-closed.  Other defects are ValueErrors.
+bad <word> record`.  A groupoid, a cocycle or grading (whose gate,
+check_cocycle or check_grading, checks its groupoid first) and a twist
+must satisfy their axioms, else AxiomError carries every violation.  An
+ideal must be its own reduced row echelon form and closed.  Other defects
+are ValueErrors.
 """
 
 from __future__ import annotations
@@ -254,9 +255,7 @@ def write_cocycle(path: str, coc: Cocycle) -> None:
 
 
 def read_cocycle(path: str) -> Cocycle:
-    coc = _read(path, parse_cocycle_block)
-    check_groupoid(coc.gpd)
-    return check_cocycle(coc)
+    return check_cocycle(_read(path, parse_cocycle_block))
 
 
 # --- grading -----------------------------------------------------------------
@@ -313,9 +312,7 @@ def write_grading(path: str, grading: Grading) -> None:
 
 
 def read_grading(path: str) -> Grading:
-    grading = _read(path, parse_grading_block)
-    check_groupoid(grading.gpd)
-    return check_grading(grading)
+    return check_grading(_read(path, parse_grading_block))
 
 
 # --- elements ----------------------------------------------------------------

@@ -11,26 +11,31 @@ interior of the isotropy is the isotropy itself.
 Composition is stored, not derived, in a read-only table, and no public
 attribute can be rebound once set (BindOnce).  tabulate builds a groupoid
 given by a rule on labelled arrows, indexing the labels in sorted order; it
-checks nothing, and whoever builds checks (catalog.build, GroupTable, the
-file readers).  validate_groupoid reports the violations as data and
-ignores the checked flag; check_groupoid raises them as one AxiomError
-through the gate checked, which validates an object only until it first
-passes.  It reads comp in one pass: the domain is exactly the composable
-pairs when there are as many keys as composable pairs and each key is an
-in-range composable pair, and the same pass checks typing and splits comp
-into per-arrow rows {c: ac}.  Associativity is checked on a generating set
-(Light's test): once typing and the unit laws hold, the middles b with
-(ab)c = a(bc) for all composable a, c are closed under composition, so the
-triples whose middle lies in generating_set(g) decide it.  Each a is
-checked against a generator b on whole rows, (ab)c against a(bc) for every
-c at once.  generating_set's walk is kept on the groupoid (derived), and
-validate_groupoid, validate_cocycle, validate_twist (on its total) and the
-ideal closure test all read it; each call hands out a new list.
+checks nothing.  The gates check: check_groupoid, which catalog.build,
+GroupTable and fileio.read_groupoid call, and check_cocycle, check_grading
+and check_twist, which check the groupoids their object stands on before
+the object itself.  So a Context, build_twist and the graded functions
+never compute on an unchecked groupoid.  validate_groupoid reports the
+violations as data and ignores the checked flag; check_groupoid raises
+them as one AxiomError through the gate checked, which validates an object
+only until it first passes.  It reads comp in one pass: the domain is
+exactly the composable pairs when there are as many keys as composable
+pairs and each key is an in-range composable pair, and the same pass
+checks typing and splits comp into per-arrow rows {c: ac}.  Associativity
+is checked on a generating set (Light's test): once typing and the unit
+laws hold, the middles b with (ab)c = a(bc) for all composable a, c are
+closed under composition, so the triples whose middle lies in
+generating_set(g) decide it.  Each a is checked against a generator b on
+whole rows, (ab)c against a(bc) for every c at once.  generating_set's
+walk is kept on the groupoid (derived), and validate_groupoid,
+validate_cocycle, validate_twist (on its total) and the ideal closure test
+all read it; each call hands out a new list.
 """
 
 from __future__ import annotations
 
 from functools import wraps
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional
 
@@ -208,10 +213,11 @@ def _associativity_failures(g: Groupoid, rows: list) -> list:
     bad = []
     for b, left, right in generator_middles(g):
         bc = list(map(rows[b].__getitem__, right))
+        at_right, at_bc = itemgetter(*right), itemgetter(*bc)
         for a in left:
             row = rows[a]
             abc = rows[row[b]]
-            if list(map(abc.__getitem__, right)) != list(map(row.__getitem__, bc)):
+            if at_right(abc) != at_bc(row):
                 bad += [(a, b, c) for c, x in zip(right, bc) if abc[c] != row[x]]
     return sorted(bad)
 
@@ -341,7 +347,8 @@ def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
     src, rng and inv send a label to a label, and mul(a, b) is the label of
     the product; the units are the labels that are their own source, and
     comp is filled in ascending order on every pair with src(a) == rng(b).
-    Nothing is checked: the caller checks what it builds.
+    Nothing is checked here: check_groupoid checks the result, directly or
+    through the gate of a cocycle, grading or twist built on it.
     """
     labels = sorted(arrows)
     index = {a: i for i, a in enumerate(labels)}
@@ -360,9 +367,25 @@ def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
     """Reindex a composition/inverse-closed arrow subset as its own groupoid.
 
     Returns (h, old_of_new) where old_of_new[new_index] = old index.
-    The caller guarantees closure; the units of h are the kept units of g.
+    The units of h are the kept units of g.  A subset that is not closed
+    under src, rng, inv and comp raises ValueError naming the first arrow,
+    then the first composable pair, that leaves it.
     """
     keep = sorted(set(arrow_subset))
+    inside = frozenset(keep)
+    for a in keep:
+        if not 0 <= a < g.m:
+            raise ValueError("arrow %d is out of range" % a)
+        for name, ends in (("src", g.src), ("rng", g.rng), ("inv", g.inv)):
+            if ends[a] not in inside:
+                raise ValueError("subset is not closed: %s(%d) = %d is not in it"
+                                 % (name, a, ends[a]))
+    by_rng = g.arrows_by_rng()
+    for a in keep:
+        for b in by_rng.get(g.src[a], ()):
+            if b in inside and g.comp[(a, b)] not in inside:
+                raise ValueError("subset is not closed: comp(%d, %d) = %d is not in it"
+                                 % (a, b, g.comp[(a, b)]))
     h = tabulate(keep, g.src.__getitem__, g.rng.__getitem__, g.inv.__getitem__,
                  lambda a, b: g.comp[(a, b)])
     return h, keep

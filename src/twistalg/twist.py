@@ -72,9 +72,20 @@ class Twist(BindOnce):
         return {a: tuple(v) for a, v in fibers.items()}
 
     def act(self, k: int, e: int) -> int:
-        """The unit-group action: compose with the central element at rng(e)."""
-        x = self.proj[self.total.rng[e]]
-        return self.total.comp[(self.embed[(x, k % self.n)], e)]
+        """The unit-group action: compose with the central element at rng(e).
+        An arrow out of range, and on an unchecked twist a missing embedded
+        arrow or one that does not compose with e, raise ValueError."""
+        if not 0 <= e < self.total.m:
+            raise ValueError("arrow %d is out of range" % e)
+        x, k = self.proj[self.total.rng[e]], k % self.n
+        z = self.embed.get((x, k))
+        if z is None:
+            raise ValueError("unit %d has no embedded (%d, %d); twist is invalid" % (x, x, k))
+        ze = self.total.comp.get((z, e))
+        if ze is None:
+            raise ValueError("embedded (%d, %d) does not compose with %d; twist is invalid"
+                             % (x, k, e))
+        return ze
 
     def __eq__(self, other):
         return self is other or (
@@ -227,6 +238,9 @@ def unique_scalar(tw: Twist, ref: int, other: int) -> int:
     """The exponent k with other == act(k, ref); both in one fiber.  It is
     the search over k = 0, 1, ..., n - 1, and answers for one pair what a
     section's exponent table answers for every arrow at once."""
+    for e in (ref, other):
+        if not 0 <= e < tw.total.m:
+            raise ValueError("arrow %d is out of range" % e)
     if tw.proj[ref] != tw.proj[other]:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)

@@ -217,6 +217,8 @@ EXTRA_FILE = [
      "twist build needs a groupoid file and a cocycle file"),
     (["ideal", "--ring", "GF(3)", "member", "z2.gpd", "ideal.idl", "e.elt", "e.elt"],
      "ideal member needs an ideal file and an element file"),
+    (["catalog", "list", "z2"], "catalog list needs no catalog name"),
+    (["catalog", "emit", "z2", "pair2"], "catalog emit needs at most one catalog name"),
 ]
 
 
@@ -393,6 +395,20 @@ def test_catalog_emit(tmp_path, capsys):
     assert code == 0
     assert out == "wrote z2.gpd\nwrote z2_triv.coc\nwrote z2_neg.coc\n"
     assert (tmp_path / "z2_neg.coc").exists()
+
+
+@pytest.mark.parametrize("names", [["z2"], []], ids=["one", "all"])
+@pytest.mark.parametrize("flags_first", [True, False], ids=["flags-first", "name-first"])
+def test_catalog_emit_names_after_a_flag(tmp_path, capsys, names, flags_first):
+    """One name or none, before or after --out: emit prints and writes what
+    emit_fixtures writes for it."""
+    want = T.emit_fixtures(str(tmp_path / "want"), names[0] if names else "all")
+    out = ["--out", str(tmp_path / "got")]
+    got = run(capsys, "catalog", "emit", *(out + names if flags_first else names + out))
+    assert got == (0, "".join("wrote %s\n" % f for f in want), "")
+    assert sorted(os.listdir(tmp_path / "got")) == sorted(want)
+    for f in want:
+        assert (tmp_path / "got" / f).read_bytes() == (tmp_path / "want" / f).read_bytes()
 
 
 # --- failure modes -----------------------------------------------------------------

@@ -575,6 +575,42 @@ def test_invalid_cocycle_and_grading_are_never_marked():
     assert_never_marked(grading, T.check_grading, T.validate_grading)
 
 
+def broken_z2(case):
+    """The order-two group with its composite (1, 1) set to 1 or deleted."""
+    g = T.build("z2")
+    comp = dict(g.comp)
+    if case == "composite":
+        comp[(1, 1)] = 1
+    else:
+        del comp[(1, 1)]
+    return T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
+
+
+GATES = {
+    "check_cocycle": lambda coc, grading: T.check_cocycle(coc),
+    "Context": lambda coc, grading: make_context(coc.gpd, "GF(3)", coc),
+    "build_twist": lambda coc, grading: T.build_twist(coc.gpd, coc),
+    "check_grading": lambda coc, grading: T.check_grading(grading),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("case", ["composite", "deleted"])
+def test_gates_check_the_groupoid_first(case, gate):
+    """A cocycle or grading on something that is not a groupoid is refused
+    with the groupoid's violations, every time, and nothing is marked."""
+    g = broken_z2(case)
+    want = T.validate_groupoid(g)
+    assert want
+    coc = T.Cocycle(g, 2, {pair: int(pair == (1, 1)) for pair in T.composable_pairs(g)})
+    grading = T.Grading(g, T.cyclic_group(2), [0, 1])
+    for _ in range(2):
+        with pytest.raises(T.AxiomError) as exc:
+            GATES[gate](coc, grading)
+        assert exc.value.kind == "groupoid" and exc.value.violations == want
+        assert not (g.checked or coc.checked or grading.checked)
+
+
 def test_cocycle_and_grading_equality_ignore_the_flag():
     assert_flag_ignored(T.z2_neg_cocycle, T.check_cocycle)
     g = T.build("pair2")

@@ -157,6 +157,25 @@ def test_subgroupoid_reindexes():
     assert sub == T.build("pair2")
 
 
+@pytest.mark.parametrize("subset,message", [
+    # (1, 2) runs from unit (2, 2), index 4, which is left out
+    ([0, 1], "src(1) = 4"),
+    ([0, 4, 7], "rng(7) = 8"),
+    ([0, 1, 4, 8], "inv(1) = 3"),
+    # closed under src, rng and inv, but (1, 2)(2, 3) = (1, 3) is left out
+    ([0, 1, 3, 4, 5, 7, 8], "comp(1, 5) = 2"),
+], ids=["src", "rng", "inv", "comp"])
+def test_subgroupoid_refuses_a_subset_that_is_not_closed(subset, message):
+    with pytest.raises(ValueError, match=r"^subset is not closed: %s is not in it$"
+                       % re.escape(message)):
+        T.subgroupoid(T.pair_groupoid(3), subset)
+
+
+def test_subgroupoid_refuses_an_arrow_out_of_range():
+    with pytest.raises(ValueError, match="^arrow 9 is out of range$"):
+        T.subgroupoid(T.pair_groupoid(3), [0, 9])
+
+
 def test_tabulate_indexes_sorted_labels():
     # the pair groupoid on points "x" < "y", its labels listed out of order
     labels = [("y", "x"), ("x", "x"), ("y", "y"), ("x", "y")]

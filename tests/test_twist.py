@@ -106,6 +106,27 @@ def test_unique_scalar_rejects_an_invalid_twist():
         T.unique_scalar(bad, 2, 2)
 
 
+def test_act_names_what_breaks_an_unchecked_twist():
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    bad = T.Twist(tw.base, tw.total, 2, {(0, 1): 1}, tw.proj)
+    with pytest.raises(ValueError, match=r"^unit 0 has no embedded \(0, 0\); twist is invalid$"):
+        T.unique_scalar(bad, 2, 3)
+    # the unit no longer composes with arrow 2 in the total
+    g = tw.total
+    comp = {pair: e for pair, e in g.comp.items() if pair != (0, 2)}
+    bad = T.Twist(tw.base, T.Groupoid(g.units, g.src, g.rng, g.inv, comp), 2, tw.embed, tw.proj)
+    with pytest.raises(ValueError, match=r"^embedded \(0, 0\) does not compose with 2;"
+                                         r" twist is invalid$"):
+        T.unique_scalar(bad, 2, 3)
+    # a valid twist, asked about arrows it does not have
+    for e in (-1, 4):
+        with pytest.raises(ValueError, match="^arrow %d is out of range$" % e):
+            tw.act(0, e)
+        for pair in ((e, 3), (2, e)):
+            with pytest.raises(ValueError, match="^arrow %d is out of range$" % e):
+                T.unique_scalar(tw, *pair)
+
+
 def _invalid_z2_twists():
     """The two invalid twists of test_unique_scalar_rejects_an_invalid_twist,
     with the message each one's exponent table raises."""
