@@ -101,15 +101,27 @@ class Context(BindOnce):
         return hash((self.coc, self.tgrp, self.conj))
 
 
+def _on_arrows(coeffs: dict, m: int) -> dict:
+    """coeffs itself when every key is an arrow 0..m-1, else ValueError
+    naming the first key that is not."""
+    if coeffs and not (0 <= min(coeffs) and max(coeffs) < m):
+        raise ValueError("coefficient on non-arrow %d"
+                         % next(a for a in coeffs if not 0 <= a < m))
+    return coeffs
+
+
 class Element:
-    """Sparse coefficient map; zero coefficients are never stored."""
+    """Sparse coefficient map on the arrows of ctx's groupoid; a key that
+    is not an arrow raises ValueError, and zero coefficients are never
+    stored."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: Context, coeffs: dict):
         self.ctx = ctx
         r = ctx.ring
-        self.coeffs = {a: c for a, c in coeffs.items() if not r.is_zero(c)}
+        self.coeffs = {a: c for a, c in _on_arrows(coeffs, ctx.gpd.m).items()
+                       if not r.is_zero(c)}
 
     def support(self) -> tuple:
         return tuple(sorted(self.coeffs))
@@ -150,13 +162,10 @@ def delta(ctx: Context, arrow: int, coeff=None) -> Element:
 
 def char_fn(ctx: Context, subset: Iterable[int]) -> Element:
     """Indicator of a bisection; arbitrary subsets are rejected."""
-    b = frozenset(subset)
-    if any(a < 0 or a >= ctx.gpd.m for a in b):
-        raise ValueError("subset contains a non-arrow")
-    if not is_bisection(ctx.gpd, b):
+    f = Element(ctx, dict.fromkeys(subset, ctx.ring.one()))
+    if not is_bisection(ctx.gpd, f.coeffs):
         raise ValueError("subset is not a bisection")
-    one = ctx.ring.one()
-    return Element(ctx, {a: one for a in b})
+    return f
 
 
 def one(ctx: Context) -> Element:
@@ -296,8 +305,8 @@ class EquivContext:
     cocycle.  The equivariant products read ring, tgrp and conj from ctx
     but compute from the twist's own tables, never from ctx.coc.  The
     context holds the section's exponent table in _exponents, the one the
-    induced cocycle was read from; a twist whose fibers are not free,
-    transitive orbits is refused here, when that table is built."""
+    induced cocycle was read from.  The twist passes check_twist, through
+    induced_cocycle, before anything is built."""
 
     def __init__(
         self,
@@ -309,7 +318,7 @@ class EquivContext:
     ):
         if tgrp.order != twist.n:
             raise ValueError("unit subgroup order does not match the twist")
-        # induced_cocycle checks the section
+        # induced_cocycle checks the twist, then the section
         coc = invert_cocycle(induced_cocycle(twist, section))
         self.twist = twist
         self.section = tuple(section)
@@ -332,14 +341,15 @@ class EquivariantElement:
     """Fiber-scaling function on the total groupoid, stored by its values
     on the section: the full function is value(e) = g^k * h(a) where e sits
     over a and k is the unique scalar from sec(a) to e, read off the
-    context's exponent table."""
+    context's exponent table.  A key of h that is not a base arrow raises
+    ValueError."""
 
     __slots__ = ("ectx", "h")
 
     def __init__(self, ectx: EquivContext, h: dict):
         self.ectx = ectx
         r = ectx.ctx.ring
-        self.h = {a: c for a, c in h.items() if not r.is_zero(c)}
+        self.h = {a: c for a, c in _on_arrows(h, ectx.twist.base.m).items() if not r.is_zero(c)}
 
     def value(self, e: int):
         """Evaluate at any total arrow."""

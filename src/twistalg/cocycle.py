@@ -341,6 +341,8 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
     2-cocycle identity at the triples validate_cocycle checks, read off the
     same _solve_mod that check_cohomologous uses.  cap bounds the number of
     cocycles, before any is formed."""
+    if n < 1:
+        raise ValueError("cocycle order must be positive")
     free = sorted(free_pairs(g))
     where = {pair: i for i, pair in enumerate(free)}
     comp, rows = g.comp, {}

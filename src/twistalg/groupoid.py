@@ -14,8 +14,10 @@ given by a rule on labelled arrows, indexing the labels in sorted order; it
 checks nothing.  The gates check: check_groupoid, which catalog.build,
 GroupTable and fileio.read_groupoid call, and check_cocycle, check_grading
 and check_twist, which check the groupoids their object stands on before
-the object itself.  So a Context, build_twist and the graded functions
-never compute on an unchecked groupoid.  validate_groupoid reports the
+the object itself.  build_twist's model twist comes out marked, with its
+total, as check_twist marks a twist.  So a Context, build_twist, the
+graded functions and every function that reads a twist never compute on
+an unchecked groupoid.  validate_groupoid reports the
 violations as data and ignores the checked flag; check_groupoid raises
 them as one AxiomError through the gate checked, which validates an object
 only until it first passes.  It reads comp in one pass: the domain is

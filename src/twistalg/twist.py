@@ -8,8 +8,18 @@ in validate_twist.  Two of them are decided on generators: the projection's
 composition law on the pairs whose right factor is a unit or lies in
 generating_set(total), and centrality at exponent 1; the full loops run
 only to name what fails.  The embedding is read-only like the groupoid
-tables; check_twist validates a twist once and then marks its base and
-total, whose groupoid pass validate_twist skips once they are marked.
+tables.
+
+check_twist is the one gate.  It validates a twist once, then marks it,
+its base and its total (validate_twist skips a marked groupoid's pass).
+act, unique_scalar, find_section, validate_section, induced_cocycle,
+twists_isomorphic and validate_twist_morphism call it first, and
+section_iso and algebra.EquivContext reach it through induced_cocycle; an
+invalid twist raises AxiomError of kind twist there, with validate_twist's
+violations, and keeps nothing.  build_twist's model twist is born checked:
+the model of a checked normalised cocycle is a twist by construction, so
+it and its total carry check_twist's marks and the gate is one flag read.
+A twist read from a file or put together by hand is validated in full.
 
 build_twist realizes the standard model on the carrier base x Z/n: the
 pair (a, k) gets arrow index a*n + k, multiplication twists the exponent
@@ -23,10 +33,10 @@ and twists_isomorphic between two twists, with b the coboundary linking
 the cocycles their found sections induce.
 
 A section's exponent table holds, for every total arrow e, the k with
-e = act(k, sec(proj e)); it is built with n acts per base arrow, and
-building it refuses a twist whose fibers are not free, transitive Z/n
-orbits.  induced_cocycle, the section map and the equivariant picture in
-algebra read it; unique_scalar answers the same question for one pair by
+e = act(k, sec(proj e)); it is built with n acts per base arrow, since
+every fiber of a checked twist is a free, transitive Z/n orbit.
+induced_cocycle, the section map and the equivariant picture in algebra
+read it; unique_scalar answers the same question for one pair by
 search.  The fibers, the exponent table and the induced cocycle are kept
 on the twist (derived), so a round trip that induces from the found
 section, then compares twists and builds the equivariant context,
@@ -73,19 +83,12 @@ class Twist(BindOnce):
 
     def act(self, k: int, e: int) -> int:
         """The unit-group action: compose with the central element at rng(e).
-        An arrow out of range, and on an unchecked twist a missing embedded
-        arrow or one that does not compose with e, raise ValueError."""
+        The twist passes check_twist first; an arrow out of range raises
+        ValueError."""
+        check_twist(self)
         if not 0 <= e < self.total.m:
             raise ValueError("arrow %d is out of range" % e)
-        x, k = self.proj[self.total.rng[e]], k % self.n
-        z = self.embed.get((x, k))
-        if z is None:
-            raise ValueError("unit %d has no embedded (%d, %d); twist is invalid" % (x, x, k))
-        ze = self.total.comp.get((z, e))
-        if ze is None:
-            raise ValueError("embedded (%d, %d) does not compose with %d; twist is invalid"
-                             % (x, k, e))
-        return ze
+        return self.total.comp[(self.embed[(self.proj[self.total.rng[e]], k % self.n)], e)]
 
     def __eq__(self, other):
         return self is other or (
@@ -112,7 +115,9 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
     0.8 ms on pair5 with n = 4; 2-vCPU VM, Python 3.11): building twists
     is one of the larger layers of a twist round trip.  A total groupoid
     with more than 2^20 composable pairs, |base.comp| * n^2, is refused
-    before anything is allocated."""
+    before anything is allocated.  The model of the checked cocycle is a
+    twist by construction, so it comes back marked as check_twist marks
+    it: the twist and its total (the base is checked with the cocycle)."""
     if coc.gpd != base:
         raise ValueError("cocycle lives over a different groupoid")
     pairs = len(base.comp) * coc.n ** 2
@@ -141,8 +146,9 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
                 comp[(a * n + k, b * n + l)] = ab * n + (shift + k + l) % n
     total = Groupoid(units, src, rng, inv, comp)
     embed = {(u, k): u * n + k for u in base.units for k in range(n)}
-    proj = [e // n for e in range(base.m * n)]
-    return Twist(base, total, n, embed, proj)
+    tw = Twist(base, total, n, embed, [e // n for e in range(base.m * n)])
+    tw.checked = total.checked = True
+    return tw
 
 
 def validate_twist(tw: Twist) -> list:
@@ -229,15 +235,20 @@ def validate_twist(tw: Twist) -> list:
 
 
 def check_twist(tw: Twist) -> Twist:
-    checked(tw, "twist", validate_twist)
-    tw.base.checked = tw.total.checked = True
+    """tw itself once valid, its base and total then marked too, else
+    AxiomError of kind twist with every violation of validate_twist."""
+    if not tw.checked:
+        checked(tw, "twist", validate_twist)
+        tw.base.checked = tw.total.checked = True
     return tw
 
 
 def unique_scalar(tw: Twist, ref: int, other: int) -> int:
-    """The exponent k with other == act(k, ref); both in one fiber.  It is
-    the search over k = 0, 1, ..., n - 1, and answers for one pair what a
-    section's exponent table answers for every arrow at once."""
+    """The exponent k with other == act(k, ref); both in one fiber of a
+    twist that passes check_twist.  It is the search over k = 0, 1, ...,
+    n - 1, and answers for one pair what a section's exponent table answers
+    for every arrow at once."""
+    check_twist(tw)
     for e in (ref, other):
         if not 0 <= e < tw.total.m:
             raise ValueError("arrow %d is out of range" % e)
@@ -245,28 +256,22 @@ def unique_scalar(tw: Twist, ref: int, other: int) -> int:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)
         )
-    for k in range(tw.n):
-        if tw.act(k, ref) == other:
-            return k
-    raise ValueError("no scalar links %d to %d; twist is invalid" % (ref, other))
+    return next(k for k in range(tw.n) if tw.act(k, ref) == other)
 
 
 def find_section(tw: Twist) -> tuple:
-    """Deterministic global section: unit fibers pick their unit, other
-    fibers the least total index.  Composing with the projection gives the
-    identity by construction.  A unit missing from the embedding, or an
-    empty fiber, raises ValueError."""
+    """Deterministic global section of a twist that passes check_twist:
+    unit fibers pick their unit, other fibers the least total index.
+    Composing with the projection gives the identity by construction."""
+    check_twist(tw)
     units = tw.base.unit_set
-    sec = tuple(tw.embed.get((a, 0)) if a in units else min(tw.fiber(a), default=None)
-                for a in range(tw.base.m))
-    if None in sec:
-        a = sec.index(None)
-        raise ValueError(("unit %d has no embedded (%d, 0)" % (a, a) if a in units else
-                          "the fiber over arrow %d is empty" % a) + "; twist is invalid")
-    return sec
+    return tuple(tw.embed[(a, 0)] if a in units else tw.fiber(a)[0] for a in range(tw.base.m))
 
 
 def validate_section(tw: Twist, sec) -> list:
+    """What keeps sec from being a section of tw, which passes check_twist
+    first; empty when it is one."""
+    check_twist(tw)
     v = []
     if len(sec) != tw.base.m:
         return ["section has wrong length"]
@@ -284,42 +289,24 @@ def validate_section(tw: Twist, sec) -> list:
 @derived
 def _exponent_table(tw: Twist, sec: tuple) -> tuple:
     """k[e] for every total arrow e, with e = act(k[e], sec[proj e]), from
-    n acts per base arrow; sec must pass validate_section.  Raises
-    ValueError unless every fiber is a free, transitive Z/n-orbit.  Kept on
-    the twist (derived) for the last section."""
-    total, n, proj = tw.total, tw.n, tw.proj
-    comp, rng = total.comp, total.rng
-    embedded = {u: [tw.embed.get((u, k)) for k in range(n)] for u in tw.base.units}
-    table = [None] * total.m
-    for a, s in enumerate(sec):
-        for k, z in enumerate(embedded.get(proj[rng[s]], ())):
-            e = comp.get((z, s))
-            if e is None or proj[e] != a or table[e] is not None:
-                _refuse_orbit(tw, sec, a)
-            table[e] = k
-    if None in table:
-        _refuse_orbit(tw, sec, proj[table.index(None)])
+    n acts per base arrow; tw must pass check_twist, and sec
+    validate_section.  Kept on the twist (derived) for the last section."""
+    check_twist(tw)
+    n, embed, comp, rng = tw.n, tw.embed, tw.total.comp, tw.total.rng
+    table = [0] * tw.total.m
+    for s in sec:
+        u = tw.proj[rng[s]]
+        for k in range(n):
+            table[comp[(embed[(u, k)], s)]] = k
     return tuple(table)
-
-
-def _refuse_orbit(tw: Twist, sec: tuple, a: int):
-    """Raise for the fiber over a, which is not the free, transitive orbit
-    of sec[a]: name an arrow of it that no scalar reaches, if there is one."""
-    s = sec[a]
-    orbit = {tw.total.comp.get((tw.embed.get((tw.proj[tw.total.rng[s]], k)), s))
-             for k in range(tw.n)}
-    missing = [e for e in tw.fiber(a) if e not in orbit]
-    if missing:
-        raise ValueError("no scalar links %d to %d; twist is invalid" % (s, missing[0]))
-    raise ValueError("the scalars do not act freely on the fiber over arrow %d;"
-                     " twist is invalid" % a)
 
 
 def induced_cocycle(tw: Twist, sec) -> Cocycle:
     """The cocycle measuring failure of the section to be multiplicative:
     sec(a) sec(b) equals the induced scalar acting on sec(ab), read off the
-    section's exponent table.  Kept on the twist (derived) for the last
-    section."""
+    section's exponent table.  tw passes check_twist first, and the
+    cocycle is kept on the twist (derived) for the last section."""
+    check_twist(tw)
     return _induced_cocycle(tw, tuple(sec))
 
 
@@ -328,16 +315,9 @@ def _induced_cocycle(tw: Twist, sec: tuple) -> Cocycle:
     bad = validate_section(tw, sec)
     if bad:
         raise ValueError("; ".join(bad))
-    k = _exponent_table(tw, sec)
-    comp, bcomp, proj = tw.total.comp, tw.base.comp, tw.proj
-    table = {}
-    for a, b in composable_pairs(tw.base):
-        prod = comp[(sec[a], sec[b])]
-        ab = bcomp[(a, b)]
-        if proj[prod] != ab:
-            raise ValueError("arrows %d and %d sit over different base arrows" % (sec[ab], prod))
-        table[(a, b)] = k[prod]
-    return Cocycle(tw.base, tw.n, table)
+    k, comp = _exponent_table(tw, sec), tw.total.comp
+    return Cocycle(tw.base, tw.n, {(a, b): k[comp[(sec[a], sec[b])]]
+                                   for a, b in composable_pairs(tw.base)})
 
 
 # An arrow bijection between two twists over one base, commuting with the
@@ -348,7 +328,7 @@ TwistMorphism = namedtuple("TwistMorphism", "src dst mapping")
 def validate_twist_morphism(mor: TwistMorphism) -> list:
     """The independent axioms of a twist isomorphism: a bijection of total
     arrows that is a homomorphism and commutes with the embeddings and the
-    projections.  Empty when they hold.
+    projections.  Empty when they hold; both twists pass check_twist first.
 
     The inverse law and action equivariance follow, so they are not
     checked.  f(rng e) = f(rng e) f(rng e) is idempotent, hence a unit, so
@@ -356,7 +336,7 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
     x = proj(rng e), which is also proj(rng f(e)) by the projection
     diagram, f(act(k, e)) = f(embed(x, k)) f(e) = embed(x, k) f(e) =
     act(k, f(e)) by the embedding diagram."""
-    t1, t2, f = mor.src, mor.dst, mor.mapping
+    t1, t2, f = check_twist(mor.src), check_twist(mor.dst), mor.mapping
     v = []
     if t1.base != t2.base or t1.n != t2.n:
         return ["twists do not share a base groupoid and order"]
@@ -401,8 +381,11 @@ def section_iso(tw: Twist, sec) -> TwistMorphism:
 
 def twists_isomorphic(t1: Twist, t2: Twist) -> Optional[TwistMorphism]:
     """The explicit isomorphism when the induced cocycles are cohomologous,
-    else None.  Route: t1 -> model(c1) -> model(c2) -> t2, the middle arrow
-    shifting exponents by the coboundary."""
+    else None; both twists pass check_twist first.  Route: t1 -> model(c1)
+    -> model(c2) -> t2, the middle arrow shifting exponents by the
+    coboundary."""
+    check_twist(t1)
+    check_twist(t2)
     if t1.base != t2.base or t1.n != t2.n:
         raise ValueError("twists do not share a base groupoid and order")
     s1 = find_section(t1)

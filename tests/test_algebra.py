@@ -50,6 +50,28 @@ def test_char_fn_rejects_non_arrow():
         T.char_fn(ctx, [99])
 
 
+def test_elements_refuse_coefficients_on_non_arrows():
+    """A key that is not an arrow is refused where the element is made, a
+    zero coefficient too: -1 had wrapped round to arrow 3 of pair2 in a
+    product, and 4 had generated an ideal of dimension 1 with no basis
+    vector.  Equivariant elements take base arrows only."""
+    ctx = make_context(T.build("pair2"), "GF(3)")
+    one, zero = ctx.ring.one(), ctx.ring.zero()
+    for a in (-1, 4):
+        for run in (lambda: T.delta(ctx, a), lambda: T.from_coeffs(ctx, {0: one, a: zero}),
+                    lambda: T.char_fn(ctx, [a]), lambda: T.Element(ctx, {a: one})):
+            with pytest.raises(ValueError, match="^coefficient on non-arrow %d$" % a):
+                run()
+    assert T.convolve(T.delta(ctx, 3), T.delta(ctx, 3)) == T.delta(ctx, 3)
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    ectx = T.EquivContext(tw, T.find_section(tw), ctx.ring, T.unit_subgroup(ctx.ring, 2))
+    for a in (-1, 2, 3):
+        with pytest.raises(ValueError, match="^coefficient on non-arrow %d$" % a):
+            T.EquivariantElement(ectx, {a: one})
+    f = T.EquivariantElement(ectx, {1: one})
+    assert [f.value(e) for e in range(4)] == [zero, zero, one, ctx.ring.neg(one)]
+
+
 def test_char_fn_rejects_non_bisection():
     ctx = ctx_q_pair2()  # arrows 0 and 1 both range in unit 0
     with pytest.raises(ValueError, match="^subset is not a bisection$"):

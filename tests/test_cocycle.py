@@ -682,3 +682,13 @@ def test_solve_mod_matches_brute_force(n):
                        for ks in itertools.product(*(range(order) for order, _ in kernel))}
             assert spanned == homogeneous
             assert len(homogeneous) == math.prod(order for order, _ in kernel)
+
+
+@pytest.mark.parametrize("name", ["pair1", "pair2", "z2", "s3"])
+def test_enumerate_cocycles_refuses_an_order_below_one(name):
+    """n = 0 had divided by zero on any groupoid with a free pair; every
+    order below one gets the message Cocycle gives."""
+    g = T.build(name)
+    for n in (0, -1, -3):
+        with pytest.raises(ValueError, match="^cocycle order must be positive$"):
+            T.enumerate_cocycles(g, n)

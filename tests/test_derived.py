@@ -125,6 +125,7 @@ def test_derived_keeps_the_last_args_and_no_failed_build():
     # a build that raises keeps nothing on an invalid twist either
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
     bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
-    with pytest.raises(ValueError, match="twist is invalid"):
-        TW._exponent_table(bad, T.find_section(bad))
-    assert kept(bad, TW._exponent_table) is None
+    with pytest.raises(T.AxiomError) as exc:
+        TW._exponent_table(bad, T.find_section(tw))
+    assert exc.value.kind == "twist" and exc.value.violations == T.validate_twist(bad)
+    assert kept(bad, TW._exponent_table) is None and not bad.checked

@@ -92,32 +92,48 @@ def test_unique_scalar_matches_the_search():
     assert pairs == 3282
 
 
+def assert_refused(bad, run):
+    """run() raises AxiomError of kind twist with every violation of bad,
+    on each of two calls, and bad keeps no exponent table, no induced
+    cocycle and no mark."""
+    want = T.validate_twist(bad)
+    assert want
+    for _ in range(2):
+        with pytest.raises(T.AxiomError) as exc:
+            run()
+        assert exc.value.kind == "twist" and exc.value.violations == want
+        assert kept(bad, TW._exponent_table) is None and kept(bad, TW._induced_cocycle) is None
+        assert not bad.checked
+
+
 def test_unique_scalar_rejects_an_invalid_twist():
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
     # every exponent embedded as the unit: no scalar moves arrow 2 to 3
     bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
-    with pytest.raises(ValueError, match="no scalar links 2 to 3; twist is invalid"):
-        T.unique_scalar(bad, 2, 3)
+    assert_refused(bad, lambda: T.unique_scalar(bad, 2, 3))
     # the unit 0 no longer fixes arrow 2, and no scalar moves it to itself
     g = tw.total
     total = T.Groupoid(g.units, g.src, g.rng, g.inv, {**g.comp, (0, 2): 3})
-    bad = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
-    with pytest.raises(ValueError, match="no scalar links 2 to 2; twist is invalid"):
-        T.unique_scalar(bad, 2, 2)
+    bad2 = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
+    assert_refused(bad2, lambda: T.unique_scalar(bad2, 2, 2))
+    assert not total.checked
 
 
 def test_act_names_what_breaks_an_unchecked_twist():
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
     bad = T.Twist(tw.base, tw.total, 2, {(0, 1): 1}, tw.proj)
-    with pytest.raises(ValueError, match=r"^unit 0 has no embedded \(0, 0\); twist is invalid$"):
-        T.unique_scalar(bad, 2, 3)
+    assert T.validate_twist(bad) == ["embedding domain is not units x exponents"]
+    for run in (lambda: bad.act(0, 2), lambda: T.unique_scalar(bad, 2, 3)):
+        assert_refused(bad, run)
     # the unit no longer composes with arrow 2 in the total
     g = tw.total
     comp = {pair: e for pair, e in g.comp.items() if pair != (0, 2)}
-    bad = T.Twist(tw.base, T.Groupoid(g.units, g.src, g.rng, g.inv, comp), 2, tw.embed, tw.proj)
-    with pytest.raises(ValueError, match=r"^embedded \(0, 0\) does not compose with 2;"
-                                         r" twist is invalid$"):
-        T.unique_scalar(bad, 2, 3)
+    total = T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
+    bad = T.Twist(tw.base, total, 2, tw.embed, tw.proj)
+    assert T.validate_twist(bad) == ["total: comp undefined on composable pair (0, 2)"]
+    for run in (lambda: bad.act(0, 2), lambda: T.unique_scalar(bad, 2, 3)):
+        assert_refused(bad, run)
+    assert not total.checked
     # a valid twist, asked about arrows it does not have
     for e in (-1, 4):
         with pytest.raises(ValueError, match="^arrow %d is out of range$" % e):
@@ -128,13 +144,12 @@ def test_act_names_what_breaks_an_unchecked_twist():
 
 
 def _invalid_z2_twists():
-    """The two invalid twists of test_unique_scalar_rejects_an_invalid_twist,
-    with the message each one's exponent table raises."""
+    """The two invalid twists of test_unique_scalar_rejects_an_invalid_twist."""
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
     g = tw.total
     total = T.Groupoid(g.units, g.src, g.rng, g.inv, {**g.comp, (0, 2): 3})
-    return [(T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj), "0 to 1"),
-            (T.Twist(tw.base, total, 2, tw.embed, tw.proj), "2 to 2")]
+    return [T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj),
+            T.Twist(tw.base, total, 2, tw.embed, tw.proj)]
 
 
 def test_exponent_table_matches_unique_scalar():
@@ -163,33 +178,65 @@ def test_exponent_table_refuses_an_invalid_twist():
     """Every road to the table raises and keeps neither cache."""
     ring = T.parse_ring("Q")
     tgrp = T.unit_subgroup(ring, 2)
-    for bad, pair in _invalid_z2_twists():
-        sec = T.find_section(bad)
+    sec = (0, 2)  # the canonical section of the valid twist
+    for bad in _invalid_z2_twists():
         for run in (lambda: TW._exponent_table(bad, sec), lambda: T.induced_cocycle(bad, sec),
                     lambda: T.EquivContext(bad, sec, ring, tgrp)):
-            with pytest.raises(ValueError, match="^no scalar links %s; twist is invalid$" % pair):
-                run()
-            assert kept(bad, TW._exponent_table) is None and kept(bad, TW._induced_cocycle) is None
+            assert_refused(bad, run)
     # a fiber with fewer than n arrows, every one of them reached
     bad = _z2_twist(proj=(0, 1, 1, 1))
-    assert T.validate_section(bad, (0, 1)) == []
-    with pytest.raises(ValueError, match="^the scalars do not act freely on the fiber over"
-                                         " arrow 0; twist is invalid$"):
-        T.induced_cocycle(bad, (0, 1))
-    assert kept(bad, TW._exponent_table) is None and kept(bad, TW._induced_cocycle) is None
+    for run in (lambda: T.validate_section(bad, (0, 1)), lambda: T.induced_cocycle(bad, (0, 1))):
+        assert_refused(bad, run)
 
 
 def test_find_section_names_what_breaks_an_invalid_twist():
     """An empty fiber, or a unit whose (u, 0) is not embedded, is named in
-    a ValueError, and twists_isomorphic passes it on either way round."""
+    the twist's AxiomError, and twists_isomorphic raises it either way
+    round."""
     tw = _z2_twist()
-    for bad, what in ((_z2_twist(proj=(0, 0, 0, 0)), "the fiber over arrow 1 is empty"),
-                      (_z2_twist(embed={(0, 1): 1}), "unit 0 has no embedded (0, 0)")):
+    for bad, what in ((_z2_twist(proj=(0, 0, 0, 0)), "fiber over arrow 1 has size 0, want 2"),
+                      (_z2_twist(embed={(0, 1): 1}), "embedding domain is not units x exponents")):
+        assert what in T.validate_twist(bad)
         for run in (lambda: T.find_section(bad), lambda: T.twists_isomorphic(bad, tw),
                     lambda: T.twists_isomorphic(tw, bad)):
-            with pytest.raises(ValueError) as err:
-                run()
-            assert str(err.value) == what + "; twist is invalid"
+            assert_refused(bad, run)
+
+
+def test_every_reader_of_a_twist_gates_through_check_twist():
+    """A projection one entry short, a projection off the base, and a
+    missing (0, 0) are refused by every public function that reads the
+    twist, with validate_twist's violations, before it computes."""
+    tw = _z2_twist()
+    ring = T.parse_ring("Q")
+    tgrp = T.unit_subgroup(ring, 2)
+    for bad in (_z2_twist(proj=(0, 1, 1)), _z2_twist(proj=(0, 0, 5, 1)),
+                _z2_twist(embed={(0, 1): 1})):
+        runs = [lambda: bad.act(0, 2), lambda: T.unique_scalar(bad, 2, 3),
+                lambda: T.find_section(bad), lambda: T.validate_section(bad, (0, 2)),
+                lambda: T.induced_cocycle(bad, (0, 2)), lambda: T.section_iso(bad, (0, 2)),
+                lambda: T.EquivContext(bad, (0, 2), ring, tgrp),
+                lambda: T.twists_isomorphic(bad, tw), lambda: T.twists_isomorphic(tw, bad),
+                lambda: T.validate_twist_morphism(T.TwistMorphism(tw, bad, (0, 1, 2, 3))),
+                lambda: T.validate_twist_morphism(T.TwistMorphism(bad, tw, (0, 1, 2, 3)))]
+        for run in runs:
+            assert_refused(bad, run)
+
+
+def test_a_built_twist_passes_the_gate_unvalidated(monkeypatch):
+    """build_twist's model twist carries check_twist's marks, so no reader
+    of it validates it again."""
+    calls = count_calls(monkeypatch, TW, "validate_twist")
+    groupoids = count_calls(monkeypatch, TW, "validate_groupoid")
+    for coc in (T.z2_neg_cocycle(), carry_cocycle(4)):
+        tw = T.build_twist(coc.gpd, coc)
+        assert tw.checked and tw.base.checked and tw.total.checked
+        sec = T.find_section(tw)
+        assert T.validate_section(tw, sec) == [] and T.induced_cocycle(tw, sec) == coc
+        assert T.unique_scalar(tw, sec[1], tw.act(1, sec[1])) == 1
+        assert T.validate_twist_morphism(T.section_iso(tw, sec)) == []
+        assert T.twists_isomorphic(tw, T.build_twist(coc.gpd, coc)) is not None
+        assert T.check_twist(tw) is tw
+    assert calls == [] and groupoids == []
 
 
 @pytest.mark.parametrize("name,coc", COCYCLES, ids=lambda v: str(v)[:24])
@@ -712,9 +759,19 @@ def test_embed_is_read_only(tmp_path):
         assert_read_only(t.total.comp)
 
 
+def _unmarked_total(tw):
+    """tw over a fresh, unmarked copy of its total groupoid."""
+    g = tw.total
+    return T.Twist(tw.base, T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp), tw.n,
+                   tw.embed, tw.proj)
+
+
 def test_validate_twist_skips_checked_groupoids(monkeypatch):
-    tw = T.build_twist(T.build("z4"), carry_cocycle(4))
+    built = T.build_twist(T.build("z4"), carry_cocycle(4))
     calls = count_calls(monkeypatch, TW, "validate_groupoid")
+    assert built.base.checked and built.total.checked and built.checked
+    assert T.validate_twist(built) == [] and calls == []
+    tw = _unmarked_total(built)
     assert tw.base.checked and not tw.total.checked and not tw.checked
     assert T.validate_twist(tw) == [] and calls == [tw.total]
     assert T.check_twist(tw) is tw and len(calls) == 2
@@ -723,9 +780,37 @@ def test_validate_twist_skips_checked_groupoids(monkeypatch):
 
 
 def test_invalid_twist_is_never_marked():
-    tw = _z2_twist(proj=(0, 0, 1, 2))
+    tw = _unmarked_total(_z2_twist(proj=(0, 0, 1, 2)))
     assert_never_marked(tw, T.check_twist, T.validate_twist)
     assert not tw.total.checked
+
+
+def test_a_hand_built_twist_over_a_born_checked_total_is_refused():
+    """Sharing build_twist's marked total skips only the groupoid pass:
+    the twist's own axioms are still checked, and it is never marked."""
+    tw = _z2_twist(proj=(0, 0, 1, 2))
+    assert tw.total.checked and not tw.checked
+    assert T.validate_twist(tw) == ["projection hits a non-arrow"]
+    assert_never_marked(tw, T.check_twist, T.validate_twist)
+    tw.checked = False
+    assert_refused(tw, lambda: T.find_section(tw))
+
+
+def test_every_built_twist_validates():
+    """Oracle for the born-checked model twist: over every catalog
+    groupoid, for n = 2 and 3, the first 16 listed cocycles build twists
+    whose total, copied unmarked, is a groupoid and whose twist axioms
+    all hold."""
+    built = 0
+    for name in T.CATALOG:
+        g = T.build(name)
+        for n in (2, 3):
+            for coc in T.enumerate_cocycles(g, n)[:16]:
+                tw = _unmarked_total(T.build_twist(g, coc))
+                assert T.validate_groupoid(tw.total) == []
+                assert T.validate_twist(tw) == []
+                built += 1
+    assert built == 240
 
 
 def test_twist_equality_ignores_the_flag():
@@ -760,10 +845,7 @@ def test_invalid_section_raises_on_every_call():
 def test_failed_unique_scalar_keeps_nothing():
     tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
     bad = T.Twist(tw.base, tw.total, 2, {(0, 0): 0, (0, 1): 0}, tw.proj)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="twist is invalid"):
-            T.induced_cocycle(bad, T.find_section(tw))
-        assert kept(bad, TW._induced_cocycle) is None
+    assert_refused(bad, lambda: T.induced_cocycle(bad, T.find_section(tw)))
 
 
 def test_twists_isomorphic_reuses_the_induced_cocycle(monkeypatch):
