@@ -34,16 +34,23 @@ from .groupoid import Groupoid, check_groupoid, is_effective, is_minimal, orbits
 
 def pair_groupoid(n: int) -> Groupoid:
     """Arrows (i, j) with 1 <= i, j <= n, indexed (i-1)*n + (j-1);
-    (i, j) runs from unit j to unit i and (i, j)(j, k) = (i, k)."""
+    (i, j) runs from unit j to unit i and (i, j)(j, k) = (i, k).
+
+    It comes out marked checked, as check_groupoid marks a groupoid: it is
+    valid by construction.  The arrows are the pairs of the full relation
+    on n points, composed as relations, which is associative; (j, j) is
+    the unit at j, and (j, i) is the inverse of (i, j)."""
     if n < 1:
         raise ValueError("need at least one point")
-    return tabulate(
+    g = tabulate(
         itertools.product(range(1, n + 1), repeat=2),
         lambda a: (a[1], a[1]),
         lambda a: (a[0], a[0]),
         lambda a: (a[1], a[0]),
         lambda a, b: (a[0], b[1]),
     )
+    g.checked = True
+    return g
 
 
 def group_groupoid(table: GroupTable) -> Groupoid:

@@ -25,6 +25,12 @@ read-only.  check_cocycle and check_grading are the gates: each checks the
 groupoid the object stands on (check_groupoid) before the object itself,
 and each check runs only until it first passes.  validate_cocycle and
 validate_grading report violations as data and assume a valid groupoid.
+invert_cocycle, multiply_cocycles, apply_coboundary, check_cohomologous
+and brute_force_cohomologous pass every cocycle they take through
+check_cocycle, so none of them answers for a table that is no cocycle.
+The first three return their cocycle marked checked, as check_cocycle
+marks one: made from checked cocycles by a rule that keeps the axioms, it
+is valid by construction.
 """
 
 from __future__ import annotations
@@ -119,18 +125,29 @@ def check_cocycle(coc: Cocycle) -> Cocycle:
     return checked(coc, "cocycle", validate_cocycle)
 
 
-def _same_context(x: Cocycle, y: Cocycle):
+def _check_pair(x: Cocycle, y: Cocycle):
+    """Both cocycles through check_cocycle, and over one groupoid and
+    order, else ValueError."""
+    check_cocycle(x)
+    check_cocycle(y)
     if x.gpd != y.gpd or x.n != y.n:
         raise ValueError("cocycles live over different groupoids or orders")
 
 
 def invert_cocycle(coc: Cocycle) -> Cocycle:
-    return Cocycle(coc.gpd, coc.n, {p: -k for p, k in coc.table.items()})
+    """-coc, marked checked: the inverse of a cocycle is one."""
+    check_cocycle(coc)
+    out = Cocycle(coc.gpd, coc.n, {p: -k for p, k in coc.table.items()})
+    out.checked = True
+    return out
 
 
 def multiply_cocycles(x: Cocycle, y: Cocycle) -> Cocycle:
-    _same_context(x, y)
-    return Cocycle(x.gpd, x.n, {p: k + y.table[p] for p, k in x.table.items()})
+    """x + y, marked checked: the product of two cocycles is one."""
+    _check_pair(x, y)
+    out = Cocycle(x.gpd, x.n, {p: k + y.table[p] for p, k in x.table.items()})
+    out.checked = True
+    return out
 
 
 # --- coboundaries ------------------------------------------------------------
@@ -143,7 +160,11 @@ def validate_coboundary(gpd: Groupoid, n: int, b: Sequence[int]) -> list:
 
 
 def apply_coboundary(coc: Cocycle, b: Sequence[int]) -> Cocycle:
-    """Perturb by b: new value on (a, c) is old * b(a) b(c) / b(ac)."""
+    """Perturb by b: new value on (a, c) is old * b(a) b(c) / b(ac).
+    coc passes check_cocycle first, and the result comes out marked
+    checked: b vanishes on the units, so the result is normalised, and the
+    coboundary of b satisfies the 2-cocycle identity on any groupoid."""
+    check_cocycle(coc)
     bad = validate_coboundary(coc.gpd, coc.n, b)
     if bad:
         raise ValueError("; ".join(bad))
@@ -151,7 +172,9 @@ def apply_coboundary(coc: Cocycle, b: Sequence[int]) -> Cocycle:
     table = {
         (a, c): k + b[a] + b[c] - b[g.comp[(a, c)]] for (a, c), k in coc.table.items()
     }
-    return Cocycle(g, coc.n, table)
+    out = Cocycle(g, coc.n, table)
+    out.checked = True
+    return out
 
 
 def brute_force_cohomologous(
@@ -163,7 +186,7 @@ def brute_force_cohomologous(
     returned witness is the lexicographically least one.  Independent of
     the linear-algebra solver; quadratic-time per candidate.
     """
-    _same_context(target, base)
+    _check_pair(target, base)
     g = target.gpd
     free = [a for a in range(g.m) if a not in g.unit_set]
     n = target.n
@@ -302,16 +325,13 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
     The difference of exponent tables must equal b(a) + b(c) - b(ac) mod n
     on every composable pair; unknowns are the non-unit arrow values,
     solved by the exact integer diagonalization that _coboundary_solve
-    keeps per groupoid.  Both tables must be defined on exactly the
-    composable pairs, else ValueError.  The witness is verified before it
-    is returned; brute_force_cohomologous is the exhaustive search it is
-    tested against.
+    keeps per groupoid.  Both cocycles pass check_cocycle first, so both
+    tables are defined on exactly the composable pairs.  The witness is
+    verified before it is returned; brute_force_cohomologous is the
+    exhaustive search it is tested against.
     """
-    _same_context(target, base)
+    _check_pair(target, base)
     g = target.gpd
-    keys = g.comp.keys()
-    if target.table.keys() != keys or base.table.keys() != keys:
-        raise ValueError("cocycle table is not defined on exactly the composable pairs")
     pairs, free, diag = _coboundary_solve(g)
     x, _ = _solve_mod(diag, [target.table[p] - base.table[p] for p in pairs], target.n)
     if x is None:

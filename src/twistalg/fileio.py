@@ -21,6 +21,13 @@ check_cocycle or check_grading, checks its groupoid first) and a twist
 must satisfy their axioms, else AxiomError carries every violation.  An
 ideal must be its own reduced row echelon form and closed.  Other defects
 are ValueErrors.
+
+The writers gate what they write: serialize_groupoid, serialize_cocycle,
+serialize_grading and serialize_twist, and so the write_* functions that
+call them, first pass their object through its gate (check_groupoid,
+check_cocycle, check_grading, check_twist).  An object that breaks its
+axioms raises AxiomError before any file is opened, so no file is written
+that its reader would refuse.
 """
 
 from __future__ import annotations
@@ -167,6 +174,7 @@ def _pairs(cur: _Cursor, word: str):
 # --- groupoid ----------------------------------------------------------------
 
 def serialize_groupoid(g: Groupoid) -> list:
+    check_groupoid(g)
     lines = ["groupoid", "arrows %d" % g.m]
     lines.append("units " + " ".join(str(u) for u in g.units))
     for a in range(g.m):
@@ -228,6 +236,7 @@ def read_groupoid(path: str) -> Groupoid:
 # --- cocycle -----------------------------------------------------------------
 
 def serialize_cocycle(coc: Cocycle) -> list:
+    check_cocycle(coc)
     lines = ["cocycle", "order %d" % coc.n] + _block("groupoid", coc.gpd)
     for (a, b) in sorted(coc.table):
         k = coc.table[(a, b)]
@@ -261,6 +270,7 @@ def read_cocycle(path: str) -> Cocycle:
 # --- grading -----------------------------------------------------------------
 
 def serialize_grading(grading: Grading) -> list:
+    check_grading(grading)
     lines = ["grading"]
     grp = grading.group
     if isinstance(grp, IntGroup):
@@ -342,6 +352,7 @@ def read_element(path: str, ctx: Context) -> Element:
 # --- twists ------------------------------------------------------------------
 
 def serialize_twist(tw: Twist) -> list:
+    check_twist(tw)
     lines = ["twist", "order %d" % tw.n] + _block("base", tw.base) + _block("total", tw.total)
     lines += ["i %d %d %d" % (u, k, e) for (u, k), e in sorted(tw.embed.items())]
     return lines + ["q %d %d" % pair for pair in enumerate(tw.proj)]

@@ -15,7 +15,8 @@ checks nothing.  The gates check: check_groupoid, which catalog.build,
 GroupTable and fileio.read_groupoid call, and check_cocycle, check_grading
 and check_twist, which check the groupoids their object stands on before
 the object itself.  build_twist's model twist comes out marked, with its
-total, as check_twist marks a twist.  So a Context, build_twist, the
+total, as check_twist marks a twist, and catalog.pair_groupoid comes out
+marked, as check_groupoid marks a groupoid.  So a Context, build_twist, the
 graded functions and every function that reads a twist never compute on
 an unchecked groupoid.  validate_groupoid reports the
 violations as data and ignores the checked flag; check_groupoid raises
@@ -28,15 +29,20 @@ is checked on a generating set (Light's test): once typing and the unit
 laws hold, the middles b with (ab)c = a(bc) for all composable a, c are
 closed under composition, so the triples whose middle lies in
 generating_set(g) decide it.  Each a is checked against a generator b on
-whole rows, (ab)c against a(bc) for every c at once.  generating_set's
-walk is kept on the groupoid (derived), and validate_groupoid,
-validate_cocycle, validate_twist (on its total) and the ideal closure test
-all read it; each call hands out a new list.
+whole rows, (ab)c against a(bc) for every c at once.  generating_set walks
+a cycle through each orbit's units first and then greedily takes the
+least arrow not yet reached: a transitive groupoid is generated by such a
+cycle and its isotropy, so pair_groupoid(n) has n generators where the
+greedy walk alone took 2(n - 1).  The walk is kept on the groupoid
+(derived), and validate_groupoid, validate_cocycle, validate_twist (on its
+total) and the ideal closure test all read it; each call hands out a new
+list.
 """
 
 from __future__ import annotations
 
 from functools import wraps
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -161,19 +167,29 @@ def composable_triples(g: Groupoid):
 
 
 def generating_set(g: Groupoid) -> list:
-    """Greedy generators, ascending, as a new list.  The units start out
-    reached; each new generator is the least arrow not yet reached, and the
-    reached set is kept closed under right composition with the generators.
-    Needs comp defined on every composable pair.  The walk is kept on the
-    groupoid (derived)."""
+    """Generators, ascending, as a new list: a cycle through each orbit's
+    units, then greedy.  The units start out reached.  Each orbit with k > 1
+    units u1 < ... < uk first takes the k arrows of the cycle u1 -> u2 ->
+    ... -> uk -> u1, the least arrow from each unit to the next; then each
+    new generator is the least arrow not yet reached.  The reached set is
+    kept closed under right composition with the generators, so an arrow
+    already reached is never taken.  A transitive groupoid is generated by
+    such a cycle and its isotropy, so pair_groupoid(n) gets n generators
+    where greedy alone took 2(n - 1).  Needs comp defined on every
+    composable pair.  The walk is kept on the groupoid (derived)."""
     return list(_generator_walk(g))
 
 
 @derived
 def _generator_walk(g: Groupoid) -> tuple:
-    src, rng, comp = g.src, g.rng, g.comp
+    src, rng, comp, by_src = g.src, g.rng, g.comp, g.arrows_by_src()
+    # validate_groupoid walks before it has found a bad inverse, and then an
+    # orbit may lack an arrow u -> w: the unit u stands in, already reached
+    cycle = [next((a for a in by_src[u] if rng[a] == w), u)
+             for orb in orbits(g) if len(orb) > 1
+             for u, w in zip(orb, orb[1:] + orb[:1])]
     gens, reached = [], set(g.units)
-    for x in range(g.m):
+    for x in chain(cycle, range(g.m)):
         if x not in reached:
             gens.append(x)
             todo = [comp[(r, x)] for r in reached if src[r] == rng[x]]
@@ -182,7 +198,7 @@ def _generator_walk(g: Groupoid) -> tuple:
                 if y not in reached:
                     reached.add(y)
                     todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
-    return tuple(gens)
+    return tuple(sorted(gens))
 
 
 def generator_middles(g: Groupoid):

@@ -8,8 +8,9 @@ through Echelon, sparse rows keyed by least-index pivot: generation,
 membership, the closure check, rref, reduce_against and the simplicity
 scan, every field alike, GF(2) included.
 
-Closure is tested only under the units and the greedy generators
-(groupoid.generating_set), and the test is still exact.  Every non-unit
+Closure is tested only under the units and the generators
+(groupoid.generating_set: a cycle through each orbit's units, then
+greedy), and the test is still exact.  Every non-unit
 arrow is a composable word s1...sk in the generators, and delta_s delta_t
 = g^sigma(s,t) delta_st with g^sigma(s,t) a unit, so delta_a is a unit
 multiple of delta_s1 ... delta_sk; a span closed under delta_s on both

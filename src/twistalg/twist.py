@@ -20,6 +20,9 @@ violations, and keeps nothing.  build_twist's model twist is born checked:
 the model of a checked normalised cocycle is a twist by construction, so
 it and its total carry check_twist's marks and the gate is one flag read.
 A twist read from a file or put together by hand is validated in full.
+The cocycle induced_cocycle returns is born checked the same way, so
+twists_isomorphic and EquivContext hand it on to check_cohomologous and
+invert_cocycle without validating it again.
 
 build_twist realizes the standard model on the carrier base x Z/n: the
 pair (a, k) gets arrow index a*n + k, multiplication twists the exponent
@@ -305,7 +308,10 @@ def induced_cocycle(tw: Twist, sec) -> Cocycle:
     """The cocycle measuring failure of the section to be multiplicative:
     sec(a) sec(b) equals the induced scalar acting on sec(ab), read off the
     section's exponent table.  tw passes check_twist first, and the
-    cocycle is kept on the twist (derived) for the last section."""
+    cocycle is kept on the twist (derived) for the last section.  It comes
+    out marked checked, as check_cocycle marks a cocycle: the section sends
+    units to units, so it is normalised, and the total's associativity with
+    a central embedding gives the 2-cocycle identity."""
     check_twist(tw)
     return _induced_cocycle(tw, tuple(sec))
 
@@ -316,8 +322,10 @@ def _induced_cocycle(tw: Twist, sec: tuple) -> Cocycle:
     if bad:
         raise ValueError("; ".join(bad))
     k, comp = _exponent_table(tw, sec), tw.total.comp
-    return Cocycle(tw.base, tw.n, {(a, b): k[comp[(sec[a], sec[b])]]
-                                   for a, b in composable_pairs(tw.base)})
+    coc = Cocycle(tw.base, tw.n, {(a, b): k[comp[(sec[a], sec[b])]]
+                                  for a, b in composable_pairs(tw.base)})
+    coc.checked = True
+    return coc
 
 
 # An arrow bijection between two twists over one base, commuting with the

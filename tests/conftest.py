@@ -6,10 +6,12 @@ test failed (or never ran) stays FAIL.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 import twistalg as T
+from twistalg import fileio
 
 CRITERIA = {
     1: "groupoid axiom suite over the whole catalog, exhaustive associativity",
@@ -170,6 +172,26 @@ def assert_read_only(table):
     with pytest.raises(TypeError):
         dict.pop(table, key)
     assert not hasattr(table, "update") and not hasattr(table, "pop")
+
+
+def unmarked(g):
+    """A fresh copy of groupoid g that is not marked checked."""
+    return T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp)
+
+
+def non_normalised_z2():
+    """z2's sign cocycle with 1 on the unit pair (0, 0) too: it breaks
+    normalisation."""
+    return T.Cocycle(T.build("z2"), 2, {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1})
+
+
+def write_ungated(write, path, obj):
+    """write(path, obj) with the writers' gates lifted, for an obj that
+    breaks its axioms: the file a hand edit could make, which the readers
+    and the CLI must refuse."""
+    gates = ("check_groupoid", "check_cocycle", "check_grading", "check_twist")
+    with mock.patch.multiple(fileio, **{name: lambda obj: obj for name in gates}):
+        write(path, obj)
 
 
 def kept(obj, table):

@@ -10,7 +10,7 @@ import pytest
 import twistalg as T
 from twistalg import catalog as CAT
 from twistalg import groupoid as G
-from conftest import count_calls, relabel_groupoid
+from conftest import count_calls, relabel_groupoid, unmarked
 
 
 def test_every_entry_builds_and_facts_hold():
@@ -81,6 +81,17 @@ def test_pair_groupoid_shape():
 def test_pair_groupoid_needs_a_point():
     with pytest.raises(ValueError, match="^need at least one point$"):
         T.pair_groupoid(0)
+
+
+def test_every_pair_groupoid_validates(monkeypatch):
+    """Oracle for the born-checked pair groupoid: for n <= 12 it passes the
+    gate unvalidated, and an unmarked copy is a groupoid."""
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    for n in range(1, 13):
+        g = T.pair_groupoid(n)
+        assert g.checked and T.check_groupoid(g) is g and calls == []
+        assert G.validate_groupoid(unmarked(g)) == [], n
+        calls.clear()
 
 
 def test_group_groupoid_is_the_group():

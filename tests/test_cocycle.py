@@ -15,6 +15,7 @@ from twistalg import cocycle as C
 from twistalg.groupoid import associativity_failures
 from conftest import (
     assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, make_context,
+    non_normalised_z2,
 )
 
 
@@ -93,12 +94,24 @@ def test_coboundary_must_vanish_on_units():
 
 
 def test_invert_and_multiply_stay_valid():
-    g = T.build("z4")
-    cocs = T.enumerate_cocycles(g, 2)
-    for x in cocs:
-        assert T.validate_cocycle(T.invert_cocycle(x)) == []
-        for y in cocs:
-            assert T.validate_cocycle(T.multiply_cocycles(x, y)) == []
+    """Oracle for the born-checked cocycles of invert_cocycle,
+    multiply_cocycles and apply_coboundary: over every catalog groupoid,
+    for n = 2 and 3, the validator (which ignores the mark) passes them on
+    up to six listed cocycles each, their pairwise products and a seeded
+    coboundary perturbation."""
+    rnd, made = random.Random("born checked"), 0
+    for name in T.CATALOG:
+        g = T.build(name)
+        for n in (2, 3):
+            cocs = T.enumerate_cocycles(g, n, cap=2 ** 16)
+            cocs = rnd.sample(cocs, min(6, len(cocs)))
+            for x in cocs:
+                b = [0 if a in g.unit_set else rnd.randrange(n) for a in range(g.m)]
+                out = [T.invert_cocycle(x), T.apply_coboundary(x, b)]
+                out += [T.multiply_cocycles(x, y) for y in cocs]
+                assert all(T.validate_cocycle(c) == [] and c.checked for c in out), name
+                made += len(out)
+    assert made > 400
 
 
 def test_solver_and_brute_force_agree():
@@ -189,16 +202,17 @@ def test_cohomologous_rejects_a_table_off_the_composable_pairs():
     g = T.build("z4")
     good = T.enumerate_cocycles(g, 2)[1]
     bad = T.Cocycle(g, 2, {p: k for p, k in good.table.items() if p != (3, 3)})
-    msg = "^cocycle table is not defined on exactly the composable pairs$"
     for target, base in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(T.AxiomError) as exc:
             T.check_cohomologous(target, base)
+        assert exc.value.violations == ["no value on composable pair (3, 3)"]
     # a value on a non-composable pair is refused the same way
     p = T.build("pair2")
     extra = T.Cocycle(p, 2, {**T.trivial_cocycle(p, 2).table, (1, 1): 0})
     for target, base in ((extra, T.trivial_cocycle(p, 2)), (T.trivial_cocycle(p, 2), extra)):
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(T.AxiomError) as exc:
             T.check_cohomologous(target, base)
+        assert exc.value.violations == ["value on non-composable pair (1, 1)"]
 
 
 def test_one_coboundary_diagonalization_per_groupoid(monkeypatch):
@@ -542,8 +556,11 @@ def test_one_cocycle_is_validated_once(monkeypatch):
     assert calls == [coc] and coc.checked
 
 
-def test_derived_cocycles_start_unchecked():
-    coc = T.check_cocycle(T.z2_neg_cocycle())
+def test_derived_cocycles_are_born_checked(monkeypatch):
+    # invert, multiply, apply_coboundary and the induced cocycle keep the
+    # axioms and mark what they make, validating only their input
+    coc = T.z2_neg_cocycle()
+    calls = count_calls(monkeypatch, C, "validate_cocycle")
     tw = T.check_twist(T.build_twist(coc.gpd, coc))
     derived = [
         T.invert_cocycle(coc),
@@ -551,7 +568,7 @@ def test_derived_cocycles_start_unchecked():
         T.apply_coboundary(coc, [0, 1]),
         T.induced_cocycle(tw, T.find_section(tw)),
     ]
-    assert not any(d.checked for d in derived)
+    assert all(d.checked for d in derived) and calls == [coc]
 
 
 def test_one_grading_is_validated_once(monkeypatch):
@@ -609,6 +626,38 @@ def test_gates_check_the_groupoid_first(case, gate):
             GATES[gate](coc, grading)
         assert exc.value.kind == "groupoid" and exc.value.violations == want
         assert not (g.checked or coc.checked or grading.checked)
+
+
+COCYCLE_READERS = {
+    "check_cohomologous": lambda bad, good: T.check_cohomologous(bad, good),
+    "check_cohomologous, base": lambda bad, good: T.check_cohomologous(good, bad),
+    "brute_force_cohomologous": lambda bad, good: T.brute_force_cohomologous(bad, good),
+    "brute_force_cohomologous, base": lambda bad, good: T.brute_force_cohomologous(good, bad),
+    "multiply_cocycles": lambda bad, good: T.multiply_cocycles(bad, good),
+    "multiply_cocycles, right": lambda bad, good: T.multiply_cocycles(good, bad),
+    "apply_coboundary": lambda bad, good: T.apply_coboundary(bad, [0, 1]),
+    "invert_cocycle": lambda bad, good: T.invert_cocycle(bad),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COCYCLE_READERS))
+@pytest.mark.parametrize("case", ["normalisation", "groupoid"])
+def test_cocycle_functions_gate_their_input(case, reader):
+    """Every function that takes a cocycle refuses one that breaks
+    normalisation, or that stands on no groupoid, with its gate's
+    violations, and marks nothing.  check_cohomologous(bad, trivial) used
+    to answer None for the first."""
+    if case == "normalisation":
+        bad, kind = non_normalised_z2(), "cocycle"
+        want = T.validate_cocycle(bad)
+    else:
+        g = broken_z2("composite")
+        bad, kind = T.trivial_cocycle(g, 2), "groupoid"
+        want = T.validate_groupoid(g)
+    good = T.trivial_cocycle(T.build("z2"), 2)
+    with pytest.raises(T.AxiomError) as exc:
+        COCYCLE_READERS[reader](bad, good)
+    assert exc.value.kind == kind and exc.value.violations == want and not bad.checked
 
 
 def test_cocycle_and_grading_equality_ignore_the_flag():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import twistalg as T
-from conftest import carry_cocycle, make_context
+from conftest import carry_cocycle, make_context, non_normalised_z2
 
 
 def path(tmp_path, name):
@@ -439,3 +439,48 @@ def test_indexed_records_rejected(text, read, match, tmp_path):
     }[read]
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# --- writers gate what they write ----------------------------------------------
+
+
+def _invalid(kind):
+    """An object of the kind that breaks its axioms: pair2 with a wrong
+    inverse, z2's non-normalised cocycle, a grading with a non-identity
+    degree on a unit, and z2's sign twist projecting one arrow wrongly."""
+    g = T.build("pair2")
+    if kind == "groupoid":
+        inv = list(g.inv)
+        inv[1] = 1
+        return T.Groupoid(g.units, g.src, g.rng, inv, g.comp)
+    if kind == "cocycle":
+        return non_normalised_z2()
+    if kind == "grading":
+        return T.Grading(g, T.cyclic_group(2), [1, 0, 0, 0])
+    tw = T.build_twist(T.build("z2"), T.z2_neg_cocycle())
+    return T.Twist(tw.base, tw.total, 2, tw.embed, (0, 0, 1, 2))
+
+
+WRITERS = {
+    "groupoid": (T.write_groupoid, T.serialize_groupoid, T.validate_groupoid),
+    "cocycle": (T.write_cocycle, T.serialize_cocycle, T.validate_cocycle),
+    "grading": (T.write_grading, T.serialize_grading, T.validate_grading),
+    "twist": (T.write_twist, T.serialize_twist, T.validate_twist),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writers_refuse_an_invalid_object(kind, tmp_path):
+    """A writer passes its object through the gate before it opens the
+    file, so it writes nothing its reader would refuse; write_cocycle used
+    to write the non-normalised cocycle, and write_twist the twist."""
+    write, serialize, validate = WRITERS[kind]
+    obj = _invalid(kind)
+    want = validate(obj)
+    assert want
+    p = tmp_path / ("bad." + kind)
+    for call in (lambda: write(str(p), obj), lambda: serialize(obj)):
+        with pytest.raises(T.AxiomError) as exc:
+            call()
+        assert exc.value.kind == kind and exc.value.violations == want
+    assert not p.exists() and not obj.checked

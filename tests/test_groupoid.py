@@ -360,17 +360,70 @@ def test_valid_groupoids_never_list_their_composable_pairs(monkeypatch):
     assert len(calls) == 1
 
 
+def reached_from_units(g, gens):
+    """The arrows that are units or composable words in gens."""
+    reached = set(g.units)
+    while True:
+        more = {g.comp[(r, s)] for r in reached for s in gens if g.src[r] == g.rng[s]}
+        if more <= reached:
+            return reached
+        reached |= more
+
+
+def greedy_generators(g):
+    """The greedy-only walk, the reference generating_set must not exceed:
+    each new generator is the least arrow not yet reached."""
+    gens = []
+    for x in range(g.m):
+        if x not in reached_from_units(g, gens):
+            gens.append(x)
+    return gens
+
+
+def walk_groupoids():
+    """ORACLE_GROUPOIDS, pair_groupoid(n) for n <= 12, two disjoint unions
+    and Z/4 acting on six points in orbits of four and two, the second with
+    isotropy Z/2."""
+    z4 = T.cyclic_group(4)
+    perms = [[(x + k) % 4 for x in range(4)] + [4 + k % 2, 5 - k % 2] for k in range(4)]
+    return ORACLE_GROUPOIDS + [("pair%d" % n, T.pair_groupoid(n)) for n in range(1, 13)] + [
+        ("pair4+pair3", T.disjoint_union(T.pair_groupoid(4), T.pair_groupoid(3))),
+        ("s3+fix3", T.disjoint_union(T.build("s3"), T.build("fix3"))),
+        ("z4 on 4+2 points", T.check_groupoid(T.action_groupoid(z4, perms))),
+    ]
+
+
 def test_generating_set_generates():
-    for name, g in ORACLE_GROUPOIDS:
+    for name, g in walk_groupoids():
         gens = T.generating_set(g)
-        assert gens == sorted(gens) and not set(gens) & g.unit_set
-        reached = set(g.units)
-        while True:
-            more = {g.comp[(r, s)] for r in reached for s in gens if g.src[r] == g.rng[s]}
-            if more <= reached:
-                break
-            reached |= more
-        assert reached == set(range(g.m)), name
+        assert gens == sorted(gens) and not set(gens) & g.unit_set, name
+        assert reached_from_units(g, gens) == set(range(g.m)), name
+        assert len(gens) <= len(greedy_generators(g)), name
+
+
+def test_validator_walks_an_orbit_without_a_return_arrow():
+    # arrow 2 runs from unit 1 to unit 0 and is its own inverse: typing and
+    # the unit laws hold, so the associativity walk runs, and its cycle
+    # finds no arrow from 0 to 1
+    g = T.Groupoid([0, 1], [0, 1, 1], [0, 1, 0], [0, 1, 2],
+                   {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2})
+    assert T.orbits(g) == [(0, 1)]
+    assert T.validate_groupoid(g) == [
+        "inv(2) does not swap source and range",
+        "rng(g) = comp(g, inv(g)) fails at arrow 2",
+        "src(g) = comp(inv(g), g) fails at arrow 2",
+    ]
+    assert T.generating_set(g) == [2]
+
+
+def test_pair_groupoid_is_generated_by_a_cycle():
+    # (2, 1), (3, 2), ..., (1, n), the arrows from each point to the next,
+    # where greedy alone took 2(n - 1) arrows; (i, j) has index (i-1)*n + (j-1)
+    for n in range(2, 13):
+        g = T.pair_groupoid(n)
+        cycle = [(i % n) * n + (i - 1) for i in range(1, n + 1)]
+        assert T.generating_set(g) == sorted(cycle), n
+        assert len(greedy_generators(g)) == 2 * (n - 1)
 
 
 # --- read-only tables behind one validation gate -----------------------------
@@ -401,10 +454,11 @@ def test_arrows_by_src_is_built_once_per_groupoid(monkeypatch):
         builds.append(kept(g, original) is None)
         return original(g)
     monkeypatch.setattr(G.Groupoid, "arrows_by_src", counted)
-    g = T.pair_groupoid(3)
+    g = mutate(T.pair_groupoid(3))
     T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
-    # the associativity check and the cocycle identity on the generators
-    assert builds == [True, False]
+    # the associativity check, the generator walk it starts (the cycle reads
+    # each orbit's arrows from here) and the cocycle identity
+    assert builds == [True, False, False]
     assert g.arrows_by_src() == {u: tuple(a for a in range(g.m) if g.src[a] == u) for u in g.units}
 
 

@@ -11,6 +11,7 @@ import twistalg as T
 from twistalg import structure as S
 from conftest import (
     carry_cocycle, count_calls, kept, make_context, random_nonzero, relabel_groupoid, table_contexts,
+    unmarked,
 )
 
 GF2 = T.parse_ring("GF(2)")
@@ -287,13 +288,16 @@ def test_closure_check_stops_at_three_violations(monkeypatch):
     monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: calls.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair4"), "GF(3)")
     # delta_1, delta_2, delta_3: the first row of matrix units off the
-    # diagonal; its third failure, left delta_8, is the 13th one-sided check
+    # diagonal.  The closers are the units and the cycle 3, 4, 9, 14; rows 0
+    # and 1 each fail first at delta_4 = (2, 1), so the third failure, left
+    # delta_4 on row 1, is the 21st one-sided check (16 per row)
     basis = T.rref(GF3, [T.to_vec(T.delta(ctx, a)) for a in (1, 2, 3)])
     with pytest.raises(ValueError) as exc:
         T.Ideal(ctx, basis)
-    assert len(calls) == 13 < 2 * len(closers(ctx.gpd)) * len(basis)
+    assert closers(ctx.gpd) == [0, 3, 4, 5, 9, 10, 14, 15]
+    assert len(calls) == 21 < 2 * len(closers(ctx.gpd)) * len(basis)
     assert str(exc.value) == convolve_closure_message(ctx, basis, closers(ctx.gpd))
-    assert str(exc.value).endswith("left delta_8 (row 0)")
+    assert str(exc.value).endswith("right delta_4 (row 0); not closed under left delta_4 (row 1)")
 
 
 def pinned_ideals():
@@ -374,7 +378,7 @@ def test_generating_set_walks_once_per_groupoid(monkeypatch):
         return original(g)
     for module in (T.groupoid, S):
         monkeypatch.setattr(module, "generating_set", counted)
-    g = T.pair_groupoid(3)
+    g = unmarked(T.pair_groupoid(3))
     coc = T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
     ctx = T.Context(g, GF3, T.unit_subgroup(GF3, 2), coc)
     assert T.ideal_generated(ctx, [T.delta(ctx, 1)]).dim == g.m

@@ -9,7 +9,7 @@ import twistalg as T
 from twistalg import twist as TW
 from conftest import (
     all_sections, assert_flag_ignored, assert_never_marked, assert_read_only, carry_cocycle,
-    count_calls, kept, relabel_groupoid,
+    count_calls, kept, relabel_groupoid, write_ungated,
 )
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_twist_block, write_twist
@@ -476,7 +476,7 @@ def test_validate_twist_reports_each_violation(make, want):
 def test_validate_twist_centrality_through_the_cli(tmp_path, capsys):
     tw = _s3_over_z2()
     path = tmp_path / "s3.twi"
-    write_twist(str(path), tw)
+    write_ungated(write_twist, str(path), tw)
     code = main(["validate", "twist", str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
@@ -693,7 +693,7 @@ def test_validate_twist_projection_onto_non_composable_pairs():
 def test_validate_twist_projection_through_the_cli(tmp_path, capsys):
     tw = _pair2_fibers_swapped()
     path = tmp_path / "swapped.twi"
-    write_twist(str(path), tw)
+    write_ungated(write_twist, str(path), tw)
     code = main(["validate", "twist", str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
@@ -707,7 +707,7 @@ def test_validate_twist_sorts_composition_violations(tmp_path, capsys):
     the two total groupoids list their compositions in different orders."""
     tw = _pair2_fibers_swapped()
     path = str(tmp_path / "swapped.twi")
-    write_twist(path, tw)
+    write_ungated(write_twist, path, tw)
     read_back = _read(path, parse_twist_block)
     assert read_back == tw and list(read_back.total.comp) != list(tw.total.comp)
     assert main(["validate", "twist", path]) == 1
@@ -811,6 +811,27 @@ def test_every_built_twist_validates():
                 assert T.validate_twist(tw) == []
                 built += 1
     assert built == 240
+
+
+def test_every_induced_cocycle_validates():
+    """Oracle for the born-checked induced cocycle: over every catalog
+    groupoid, for n = 2 and 3, the first 4 listed cocycles build twists,
+    and on their canonical section and 6 seeded sections the induced
+    cocycle is marked and passes the validator, which ignores the mark."""
+    rnd, induced = random.Random("induced"), 0
+    for name in T.CATALOG:
+        g = T.build(name)
+        for n in (2, 3):
+            for coc in T.enumerate_cocycles(g, n)[:4]:
+                tw = T.build_twist(g, coc)
+                secs = [T.find_section(tw)] + [
+                    [tw.embed[(a, 0)] if a in g.unit_set else rnd.choice(tw.fiber(a))
+                     for a in range(g.m)] for _ in range(6)]
+                for sec in secs:
+                    out = T.induced_cocycle(tw, sec)
+                    assert out.checked and T.validate_cocycle(out) == [], name
+                    induced += 1
+    assert induced == 623
 
 
 def test_twist_equality_ignores_the_flag():
