@@ -5,9 +5,14 @@ transformation groupoids of finite group actions, disjoint unions) plus a
 small named catalog used by the test suite, the demos, and the CLI.  Pair
 groupoids, action groupoids and disjoint unions are rules on labelled
 arrows, (i, j), (g, x) and (block, arrow), that groupoid.tabulate indexes;
-a group groupoid is the one its GroupTable was checked as.  Every catalog
-entry carries the facts it is expected to satisfy; build() checks the
-axioms and those facts before handing the groupoid out.
+a group's groupoid is the gpd its GroupTable was checked as.  pair_groupoid
+and disjoint_union hand out their groupoid marked checked, as
+check_groupoid marks one, since it is valid by construction, and
+disjoint_union passes both parts through check_groupoid first.
+action_groupoid depends on its permutations: it refuses an action that is
+no homomorphism, and its groupoid is checked at its first gate.  Every
+catalog entry carries the facts it is expected to satisfy; build() checks
+the axioms and those facts before handing the groupoid out.
 The cocycle fixtures shipped with the catalog are built here as well;
 cocycle enumeration lives in the cocycle module, beside the solver it uses.
 """
@@ -53,12 +58,6 @@ def pair_groupoid(n: int) -> Groupoid:
     return g
 
 
-def group_groupoid(table: GroupTable) -> Groupoid:
-    """A finite group as a groupoid with a single unit: the one its table
-    was checked as."""
-    return table.gpd
-
-
 def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupoid:
     """Transformation groupoid of a group action on points 0..s-1.
 
@@ -94,15 +93,21 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Side-by-side union on arrows (block, arrow), so arrow a of g1 keeps
-    index a and arrow a of g2 becomes g1.m + a."""
-    gs = (g1, g2)
-    return tabulate(
+    index a and arrow a of g2 becomes g1.m + a.
+
+    Both parts pass check_groupoid first, and the union comes out marked
+    checked, as check_groupoid marks a groupoid: arrows of different blocks
+    never compose, so each block keeps the axioms of its part."""
+    gs = (check_groupoid(g1), check_groupoid(g2))
+    g = tabulate(
         [(i, a) for i, g in enumerate(gs) for a in range(g.m)],
         lambda x: (x[0], gs[x[0]].src[x[1]]),
         lambda x: (x[0], gs[x[0]].rng[x[1]]),
         lambda x: (x[0], gs[x[0]].inv[x[1]]),
         lambda x, y: (x[0], gs[x[0]].comp[(x[1], y[1])]),
     )
+    g.checked = True
+    return g
 
 
 def klein_table() -> GroupTable:
@@ -144,15 +149,15 @@ def _entries():
         for n in (1, 2, 3, 4)
     ] + [
         CatalogEntry("z%d" % k, "cyclic group of order %d" % k,
-                     lambda k=k: group_groupoid(cyclic_group(k)), (k, 1, False, True, 1))
+                     lambda k=k: cyclic_group(k).gpd, (k, 1, False, True, 1))
         for k in (2, 3, 4, 8)
     ] + [
         CatalogEntry(
-            "klein", "Klein four-group", lambda: group_groupoid(klein_table()),
+            "klein", "Klein four-group", lambda: klein_table().gpd,
             (4, 1, False, True, 1),
         ),
         CatalogEntry(
-            "s3", "symmetric group on 3 letters", lambda: group_groupoid(s3_table()),
+            "s3", "symmetric group on 3 letters", lambda: s3_table().gpd,
             (6, 1, False, True, 1),
         ),
         CatalogEntry(

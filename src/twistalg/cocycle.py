@@ -24,13 +24,19 @@ table) or into the integers; degrees are stored per arrow.  Tables are
 read-only.  check_cocycle and check_grading are the gates: each checks the
 groupoid the object stands on (check_groupoid) before the object itself,
 and each check runs only until it first passes.  validate_cocycle and
-validate_grading report violations as data and assume a valid groupoid.
+validate_grading report violations as data, each kind of them in ascending
+order so that equal objects report equal lists, and assume a valid
+groupoid; validate_coboundary reports as well.  Every other public
+function here passes what it reads through its gate first:
 invert_cocycle, multiply_cocycles, apply_coboundary, check_cohomologous
-and brute_force_cohomologous pass every cocycle they take through
-check_cocycle, so none of them answers for a table that is no cocycle.
-The first three return their cocycle marked checked, as check_cocycle
-marks one: made from checked cocycles by a rule that keeps the axioms, it
-is valid by construction.
+and brute_force_cohomologous every cocycle they take, trivial_cocycle,
+free_pairs and enumerate_cocycles their groupoid, and kernel_arrows its
+grading.  So none of them answers for a table that breaks its axioms.
+trivial_cocycle, enumerate_cocycles, invert_cocycle, multiply_cocycles and
+apply_coboundary return their cocycles marked checked, as check_cocycle
+marks one, each valid by construction for the reason its docstring gives.
+So an unchecked cocycle or grading comes only from Cocycle, Grading or a
+file.
 """
 
 from __future__ import annotations
@@ -76,7 +82,13 @@ class Cocycle(BindOnce):
 
 
 def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
-    return Cocycle(gpd, n, {pair: 0 for pair in composable_pairs(gpd)})
+    """0 on every composable pair; gpd passes check_groupoid first.  It
+    comes out marked checked, as check_cocycle marks a cocycle: 0 is
+    normalised and satisfies the 2-cocycle identity."""
+    check_groupoid(gpd)
+    out = Cocycle(gpd, n, {pair: 0 for pair in composable_pairs(gpd)})
+    out.checked = True
+    return out
 
 
 def validate_cocycle(coc: Cocycle) -> list:
@@ -93,8 +105,8 @@ def validate_cocycle(coc: Cocycle) -> list:
     g, t = coc.gpd, coc.table
     if t.keys() != g.comp.keys():
         pairs = set(composable_pairs(g))
-        v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in t]
-        v += ["value on non-composable pair (%d, %d)" % p for p in t if p not in pairs]
+        v = ["no value on composable pair (%d, %d)" % p for p in sorted(pairs - t.keys())]
+        v += ["value on non-composable pair (%d, %d)" % p for p in sorted(t.keys() - pairs)]
         if v:
             return v
     n, comp, v = coc.n, g.comp, []
@@ -346,7 +358,8 @@ def check_cohomologous(target: Cocycle, base: Cocycle) -> Optional[list]:
 
 def free_pairs(g: Groupoid) -> list:
     """Composable pairs with both factors non-unit: the coordinates left
-    free once a cocycle is normalised."""
+    free once a cocycle is normalised.  g passes check_groupoid first."""
+    check_groupoid(g)
     return [
         (a, b)
         for a, b in composable_pairs(g)
@@ -360,7 +373,11 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
     factor are forced to 0.  The free values are the kernel mod n of the
     2-cocycle identity at the triples validate_cocycle checks, read off the
     same _solve_mod that check_cohomologous uses.  cap bounds the number of
-    cocycles, before any is formed."""
+    cocycles, before any is formed.  g passes check_groupoid first, and each
+    cocycle comes out marked checked, as check_cocycle marks one: it is
+    normalised, and it satisfies the identity at exactly the triples
+    validate_cocycle checks."""
+    check_groupoid(g)
     if n < 1:
         raise ValueError("cocycle order must be positive")
     free = sorted(free_pairs(g))
@@ -383,7 +400,10 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
         steps = [[j * x for x in col] for j in range(order)]
         points = [tuple((x + y) % n for x, y in zip(p, s)) for s in steps for p in points]
     forced = {pair: 0 for pair in composable_pairs(g) if pair not in where}
-    return [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
+    out = [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
+    for coc in out:
+        coc.checked = True
+    return out
 
 
 # --- gradings ----------------------------------------------------------------
@@ -391,7 +411,7 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
 
 class GroupTable:
     """Finite group given by its multiplication table, checked as its
-    one-unit groupoid gpd (what group_groupoid returns)."""
+    one-unit groupoid gpd."""
 
     def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
@@ -506,9 +526,8 @@ def validate_grading(grading: Grading) -> list:
     for u in g.units:
         if deg[u] != grp.identity:
             v.append("unit %d has non-identity degree" % u)
-    for (a, b), ab in g.comp.items():
-        if grp.op(deg[a], deg[b]) != deg[ab]:
-            v.append("homomorphism law fails at pair (%d, %d)" % (a, b))
+    bad = [(a, b) for (a, b), ab in g.comp.items() if grp.op(deg[a], deg[b]) != deg[ab]]
+    v += ["homomorphism law fails at pair (%d, %d)" % pair for pair in sorted(bad)]
     return v
 
 
@@ -520,6 +539,8 @@ def check_grading(grading: Grading) -> Grading:
 
 
 def kernel_arrows(grading: Grading) -> list:
-    """Arrows of identity degree; a wide subgroupoid's arrow set."""
+    """Arrows of identity degree; a wide subgroupoid's arrow set.  grading
+    passes check_grading first."""
+    check_grading(grading)
     e = grading.group.identity
     return [a for a in range(grading.gpd.m) if grading.deg[a] == e]

@@ -11,20 +11,26 @@ interior of the isotropy is the isotropy itself.
 Composition is stored, not derived, in a read-only table, and no public
 attribute can be rebound once set (BindOnce).  tabulate builds a groupoid
 given by a rule on labelled arrows, indexing the labels in sorted order; it
-checks nothing.  The gates check: check_groupoid, which catalog.build,
-GroupTable and fileio.read_groupoid call, and check_cocycle, check_grading
-and check_twist, which check the groupoids their object stands on before
-the object itself.  build_twist's model twist comes out marked, with its
-total, as check_twist marks a twist, and catalog.pair_groupoid comes out
-marked, as check_groupoid marks a groupoid.  So a Context, build_twist, the
-graded functions and every function that reads a twist never compute on
-an unchecked groupoid.  validate_groupoid reports the
-violations as data and ignores the checked flag; check_groupoid raises
-them as one AxiomError through the gate checked, which validates an object
-only until it first passes.  It reads comp in one pass: the domain is
-exactly the composable pairs when there are as many keys as composable
-pairs and each key is an in-range composable pair, and the same pass
-checks typing and splits comp into per-arrow rows {c: ac}.  Associativity
+checks nothing, and neither does Groupoid.  check_groupoid is the gate.
+Every public function here that reads a groupoid calls it first, and so do
+catalog.build, GroupTable, fileio's readers and writers, and check_cocycle,
+check_grading and check_twist for the groupoids their object stands on.
+Only the reporter validate_groupoid and the table queries composable_pairs,
+composable_triples, generating_set, orbits and associativity_failures read
+a groupoid ungated: the validators run them on tables not yet checked.
+Where a library constructor's groupoid is valid by construction it comes
+out marked, as check_groupoid marks one: subgroupoid's (and so restrict's),
+catalog.pair_groupoid's, catalog.disjoint_union's and the total of
+build_twist's model twist.  So an unchecked groupoid comes only from
+Groupoid, tabulate or a file, and no gated function computes on one.
+validate_groupoid reports the violations as data, each kind of them in
+ascending order, so equal tables report equal lists, and it ignores the
+checked flag; check_groupoid raises them as one AxiomError through the
+gate checked, which validates an object only until it first passes.
+validate_groupoid reads comp in one pass: the domain is exactly the
+composable pairs when there are as many keys as composable pairs and each
+key is an in-range composable pair, and the same pass checks typing and
+splits comp into per-arrow rows {c: ac}.  Associativity
 is checked on a generating set (Light's test): once typing and the unit
 laws hold, the middles b with (ab)c = a(bc) for all composable a, c are
 closed under composition, so the triples whose middle lies in
@@ -284,8 +290,9 @@ def validate_groupoid(g: Groupoid) -> list:
             typed = False
     if not domain:
         expected = set(composable_pairs(g))
-        v += ["comp undefined on composable pair (%d, %d)" % p for p in expected if p not in comp]
-        for pair, ab in comp.items():
+        v += ["comp undefined on composable pair (%d, %d)" % p
+              for p in sorted(expected - comp.keys())]
+        for pair, ab in sorted(comp.items()):
             if pair not in expected:
                 v.append("comp defined on non-composable pair (%d, %d)" % pair)
             elif not (0 <= ab < m):
@@ -293,7 +300,7 @@ def validate_groupoid(g: Groupoid) -> list:
     if v:
         return v
     if not typed:
-        for (a, b), ab in comp.items():
+        for (a, b), ab in sorted(comp.items()):
             if rng[ab] != rng[a]:
                 v.append("rng(comp(%d, %d)) != rng(%d)" % (a, b, a))
             if src[ab] != src[b]:
@@ -327,6 +334,7 @@ def check_groupoid(g: Groupoid) -> Groupoid:
 
 def isotropy(g: Groupoid) -> frozenset:
     """Arrows whose range equals their source; always contains the units."""
+    check_groupoid(g)
     return frozenset(a for a in range(g.m) if g.rng[a] == g.src[a])
 
 
@@ -356,6 +364,7 @@ def orbits(g: Groupoid) -> list:
 
 def is_minimal(g: Groupoid) -> bool:
     """One orbit; with the discrete topology closures change nothing."""
+    check_groupoid(g)
     return len(orbits(g)) == 1
 
 
@@ -387,8 +396,11 @@ def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
     Returns (h, old_of_new) where old_of_new[new_index] = old index.
     The units of h are the kept units of g.  A subset that is not closed
     under src, rng, inv and comp raises ValueError naming the first arrow,
-    then the first composable pair, that leaves it.
+    then the first composable pair, that leaves it.  g passes
+    check_groupoid first, and h comes out marked checked, as check_groupoid
+    marks a groupoid: a closed subset of a groupoid inherits its axioms.
     """
+    check_groupoid(g)
     keep = sorted(set(arrow_subset))
     inside = frozenset(keep)
     for a in keep:
@@ -406,6 +418,7 @@ def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
                                  % (a, b, g.comp[(a, b)]))
     h = tabulate(keep, g.src.__getitem__, g.rng.__getitem__, g.inv.__getitem__,
                  lambda a, b: g.comp[(a, b)])
+    h.checked = True
     return h, keep
 
 
@@ -413,7 +426,9 @@ def restrict(g: Groupoid, unit_subset: Iterable[int]) -> Groupoid:
     """The subgroupoid over an invariant unit set U: arrows with source in U.
 
     Rejects non-invariant U, naming an arrow that crosses the boundary.
+    g passes check_groupoid first.
     """
+    check_groupoid(g)
     u = frozenset(unit_subset)
     for x in u:
         if x not in g.unit_set:
@@ -429,6 +444,7 @@ def restrict(g: Groupoid, unit_subset: Iterable[int]) -> Groupoid:
 
 
 def is_bisection(g: Groupoid, subset: Iterable[int]) -> bool:
+    check_groupoid(g)
     b = list(subset)
     return len({g.src[a] for a in b}) == len(b) and len({g.rng[a] for a in b}) == len(b)
 
@@ -436,6 +452,7 @@ def is_bisection(g: Groupoid, subset: Iterable[int]) -> bool:
 def bisection_product(g: Groupoid, left, right) -> frozenset:
     """{comp(a, b) : a in left, b in right, composable}; again a bisection
     when left and right are, else ValueError."""
+    check_groupoid(g)
     out = {g.comp[(a, b)] for a in left for b in right if g.src[a] == g.rng[b]}
     if not is_bisection(g, out):
         raise ValueError("an argument of the product is not a bisection")
@@ -443,6 +460,7 @@ def bisection_product(g: Groupoid, left, right) -> frozenset:
 
 
 def bisection_inverse(g: Groupoid, subset) -> frozenset:
+    check_groupoid(g)
     return frozenset(g.inv[a] for a in subset)
 
 
@@ -450,6 +468,7 @@ def enumerate_bisections(g: Groupoid, cap: Optional[int] = None):
     """All bisections (including the empty one) in a fixed deterministic
     order, by backtracking over ascending arrow indices.  Raises when a cap
     on the count is exceeded."""
+    check_groupoid(g)
     out = [frozenset()]
     stack = [(0, (), frozenset(), frozenset())]
     while stack:

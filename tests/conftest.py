@@ -174,9 +174,28 @@ def assert_read_only(table):
     assert not hasattr(table, "update") and not hasattr(table, "pop")
 
 
-def unmarked(g):
-    """A fresh copy of groupoid g that is not marked checked."""
-    return T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp)
+def unmarked(obj):
+    """A fresh copy of a groupoid, cocycle, grading or twist that is not
+    marked checked.  It shares obj's parts, but a twist gets an unmarked
+    copy of its total, which check_twist marks with the twist."""
+    if isinstance(obj, T.Groupoid):
+        return T.Groupoid(obj.units, obj.src, obj.rng, obj.inv, obj.comp)
+    if isinstance(obj, T.Cocycle):
+        return T.Cocycle(obj.gpd, obj.n, obj.table)
+    if isinstance(obj, T.Grading):
+        return T.Grading(obj.gpd, obj.group, obj.deg)
+    return T.Twist(obj.base, unmarked(obj.total), obj.n, obj.embed, obj.proj)
+
+
+def broken_z2(case):
+    """The order-two group with its composite (1, 1) set to 1 or deleted."""
+    g = T.build("z2")
+    comp = dict(g.comp)
+    if case == "composite":
+        comp[(1, 1)] = 1
+    else:
+        del comp[(1, 1)]
+    return T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
 
 
 def non_normalised_z2():

@@ -51,7 +51,7 @@ def test_tables_are_pinned():
     gs += [
         T.action_groupoid(T.s3_table(), sorted(itertools.permutations(range(3)))),
         T.action_groupoid(T.cyclic_group(4), [[(x + r) % 4 for x in range(4)] for r in range(4)]),
-        T.group_groupoid(T.cyclic_group(16)),
+        T.cyclic_group(16).gpd,
         T.subgroupoid(fix3, sorted(T.isotropy(fix3)))[0],
         T.subgroupoid(T.build("z4"), [0, 2])[0],
         T.restrict(T.build("pair2_pair2"), [4, 7]),
@@ -94,9 +94,26 @@ def test_every_pair_groupoid_validates(monkeypatch):
         calls.clear()
 
 
+def test_every_disjoint_union_validates(monkeypatch):
+    """Oracle for the born-checked disjoint union: on every ordered pair of
+    catalog groupoids it passes the gate unvalidated, and an unmarked copy
+    is a groupoid."""
+    parts = [T.build(name) for name in T.CATALOG]
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    unions = 0
+    for g1 in parts:
+        for g2 in parts:
+            u = T.disjoint_union(g1, g2)
+            assert u.checked and T.check_groupoid(u) is u and calls == []
+            assert G.validate_groupoid(unmarked(u)) == []
+            calls.clear()
+            unions += 1
+    assert unions == len(T.CATALOG) ** 2
+
+
 def test_group_groupoid_is_the_group():
     tbl = T.s3_table()
-    g = T.group_groupoid(tbl)
+    g = tbl.gpd
     assert g.units == (tbl.identity,)
     for a in range(6):
         for b in range(6):
@@ -200,8 +217,8 @@ def test_enumeration_cap():
     [
         # |B^2| = n ** (non-unit arrows) / |Hom(G, Z/n)|
         (T.pair_groupoid(4), 3, 1, 3 ** 12 // 3 ** 3),
-        (T.group_groupoid(T.s3_table()), 4, 2, 4 ** 5 // 2),
-        (T.group_groupoid(T.cyclic_group(12)), 2, 2, 2 ** 11 // 2),
+        (T.s3_table().gpd, 4, 2, 4 ** 5 // 2),
+        (T.cyclic_group(12).gpd, 2, 2, 2 ** 11 // 2),
     ],
     ids=["pair4-3", "s3-4", "z12-2"],
 )

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
+from conftest import write_ungated
 from twistalg.cli import main
+from twistalg.fileio import _read, parse_cocycle_block, parse_grading_block, parse_groupoid_block
 
 
 def run(capsys, *argv):
@@ -65,6 +67,74 @@ def test_validate_cocycle_and_twist_and_grading(fx, tmp_path, capsys):
     p = write(tmp_path, "z4.grd", body + "\n")
     code, out, _ = run(capsys, "validate", "grading", p)
     assert (code, out) == (0, "ok\n")
+
+
+def _pair3_with(edits):
+    """pair3 with the composites in edits set, or deleted where None."""
+    g = T.pair_groupoid(3)
+    comp = dict(g.comp)
+    for pair, value in edits.items():
+        if value is None:
+            del comp[pair]
+        else:
+            comp[pair] = value
+    return T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
+
+
+def _permuted_cases():
+    """case -> (kind, writer, parser, invalid object, the violations the
+    CLI prints for it).  Six composites of pair3 deleted, or three landing
+    on arrows of the wrong range; a cocycle over the second; a grading of
+    pair3 that breaks the homomorphism law at the pairs through arrow 1."""
+    deleted = _pair3_with(dict.fromkeys([(3, 1), (1, 3), (2, 7), (1, 5), (5, 7), (6, 2)]))
+    mistyped = _pair3_with({(1, 3): 4, (2, 6): 8, (5, 7): 0})
+    units = mistyped.unit_set
+    coc = T.Cocycle(mistyped, 2, {(a, b): int(a not in units and b not in units)
+                                  for a, b in T.composable_pairs(mistyped)})
+    deg = [((0, 1, 1)[a // 3] - (0, 1, 1)[a % 3]) % 2 for a in range(9)]
+    deg[1] = 1 - deg[1]
+    grading = T.Grading(T.pair_groupoid(3), T.cyclic_group(2), deg)
+    return {
+        "groupoid-deleted": ("groupoid", T.write_groupoid, parse_groupoid_block, deleted,
+                             T.validate_groupoid(deleted)),
+        "groupoid-mistyped": ("groupoid", T.write_groupoid, parse_groupoid_block, mistyped,
+                              T.validate_groupoid(mistyped)),
+        "cocycle": ("cocycle", T.write_cocycle, parse_cocycle_block, coc,
+                    T.validate_groupoid(mistyped)),
+        "grading": ("grading", T.write_grading, parse_grading_block, grading,
+                    T.validate_grading(grading)),
+    }
+
+
+def _permuted_records(path):
+    """A copy of the file at path with each run of comp, val and deg
+    records reversed."""
+    lines = Path(path).read_text().splitlines()
+    for word in ("comp", "val", "deg"):
+        at = [i for i, line in enumerate(lines) if line.split()[0] == word]
+        for i, line in zip(at, [lines[i] for i in reversed(at)]):
+            lines[i] = line
+    out = path + ".permuted"
+    Path(out).write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("case", ["groupoid-deleted", "groupoid-mistyped", "cocycle", "grading"])
+def test_permuted_records_print_the_same_violations(case, tmp_path, capsys):
+    """A file and its copy with the records permuted read back as equal
+    objects whose compositions are listed in different orders, and validate
+    prints the same lines for both, in ascending pair order."""
+    kind, write, parse, bad, violations = _permuted_cases()[case]
+    path = str(tmp_path / ("bad." + kind))
+    write_ungated(write, path, bad)
+    other = _permuted_records(path)
+    x, y = _read(path, parse), _read(other, parse)
+    gx, gy = (x, y) if kind == "groupoid" else (x.gpd, y.gpd)
+    assert x == y == bad and list(gx.comp) != list(gy.comp)
+    want = "".join("violation: %s\n" % v for v in violations)
+    assert run(capsys, "validate", kind, path) == run(capsys, "validate", kind, other) == (1, want, "")
+    pairs = [tuple(map(int, re.findall(r"\d+", v)[:2])) for v in violations]
+    assert len(pairs) >= 5 and pairs == sorted(pairs)
 
 
 def test_orbit_queries(fx, capsys):

@@ -14,8 +14,8 @@ import twistalg as T
 from twistalg import cocycle as C
 from twistalg.groupoid import associativity_failures
 from conftest import (
-    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, make_context,
-    non_normalised_z2,
+    assert_flag_ignored, assert_never_marked, assert_read_only, broken_z2, count_calls,
+    make_context, non_normalised_z2, unmarked,
 )
 
 
@@ -112,6 +112,42 @@ def test_invert_and_multiply_stay_valid():
                 assert all(T.validate_cocycle(c) == [] and c.checked for c in out), name
                 made += len(out)
     assert made > 400
+
+
+def test_every_trivial_cocycle_validates(monkeypatch):
+    """Oracle for the born-checked trivial cocycle: on every catalog
+    groupoid and pair_groupoid(n), n <= 6, for orders 1 to 4, it passes the
+    gate unvalidated, and an unmarked copy validates."""
+    groupoids = [T.build(name) for name in T.CATALOG] + [T.pair_groupoid(n) for n in range(1, 7)]
+    calls = count_calls(monkeypatch, C, "validate_cocycle")
+    for g in groupoids:
+        for n in range(1, 5):
+            coc = T.trivial_cocycle(g, n)
+            assert coc.checked and T.check_cocycle(coc) is coc and calls == []
+            assert C.validate_cocycle(unmarked(coc)) == []
+            calls.clear()
+
+
+def test_every_enumerated_cocycle_validates(monkeypatch):
+    """Oracle for the born-checked enumerated cocycles: on every catalog
+    groupoid, for n = 2 and 3, every listed cocycle under a cap of 2^10
+    passes the gate unvalidated, and an unmarked copy validates.  pair4 and
+    z8 at n = 3 are over the cap."""
+    groupoids = [T.build(name) for name in T.CATALOG]
+    calls = count_calls(monkeypatch, C, "validate_cocycle")
+    listed, over = 0, []
+    for g in groupoids:
+        for n in (2, 3):
+            try:
+                cocs = T.enumerate_cocycles(g, n, cap=2 ** 10)
+            except ValueError:
+                over.append((g.m, n))
+                continue
+            assert all(c.checked and T.check_cocycle(c) is c for c in cocs) and calls == []
+            assert all(C.validate_cocycle(unmarked(c)) == [] for c in cocs)
+            listed += len(cocs)
+            calls.clear()
+    assert listed == 1146 and over == [(16, 3), (8, 3)]
 
 
 def test_solver_and_brute_force_agree():
@@ -485,12 +521,12 @@ def test_generator_cocycle_identity_matches_triple_walk():
 
 def slow_validate_cocycle(coc):
     """validate_cocycle's list read off the tuple-keyed tables: totality in
-    set(composable_pairs) order, normalisation per arrow, and the identity
-    at every composable triple with a generator middle, sorted."""
+    ascending pair order, normalisation per arrow, and the identity at
+    every composable triple with a generator middle, sorted."""
     g, t, n = coc.gpd, coc.table, coc.n
     pairs = set(T.composable_pairs(g))
-    v = ["no value on composable pair (%d, %d)" % p for p in pairs if p not in t]
-    v += ["value on non-composable pair (%d, %d)" % p for p in t if p not in pairs]
+    v = ["no value on composable pair (%d, %d)" % p for p in sorted(pairs) if p not in t]
+    v += ["value on non-composable pair (%d, %d)" % p for p in sorted(t) if p not in pairs]
     if v:
         return v
     for a in range(g.m):
@@ -592,17 +628,6 @@ def test_invalid_cocycle_and_grading_are_never_marked():
     assert_never_marked(grading, T.check_grading, T.validate_grading)
 
 
-def broken_z2(case):
-    """The order-two group with its composite (1, 1) set to 1 or deleted."""
-    g = T.build("z2")
-    comp = dict(g.comp)
-    if case == "composite":
-        comp[(1, 1)] = 1
-    else:
-        del comp[(1, 1)]
-    return T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
-
-
 GATES = {
     "check_cocycle": lambda coc, grading: T.check_cocycle(coc),
     "Context": lambda coc, grading: make_context(coc.gpd, "GF(3)", coc),
@@ -652,12 +677,25 @@ def test_cocycle_functions_gate_their_input(case, reader):
         want = T.validate_cocycle(bad)
     else:
         g = broken_z2("composite")
-        bad, kind = T.trivial_cocycle(g, 2), "groupoid"
+        bad, kind = T.Cocycle(g, 2, {pair: 0 for pair in T.composable_pairs(g)}), "groupoid"
         want = T.validate_groupoid(g)
     good = T.trivial_cocycle(T.build("z2"), 2)
     with pytest.raises(T.AxiomError) as exc:
         COCYCLE_READERS[reader](bad, good)
     assert exc.value.kind == kind and exc.value.violations == want and not bad.checked
+
+
+def test_cocycle_validator_sorts_the_pairs_it_names():
+    """Missing and extra pairs are named in ascending order, whatever order
+    the table lists its pairs in."""
+    g = T.build("pair2")
+    missing, extra = [(2, 1), (0, 1), (1, 2)], [(3, 1), (2, 2), (1, 1), (0, 2)]
+    table = {pair: 0 for pair in g.comp if pair not in missing}
+    table.update(dict.fromkeys(extra, 0))
+    want = (["no value on composable pair (%d, %d)" % p for p in sorted(missing)]
+            + ["value on non-composable pair (%d, %d)" % p for p in sorted(extra)])
+    for order in (sorted(table), sorted(table, reverse=True)):
+        assert T.validate_cocycle(T.Cocycle(g, 2, {p: table[p] for p in order})) == want
 
 
 def test_cocycle_and_grading_equality_ignore_the_flag():

@@ -1,5 +1,6 @@
 """Groupoid axioms, predicates, restriction, bisections."""
 
+import itertools
 import random
 import re
 
@@ -8,7 +9,7 @@ import pytest
 import twistalg as T
 from twistalg import groupoid as G
 from conftest import (
-    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, kept,
+    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, kept, unmarked,
 )
 
 
@@ -57,17 +58,17 @@ def test_validator_catches_extra_composition():
 
 
 def test_validator_names_each_bad_composition():
-    # missing, non-composable and out-of-range entries, listed in the order
-    # of the composable pairs and then of the table
+    # missing, then non-composable and out-of-range entries, each in
+    # ascending pair order whatever order the table lists them in
     g = T.build("pair2")
     comp = dict(g.comp)
     del comp[(1, 2)]
-    comp[(1, 1)] = 0
     comp[(2, 1)] = 7
+    comp[(1, 1)] = 0
     assert T.validate_groupoid(mutate(g, comp=comp)) == [
         "comp undefined on composable pair (1, 2)",
-        "comp(2, 1) is out of range",
         "comp defined on non-composable pair (1, 1)",
+        "comp(2, 1) is out of range",
     ]
 
 
@@ -174,6 +175,49 @@ def test_subgroupoid_refuses_a_subset_that_is_not_closed(subset, message):
 def test_subgroupoid_refuses_an_arrow_out_of_range():
     with pytest.raises(ValueError, match="^arrow 9 is out of range$"):
         T.subgroupoid(T.pair_groupoid(3), [0, 9])
+
+
+def order_two_gradings(name, g):
+    """Degrees of gradings of catalog groupoid g into the order-two group:
+    phi(rng a) - phi(src a) for phi the parity of each unit's position, and,
+    where g is a group or an action of the order-two group, a homomorphism
+    read off the group element."""
+    phi = {u: i % 2 for i, u in enumerate(g.units)}
+    perms = sorted(itertools.permutations(range(3)))
+    sign = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    group = {"z2": lambda a: a % 2, "z4": lambda a: a % 2, "z8": lambda a: a % 2,
+             "klein": lambda a: a & 1, "s3": sign.__getitem__,
+             "swap2": lambda a: a // 2, "fix3": lambda a: a // 3}
+    degs = [[(phi[g.rng[a]] - phi[g.src[a]]) % 2 for a in range(g.m)]]
+    if name in group:
+        degs.append([group[name](a) for a in range(g.m)])
+    return degs
+
+
+def test_every_subgroupoid_validates(monkeypatch):
+    """Oracle for the born-checked subgroupoid: on every catalog groupoid,
+    the isotropy, the arrows over each orbit (an invariant unit set, which
+    restrict takes) and the kernel of each grading of order_two_gradings
+    give a subgroupoid that passes the gate unvalidated and whose unmarked
+    copy is a groupoid."""
+    cases = []
+    for name in T.CATALOG:
+        g = T.build(name)
+        kernels = [T.kernel_arrows(T.check_grading(T.Grading(g, T.cyclic_group(2), deg)))
+                   for deg in order_two_gradings(name, g)]
+        orbits = [[a for a in range(g.m) if g.src[a] in orb] for orb in T.orbits(g)]
+        cases += [(g, subset) for subset in [T.isotropy(g)] + orbits + kernels]
+        for orb, arrows in zip(T.orbits(g), orbits):
+            h = T.restrict(g, orb)
+            assert h.checked and h == T.subgroupoid(g, arrows)[0]
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    for g, subset in cases:
+        h, keep = T.subgroupoid(g, subset)
+        assert keep == sorted(subset) and h.m == len(keep)
+        assert h.checked and T.check_groupoid(h) is h and calls == []
+        assert G.validate_groupoid(unmarked(h)) == []
+        calls.clear()
+    assert len(cases) == 48
 
 
 def test_tabulate_indexes_sorted_labels():
@@ -455,7 +499,7 @@ def test_arrows_by_src_is_built_once_per_groupoid(monkeypatch):
         return original(g)
     monkeypatch.setattr(G.Groupoid, "arrows_by_src", counted)
     g = mutate(T.pair_groupoid(3))
-    T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
+    T.check_cocycle(unmarked(T.trivial_cocycle(T.check_groupoid(g), 2)))
     # the associativity check, the generator walk it starts (the cycle reads
     # each orbit's arrows from here) and the cocycle identity
     assert builds == [True, False, False]

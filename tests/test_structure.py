@@ -379,7 +379,7 @@ def test_generating_set_walks_once_per_groupoid(monkeypatch):
     for module in (T.groupoid, S):
         monkeypatch.setattr(module, "generating_set", counted)
     g = unmarked(T.pair_groupoid(3))
-    coc = T.check_cocycle(T.trivial_cocycle(T.check_groupoid(g), 2))
+    coc = T.check_cocycle(unmarked(T.trivial_cocycle(T.check_groupoid(g), 2)))
     ctx = T.Context(g, GF3, T.unit_subgroup(GF3, 2), coc)
     assert T.ideal_generated(ctx, [T.delta(ctx, 1)]).dim == g.m
     # check_groupoid, check_cocycle and the closure test

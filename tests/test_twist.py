@@ -9,7 +9,7 @@ import twistalg as T
 from twistalg import twist as TW
 from conftest import (
     all_sections, assert_flag_ignored, assert_never_marked, assert_read_only, carry_cocycle,
-    count_calls, kept, relabel_groupoid, write_ungated,
+    count_calls, kept, relabel_groupoid, unmarked, write_ungated,
 )
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_twist_block, write_twist
@@ -759,19 +759,12 @@ def test_embed_is_read_only(tmp_path):
         assert_read_only(t.total.comp)
 
 
-def _unmarked_total(tw):
-    """tw over a fresh, unmarked copy of its total groupoid."""
-    g = tw.total
-    return T.Twist(tw.base, T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp), tw.n,
-                   tw.embed, tw.proj)
-
-
 def test_validate_twist_skips_checked_groupoids(monkeypatch):
     built = T.build_twist(T.build("z4"), carry_cocycle(4))
     calls = count_calls(monkeypatch, TW, "validate_groupoid")
     assert built.base.checked and built.total.checked and built.checked
     assert T.validate_twist(built) == [] and calls == []
-    tw = _unmarked_total(built)
+    tw = unmarked(built)
     assert tw.base.checked and not tw.total.checked and not tw.checked
     assert T.validate_twist(tw) == [] and calls == [tw.total]
     assert T.check_twist(tw) is tw and len(calls) == 2
@@ -780,7 +773,7 @@ def test_validate_twist_skips_checked_groupoids(monkeypatch):
 
 
 def test_invalid_twist_is_never_marked():
-    tw = _unmarked_total(_z2_twist(proj=(0, 0, 1, 2)))
+    tw = unmarked(_z2_twist(proj=(0, 0, 1, 2)))
     assert_never_marked(tw, T.check_twist, T.validate_twist)
     assert not tw.total.checked
 
@@ -806,7 +799,7 @@ def test_every_built_twist_validates():
         g = T.build(name)
         for n in (2, 3):
             for coc in T.enumerate_cocycles(g, n)[:16]:
-                tw = _unmarked_total(T.build_twist(g, coc))
+                tw = unmarked(T.build_twist(g, coc))
                 assert T.validate_groupoid(tw.total) == []
                 assert T.validate_twist(tw) == []
                 built += 1
