@@ -5,14 +5,13 @@ transformation groupoids of finite group actions, disjoint unions) plus a
 small named catalog used by the test suite, the demos, and the CLI.  Pair
 groupoids, action groupoids and disjoint unions are rules on labelled
 arrows, (i, j), (g, x) and (block, arrow), that groupoid.tabulate indexes;
-a group's groupoid is the gpd its GroupTable was checked as.  pair_groupoid
-and disjoint_union hand out their groupoid marked checked, as
-check_groupoid marks one, since it is valid by construction, and
-disjoint_union passes both parts through check_groupoid first.
-action_groupoid depends on its permutations: it refuses an action that is
-no homomorphism, and its groupoid is checked at its first gate.  Every
-catalog entry carries the facts it is expected to satisfy; build() checks
-the axioms and those facts before handing the groupoid out.
+a group's groupoid is the gpd its GroupTable was checked as.  pair_groupoid,
+action_groupoid and disjoint_union hand out their groupoid marked checked,
+as check_groupoid marks one, since it is valid by construction:
+action_groupoid refuses an action that is no homomorphism of its checked
+GroupTable, and disjoint_union passes both parts through check_groupoid
+first.  Every catalog entry carries the facts it is expected to satisfy;
+build() checks the axioms and those facts before handing the groupoid out.
 The cocycle fixtures shipped with the catalog are built here as well;
 cocycle enumeration lives in the cocycle module, beside the solver it uses.
 """
@@ -64,7 +63,10 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
     perms[g] is the permutation of the points by g; the identity must act
     trivially and perms must compose like the group.  Arrow (g, x) runs
     from x to g.x and is indexed g*s + x.
-    """
+
+    It comes out marked checked, as check_groupoid marks a groupoid: an
+    action of a checked GroupTable that is a homomorphism, as checked here,
+    makes a groupoid by construction."""
     k = table.order
     if len(perms) != k:
         raise ValueError("need one permutation per group element")
@@ -81,7 +83,7 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
             gh = table.table[g][h]
             if any(perms[g][perms[h][x]] != perms[gh][x] for x in range(s)):
                 raise ValueError("action is not a homomorphism at (%d, %d)" % (g, h))
-    return tabulate(
+    g = tabulate(
         itertools.product(range(k), range(s)),
         lambda a: (e, a[1]),
         lambda a: (e, perms[a[0]][a[1]]),
@@ -89,6 +91,8 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
         # (g, h.x) after (h, x) is (gh, x)
         lambda a, b: (table.table[a[0]][b[0]], b[1]),
     )
+    g.checked = True
+    return g
 
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:

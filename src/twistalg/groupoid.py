@@ -20,9 +20,10 @@ composable_triples, generating_set, orbits and associativity_failures read
 a groupoid ungated: the validators run them on tables not yet checked.
 Where a library constructor's groupoid is valid by construction it comes
 out marked, as check_groupoid marks one: subgroupoid's (and so restrict's),
-catalog.pair_groupoid's, catalog.disjoint_union's and the total of
-build_twist's model twist.  So an unchecked groupoid comes only from
-Groupoid, tabulate or a file, and no gated function computes on one.
+catalog.pair_groupoid's, catalog.action_groupoid's, catalog.disjoint_union's
+and the total of build_twist's model twist.  So an unchecked groupoid
+comes only from Groupoid, tabulate or a file, and no gated function
+computes on one.
 validate_groupoid reports the violations as data, each kind of them in
 ascending order, so equal tables report equal lists, and it ignores the
 checked flag; check_groupoid raises them as one AxiomError through the

@@ -9,20 +9,23 @@ values is exact equality:
     GF(p^2)    pairs (a, b) meaning a + b*w, with w^2 = s*w + t fixed
                per field (t = least nonresidue for odd p, w^2 = w + 1
                for p = 2)
-    Q(zeta_n)  coordinate tuples of Fractions in the power basis
+    Q(zeta_n)  pairs (nums, den): int numerators in the power basis
                1, zeta, ..., zeta^(phi(n)-1), reduced by the n-th
-               cyclotomic polynomial
+               cyclotomic polynomial, over one den > 0 with
+               gcd(den, *nums) == 1
 
 Elements are plain hashable Python values; the Ring object owns the
 arithmetic.  Ring's defaults are the arithmetic of Python numbers: 0, 1,
 x + y, -x, x * y, x == 0 and str(x).  Z keeps all of them, Q all but its
 Fraction zero and one, and GF(p) all but add, neg, mul and fmt, which
 reduce mod p; the tuple-valued GF(p^2) and Q(zeta_n) override every one.
-Inside mul and the Galois maps, Q(zeta_n) works fraction free: each
-operand becomes integer numerators over one common denominator, the
-product and its reduction by the monic integer cyclotomic polynomial run
-on Python ints, and only the output coordinates become Fractions again;
-element values are always tuples of Fractions in lowest terms.  Both
+Q(zeta_n) stores a number-field element the standard way, as integer
+numerators over one common denominator in lowest terms (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, 4.2): add, neg, mul, the
+Galois maps and inv run on Python ints, the product is reduced by the
+monic integer cyclotomic polynomial, and each result is normalised with
+one gcd.  Fractions appear only in parse, fmt and random_element, so the
+literals read and written are those of the Fraction coordinates.  Both
 extension fields work through their Galois automorphisms: conj on
 Q(zeta_n) is sigma_-1, where sigma_k sends zeta to zeta^k, and GF(p^2)
 has the Frobenius x -> x^p.  Each inverts x as
@@ -40,8 +43,8 @@ finds its first primitive root g in elements() order (_primitive_root) and
 keeps, from the first call of _logs on, a discrete-log table: antilog[i]
 = g^i for i < q - 1 and log its inverse, so a product of nonzero elements
 is a sum of logs mod q - 1.  The exhaustive simplicity scan works in those
-coordinates.  Q(zeta_n) keeps the powers of zeta as integer coordinates
-and makes their Fraction tuples on demand.
+coordinates.  Q(zeta_n) keeps the powers of zeta as integer coordinates,
+which are its elements zeta^k over the denominator 1.
 
 Each ring class carries its kind: its spec (its repr), its "auto"
 involution and its canonical unit generators.  As building a ring and
@@ -400,24 +403,23 @@ def cyclotomic_polynomial(n: int) -> list:
     return poly
 
 
-def _over_common_den(x) -> tuple:
-    """(numerators, den): x's Fraction coordinates as ints over their least
-    common denominator."""
-    den = lcm(*[c.denominator for c in x])
-    if den == 1:
-        return [c.numerator for c in x], 1
-    return [c.numerator * (den // c.denominator) for c in x], den
-
-
-def _fractions(nums, den: int) -> tuple:
-    """The coordinate tuple nums / den, in lowest terms."""
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(c, den) for c in nums)
+def _reduced(nums, den: int) -> tuple:
+    """The element nums / den in lowest terms, for den > 0: one gcd over
+    the denominator and every numerator."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(c // g for c in nums), den // g
 
 
 class CyclotomicField(Ring):
-    """Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
+    """Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1).
+
+    An element is a pair (nums, den): a tuple of int numerators, one per
+    basis power, over one int den > 0, with gcd(den, *nums) == 1, so that
+    == and hash compare values.  The arithmetic runs on ints and ends in
+    one gcd (_reduced); Fractions appear only in parse, fmt and
+    random_element."""
 
     is_field = True
     _auto_involution = "conj"
@@ -431,40 +433,38 @@ class CyclotomicField(Ring):
         self.kind = ("CYC", n)
         # zeta^k for k = 0..n-1, in integer coordinates: multiply by zeta
         # and reduce by the monic modulus
-        powers = [[1] + [0] * (d - 1)]
+        powers = [(1,) + (0,) * (d - 1)]
         for _ in range(n - 1):
-            w = [0] + powers[-1]
-            top = w.pop()
-            powers.append([c - top * p for c, p in zip(w, self.modulus)])
+            last = powers[-1]
+            top = last[-1]
+            powers.append(tuple([c - top * p for c, p in zip((0,) + last[:-1], self.modulus)]))
         self._zeta_ints = powers
-        self._one = _fractions(powers[0], 1)
-
-    @property
-    def zeta_powers(self) -> list:
-        """zeta^k for k = 0..n-1 as Fraction tuples, built on each read."""
-        return [self.zeta(k) for k in range(self.n)]
+        self._one, self._zero = (powers[0], 1), ((0,) * d, 1)
 
     def zero(self):
-        return tuple([Fraction(0)] * self.degree)
+        return self._zero
 
     def one(self):
         return self._one
 
     def is_zero(self, x):
-        return not any(x)
+        return not any(x[0])
 
     def zeta(self, k: int = 1):
-        return _fractions(self._zeta_ints[k % self.n], 1)
+        return self._zeta_ints[k % self.n], 1
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        (xs, dx), (ys, dy) = x, y
+        if dx == dy:
+            return _reduced([a + b for a, b in zip(xs, ys)], dx)
+        return _reduced([a * dy + b * dx for a, b in zip(xs, ys)], dx * dy)
 
     def neg(self, x):
-        return tuple(-a for a in x)
+        return tuple([-a for a in x[0]]), x[1]
 
-    def mul(self, x, y):
-        xs, dx = _over_common_den(x)
-        ys, dy = _over_common_den(y)
+    def _mul_ints(self, xs, ys) -> list:
+        """The product of two integer coordinate vectors, reduced by the
+        monic integer modulus."""
         d, mod = self.degree, self.modulus
         prod = [0] * (2 * d - 1)
         for i, a in enumerate(xs):
@@ -478,51 +478,70 @@ class CyclotomicField(Ring):
             if c:
                 for j in range(d):
                     prod[i - d + j] -= c * mod[j]
-        return _fractions(prod[:d], dx * dy)
+        del prod[d:]
+        return prod
+
+    def mul(self, x, y):
+        return _reduced(self._mul_ints(x[0], y[0]), x[1] * y[1])
 
     def inv(self, x):
-        if all(c == 0 for c in x):
+        """den / N(nums) times the product of the other conjugates of nums,
+        all in Z[zeta]; the norm N(nums) is a nonzero int."""
+        nums, den = x
+        if not any(nums):
             raise ValueError("0 is not a unit in Q(zeta_%d)" % self.n)
-        y = self.one()
+        y = self._zeta_ints[0]
         for k in range(2, self.n):
             if gcd(k, self.n) == 1:
-                y = self.mul(y, self._galois(x, k))
-        norm = self.mul(x, y)
+                y = self._mul_ints(y, self._galois_ints(nums, k))
+        norm = self._mul_ints(nums, y)
         if any(norm[1:]):
             raise RuntimeError("norm of %r is not rational" % (x,))
-        return tuple(c / norm[0] for c in y)
+        sign = -1 if norm[0] < 0 else 1
+        return _reduced([sign * den * c for c in y], sign * norm[0])
 
-    def _galois(self, x, k):
-        """sigma_k: zeta -> zeta^k, an automorphism for k prime to n."""
-        nums, den = _over_common_den(x)
+    def _galois_ints(self, nums, k) -> list:
+        """sigma_k on integer coordinates."""
         acc = [0] * self.degree
         for i, c in enumerate(nums):
             if c:
                 for j, p in enumerate(self._zeta_ints[i * k % self.n]):
                     if p:
                         acc[j] += c * p
-        return _fractions(acc, den)
+        return acc
+
+    def _galois(self, x, k):
+        """sigma_k: zeta -> zeta^k, an automorphism for k prime to n.  It
+        maps Z[zeta] onto itself by an integer matrix with an integer
+        inverse (sigma_k^-1), so the numerators keep their gcd and the
+        result is in lowest terms as it stands."""
+        return tuple(self._galois_ints(x[0], k)), x[1]
 
     def conj(self, x):
         """zeta -> zeta^(n-1), the inversion automorphism sigma_-1."""
         return self._galois(x, -1)
 
+    def _from_fractions(self, coords) -> tuple:
+        """The element with these Fraction coordinates: over their least
+        common denominator, which leaves no common factor."""
+        den = lcm(*[c.denominator for c in coords])
+        return tuple([c.numerator * (den // c.denominator) for c in coords]), den
+
     def parse(self, text):
-        acc = self.zero()
+        acc = [Fraction(0)] * self.degree
         for term in _split_terms(text):
             coef, gen, k = _parse_term(term, "zeta")
-            if gen is None:
-                acc = self.add(acc, tuple(coef * p for p in self.one()))
-            else:
-                acc = self.add(acc, tuple(coef * p for p in self.zeta(k)))
-        return acc
+            for j, p in enumerate(self._zeta_ints[0 if gen is None else k % self.n]):
+                acc[j] += coef * p
+        return self._from_fractions(acc)
 
     def fmt(self, x):
-        return _fmt_terms(x, "zeta")
+        nums, den = x
+        return _fmt_terms([Fraction(c, den) for c in nums], "zeta")
 
     def random_element(self, rnd):
-        return tuple(
-            Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(self.degree)
+        return self._from_fractions(
+            [Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(self.degree)]
         )
 
     def _unit_generator(self, n: int):

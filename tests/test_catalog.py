@@ -111,6 +111,41 @@ def test_every_disjoint_union_validates(monkeypatch):
     assert unions == len(T.CATALOG) ** 2
 
 
+def test_every_action_groupoid_validates(monkeypatch):
+    """Oracle for the born-checked action groupoid: swap2, fix3 and every
+    action of z2, z3, z4 and klein on up to 3 points pass the gate
+    unvalidated, and an unmarked copy is a groupoid.  The tuples of
+    permutations that are no action are refused."""
+    tables = [T.cyclic_group(k) for k in (2, 3, 4)] + [T.klein_table()]
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    actions = [T.build("swap2"), T.build("fix3")]
+    for table in tables:
+        for s in (1, 2, 3):
+            for perms in itertools.product(itertools.permutations(range(s)), repeat=table.order):
+                try:
+                    actions.append(T.action_groupoid(table, perms))
+                except ValueError:
+                    continue
+    calls.clear()
+    for g in actions:
+        assert g.checked and T.check_groupoid(g) is g and calls == []
+        assert G.validate_groupoid(unmarked(g)) == []
+        calls.clear()
+    # homomorphisms to S_1, S_2, S_3: z2 1 + 2 + 4, z3 1 + 1 + 3,
+    # z4 1 + 2 + 4, klein 1 + 4 + 10
+    assert len(actions) == 2 + 7 + 5 + 7 + 15
+
+
+def test_building_the_catalog_validates_eight_groupoids(monkeypatch):
+    """The groups' tables are checked as their groupoids (z2, z3, z4, z8,
+    klein, s3, and z2 once more for each of swap2 and fix3); the pair
+    groupoids, the action groupoids and the union are born checked."""
+    calls = count_calls(monkeypatch, G, "validate_groupoid")
+    for name in T.CATALOG:
+        T.build(name)
+    assert len(calls) == 8
+
+
 def test_group_groupoid_is_the_group():
     tbl = T.s3_table()
     g = tbl.gpd

@@ -1,14 +1,18 @@
 """Coefficient rings: exact arithmetic, literals, unit subgroups, involutions."""
 
+import contextlib
+import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
+from conftest import make_context, random_nonzero
 
 RINGS = {
     "Z": T.parse_ring("Z"),
@@ -65,6 +69,18 @@ def pair_fmt(x):
     return "%d+%s" % (a, wpart)
 
 
+def coords(x):
+    """The Fraction coordinates of a Q(zeta_n) element (nums, den)."""
+    nums, den = x
+    return tuple(Fraction(c, den) for c in nums)
+
+
+def from_coords(xs):
+    """The Q(zeta_n) element (nums, den) with Fraction coordinates xs."""
+    den = lcm(*[c.denominator for c in xs])
+    return tuple(c.numerator * (den // c.denominator) for c in xs), den
+
+
 def power_basis_fmt(x):
     """Oracle for Q(zeta_n) literals: the nonzero terms joined by their
     signs, a coefficient of 1 or -1 written as the bare power."""
@@ -101,7 +117,8 @@ def test_extension_literals_match_their_oracle(spec):
         values, oracle = list(r.elements()), pair_fmt
     else:
         rnd = random.Random(spec)
-        values, oracle = [r.random_element(rnd) for _ in range(500)], power_basis_fmt
+        values = [r.random_element(rnd) for _ in range(500)]
+        oracle = lambda x: power_basis_fmt(coords(x))
     for x in values:
         assert r.fmt(x) == oracle(x)
         assert r.parse(r.fmt(x)) == x
@@ -449,6 +466,15 @@ def kernel_element(r, rnd):
     )
 
 
+def assert_canonical(x):
+    """x is (nums, den) in canonical form: int numerators over an int
+    den > 0, with no common factor."""
+    nums, den = x
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums) == 1
+
+
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
 def test_cyclotomic_integer_kernel_matches_fractions(n):
     r = T.CyclotomicField(n)
@@ -457,24 +483,90 @@ def test_cyclotomic_integer_kernel_matches_fractions(n):
     rnd = random.Random("kernel:%d" % n)
     units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
     powers = fraction_zeta_powers(r)
-    assert r.zeta_powers == powers
+    assert [coords(r.zeta(k)) for k in range(n)] == powers
     for _ in range(12 if n < 100 else 2):
-        x, y = kernel_element(r, rnd), kernel_element(r, rnd)
-        pairs = [(r.mul(x, y), fraction_mul(r, x, y))]
-        pairs += [(r._galois(x, k), fraction_galois(r, powers, x, k)) for k in units + [-1]]
+        fx, fy = kernel_element(r, rnd), kernel_element(r, rnd)
+        x, y = from_coords(fx), from_coords(fy)
+        pairs = [(r.mul(x, y), fraction_mul(r, fx, fy))]
+        pairs += [(r._galois(x, k), fraction_galois(r, powers, fx, k)) for k in units + [-1]]
         for got, want in pairs:
-            assert got == want
-            assert hash(got) == hash(want)
-            assert r.fmt(got) == r.fmt(want)
-            assert all(type(c) is Fraction for c in got)
+            assert coords(got) == want
+            assert_canonical(got)
+            assert got == from_coords(want) and hash(got) == hash(from_coords(want))
+            assert r.fmt(got) == power_basis_fmt(want)
         assert r.conj(r.mul(x, y)) == r.mul(r.conj(x), r.conj(y))
+        for got, want in ((r.add(x, y), tuple(a + b for a, b in zip(fx, fy))),
+                          (r.neg(x), tuple(-a for a in fx))):
+            assert coords(got) == want
+            assert_canonical(got)
         if not r.is_zero(x):
+            assert_canonical(r.inv(x))
             assert r.mul(x, r.inv(x)) == r.one()
     z = r.zeta()
     power = r.one()
     for _ in range(n):
         power = r.mul(power, z)
     assert power == r.one()
+
+
+def test_cyclotomic_arithmetic_builds_no_fraction():
+    """add, neg, mul, inv and conj on Q(zeta_n) run on ints: no Fraction is
+    built inside them.  Fractions are counted where they are made, at
+    Fraction.__new__ and, on Pythons whose Fraction arithmetic goes round
+    it, at Fraction._from_coprime_ints; fmt, which makes Fractions, shows
+    that the count sees them."""
+    fields = []
+    for n in (1, 2, 3, 4, 8, 12, 15):
+        r, rnd = T.CyclotomicField(n), random.Random("no fraction:%d" % n)
+        fields.append((r, [r.random_element(rnd) for _ in range(8)] + [r.zero(), r.one(), r.zeta()]))
+    built, new = [], Fraction.__new__
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints.__func__
+            stack.enter_context(mock.patch.object(Fraction, "_from_coprime_ints", classmethod(
+                lambda cls, *args: built.append(args) or coprime(cls, *args))))
+        for r, xs in fields:
+            for x, y in zip(xs, xs[1:]):
+                r.add(x, y), r.neg(x), r.mul(x, y), r.conj(x)
+                if not r.is_zero(x):
+                    r.inv(x)
+            assert built == [], r
+            r.fmt(xs[0])
+            assert built, r
+            built.clear()
+
+
+PINNED_ORDERS = list(range(1, 13)) + [15, 16, 24, 30]
+
+
+def pinned_cyclotomic_elements():
+    """Seeded convolve, involute, inv and conj results over Q(zeta_n) on
+    z4, klein and pair3, untwisted and with an order-2 cocycle."""
+    for name in ("z4", "klein", "pair3"):
+        g = T.build(name)
+        for n in PINNED_ORDERS:
+            for i, coc in enumerate([T.trivial_cocycle(g, 1), T.enumerate_cocycles(g, 2)[-1]]):
+                ctx = make_context(g, "Q(zeta_%d)" % n, coc=coc, involution="conj")
+                ring, rnd = ctx.ring, random.Random("pin:%s/%d/%d" % (name, n, i))
+                f, h = random_nonzero(ctx, rnd), random_nonzero(ctx, rnd)
+                yield T.convolve(f, h)
+                yield T.involute(f)
+                yield T.from_coeffs(ctx, {a: ring.inv(c) for a, c in f.coeffs.items()})
+                yield T.from_coeffs(ctx, {a: ring.conj(c) for a, c in h.coeffs.items()})
+
+
+def test_cyclotomic_element_bytes_are_pinned():
+    """sha256 over serialize_element of every pinned element.  A change to
+    the Q(zeta_n) element representation or its arithmetic must keep these
+    bytes."""
+    digest, count = hashlib.sha256(), 0
+    for f in pinned_cyclotomic_elements():
+        digest.update(("\n".join(T.serialize_element(f)) + "\n").encode())
+        count += 1
+    assert count == 384
+    assert digest.hexdigest() == "fefb4c07430843ad568b4fd37cf7d3718ef66b47e47627dbb4d613506264ac6c"
 
 
 # --- the ring layer's outward text -------------------------------------------
