@@ -285,15 +285,10 @@ def graded_components(f: Element, grading: Grading) -> dict:
     check_grading(grading)
     if grading.gpd != f.ctx.gpd:
         raise ValueError("grading lives over a different groupoid")
-    labels = sorted({grading.deg[a] for a in f.coeffs})
-    out = {}
-    for lab in labels:
-        part = Element(
-            f.ctx, {a: c for a, c in f.coeffs.items() if grading.deg[a] == lab}
-        )
-        if part.coeffs:
-            out[lab] = part
-    return out
+    parts = {}
+    for a, c in f.coeffs.items():
+        parts.setdefault(grading.deg[a], {})[a] = c
+    return {lab: Element(f.ctx, parts[lab]) for lab in sorted(parts)}
 
 
 # --- the equivariant picture -------------------------------------------------

@@ -9,9 +9,11 @@ a group's groupoid is the gpd its GroupTable was checked as.  pair_groupoid,
 action_groupoid and disjoint_union hand out their groupoid marked checked,
 as check_groupoid marks one, since it is valid by construction:
 action_groupoid refuses an action that is no homomorphism of its checked
-GroupTable, and disjoint_union passes both parts through check_groupoid
-first.  Every catalog entry carries the facts it is expected to satisfy;
-build() checks the axioms and those facts before handing the groupoid out.
+GroupTable, decided on units and generators of its groupoid by
+groupoid.homomorphism_failures, and disjoint_union passes both parts
+through check_groupoid first.  Every catalog entry carries the facts it
+is expected to satisfy; build() checks the axioms and those facts before
+handing the groupoid out.
 The cocycle fixtures shipped with the catalog are built here as well;
 cocycle enumeration lives in the cocycle module, beside the solver it uses.
 """
@@ -33,7 +35,9 @@ from .cocycle import (  # noqa: F401
     free_pairs,
     trivial_cocycle,
 )
-from .groupoid import Groupoid, check_groupoid, is_effective, is_minimal, orbits, tabulate
+from .groupoid import (
+    Groupoid, check_groupoid, homomorphism_failures, is_effective, is_minimal, orbits, tabulate,
+)
 
 
 def pair_groupoid(n: int) -> Groupoid:
@@ -65,8 +69,9 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
     from x to g.x and is indexed g*s + x.
 
     It comes out marked checked, as check_groupoid marks a groupoid: an
-    action of a checked GroupTable that is a homomorphism, as checked here,
-    makes a groupoid by construction."""
+    action of a checked GroupTable that is a homomorphism makes a groupoid
+    by construction.  groupoid.homomorphism_failures decides the law on
+    the table's groupoid, and the least failing (g, h) is named."""
     k = table.order
     if len(perms) != k:
         raise ValueError("need one permutation per group element")
@@ -78,11 +83,11 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
     e = table.identity
     if perms[e] != tuple(range(s)):
         raise ValueError("identity does not act trivially")
-    for g in range(k):
-        for h in range(k):
-            gh = table.table[g][h]
-            if any(perms[g][perms[h][x]] != perms[gh][x] for x in range(s)):
-                raise ValueError("action is not a homomorphism at (%d, %d)" % (g, h))
+    # the arrows of table.gpd are the group elements, and perms[g] after
+    # perms[h] sends x to perms[g][perms[h][x]]
+    bad = homomorphism_failures(table.gpd, perms, lambda pq: tuple(pq[0][x] for x in pq[1]))
+    if bad:
+        raise ValueError("action is not a homomorphism at (%d, %d)" % bad[0])
     g = tabulate(
         itertools.product(range(k), range(s)),
         lambda a: (e, a[1]),

@@ -20,8 +20,10 @@ n^(#non-unit arrows) candidate coboundaries, kept as the solver's test
 oracle.
 
 Gradings are groupoid homomorphisms into a finite group (multiplication
-table) or into the integers; degrees are stored per arrow.  Tables are
-read-only.  check_cocycle and check_grading are the gates: each checks the
+table) or into the integers; degrees are stored per arrow, and
+validate_grading decides the composition law on units and generators
+through groupoid.homomorphism_failures.  Tables are read-only.
+check_cocycle and check_grading are the gates: each checks the
 groupoid the object stands on (check_groupoid) before the object itself,
 and each check runs only until it first passes.  validate_cocycle and
 validate_grading report violations as data, each kind of them in ascending
@@ -48,7 +50,7 @@ from typing import Optional, Sequence
 
 from .groupoid import (
     AxiomError, BindOnce, Groupoid, associativity_failures, check_groupoid, checked,
-    composable_pairs, derived, generator_middles,
+    composable_pairs, derived, generator_middles, homomorphism_failures,
 )
 
 
@@ -512,7 +514,9 @@ class Grading(BindOnce):
 def validate_grading(grading: Grading) -> list:
     """Violations of the degree range and the homomorphism laws.  The
     groupoid must be valid; check_grading checks it first, this function
-    does not."""
+    does not.  The composition law is decided on units and generators by
+    groupoid.homomorphism_failures, which names the failing pairs in
+    ascending order."""
     g = grading.gpd
     grp = grading.group
     deg = grading.deg
@@ -526,8 +530,8 @@ def validate_grading(grading: Grading) -> list:
     for u in g.units:
         if deg[u] != grp.identity:
             v.append("unit %d has non-identity degree" % u)
-    bad = [(a, b) for (a, b), ab in g.comp.items() if grp.op(deg[a], deg[b]) != deg[ab]]
-    v += ["homomorphism law fails at pair (%d, %d)" % pair for pair in sorted(bad)]
+    v += ["homomorphism law fails at pair (%d, %d)" % pair
+          for pair in homomorphism_failures(g, deg, lambda xy: grp.op(*xy))]
     return v
 
 

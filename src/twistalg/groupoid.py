@@ -16,8 +16,16 @@ Every public function here that reads a groupoid calls it first, and so do
 catalog.build, GroupTable, fileio's readers and writers, and check_cocycle,
 check_grading and check_twist for the groupoids their object stands on.
 Only the reporter validate_groupoid and the table queries composable_pairs,
-composable_triples, generating_set, orbits and associativity_failures read
-a groupoid ungated: the validators run them on tables not yet checked.
+composable_triples, generating_set, orbits, associativity_failures and
+homomorphism_failures read a groupoid ungated: the validators run them on
+tables not yet checked, or checked but not yet marked, as validate_twist
+runs homomorphism_failures on the total it has just validated, where a
+gate would validate it again or raise instead of report.
+homomorphism_failures is the one check of a map that must respect
+composition: a twist's projection and a twist morphism (validate_twist,
+validate_twist_morphism), a grading (validate_grading) and a group action
+(catalog.action_groupoid) all pass through it, and it names the failing
+pairs in ascending order.
 Where a library constructor's groupoid is valid by construction it comes
 out marked, as check_groupoid marks one: subgroupoid's (and so restrict's),
 catalog.pair_groupoid's, catalog.action_groupoid's, catalog.disjoint_union's
@@ -41,9 +49,9 @@ a cycle through each orbit's units first and then greedily takes the
 least arrow not yet reached: a transitive groupoid is generated by such a
 cycle and its isotropy, so pair_groupoid(n) has n generators where the
 greedy walk alone took 2(n - 1).  The walk is kept on the groupoid
-(derived), and validate_groupoid, validate_cocycle, validate_twist (on its
-total) and the ideal closure test all read it; each call hands out a new
-list.
+(derived), and validate_groupoid, validate_cocycle, homomorphism_failures
+and the ideal closure test all read it; each call of generating_set hands
+out a new list.
 """
 
 from __future__ import annotations
@@ -206,6 +214,24 @@ def _generator_walk(g: Groupoid) -> tuple:
                     reached.add(y)
                     todo.extend(comp[(y, s)] for s in gens if src[y] == rng[s])
     return tuple(sorted(gens))
+
+
+def homomorphism_failures(g: Groupoid, f, prod) -> list:
+    """Sorted composable pairs (e, d) of a valid g where prod((f[e], f[d]))
+    != f[ed]; prod returns None where the target product is undefined.
+
+    The pairs whose d is a unit or lies in generating_set(g) decide it, and
+    the full loop runs only to name the failures.  The arrows d at which
+    the law holds for every e composable with d are closed under
+    composition: for such d1, d2, f(e d1 d2) = f(e d1) f(d2) = f(e) f(d1)
+    f(d2) = f(e) f(d1 d2), by associativity in g and in the target.  Every
+    arrow is a unit followed by generators, so the law holds everywhere
+    once it holds there."""
+    comp, by_src, rng = g.comp, g.arrows_by_src(), g.rng
+    if all(prod((f[e], f[d])) == f[comp[(e, d)]]
+           for d in chain(g.units, _generator_walk(g)) for e in by_src[rng[d]]):
+        return []
+    return sorted((e, d) for (e, d), ed in comp.items() if prod((f[e], f[d])) != f[ed])
 
 
 def generator_middles(g: Groupoid):

@@ -4,14 +4,13 @@ A Twist bundles the extension groupoid (total), the base groupoid, the
 order n of the extending cyclic group, the central embedding of
 (unit, exponent) pairs, and the projection back onto the base.  Exactness,
 centrality, fiber sizes, and the homomorphism laws are all finite checks
-in validate_twist.  Two of them are decided on generators: the projection's
-composition law on the pairs whose right factor is a unit or lies in
-generating_set(total), and centrality at exponent 1; the full loops run
-only to name what fails.  validate_twist_morphism decides a morphism's
-homomorphism law the same way, on the pairs whose right factor is a unit
-or a generator of the source total; _section_map runs it as the self-check
-of every isomorphism it builds, and the generating set is the one kept on
-the total (derived).  The embedding is read-only like the groupoid
+in validate_twist.  The projection's composition law, like a morphism's
+homomorphism law in validate_twist_morphism, is decided on units and
+generators by groupoid.homomorphism_failures, which states why that is
+exact and names the failing pairs in ascending order; centrality is
+decided at exponent 1, and its full loop runs only to name what fails.
+_section_map runs validate_twist_morphism as the self-check of every
+isomorphism it builds.  The embedding is read-only like the groupoid
 tables.
 
 check_twist is the one gate.  It validates a twist once, then marks it,
@@ -54,13 +53,13 @@ computes each once.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
 from types import MappingProxyType
 from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
 from .groupoid import (
-    BindOnce, Groupoid, checked, composable_pairs, derived, generating_set, validate_groupoid,
+    BindOnce, Groupoid, checked, composable_pairs, derived, homomorphism_failures,
+    validate_groupoid,
 )
 
 
@@ -167,15 +166,11 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
 def validate_twist(tw: Twist) -> list:
     """All extension axioms, but none of a marked base's or total's; empty when valid.
 
-    Once base and total are groupoids, two laws are decided on generators.
-    The pairs (e, s) on which the projection respects composition are
-    closed under composing s on the right, by associativity in both
-    groupoids, and every total arrow is a unit followed by elements of
-    generating_set(total); so the pairs whose s is a unit or a generator
-    decide the law.  Centrality at exponent 1 decides it at every exponent,
-    since embed(u, k) = embed(u, 1)^k is checked first.  Where either
-    decision fails, the full loop names every failing pair or exponent, so
-    the list is the one the full checks give."""
+    Once base and total are groupoids, the projection's composition law is
+    decided by groupoid.homomorphism_failures.  Centrality at exponent 1
+    decides it at every exponent, since embed(u, k) = embed(u, 1)^k is
+    checked first; where that fails, the full loop names every failing
+    arrow and exponent, so the list is the one the full checks give."""
     v = ["%s: %s" % (name, s) for name, g in (("base", tw.base), ("total", tw.total))
          if not g.checked for s in validate_groupoid(g)]
     if v:
@@ -201,11 +196,8 @@ def validate_twist(tw: Twist) -> list:
             v.append("projection breaks rng at %d" % e)
         if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
             v.append("projection breaks inv at %d" % e)
-    proj, comp, bcomp, by_src = tw.proj, total.comp, base.comp, total.arrows_by_src()
-    if any(bcomp.get((proj[e], proj[s])) != proj[comp[(e, s)]]
-           for s in chain(total.units, generating_set(total)) for e in by_src[total.rng[s]]):
-        bad = [(e, d) for (e, d), ed in comp.items() if bcomp.get((proj[e], proj[d])) != proj[ed]]
-        v += ["projection breaks composition at (%d, %d)" % pair for pair in sorted(bad)]
+    v += ["projection breaks composition at (%d, %d)" % pair
+          for pair in homomorphism_failures(total, tw.proj, base.comp.get)]
     if v:
         return v
     # embedding: injective homomorphism of the unit bundle, exact fibers
@@ -236,7 +228,7 @@ def validate_twist(tw: Twist) -> list:
             v.append("exactness fails over unit %d" % u)
     if v:
         return v
-    embed, src, rng, one = tw.embed, total.src, total.rng, 1 % n
+    proj, comp, embed, src, rng, one = tw.proj, total.comp, tw.embed, total.src, total.rng, 1 % n
     if any(comp[(embed[(proj[rng[e]], one)], e)] != comp[(e, embed[(proj[src[e]], one)])]
            for e in range(total.m)):
         for e in range(total.m):
@@ -348,14 +340,9 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
     arrows that is a homomorphism and commutes with the embeddings and the
     projections.  Empty when they hold; both twists pass check_twist first.
 
-    The homomorphism law is decided on generators, as validate_twist
-    decides the projection's.  The arrows d with f(ed) = f(e) f(d) for
-    every e composable with d are closed under composition, by
-    associativity in both totals, and every arrow of the source total is a
-    unit followed by elements of generating_set(total); so the pairs
-    (e, s) whose s is a unit or a generator decide the law.  Where they
-    fail, the full loop names every failing pair, so the list is the one
-    the full check gives.
+    The homomorphism law is decided by groupoid.homomorphism_failures, as
+    validate_twist decides the projection's, and its failing pairs come in
+    ascending order.
 
     The inverse law and action equivariance follow, so they are not
     checked.  f(rng e) = f(rng e) f(rng e) is idempotent, hence a unit, so
@@ -369,12 +356,8 @@ def validate_twist_morphism(mor: TwistMorphism) -> list:
         return ["twists do not share a base groupoid and order"]
     if len(f) != t1.total.m or set(f) != set(range(t2.total.m)):
         return ["mapping is not a bijection of total arrows"]
-    total, comp2 = t1.total, t2.total.comp
-    comp1, by_src = total.comp, total.arrows_by_src()
-    if any(comp2.get((f[e], f[s])) != f[comp1[(e, s)]]
-           for s in chain(total.units, generating_set(total)) for e in by_src[total.rng[s]]):
-        v += ["homomorphism law fails at (%d, %d)" % (e, d)
-              for (e, d), ed in comp1.items() if comp2.get((f[e], f[d])) != f[ed]]
+    v += ["homomorphism law fails at (%d, %d)" % pair
+          for pair in homomorphism_failures(t1.total, f, t2.total.comp.get)]
     for key, e in t1.embed.items():
         if f[e] != t2.embed[key]:
             v.append("embedding diagram fails at (%d, %d)" % key)

@@ -442,6 +442,17 @@ def test_graded_components_reassemble_and_multiply():
                 assert all(grading.deg[a] == lab for a in prod.support())
 
 
+def test_graded_components_come_in_label_order():
+    # z3 graded by a -> 2a mod 3: arrows 0, 1, 2 have degrees 0, 2, 1, so
+    # the labels first appear out of order
+    ctx = make_context(T.build("z3"), "GF(5)")
+    grading = T.Grading(ctx.gpd, T.cyclic_group(3), [0, 2, 1])
+    f = T.Element(ctx, {a: ctx.ring.one() for a in range(3)})
+    comps = T.graded_components(f, grading)
+    assert list(comps) == [0, 1, 2]
+    assert [part.support() for part in comps.values()] == [(0,), (2,), (1,)]
+
+
 def test_graded_component_wrong_groupoid():
     ctx = ctx_q_pair2()
     grading = T.Grading(T.build("z2"), T.cyclic_group(2), [0, 1])

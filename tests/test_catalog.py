@@ -172,8 +172,37 @@ def test_action_groupoid_rejects_bad_input():
     s3 = T.s3_table()
     # transpositions assigned arbitrarily: not a homomorphism
     perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (0, 1, 2), (0, 1, 2)]
-    with pytest.raises(ValueError):
+    # the least (g, h) at which some point x has g.(h.x) != (gh).x
+    least = next((g, h) for g in range(6) for h in range(6) for x in range(3)
+                 if perms[g][perms[h][x]] != perms[s3.op(g, h)][x])
+    assert least == (1, 2)
+    with pytest.raises(ValueError, match=r"^action is not a homomorphism at \(1, 2\)$"):
         T.action_groupoid(s3, perms)
+
+
+def test_action_groupoid_names_the_least_failing_pair():
+    """Every tuple of permutations of up to 3 points that z2, z3, z4 or
+    klein acts by trivially at the identity is refused exactly when the
+    k^2 * s loop finds a failing (g, h), and the least one is named."""
+    refused = 0
+    for table in [T.cyclic_group(k) for k in (2, 3, 4)] + [T.klein_table()]:
+        k, e = table.order, table.identity
+        for s in (1, 2, 3):
+            for perms in itertools.product(itertools.permutations(range(s)), repeat=k):
+                if perms[e] != tuple(range(s)):
+                    continue
+                least = next(((g, h) for g in range(k) for h in range(k) for x in range(s)
+                              if perms[g][perms[h][x]] != perms[table.op(g, h)][x]), None)
+                if least is None:
+                    assert T.action_groupoid(table, perms).checked
+                    continue
+                with pytest.raises(ValueError) as info:
+                    T.action_groupoid(table, perms)
+                assert str(info.value) == "action is not a homomorphism at (%d, %d)" % least
+                refused += 1
+    # 500 tuples fix the identity; the 34 actions counted in
+    # test_every_action_groupoid_validates beside swap2 and fix3 are accepted
+    assert refused == 500 - 34
 
 
 def test_disjoint_union_blocks():

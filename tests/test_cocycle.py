@@ -451,6 +451,18 @@ def test_grading_validation():
     assert T.validate_grading(bad)
 
 
+def test_grading_into_a_nonabelian_group_keeps_the_factor_order():
+    # s3 graded by itself is a homomorphism; a -> a^-1 reverses products,
+    # so it fails exactly at the pairs that do not commute
+    tbl = T.s3_table()
+    g = T.build("s3")
+    assert T.validate_grading(T.Grading(g, tbl, range(6))) == []
+    bad = T.Grading(g, tbl, [tbl.inv(a) for a in range(6)])
+    assert T.validate_grading(bad) == [
+        "homomorphism law fails at pair (%d, %d)" % (a, b)
+        for a in range(6) for b in range(6) if tbl.op(a, b) != tbl.op(b, a)]
+
+
 def test_integer_grading():
     p2 = T.build("pair2")
     grading = T.Grading(p2, T.IntGroup(), [0, -1, 1, 0])

@@ -470,6 +470,93 @@ def test_pair_groupoid_is_generated_by_a_cycle():
         assert len(greedy_generators(g)) == 2 * (n - 1)
 
 
+def full_loop_failures(g, f, prod):
+    """Every (e, d) with src e == rng d, ascending, where prod((f[e], f[d]))
+    is not f[ed]."""
+    return [(e, d) for e in range(g.m) for d in range(g.m)
+            if g.src[e] == g.rng[d] and prod((f[e], f[d])) != f[g.comp[(e, d)]]]
+
+
+def degree_vectors(g, values, rnd, mod=None):
+    """Every vector over values when there are at most 2*10^4, else 400 at
+    random and the coboundaries deg(a) = p(rng a) - p(src a), reduced mod
+    mod unless it is None, of 100 unit potentials p, each also with one
+    entry changed."""
+    if len(values) ** g.m <= 2 * 10 ** 4:
+        return list(itertools.product(values, repeat=g.m))
+    out = [tuple(rnd.choice(values) for _ in range(g.m)) for _ in range(400)]
+    for _ in range(100):
+        p = {u: rnd.choice(values) for u in g.units}
+        deg = [p[g.rng[a]] - p[g.src[a]] for a in range(g.m)]
+        if mod is not None:
+            deg = [x % mod for x in deg]
+        out.append(tuple(deg))
+        deg[rnd.randrange(g.m)] = rnd.choice(values)
+        out.append(tuple(deg))
+    return out
+
+
+def test_homomorphism_failures_match_the_full_loop():
+    """The law decided on units and generators against every composable
+    pair: Z/2, Z/3 and Z degree vectors of every catalog groupoid, the
+    projections of built twists and mutated copies of them, and the
+    permutation tuples of z2, z3, z4 and klein on up to 3 points.  Both
+    verdicts occur for each groupoid, and for each kind of map."""
+    rnd = random.Random("homomorphisms")
+    by_groupoid, by_kind = {}, {}
+
+    def compare(name, kind, g, f, prod):
+        got = G.homomorphism_failures(g, f, prod)
+        assert got == full_loop_failures(g, f, prod), (name, kind)
+        by_groupoid.setdefault(name, set()).add(bool(got))
+        by_kind.setdefault(kind, set()).add(bool(got))
+        return not got
+
+    for name in T.CATALOG:
+        g = T.build(name)
+        for k in (2, 3):
+            for deg in degree_vectors(g, range(k), rnd, mod=k):
+                compare(name, "Z/%d" % k, g, deg, lambda xy, k=k: (xy[0] + xy[1]) % k)
+        for deg in degree_vectors(g, range(-2, 3), rnd):
+            compare(name, "Z", g, deg, lambda xy: xy[0] + xy[1])
+        cocycles = T.enumerate_cocycles(g, 2)
+        for coc in rnd.sample(cocycles, min(3, len(cocycles))):
+            tw = T.build_twist(g, coc)
+            compare(name, "twist", tw.total, tw.proj, g.comp.get)
+            for _ in range(20):
+                proj = list(tw.proj)
+                proj[rnd.randrange(len(proj))] = rnd.randrange(g.m)
+                compare(name, "twist", tw.total, proj, g.comp.get)
+
+    def after(pq):
+        return tuple(pq[0][x] for x in pq[1])
+
+    actions = 0
+    for name in ("z2", "z3", "z4", "klein"):
+        table = T.klein_table() if name == "klein" else T.cyclic_group(int(name[1:]))
+        for s in (1, 2, 3):
+            for perms in itertools.product(itertools.permutations(range(s)), repeat=table.order):
+                actions += compare(name, "perms", table.gpd, perms, after)
+    assert list(by_groupoid) == list(T.CATALOG)
+    assert all(v == {True, False} for v in by_groupoid.values())
+    assert len(by_kind) == 5 and all(v == {True, False} for v in by_kind.values())
+    # the homomorphisms counted in test_every_action_groupoid_validates
+    assert actions == 7 + 5 + 7 + 15
+
+
+def test_homomorphism_failures_decide_on_units_and_generators():
+    # pair4 has 4 units and 4 generators, each composable with 4 arrows on
+    # the left: a homomorphism is decided on 32 of its 64 pairs
+    g, calls = T.pair_groupoid(4), []
+
+    def prod(xy):
+        calls.append(xy)
+        return (xy[0] + xy[1]) % 3
+
+    deg = [(g.rng[a] - g.src[a]) % 3 for a in range(g.m)]
+    assert G.homomorphism_failures(g, deg, prod) == [] and len(calls) == 32 < len(g.comp)
+
+
 # --- read-only tables behind one validation gate -----------------------------
 
 
