@@ -16,11 +16,12 @@ one index (_indexed) need an index in range and given once, and a dense
 table (arrow, inv, q, map, part) a record for every index; a comp, val or
 i record (_pairs) may not repeat its pair.  A record with too few or too
 many integer fields, or one that is not a decimal integer, is `line N:
-bad <word> record`.  A groupoid, a cocycle or grading (whose gate,
-check_cocycle or check_grading, checks its groupoid first) and a twist
-must satisfy their axioms, else AxiomError carries every violation.  An
-ideal must be its own reduced row echelon form and closed.  Other defects
-are ValueErrors.
+bad <word> record`, and so is a field on a marker record, one that is a
+word alone (groupoid, end, element, ..., and `group Z`).  A groupoid, a
+cocycle or grading (whose gate, check_cocycle or check_grading, checks its
+groupoid first) and a twist must satisfy their axioms, else AxiomError
+carries every violation.  An ideal must be its own reduced row echelon
+form and closed.  Other defects are ValueErrors.
 
 The writers gate what they write: serialize_groupoid, serialize_cocycle,
 serialize_grading and serialize_twist, and so the write_* functions that
@@ -85,6 +86,11 @@ class _Cursor:
         if toks[0] != word:
             raise ValueError("line %d: expected %r, got %r" % (self.line(), word, toks[0]))
         return toks
+
+    def marker(self, word: str) -> None:
+        """The next record, which must be word alone; else bad()."""
+        if len(self.expect(word)) > 1:
+            raise self.bad()
 
     def line(self) -> int:
         """Line number of the record next() returned last."""
@@ -189,7 +195,7 @@ def serialize_groupoid(g: Groupoid) -> list:
 
 
 def parse_groupoid_block(cur: _Cursor) -> Groupoid:
-    cur.expect("groupoid")
+    cur.marker("groupoid")
     m = _count(cur, "arrows")
     units = cur.record("units")
     ends = {}
@@ -221,7 +227,7 @@ def _nested(cur: _Cursor, name: str, message: str) -> Groupoid:
     if cur.expect("begin")[1:] != [name]:
         raise ValueError("line %d: %s" % (cur.line(), message))
     g = parse_groupoid_block(cur)
-    cur.expect("end")
+    cur.marker("end")
     return g
 
 
@@ -246,7 +252,7 @@ def serialize_cocycle(coc: Cocycle) -> list:
 
 
 def parse_cocycle_block(cur: _Cursor) -> Cocycle:
-    cur.expect("cocycle")
+    cur.marker("cocycle")
     (n,) = cur.record("order", 1)
     g = _nested(cur, "groupoid", "expected a groupoid block inside the cocycle file")
     table = {pair: 0 for pair in g.comp}
@@ -291,10 +297,12 @@ def serialize_grading(grading: Grading) -> list:
 
 
 def parse_grading_block(cur: _Cursor) -> Grading:
-    cur.expect("grading")
+    cur.marker("grading")
     toks = cur.expect("group")
     kind = toks[1] if len(toks) > 1 else ""
     if kind == "Z":
+        if len(toks) > 2:
+            raise cur.bad()
         grp = IntGroup()
         ident = 0
     elif kind == "cyclic":
@@ -336,7 +344,7 @@ def serialize_element(f: Element) -> list:
 
 
 def parse_element_block(cur: _Cursor, ctx: Context) -> Element:
-    cur.expect("element")
+    cur.marker("element")
     coeffs = _indexed(cur, "coeff", ctx.gpd.m, 1)
     return Element(ctx, {a: ctx.ring.parse(lit) for a, (lit,) in coeffs})
 
@@ -359,7 +367,7 @@ def serialize_twist(tw: Twist) -> list:
 
 
 def parse_twist_block(cur: _Cursor) -> Twist:
-    cur.expect("twist")
+    cur.marker("twist")
     (n,) = cur.record("order", 1)
     base = _nested(cur, "base", "expected the base groupoid block first")
     total = _nested(cur, "total", "expected the total groupoid block second")
@@ -386,7 +394,7 @@ def serialize_section(sec) -> list:
 
 def _parse_maps(cur: _Cursor, header: str) -> Optional[tuple]:
     """header, then `map i x` for each i in 0..k-1 once; a morphism may say none."""
-    cur.expect(header)
+    cur.marker(header)
     if header == "morphism" and cur.peek() == ["none"]:
         cur.next()
         return None
@@ -422,7 +430,7 @@ def serialize_coboundary(n: int, m: int, b) -> list:
 
 
 def _parse_coboundary(cur: _Cursor):
-    cur.expect("coboundary")
+    cur.marker("coboundary")
     (n,) = cur.record("order", 1)
     m = _count(cur, "arrows")
     if cur.peek() == ["none"]:
@@ -454,7 +462,7 @@ def read_ideal(path: str, ctx: Context) -> Ideal:
     once each, their own reduced row echelon form and closed under delta
     multiplication on both sides; anything else is a ValueError."""
     cur = _Cursor(read_text(path))
-    cur.expect("ideal")
+    cur.marker("ideal")
     (dim,) = cur.record("dim", 1)
     m = ctx.gpd.m
     if not 0 <= dim <= m:
@@ -492,7 +500,7 @@ def serialize_decomposition(ring, parts) -> list:
 
 
 def _parse_decomposition(cur: _Cursor, ring) -> list:
-    cur.expect("decomposition")
+    cur.marker("decomposition")
     k = _count(cur, "parts")
     parts = {i: (ring.parse(val), frozenset(cur.ints(arrows)))
              for i, (val, *arrows) in _indexed(cur, "part", k, 0, dense=True)}

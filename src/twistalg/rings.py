@@ -359,18 +359,17 @@ class QuadraticGaloisField(_FiniteField):
                 yield (a, b)
 
     def parse(self, text):
-        acc = (0, 0)
-        for term in _split_terms(text):
-            coef, gen, k = _parse_term(term, "w")
+        a = b = 0
+        for term, coef, k in _terms(text, "w"):
             if coef.denominator != 1:
                 raise ValueError("fractional literal %r in GF(p^2)" % term)
-            if gen is None:
-                acc = self.add(acc, (coef.numerator % self.p, 0))
+            if k is None:
+                a += coef.numerator
+            elif k == 1:
+                b += coef.numerator
             else:
-                if k != 1:
-                    raise ValueError("bad GF(p^2) literal term %r" % term)
-                acc = self.add(acc, (0, coef.numerator % self.p))
-        return acc
+                raise ValueError("bad GF(p^2) literal term %r" % term)
+        return a % self.p, b % self.p
 
     def fmt(self, x):
         return _fmt_terms(x, "w")
@@ -529,9 +528,8 @@ class CyclotomicField(Ring):
 
     def parse(self, text):
         acc = [Fraction(0)] * self.degree
-        for term in _split_terms(text):
-            coef, gen, k = _parse_term(term, "zeta")
-            for j, p in enumerate(self._zeta_ints[0 if gen is None else k % self.n]):
+        for _, coef, k in _terms(text, "zeta"):
+            for j, p in enumerate(self._zeta_ints[(k or 0) % self.n]):
                 acc[j] += coef * p
         return self._from_fractions(acc)
 
@@ -563,7 +561,13 @@ class CyclotomicField(Ring):
 # is matched here first, so it parses the same on every supported Python
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-_TERM_RE = re.compile(r"(%s|[+-])?(?:\*?(zeta|w)(?:\^([0-9]+))?)?" % _RATIONAL_RE.pattern)
+# One term of a GF(p^2) or Q(zeta_n) sum: a sign, optional on the first term
+# only, then a coefficient, a generator power or coef*power (the `*` is
+# required when group 2, the coefficient, matched), then the end or the next
+# term's sign
+_TERM_RE = re.compile(r"(^[+-]?|[+-])(?=[0-9]|zeta|w)([0-9]+(?:/[0-9]+)?)?"
+                      r"(?:(?(2)\*)(zeta|w)(?:\^([0-9]+))?)?(?=[+-]|\Z)")
+_BAD_TERM_RE = re.compile(r"[+-]?[^+-]*")  # a term named in an error: up to the next sign
 
 
 def _literal(pattern, text, kind):
@@ -572,36 +576,26 @@ def _literal(pattern, text, kind):
     return text
 
 
-def _split_terms(text):
+def _terms(text, gen):
+    """Yield (term, coef, k) for the terms of a sum in the generator gen:
+    the term's text, its signed Fraction coefficient and its power of gen,
+    None for a coefficient alone."""
     if not text:
         raise ValueError("empty ring literal")
-    terms, cur = [], ""
-    for ch in text:
-        if ch in "+-" and cur and cur[-1] not in "+-*/^":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    return terms
-
-
-def _parse_term(term, gen_name):
-    m = _TERM_RE.fullmatch(term)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError("bad ring literal term %r" % term)
-    coef_s, gen, k_s = m.groups()
-    if gen is not None and gen != gen_name:
-        raise ValueError("generator %r not valid here" % gen)
-    if coef_s in (None, "+", "-"):
-        coef = Fraction(1) if coef_s != "-" else Fraction(-1)
-    else:
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not m:
+            raise ValueError("bad ring literal term %r" % _BAD_TERM_RE.match(text, pos).group())
+        sign, num, g, k = m.groups()
+        if g not in (None, gen):
+            raise ValueError("generator %r not valid here" % g)
         try:
-            coef = Fraction(coef_s)
+            coef = Fraction(num or 1)
         except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % term) from None
-    k = int(k_s) if k_s else 1
-    return coef, gen, k
+            raise ValueError("zero denominator in %r" % m.group()) from None
+        yield m.group(), -coef if sign == "-" else coef, None if g is None else int(k or 1)
+        pos = m.end()
 
 
 # --- ring spec strings -------------------------------------------------------

@@ -584,8 +584,10 @@ BAD_DIGIT_LITERALS = [(ring, lit) for ring in ("Z", "Q", "GF(3)", "GF(3^2)", "Q(
         ("Q(zeta_4)", "element\ncoeff 0 1/0*zeta\n", "zero denominator"),
         ("GF(3^2)", "element\ncoeff 0 1/0+w\n", "zero denominator"),
         ("Q", "element\ncoeff 0 1\ncoeff 0 2\n", "line 3: repeated coeff 0"),
+        # a sign with no term after it once read as 1: 1+ was 2 in GF(3^2)
+        ("GF(3^2)", "element\ncoeff 0 1+\n", "bad ring literal term '+'"),
     ] + [(ring, "element\ncoeff 0 %s\n" % lit, repr(lit)) for ring, lit in BAD_DIGIT_LITERALS],
-    ids=["cyclotomic-1/0", "gf9-1/0", "repeated-coeff"]
+    ids=["cyclotomic-1/0", "gf9-1/0", "repeated-coeff", "gf9-sign-only"]
     + ["%s-%s" % (ring, lit.encode("unicode_escape").decode()) for ring, lit in BAD_DIGIT_LITERALS],
 )
 def test_bad_element_file_is_one_error(ring, text, match, fx, tmp_path, capsys):
@@ -868,6 +870,56 @@ def test_truncated_artifact_is_unexpected_end(name, keep, reader, emitted, tmp_p
         reader(truncated(emitted, tmp_path, name, keep))
 
 
+def with_field(emitted, tmp_path, name, record, field):
+    """name with a field added to the first record that is exactly record,
+    and that record's line number."""
+    lines = (emitted / name).read_text().splitlines(keepends=True)
+    i = lines.index(record + "\n")
+    lines[i] = "%s %s\n" % (record, field)
+    return write(tmp_path, name, "".join(lines)), i + 1
+
+
+# (file, marker record, argv reading the edited file through path)
+MARKER_CLI = [
+    ("z2.gpd", "groupoid", lambda bad, path: ["validate", "groupoid", bad]),
+    ("z2_neg.coc", "cocycle", lambda bad, path: ["validate", "cocycle", bad]),
+    ("z2_neg.coc", "end", lambda bad, path: ["validate", "cocycle", bad]),
+    ("z2.grd", "grading", lambda bad, path: ["validate", "grading", bad]),
+    ("twist.twi", "twist", lambda bad, path: ["validate", "twist", bad]),
+    ("e.elt", "element", lambda bad, path: ["mul", "--groupoid", path("z2.gpd"), bad, bad]),
+    ("ideal.idl", "ideal", lambda bad, path: ["ideal", "member", "--ring", "GF(3)",
+                                              path("z2.gpd"), bad, path("e.elt")]),
+]
+
+
+@pytest.mark.parametrize("name,record,argv", MARKER_CLI, ids=[r for _, r, _ in MARKER_CLI])
+def test_marker_record_takes_no_field(name, record, argv, emitted, tmp_path, capsys):
+    # a marker record used to be read by its first word alone, and the run exited 0
+    bad, line = with_field(emitted, tmp_path, name, record, "junk")
+    out = run(capsys, *argv(bad, lambda x: str(emitted / x)))
+    assert out == (1, "", "error: line %d: bad %s record\n" % (line, record))
+
+
+def test_group_Z_record_takes_no_field(fx, tmp_path, capsys):
+    text = "grading\ngroup Z\nbegin groupoid\n" + (fx / "z2.gpd").read_text() + "end\n"
+    assert run(capsys, "validate", "grading", write(tmp_path, "z.grd", text)) == (0, "ok\n", "")
+    bad = write(tmp_path, "bad.grd", text.replace("group Z", "group Z 5"))
+    assert run(capsys, "validate", "grading", bad) == (1, "", "error: line 2: bad group record\n")
+
+
+# the kinds no verb reads back
+@pytest.mark.parametrize("name,record,reader", [
+    ("section.sec", "section", T.read_section),
+    ("morphism.mor", "morphism", T.read_morphism),
+    ("coboundary.cob", "coboundary", T.read_coboundary),
+    ("parts.dec", "decomposition", lambda p: T.read_decomposition(p, T.parse_ring("Q"))),
+])
+def test_artifact_marker_record_takes_no_field(name, record, reader, emitted, tmp_path):
+    bad, line = with_field(emitted, tmp_path, name, record, "7")
+    with pytest.raises(ValueError, match="^line %d: bad %s record$" % (line, record)):
+        reader(bad)
+
+
 def z2_neg_twist_text():
     return "\n".join(T.serialize_twist(T.build_twist(T.build("z2"), T.z2_neg_cocycle()))) + "\n"
 
@@ -1041,11 +1093,13 @@ def test_optimized_interpreter_prints_the_same(fx, tmp_path):
 
 
 def test_library_has_no_assert_statements():
-    """python -O strips assert statements, so every self-check in the
-    library raises explicitly instead."""
+    """python -O strips assert statements and sets __debug__ to False, so
+    every self-check in the library raises explicitly instead, and no code
+    reads __debug__ to act otherwise under -O."""
     pkg = Path(T.__file__).resolve().parent
     found = ["%s:%d" % (path.relative_to(pkg), node.lineno)
              for path in sorted(pkg.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []

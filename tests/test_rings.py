@@ -2,7 +2,9 @@
 
 import contextlib
 import hashlib
+import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -165,6 +167,83 @@ def test_literals_are_ascii_decimal(name):
                  " 3", "3 ", "1 + w", "1\t+w", "1 + zeta", "1\t+zeta"):
         with pytest.raises(ValueError):
             r.parse(text)
+
+
+LITERAL_TOKENS = ["0", "1", "2", "3", "10", "/", "+", "-", "*", "^", "w", "zeta"]
+
+
+def literal_grammar(gen):
+    """docs/FORMATS.md's grammar of a GF(p^2) or Q(zeta_n) literal: terms
+    joined by single signs, the first one optionally signed, each a
+    coefficient, a power of gen, or coef*power."""
+    coef, power = r"[0-9]+(?:/[0-9]+)?", r"%s(?:\^[0-9]+)?" % gen
+    term = "(?:%s|%s|%s\\*%s)" % (coef, power, coef, power)
+    return re.compile("[+-]?%s(?:[+-]%s)*" % (term, term))
+
+
+def literal_terms(text, gen):
+    """(term, Fraction coefficient or None for a zero denominator, power of
+    gen or None) for each term of a literal the grammar matches."""
+    for term in re.findall("[+-]?[^+-]+", text):
+        body = term.lstrip("+-")
+        if "*" in body:
+            coef, power = body.split("*")
+        elif body.startswith(gen):
+            coef, power = "1", body
+        else:
+            coef, power = body, ""
+        k = int(power.partition("^")[2] or 1) if power else None
+        num, _, den = coef.partition("/")
+        if den and int(den) == 0:
+            yield term, None, k
+            continue
+        c = Fraction(int(num), int(den or 1))
+        yield term, -c if term[0] == "-" else c, k
+
+
+def oracle_literal(spec, text):
+    """The value of a literal the grammar matches, summed term by term in
+    Fractions, or the error it must raise."""
+    gen = "w" if spec.startswith("GF") else "zeta"
+    acc = [Fraction(0), Fraction(0)]
+    for term, c, k in literal_terms(text, gen):
+        if c is None:
+            return "zero denominator in %r" % term
+        if gen == "w":
+            if c.denominator != 1:
+                return "fractional literal %r in GF(p^2)" % term
+            if k not in (None, 1):
+                return "bad GF(p^2) literal term %r" % term
+            acc[0 if k is None else 1] += c
+        else:
+            # zeta^2 = -1 in Q(zeta_4)
+            k = 0 if k is None else k % 4
+            acc[k % 2] += c if k < 2 else -c
+    if gen == "w":
+        return tuple(int(x) % 3 for x in acc)
+    return from_coords(acc)
+
+
+@pytest.mark.parametrize("spec", ["GF(3^2)", "Q(zeta_4)"])
+def test_literals_follow_the_documented_grammar(spec):
+    """Every string of up to four tokens: those the grammar matches read as
+    their term-by-term sum or give its error, and every other string is
+    refused (once `1+` read as 2, `-` as -1, `*w` as w and `3w` as 3*w)."""
+    r = RINGS[spec]
+    grammar = literal_grammar("w" if spec.startswith("GF") else "zeta")
+    accepted = 0
+    for size in range(1, 5):
+        for toks in itertools.product(LITERAL_TOKENS, repeat=size):
+            text = "".join(toks)
+            want = oracle_literal(spec, text) if grammar.fullmatch(text) else None
+            if isinstance(want, tuple):
+                assert r.parse(text) == want, text
+                accepted += 1
+                continue
+            with pytest.raises(ValueError) as exc:
+                r.parse(text)
+            assert want is None or str(exc.value) == want, text
+    assert accepted > 1000
 
 
 @pytest.mark.parametrize("spec,text", [("Q(zeta_4)", "1/0*zeta"), ("GF(3^2)", "1/0+w")])
