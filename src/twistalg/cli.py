@@ -11,12 +11,24 @@ groupoid, generators; member: groupoid, ideal, element; list: none; emit:
 at most one catalog name, all when none), flags before, between or after
 them; an extra or a missing one is a usage error too.  Output is
 deterministic byte for byte: artifact files have fixed names inside
---out, and everything printed is derived from sorted structures.
+--out, and everything printed is derived from sorted structures.  Integers
+are read and printed in full, past Python's default 4,300-digit limit on
+int-string conversion, which main lifts for its run and then restores.
+
+A run is one short process, so its fixed costs count.  A run that names a
+verb builds only that verb's parser: building all sixteen takes a few
+milliseconds, a sizeable share of a short run.  Top-level --help, a
+missing or unknown verb and unrecognized arguments build the full parser,
+whose usage lists every verb.  console() freezes the garbage collector
+once main returns, so the full collections of interpreter teardown skip
+the objects the run made; sys.exit still flushes, runs atexit handlers
+and sets the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -265,108 +277,136 @@ def _add_ctx(p, involution_default="none"):
     p.add_argument("--cocycle", help="cocycle file fixing the twist (default: untwisted)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="twistalg",
-        description="exact twisted convolution algebras over finite discrete groupoids",
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="check an object file against its axioms")
+def _args_validate(p):
     p.add_argument("what", choices=list(_READERS))
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
 
-    for name, fn in (("orbits", _cmd_orbits), ("effective", _cmd_effective), ("minimal", _cmd_minimal)):
-        p = sub.add_parser(name, help="unit-space %s query" % name)
-        p.add_argument("file", help="groupoid file")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("mul", help="twisted convolution of two element files")
+def _args_query(p):
+    p.add_argument("file", help="groupoid file")
+
+
+def _args_mul(p):
     _add_ctx(p)
     p.add_argument("--groupoid", help="groupoid file when no cocycle is given")
     p.add_argument("--out")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(fn=_cmd_mul)
 
-    p = sub.add_parser("star", help="involution of an element file")
+
+def _args_star(p):
     _add_ctx(p, involution_default="auto")
     p.add_argument("--groupoid")
     p.add_argument("--out")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_star)
 
-    p = sub.add_parser("decompose", help="split an element along disjoint bisections")
+
+def _args_decompose(p):
     _add_ctx(p)
     p.add_argument("--groupoid")
     p.add_argument("--out")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("cohomologous", help="solve target = base * coboundary")
+
+def _args_cohomologous(p):
     p.add_argument("--method", default="solve", choices=["solve", "brute"])
     p.add_argument("--cap", type=int, default=200000)
     p.add_argument("--out")
     p.add_argument("target")
     p.add_argument("base")
-    p.set_defaults(fn=_cmd_cohomologous)
 
-    p = sub.add_parser("twist", help="central extension commands")
+
+def _args_twist(p):
     p.add_argument("what", choices=["build", "iso", "section", "induced"])
     p.add_argument("file", help="groupoid file for build, twist file otherwise")
     p.add_argument("files", nargs="*", help="cocycle file (build), second twist file (iso)")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_twist)
 
-    p = sub.add_parser("psi", help="equivariant-function picture of an element")
+
+def _args_psi(p):
     _add_ring(p)
     p.add_argument("--out")
     p.add_argument("file", help="twist file")
     p.add_argument("elt", help="element file over the base")
-    p.set_defaults(fn=_cmd_psi)
 
-    p = sub.add_parser("grade", help="split an element into homogeneous components")
+
+def _args_grade(p):
     _add_ctx(p)
     p.add_argument("--out")
     p.add_argument("file", help="grading file")
     p.add_argument("elt")
-    p.set_defaults(fn=_cmd_grade)
 
-    p = sub.add_parser("ideal", help="two-sided ideal commands")
+
+def _args_ideal(p):
     p.add_argument("what", choices=["gen", "member"])
     p.add_argument("file", help="groupoid file")
     _add_ctx(p)
     p.add_argument("--out")
     p.add_argument("files", nargs="*", help="generator files (gen), ideal and element file (member)")
-    p.set_defaults(fn=_cmd_ideal)
 
-    p = sub.add_parser("ck-witness", help="unit-set witness inside a nonzero ideal")
+
+def _args_ck_witness(p):
     _add_ctx(p)
     p.add_argument("file", help="groupoid file")
     p.add_argument("idl", help="ideal file")
-    p.set_defaults(fn=_cmd_ck_witness)
 
-    p = sub.add_parser("graded-witness", help="witness for a graded ideal")
+
+def _args_graded_witness(p):
     _add_ctx(p)
     p.add_argument("file", help="grading file")
     p.add_argument("idl", help="ideal file")
-    p.set_defaults(fn=_cmd_graded_witness)
 
-    p = sub.add_parser("simple", help="simplicity of the twisted algebra")
+
+def _args_simple(p):
     _add_ctx(p)
     p.add_argument("--mode", default="structural", choices=["structural", "exhaustive"])
     p.add_argument("--cap", type=int, default=2 ** 20)
     p.add_argument("--out")
     p.add_argument("file", help="groupoid file")
-    p.set_defaults(fn=_cmd_simple)
 
-    p = sub.add_parser("catalog", help="stock groupoids and fixtures")
+
+def _args_catalog(p):
     p.add_argument("what", choices=["list", "emit"])
     p.add_argument("files", nargs="*", metavar="name", help="catalog name or 'all' (emit)")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_catalog)
 
+
+# verb -> (its help line, its handler, the function that adds its
+# arguments), in the order `twistalg --help` lists them
+_VERBS = {
+    "validate": ("check an object file against its axioms", _cmd_validate, _args_validate),
+    "orbits": ("unit-space orbits query", _cmd_orbits, _args_query),
+    "effective": ("unit-space effective query", _cmd_effective, _args_query),
+    "minimal": ("unit-space minimal query", _cmd_minimal, _args_query),
+    "mul": ("twisted convolution of two element files", _cmd_mul, _args_mul),
+    "star": ("involution of an element file", _cmd_star, _args_star),
+    "decompose": ("split an element along disjoint bisections", _cmd_decompose, _args_decompose),
+    "cohomologous": ("solve target = base * coboundary", _cmd_cohomologous, _args_cohomologous),
+    "twist": ("central extension commands", _cmd_twist, _args_twist),
+    "psi": ("equivariant-function picture of an element", _cmd_psi, _args_psi),
+    "grade": ("split an element into homogeneous components", _cmd_grade, _args_grade),
+    "ideal": ("two-sided ideal commands", _cmd_ideal, _args_ideal),
+    "ck-witness": ("unit-set witness inside a nonzero ideal", _cmd_ck_witness, _args_ck_witness),
+    "graded-witness": ("witness for a graded ideal", _cmd_graded_witness, _args_graded_witness),
+    "simple": ("simplicity of the twisted algebra", _cmd_simple, _args_simple),
+    "catalog": ("stock groupoids and fixtures", _cmd_catalog, _args_catalog),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The argument parser of every verb, or of verb alone when it names
+    one.  A one-verb parser reads that verb's arguments as the full one
+    does, but its top-level usage lists only that verb."""
+    ap = argparse.ArgumentParser(
+        prog="twistalg",
+        description="exact twisted convolution algebras over finite discrete groupoids",
+    )
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for name in [verb] if verb in _VERBS else _VERBS:
+        help_, fn, add_arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_)
+        add_arguments(p)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -385,15 +425,30 @@ _FILES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, rest = parser.parse_known_args(argv)
+    # Python caps int-string conversion at 4,300 digits by default, a guard
+    # for services that parse sizes from untrusted input; the files here are
+    # the user's, and an exact product may pass the cap
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
+    # a run that names a verb builds only that verb's parser; the full one
+    # prints the top-level usage
+    args, rest = build_parser(argv[0] if argv else None).parse_known_args(argv)
     key = args.verb, getattr(args, "what", None)
     # argparse fills files from one run of positionals; the files after a
     # flag come back left over
     if key in _FILES and not any(r.startswith("-") for r in rest):
         args.files += rest
     elif rest:
-        parser.error("unrecognized arguments: %s" % " ".join(rest))
+        build_parser().error("unrecognized arguments: %s" % " ".join(rest))
     if key in _FILES:
         least, most, files = _FILES[key]
         if len(args.files) < least or most is not None and len(args.files) > most:
@@ -411,7 +466,12 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    sys.exit(main())
+    code = main()
+    # teardown's full collections skip frozen objects, which is nearly
+    # every object of the run; flushing, atexit and the exit code are
+    # those of sys.exit
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

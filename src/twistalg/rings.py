@@ -25,7 +25,11 @@ Computational Algebraic Number Theory, GTM 138, 4.2): add, neg, mul, the
 Galois maps and inv run on Python ints, the product is reduced by the
 monic integer cyclotomic polynomial, and each result is normalised with
 one gcd.  Fractions appear only in parse, fmt and random_element, so the
-literals read and written are those of the Fraction coordinates.  Both
+literals read and written are those of the Fraction coordinates.  The
+fractions module, which loads decimal, is imported on first use, not with
+this module: a RationalRing makes its zero and one once when built, and
+the Q, GF(p^2) and Q(zeta_n) literal readers and Q(zeta_n)'s fmt and
+random_element import it when called; Z and GF(p) never load it.  Both
 extension fields work through their Galois automorphisms: conj on
 Q(zeta_n) is sigma_-1, where sigma_k sends zeta to zeta^k, and GF(p^2)
 has the Frobenius x -> x^p.  Each inverts x as
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -161,11 +164,16 @@ class RationalRing(Ring):
     kind = ("Q",)
     is_field = True
 
+    def __init__(self):
+        from fractions import Fraction
+
+        self._zero, self._one = Fraction(0), Fraction(1)
+
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def inv(self, x):
         if x == 0:
@@ -173,12 +181,16 @@ class RationalRing(Ring):
         return 1 / x
 
     def parse(self, text):
+        from fractions import Fraction
+
         try:
             return Fraction(_literal(_RATIONAL_RE, text, "rational"))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % text) from None
 
     def random_element(self, rnd):
+        from fractions import Fraction
+
         return Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
 
     def __repr__(self):
@@ -527,6 +539,8 @@ class CyclotomicField(Ring):
         return tuple([c.numerator * (den // c.denominator) for c in coords]), den
 
     def parse(self, text):
+        from fractions import Fraction
+
         acc = [Fraction(0)] * self.degree
         for _, coef, k in _terms(text, "zeta"):
             for j, p in enumerate(self._zeta_ints[(k or 0) % self.n]):
@@ -534,10 +548,14 @@ class CyclotomicField(Ring):
         return self._from_fractions(acc)
 
     def fmt(self, x):
+        from fractions import Fraction
+
         nums, den = x
         return _fmt_terms([Fraction(c, den) for c in nums], "zeta")
 
     def random_element(self, rnd):
+        from fractions import Fraction
+
         return self._from_fractions(
             [Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(self.degree)]
         )
@@ -580,6 +598,8 @@ def _terms(text, gen):
     """Yield (term, coef, k) for the terms of a sum in the generator gen:
     the term's text, its signed Fraction coefficient and its power of gen,
     None for a coefficient alone."""
+    from fractions import Fraction
+
     if not text:
         raise ValueError("empty ring literal")
     pos = 0

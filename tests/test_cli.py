@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import twistalg as T
 from conftest import write_ungated
+from twistalg import cli
 from twistalg.cli import main
 from twistalg.fileio import _read, parse_cocycle_block, parse_grading_block, parse_groupoid_block
 
@@ -479,6 +480,58 @@ def test_catalog_emit_names_after_a_flag(tmp_path, capsys, names, flags_first):
     assert sorted(os.listdir(tmp_path / "got")) == sorted(want)
     for f in want:
         assert (tmp_path / "got" / f).read_bytes() == (tmp_path / "want" / f).read_bytes()
+
+
+# --- integers past Python's 4,300-digit default ------------------------------------
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The int-string conversion limit, set to 4,300 for the test where
+    the Python has one (the default, which PYTHONINTMAXSTRDIGITS may have
+    changed) and put back after it; None on Pythons without one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("ring,den,square_den", [("Z", "", ""), ("Q", "/2", "/4")])
+def test_product_past_the_int_digit_limit_is_printed(ring, den, square_den, fx, tmp_path, capsys,
+                                                     int_digit_limit):
+    """(10^3000 - 1)^2 has 6,000 digits: 2,999 nines, an 8, 2,999 zeros and
+    a 1; the product is printed exactly, and the limit is as before."""
+    f = write(tmp_path, "f.elt", "element\ncoeff 0 %s%s\n" % ("9" * 3000, den))
+    got = run(capsys, "mul", "--ring", ring, "--groupoid", str(fx / "z2.gpd"), f, f)
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    assert got == (0, "element\ncoeff 0 %s%s\n" % (square, square_den), "")
+    if int_digit_limit is not None:
+        assert sys.get_int_max_str_digits() == int_digit_limit
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_literal_past_the_int_digit_limit_is_read(ring, fx, tmp_path, capsys, int_digit_limit):
+    """A 5,000-digit coefficient is read and written back by star."""
+    text = "element\ncoeff 0 -1%s\n" % ("2" * 4999)
+    f = write(tmp_path, "f.elt", text)
+    assert run(capsys, "star", "--ring", ring, "--groupoid", str(fx / "z2.gpd"), f) == (0, text, "")
+    if int_digit_limit is not None:
+        assert sys.get_int_max_str_digits() == int_digit_limit
+
+
+def test_int_digit_limit_is_restored_after_a_usage_error(capsys, int_digit_limit):
+    if int_digit_limit is None:
+        pytest.skip("this Python has no int-string conversion limit")
+    sys.set_int_max_str_digits(5000)
+    with pytest.raises(SystemExit):
+        main(["mul"])
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == 5000
 
 
 # --- failure modes -----------------------------------------------------------------
@@ -1002,6 +1055,100 @@ def test_usage_errors(fx, capsys):
     assert run(capsys, "ideal", "gen", str(fx / "z2.gpd"))[0] == 2
     assert run(capsys, "twist", "build", str(fx / "z2.gpd"))[0] == 2
     assert run(capsys, "ideal", "member", str(fx / "z2.gpd"))[0] == 2
+
+
+def parse_exit(parser, argv):
+    """Exit code, stdout and stderr of a parse of argv that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_known_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_one_verb_parser_reads_as_the_full_one(verb):
+    """The parser build_parser(verb) builds prints the full parser's help
+    and missing-argument error for that verb."""
+    one, full = cli.build_parser(verb), cli.build_parser()
+    assert "{%s}" % verb in one.format_usage()
+    for argv in ([verb, "--help"], [verb]):
+        got = parse_exit(one, argv)
+        assert got == parse_exit(full, argv)
+        assert got[0] == (0 if "--help" in argv else 2)
+    assert parse_exit(one, [verb])[2].startswith("usage: twistalg %s " % verb)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-verb"], ["mu"],
+                                  ["orbits", "a.gpd", "b.gpd"], ["mul", "a", "b", "c"]])
+def test_top_level_usage_lists_every_verb(argv, capsys):
+    """Top-level help, no verb, an unknown verb and unrecognized arguments
+    print the usage of the parser with every verb."""
+    full = cli.build_parser()
+    usage = full.format_usage()
+    assert "{%s}" % ",".join(cli._VERBS) in usage
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    if argv == ["--help"]:
+        assert (exc.value.code, out, err) == (0, full.format_help(), "")
+    else:
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(usage)
+        if len(argv) > 1:
+            assert err == usage + "twistalg: error: unrecognized arguments: %s\n" % argv[-1]
+
+
+def package_env():
+    """The environment with the package under test first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(T.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cli_import_loads_no_fractions(fx, tmp_path):
+    """Importing the CLI, and a run over Z or GF(p), loads neither
+    fractions nor the decimal module it imports; a Q run loads them."""
+    code = ("import sys; before = set(sys.modules); from twistalg.cli import main; "
+            "loaded = lambda: sorted({'fractions', 'decimal'} - before & set(sys.modules)); "
+            "print(loaded()); main(sys.argv[1:]); print(loaded())")
+    gpd, elt = str(fx / "z2.gpd"), write(tmp_path, "dg.elt", "element\ncoeff 1 1\n")
+    for ring, loaded in (("GF(3)", "[]"), ("Z", "[]"), ("Q", "['decimal', 'fractions']")):
+        proc = subprocess.run([sys.executable, "-c", code, "mul", "--ring", ring, "--groupoid", gpd,
+                               elt, elt], capture_output=True, text=True, env=package_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["[]", "element", "coeff 0 1", loaded]
+
+
+def test_module_run_keeps_exit_codes_and_bytes(fx, tmp_path):
+    """python -m twistalg.cli goes through console(): its exit codes,
+    printed bytes and --out files are those of main()."""
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered: the exit flushes it
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "twistalg.cli", *argv],
+                              capture_output=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    dg = write(tmp_path, "dg.elt", "element\ncoeff 1 1\n")
+    got = cli("mul", "--ring", "GF(3)", "--cocycle", str(fx / "z2_neg.coc"), dg, dg)
+    assert got == (0, b"element\ncoeff 0 2\n", b"")
+    missing = str(tmp_path / "missing.gpd")
+    code, out, err = cli("validate", "groupoid", missing)
+    assert (code, out) == (1, b"")
+    assert err.decode().splitlines() == ["error: [Errno 2] No such file or directory: %r" % missing]
+    code, out, err = cli("mul")
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"usage: twistalg mul ")
+    want = T.emit_fixtures(str(tmp_path / "want"))
+    got = cli("catalog", "emit", "all", "--out", str(tmp_path / "got"))
+    assert got == (0, "".join("wrote %s\n" % f for f in want).encode(), b"")
+    assert sorted(os.listdir(tmp_path / "got")) == sorted(want)
+    for f in want:
+        assert (tmp_path / "got" / f).read_bytes() == (tmp_path / "want" / f).read_bytes()
 
 
 def console_script_command():
