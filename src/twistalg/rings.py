@@ -620,13 +620,13 @@ def _terms(text, gen):
 
 # --- ring spec strings -------------------------------------------------------
 
-_SPEC_RE = re.compile(r"^(Z|Q|GF\((\d+)\)|GF\((\d+)\^2\)|Q\(zeta_(\d+)\))$")
+_SPEC_RE = re.compile(r"(Z|Q|GF\((\d+)\)|GF\((\d+)\^2\)|Q\(zeta_(\d+)\))")
 
 
 def parse_ring(spec: str) -> Ring:
     """Parse a ring spec string: Z, Q, GF(p), GF(p^2), Q(zeta_n), within the
     bounds in the module docstring."""
-    m = _SPEC_RE.match(spec.replace(" ", ""))
+    m = _SPEC_RE.fullmatch(spec.replace(" ", ""))
     if not m:
         raise ValueError("unknown ring spec %r" % spec)
     if m.group(2) or m.group(3):

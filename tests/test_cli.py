@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import json
 import os
 import re
 import shutil
@@ -1189,64 +1190,130 @@ def test_console_script_smoke(fx, tmp_path):
     assert proc.stdout == "element\ncoeff 0 2\n"
 
 
-def test_optimized_interpreter_prints_the_same(fx, tmp_path):
-    """python -O strips assert statements; ideal gen, ideal member,
-    ck-witness, cohomologous and twist iso must print the same bytes, write
-    the same artifact and exit the same way without them, errors
-    included."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(T.__file__).resolve().parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+# runs the argv lists read from stdin through main, one after another, and
+# prints its optimization level and each run's exit code, stdout and stderr
+_SWEEP_CHILD = """
+import contextlib, io, json, sys
+from twistalg.cli import main
+got = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    got.append([code, out.getvalue(), err.getvalue()])
+json.dump([sys.flags.optimize, got], sys.stdout)
+"""
 
-    def cli(flags, *argv):
-        proc = subprocess.run([sys.executable, *flags, "-m", "twistalg.cli", *argv],
-                              capture_output=True, text=True, env=env)
-        return proc.returncode, proc.stdout, proc.stderr
 
-    gpd = str(fx / "pair2_pair2.gpd")
-    gen = write(tmp_path, "gen.elt", "element\ncoeff 1 1\ncoeff 2 2\n")
-    other = write(tmp_path, "d4.elt", "element\ncoeff 4 1\n")
-    zero = write(tmp_path, "zero.idl", "ideal\ndim 0\n")
-    for flags, out in (([], "plain"), (["-O"], "opt")):
-        got = cli(flags, "ideal", "--ring", "GF(3)", "--out", str(tmp_path / out), "gen", gpd, gen)
-        assert got == (0, "dim: 4\nwrote ideal.idl\n", "")
-    assert (tmp_path / "opt" / "ideal.idl").read_bytes() == (tmp_path / "plain" / "ideal.idl").read_bytes()
-    idl = str(tmp_path / "plain" / "ideal.idl")
-    runs = [
-        ("ideal", "--ring", "GF(3)", "member", gpd, idl, gen),
-        ("ideal", "--ring", "GF(3)", "member", gpd, idl, other),
-        ("ck-witness", "--ring", "GF(3)", gpd, idl),
-        ("ck-witness", "--ring", "GF(3)", gpd, zero),
+def test_other_optimization_level_prints_the_same(fx, tmp_path, capsys, monkeypatch):
+    """python -O strips assert statements and sets __debug__ to False;
+    every verb must exit, print and write the same bytes either way,
+    errors included.  The sweep runs through main here and in one child
+    interpreter at the other level, each in its own copy of the inputs,
+    by relative paths, so what is printed compares as it is."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    shutil.copytree(fx, here)
+    for name, text in (
+            ("gen.elt", "element\ncoeff 0 1\n"),
+            ("gen2.elt", "element\ncoeff 1 1\ncoeff 2 2\n"),
+            ("d4.elt", "element\ncoeff 4 1\n"),
+            ("zeta8.elt", "element\ncoeff 0 1/2+zeta^3\ncoeff 1 -zeta+2/3*zeta^2\n"),
+            # over Q(zeta_3) and Q(zeta_12) their reductions mod Phi_n are
+            # no signed permutations
+            ("a.elt", "element\ncoeff 0 1/2-zeta^2\ncoeff 1 zeta+2/3*zeta^3\ncoeff 3 -5/4+zeta^5\n"),
+            ("b.elt", "element\ncoeff 1 3-1/2*zeta\ncoeff 2 zeta^4+7/6*zeta^7\ncoeff 3 2*zeta^11\n"),
+            ("zero.idl", "ideal\ndim 0\n"),
+            ("z2.grd", z2_grading_text(fx)),
+            # the law breaks at (1, 1)
+            ("z2-bad.grd", z2_grading_text(fx).replace("cyclic 2", "cyclic 3")),
+            # the projections of arrows 1 and 2 swapped
+            ("z2_neg-bad.twi", z2_neg_twist_text().replace("q 1 0\nq 2 1\n", "q 1 1\nq 2 0\n"))):
+        write(here, name, text)
+
+    runs = [["catalog", "emit", "all", "--out", "emit"], ["catalog", "emit", "--out", "one", "z2"]]
+    for gpd, coc in (("pair2", "pair2_triv"), ("pair2", "pair2_cob"), ("z2", "z2_triv"),
+                     ("z2", "z2_neg")):
+        d = "tw/" + coc
+        twi = d + "/twist.twi"
+        runs += [["twist", "build", gpd + ".gpd", coc + ".coc", "--out", d],
+                 # the mark build_twist sets is not written: the read validates in full
+                 ["validate", "twist", twi], ["twist", "section", twi], ["twist", "induced", twi],
+                 ["twist", "iso", twi, twi, "--out", d],
+                 ["psi", "--ring", "Q(zeta_4)", "--involution", "conj", twi, "gen.elt"],
+                 ["psi", "--ring", "Q(zeta_8)", twi, "zeta8.elt"],
+                 ["simple", "--mode", "exhaustive", "--ring", "GF(3)", "--cocycle", coc + ".coc",
+                  "--out", d, gpd + ".gpd"]]
+    runs += [["cohomologous", "pair2_cob.coc", "pair2_triv.coc", "--out", "coh/pair2_cob"],
+             ["cohomologous", "z2_neg.coc", "z2_triv.coc", "--out", "coh/z2_neg"]]
+    for gpd in sorted(p.stem for p in fx.glob("*.gpd")):
+        runs += [["orbits", gpd + ".gpd"], ["effective", gpd + ".gpd"], ["minimal", gpd + ".gpd"],
+                 ["simple", "--mode", "exhaustive", "--ring", "GF(2)", "--out", "gpd/" + gpd,
+                  gpd + ".gpd"],
+                 ["ideal", "--ring", "GF(3)", "--out", "gpd/" + gpd, "gen", gpd + ".gpd", "gen.elt"]]
+    for gpd in ("klein.gpd", "z4.gpd"):
+        for ring in ("Q(zeta_3)", "Q(zeta_12)"):
+            runs += [["mul", "--ring", ring, "--groupoid", gpd, "a.elt", "b.elt"],
+                     ["star", "--ring", ring, "--groupoid", gpd, "a.elt"],
+                     ["decompose", "--ring", ring, "--groupoid", gpd, "a.elt"]]
+    runs += [["validate", "grading", "z2.grd"],
+             ["grade", "--ring", "GF(3)", "--out", "grade", "z2.grd", "gen.elt"],
+             ["graded-witness", "--ring", "GF(3)", "z2.grd", "gpd/z2/ideal.idl"]]
+    # (argv, its exit code, the first line it prints and its stderr)
+    pinned = [
+        (["ideal", "--ring", "GF(3)", "--out", "pp", "gen", "pair2_pair2.gpd", "gen2.elt"],
+         (0, "dim: 4", "")),
+        (["ideal", "--ring", "GF(3)", "member", "pair2_pair2.gpd", "pp/ideal.idl", "gen2.elt"],
+         (0, "member: true", "")),
+        (["ideal", "--ring", "GF(3)", "member", "pair2_pair2.gpd", "pp/ideal.idl", "d4.elt"],
+         (0, "member: false", "")),
+        (["ck-witness", "--ring", "GF(3)", "pair2_pair2.gpd", "pp/ideal.idl"], (0, "witness: 0", "")),
+        (["ck-witness", "--ring", "GF(3)", "pair2_pair2.gpd", "zero.idl"],
+         (1, "", "error: zero ideal has no witness\n")),
+        (["cohomologous", "pair2_cob.coc", "pair2_triv.coc"], (0, "cohomologous: true", "")),
+        (["cohomologous", "z2_neg.coc", "z2_triv.coc"], (0, "cohomologous: false", "")),
+        (["twist", "iso", "tw/pair2_cob/twist.twi", "tw/pair2_cob/twist.twi"],
+         (0, "isomorphic: true", "")),
+        (["twist", "iso", "tw/z2_neg/twist.twi", "tw/z2_triv/twist.twi"], (0, "isomorphic: false", "")),
+        (["validate", "grading", "z2-bad.grd"],
+         (1, "violation: homomorphism law fails at pair (1, 1)", "")),
+        (["validate", "twist", "z2_neg-bad.twi"], (1, "violation: projection breaks inv at 2", "")),
     ]
-    twi = {}
-    for name, coc in (("pair2_cob", T.pair2_coboundary_cocycle()), ("z2_neg", T.z2_neg_cocycle()),
-                      ("z2_triv", T.trivial_cocycle(T.build("z2"), 2))):
-        twi[name] = str(tmp_path / (name + ".twi"))
-        T.write_twist(twi[name], T.build_twist(coc.gpd, coc))
-    runs += [
-        ("cohomologous", str(fx / "pair2_cob.coc"), str(fx / "pair2_triv.coc")),
-        ("cohomologous", str(fx / "z2_neg.coc"), str(fx / "z2_triv.coc")),
-        ("twist", "iso", twi["pair2_cob"], twi["pair2_cob"]),
-        ("twist", "iso", twi["z2_neg"], twi["z2_triv"]),
-    ]
-    plain = [cli([], *argv) for argv in runs]
-    assert [cli(["-O"], *argv) for argv in runs] == plain
-    assert [out for _, out, _ in plain[:3]] == ["member: true\n", "member: false\n", "witness: 0\n"]
-    assert plain[3] == (1, "", "error: zero ideal has no witness\n")
-    verdicts = [out.splitlines()[0] for _, out, _ in plain[4:]]
-    assert verdicts == ["cohomologous: true", "cohomologous: false", "isomorphic: true",
-                        "isomorphic: false"]
+    runs += [argv for argv, _ in pinned]
+    assert {argv[0] for argv in runs} == set(cli._VERBS)
+
+    shutil.copytree(here, there)
+    env = package_env()
+    env.pop("PYTHONOPTIMIZE", None)  # the child runs at the level its flags set
+    proc = subprocess.run([sys.executable, *([] if sys.flags.optimize else ["-O"]), "-c", _SWEEP_CHILD],
+                          input=json.dumps(runs), capture_output=True, text=True, cwd=there, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    level, child = json.loads(proc.stdout)
+    assert bool(level) != bool(sys.flags.optimize)
+    monkeypatch.chdir(here)
+    got = [run(capsys, *argv) for argv in runs]
+    assert [tuple(r) for r in child] == got
+    assert [code for code, _, _ in got[:-len(pinned)]] == [0] * (len(runs) - len(pinned))
+    assert [(code, out.partition("\n")[0], err)
+            for code, out, err in got[-len(pinned):]] == [want for _, want in pinned]
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert tree(here) == tree(there)
 
 
 def test_library_has_no_assert_statements():
     """python -O strips assert statements and sets __debug__ to False, so
     every self-check in the library raises explicitly instead, and no code
-    reads __debug__ to act otherwise under -O."""
+    reads __debug__ or sys.flags to act otherwise under -O."""
     pkg = Path(T.__file__).resolve().parent
     found = ["%s:%d" % (path.relative_to(pkg), node.lineno)
              for path in sorted(pkg.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)
-             or isinstance(node, ast.Name) and node.id == "__debug__"]
+             or isinstance(node, ast.Name) and node.id == "__debug__"
+             or isinstance(node, ast.Attribute) and node.attr == "flags"
+             and isinstance(node.value, ast.Name) and node.value.id == "sys"
+             or isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and any(alias.name == "flags" for alias in node.names)]
     assert found == []

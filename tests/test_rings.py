@@ -668,6 +668,8 @@ def _message(fn, *args):
     ("R", "unknown ring spec 'R'"),
     ("GF(p)", "unknown ring spec 'GF(p)'"),
     ("GF(3^3)", "unknown ring spec 'GF(3^3)'"),
+    ("GF(3)\n", "unknown ring spec 'GF(3)\\n'"),
+    ("Q\n", "unknown ring spec 'Q\\n'"),
     ("GF(4)", "GF(4): modulus must be prime"),
     ("GF(0)", "GF(0): modulus must be prime"),
     ("GF(6^2)", "GF(6^2): p must be prime"),
