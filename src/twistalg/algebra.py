@@ -19,6 +19,13 @@ convolution and star are still computed from the twist's own tables (not
 through any cocycle), which keeps the comparison with the cocycle picture
 an honest two-route check.  Among those tables is the section's exponent
 table, which the context holds and every value reads.
+
+Both products walk supports.  convolve visits, for each a in the support
+of f, the entries of left[a] whose c is in the support of g.
+equiv_convolve visits each c whose g-value at inv(sec c) is nonzero, then
+the arrows a with src(a) = rng(c), and reads f at sec(a) sec(c) straight
+from the twist's projection and exponent table.  Each sum starts at its
+first term, not at zero.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from . import rings
 from .cocycle import (
     Cocycle, Grading, apply_coboundary, check_cocycle, check_grading, invert_cocycle,
 )
-from .groupoid import BindOnce, Groupoid, composable_pairs, derived, is_bisection
+from .groupoid import BindOnce, Groupoid, derived, is_bisection
 from .rings import Involution, Ring, UnitSubgroup
 from .twist import Twist, _exponent_table, induced_cocycle
 
@@ -75,13 +82,16 @@ class Context(BindOnce):
         in the arrow c composable with a on that side, with target a c
         (resp. c a) and k the cocycle exponent there, in 0..n-1.  Targets
         are distinct."""
-        gpd, table = self.gpd, self.coc.table
+        gpd, comp, table = self.gpd, self.gpd.comp, self.coc.table
+        by_rng = gpd.arrows_by_rng()
         left = [[] for _ in range(gpd.m)]
         right = [[] for _ in range(gpd.m)]
-        for a, c in composable_pairs(gpd):
-            entry = gpd.comp[(a, c)], table[(a, c)]
-            left[a].append((c,) + entry)
-            right[c].append((a,) + entry)
+        for a, s in enumerate(gpd.src):
+            row = left[a]
+            for c in by_rng[s]:
+                t, k = comp[(a, c)], table[(a, c)]
+                row.append((c, t, k))
+                right[c].append((a, t, k))
         return left, right
 
     def coc_val(self, a: int, b: int):
@@ -201,12 +211,15 @@ def convolve(f: Element, g: Element) -> Element:
     the support of f, the entries of left[a] whose c is in that of g."""
     _same(f, g)
     ctx = f.ctx
-    r, scale, left, gc = ctx.ring, ctx.tgrp.scale, ctx.regular()[0], g.coeffs
+    add, mul, scale = ctx.ring.add, ctx.ring.mul, ctx.tgrp.scale
+    left, gc = ctx.regular()[0], g.coeffs
     out: dict = {}
     for a, fa in f.coeffs.items():
         for c, t, k in left[a]:
             if c in gc:
-                out[t] = r.add(out.get(t, r.zero()), scale(k, r.mul(fa, gc[c])))
+                x = scale(k, mul(fa, gc[c]))
+                prev = out.get(t)
+                out[t] = x if prev is None else add(prev, x)
     return Element(ctx, out)
 
 
@@ -368,29 +381,35 @@ class EquivariantElement:
 def equiv_convolve(f: EquivariantElement, g: EquivariantElement) -> EquivariantElement:
     """Convolution in the equivariant picture, computed entirely from the
     twist's own composition tables: the value over a sums f(sec(a) sec(c))
-    g(inv(sec(c))) over arrows c into src(a)."""
+    g(inv(sec(c))) over arrows c into src(a).
+
+    It walks supports.  inv(sec c) lies over inv(c), so g is nonzero there
+    exactly when inv(c) is in the support of g, and only those c are
+    visited; for each, the arrows a with src(a) = rng(c) follow, and f is
+    read at e = sec(a) sec(c) straight from the twist's projection and
+    exponent table, as g^k(e) h(proj e).  The two scalars of a term are
+    merged into one: g^k x * g^j y = g^(k + j) x y.  No cocycle is read, so
+    comparing with convolve after psi stays a two-route check."""
     if f.ectx != g.ectx:
         raise ValueError("elements live in different equivariant contexts")
     ectx = f.ectx
     tw = ectx.twist
-    base = tw.base
-    total = tw.total
-    sec = ectx.section
-    r = ectx.ctx.ring
-    by_rng = base.arrows_by_rng()
+    base, total, proj, k = tw.base, tw.total, tw.proj, ectx._exponents
+    comp, inv = total.comp, total.inv
+    by_src, bsrc, binv = base.arrows_by_src(), base.src, base.inv
+    sec, fh = ectx.section, f.h
+    add, mul, scale = ectx.ctx.ring.add, ectx.ctx.ring.mul, ectx.ctx.tgrp.scale
     out = {}
-    for a in range(base.m):
-        acc = r.zero()
-        for c in by_rng.get(base.src[a], ()):
-            left = f.value(total.comp[(sec[a], sec[c])])
-            if r.is_zero(left):
-                continue
-            right = g.value(total.inv[sec[c]])
-            if r.is_zero(right):
-                continue
-            acc = r.add(acc, r.mul(left, right))
-        if not r.is_zero(acc):
-            out[a] = acc
+    for b, y in g.h.items():  # b = inv(c)
+        sc = sec[binv[b]]
+        j = k[inv[sc]]
+        for a in by_src[bsrc[b]]:
+            e = comp[(sec[a], sc)]
+            x = fh.get(proj[e])
+            if x is not None:
+                term = scale(k[e] + j, mul(x, y))
+                prev = out.get(a)
+                out[a] = term if prev is None else add(prev, term)
     return EquivariantElement(ectx, out)
 
 

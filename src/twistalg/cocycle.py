@@ -38,7 +38,12 @@ trivial_cocycle, enumerate_cocycles, invert_cocycle, multiply_cocycles and
 apply_coboundary return their cocycles marked checked, as check_cocycle
 marks one, each valid by construction for the reason its docstring gives.
 So an unchecked cocycle or grading comes only from Cocycle, Grading or a
-file.
+file.  Those born-checked cocycles, and twist.induced_cocycle's, go through
+the private Cocycle._born: each builds its table already reduced mod n
+(apply_coboundary, invert_cocycle and multiply_cocycles in their own
+comprehension) and hands it over, so it is neither copied nor reduced a
+second time.  Cocycle itself copies and reduces the table it is given,
+because a caller's dict may hold any integers and may change afterwards.
 """
 
 from __future__ import annotations
@@ -67,6 +72,14 @@ class Cocycle(BindOnce):
         self.table = MappingProxyType({pair: k % n for pair, k in table.items()})
         self.checked = False
 
+    @classmethod
+    def _born(cls, gpd: Groupoid, n: int, table: dict) -> "Cocycle":
+        """A cocycle marked checked that owns table, a dict the caller has
+        just built with every value already in 0..n-1: it is wrapped
+        read-only, not copied or reduced again.  Only for tables valid by
+        construction."""
+        return cls._bind(gpd=gpd, n=n, table=MappingProxyType(table), checked=True)
+
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Cocycle)
@@ -88,9 +101,9 @@ def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
     comes out marked checked, as check_cocycle marks a cocycle: 0 is
     normalised and satisfies the 2-cocycle identity."""
     check_groupoid(gpd)
-    out = Cocycle(gpd, n, {pair: 0 for pair in composable_pairs(gpd)})
-    out.checked = True
-    return out
+    if n < 1:
+        raise ValueError("cocycle order must be positive")
+    return Cocycle._born(gpd, n, dict.fromkeys(composable_pairs(gpd), 0))
 
 
 def validate_cocycle(coc: Cocycle) -> list:
@@ -151,17 +164,15 @@ def _check_pair(x: Cocycle, y: Cocycle):
 def invert_cocycle(coc: Cocycle) -> Cocycle:
     """-coc, marked checked: the inverse of a cocycle is one."""
     check_cocycle(coc)
-    out = Cocycle(coc.gpd, coc.n, {p: -k for p, k in coc.table.items()})
-    out.checked = True
-    return out
+    n = coc.n
+    return Cocycle._born(coc.gpd, n, {p: -k % n for p, k in coc.table.items()})
 
 
 def multiply_cocycles(x: Cocycle, y: Cocycle) -> Cocycle:
     """x + y, marked checked: the product of two cocycles is one."""
     _check_pair(x, y)
-    out = Cocycle(x.gpd, x.n, {p: k + y.table[p] for p, k in x.table.items()})
-    out.checked = True
-    return out
+    n, yt = x.n, y.table
+    return Cocycle._born(x.gpd, n, {p: (k + yt[p]) % n for p, k in x.table.items()})
 
 
 # --- coboundaries ------------------------------------------------------------
@@ -182,13 +193,9 @@ def apply_coboundary(coc: Cocycle, b: Sequence[int]) -> Cocycle:
     bad = validate_coboundary(coc.gpd, coc.n, b)
     if bad:
         raise ValueError("; ".join(bad))
-    g = coc.gpd
-    table = {
-        (a, c): k + b[a] + b[c] - b[g.comp[(a, c)]] for (a, c), k in coc.table.items()
-    }
-    out = Cocycle(g, coc.n, table)
-    out.checked = True
-    return out
+    g, n, comp = coc.gpd, coc.n, coc.gpd.comp
+    return Cocycle._born(g, n, {(a, c): (k + b[a] + b[c] - b[comp[(a, c)]]) % n
+                                for (a, c), k in coc.table.items()})
 
 
 def brute_force_cohomologous(
@@ -311,7 +318,7 @@ def _solve_mod(diag, rhs, n):
             kernel.append((g, [n // g * r[i] % n for r in v]))
     if not solvable:
         return None, kernel
-    return [sum(r[k] * y[k] for k in range(cols)) % n for r in v], kernel
+    return [sum(map(int.__mul__, r, y)) % n for r in v], kernel
 
 
 @derived
@@ -402,10 +409,7 @@ def enumerate_cocycles(g: Groupoid, n: int, cap: int = 2 ** 20) -> list:
         steps = [[j * x for x in col] for j in range(order)]
         points = [tuple((x + y) % n for x, y in zip(p, s)) for s in steps for p in points]
     forced = {pair: 0 for pair in composable_pairs(g) if pair not in where}
-    out = [Cocycle(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
-    for coc in out:
-        coc.checked = True
-    return out
+    return [Cocycle._born(g, n, {**forced, **dict(zip(free, values))}) for values in sorted(points)]
 
 
 # --- gradings ----------------------------------------------------------------

@@ -32,6 +32,12 @@ catalog.pair_groupoid's, catalog.action_groupoid's, catalog.disjoint_union's
 and the total of build_twist's model twist.  So an unchecked groupoid
 comes only from Groupoid, tabulate or a file, and no gated function
 computes on one.
+Groupoid copies the comp it is given into its read-only table: a caller
+keeps its dict and may change it afterwards, so a table it passes in is
+never trusted.  build_twist's total is born checked through the private
+Groupoid._born instead, which hands over the dict build_twist has just
+built without a copy and binds the fields without BindOnce's per-field
+guard (BindOnce._bind); rebinding a field later raises all the same.
 validate_groupoid reports the violations as data, each kind of them in
 ascending order, so equal tables report equal lists, and it ignores the
 checked flag; check_groupoid raises them as one AxiomError through the
@@ -100,6 +106,17 @@ class BindOnce:
     def __delattr__(self, name):
         raise AttributeError("%s.%s cannot be deleted" % (type(self).__name__, name))
 
+    @classmethod
+    def _bind(cls, **fields):
+        """A new object with these fields bound as given: no __init__, no
+        copy and no per-field guard.  Only the born-checked constructors
+        call it, on tables the library has just built; rebinding a public
+        field afterwards raises as usual."""
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
 
 def derived(build):
     """build(obj, *args), kept in obj._derived[build] for the last args it
@@ -128,6 +145,15 @@ class Groupoid(BindOnce):
         self.comp = MappingProxyType(dict(comp))
         self.checked = False
         self._derived = {}
+
+    @classmethod
+    def _born(cls, units, src, rng, inv, comp: dict) -> "Groupoid":
+        """A groupoid marked checked that owns comp, a dict the caller has
+        just built and hands over: it is wrapped read-only, not copied.
+        units must be ascending.  Only for tables valid by construction."""
+        return cls._bind(src=tuple(src), rng=tuple(rng), inv=tuple(inv), m=len(src),
+                         units=tuple(units), unit_set=frozenset(units),
+                         comp=MappingProxyType(comp), checked=True, _derived={})
 
     def _arrows_by(self, ends) -> dict:
         """unit -> sorted tuple of the arrows a with ends[a] == unit."""
@@ -228,10 +254,13 @@ def homomorphism_failures(g: Groupoid, f, prod) -> list:
     arrow is a unit followed by generators, so the law holds everywhere
     once it holds there."""
     comp, by_src, rng = g.comp, g.arrows_by_src(), g.rng
-    if all(prod((f[e], f[d])) == f[comp[(e, d)]]
-           for d in chain(g.units, _generator_walk(g)) for e in by_src[rng[d]]):
-        return []
-    return sorted((e, d) for (e, d), ed in comp.items() if prod((f[e], f[d])) != f[ed])
+    for d in chain(g.units, _generator_walk(g)):
+        fd = f[d]
+        for e in by_src[rng[d]]:
+            if prod((f[e], fd)) != f[comp[(e, d)]]:
+                return sorted((e, d) for (e, d), ed in comp.items()
+                              if prod((f[e], f[d])) != f[ed])
+    return []
 
 
 def generator_middles(g: Groupoid):

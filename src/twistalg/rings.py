@@ -620,7 +620,9 @@ def _terms(text, gen):
 
 # --- ring spec strings -------------------------------------------------------
 
-_SPEC_RE = re.compile(r"(Z|Q|GF\((\d+)\)|GF\((\d+)\^2\)|Q\(zeta_(\d+)\))")
+# ASCII digits only, as in ring literals: \d and int() also take other
+# Unicode decimal digits, so GF(\u0663) would otherwise read as GF(3)
+_SPEC_RE = re.compile(r"(Z|Q|GF\(([0-9]+)\)|GF\(([0-9]+)\^2\)|Q\(zeta_([0-9]+)\))")
 
 
 def parse_ring(spec: str) -> Ring:

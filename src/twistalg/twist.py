@@ -22,8 +22,12 @@ invalid twist raises AxiomError of kind twist there, with validate_twist's
 violations, and keeps nothing.  build_twist's model twist is born checked:
 the model of a checked normalised cocycle is a twist by construction, so
 it and its total carry check_twist's marks and the gate is one flag read.
+It is made by the private Twist._born and Groupoid._born, which take over
+the comp and embed dicts build_twist has just built without a copy; Twist
+and Groupoid copy what a caller passes in, since the caller may change it.
 A twist read from a file or put together by hand is validated in full.
-The cocycle induced_cocycle returns is born checked the same way, so
+The cocycle induced_cocycle returns is born checked the same way
+(Cocycle._born, its exponents already in 0..n-1), so
 twists_isomorphic and EquivContext hand it on to check_cohomologous and
 invert_cocycle without validating it again.
 
@@ -58,7 +62,7 @@ from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
 from .groupoid import (
-    BindOnce, Groupoid, checked, composable_pairs, derived, homomorphism_failures,
+    BindOnce, Groupoid, checked, derived, homomorphism_failures,
     validate_groupoid,
 )
 
@@ -76,6 +80,14 @@ class Twist(BindOnce):
         self.proj = tuple(proj)
         self.checked = False
         self._derived = {}
+
+    @classmethod
+    def _born(cls, base: Groupoid, total: Groupoid, n: int, embed: dict, proj) -> "Twist":
+        """A twist marked checked that owns embed, a dict the caller has just
+        built: it is wrapped read-only, not copied.  Only for tables valid by
+        construction, over a checked base and total."""
+        return cls._bind(base=base, total=total, n=n, embed=MappingProxyType(embed),
+                         proj=tuple(proj), checked=True, _derived={})
 
     def fiber(self, a: int) -> tuple:
         """Total arrows over base arrow a, ascending."""
@@ -156,11 +168,9 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
         an, bn, abn = a * n, b * n, ab * n
         for k, l, x in pattern[table[(a, b)]]:
             comp[(an + k, bn + l)] = abn + x
-    total = Groupoid(units, src, rng, inv, comp)
-    embed = {(u, k): u * n + k for u in base.units for k in range(n)}
-    tw = Twist(base, total, n, embed, [e // n for e in range(base.m * n)])
-    tw.checked = total.checked = True
-    return tw
+    total = Groupoid._born(units, src, rng, inv, comp)
+    embed = {(u, k): u * n + k for u in base.units for k in ks}
+    return Twist._born(base, total, n, embed, [e // n for e in range(base.m * n)])
 
 
 def validate_twist(tw: Twist) -> list:
@@ -182,22 +192,26 @@ def validate_twist(tw: Twist) -> list:
         return ["projection hits a non-arrow"]
     if total.m != base.m * n:
         v.append("total groupoid size is not |base| * n")
+    fibers = tw._fibers()
     for a in range(base.m):
-        if len(tw.fiber(a)) != n:
-            v.append("fiber over arrow %d has size %d, want %d" % (a, len(tw.fiber(a)), n))
+        size = len(fibers.get(a, ()))
+        if size != n:
+            v.append("fiber over arrow %d has size %d, want %d" % (a, size, n))
     # projection is a homomorphism matching units to units bijectively
-    proj_units = {tw.proj[e] for e in total.units}
+    proj = tw.proj
+    proj_units = {proj[e] for e in total.units}
     if proj_units != base.unit_set or len(total.units) != len(base.units):
         v.append("projection does not restrict to a unit bijection")
-    for e in range(total.m):
-        if tw.proj[total.src[e]] != base.src[tw.proj[e]]:
+    bsrc, brng, binv = base.src, base.rng, base.inv
+    for e, (a, s, r, i) in enumerate(zip(proj, total.src, total.rng, total.inv)):
+        if proj[s] != bsrc[a]:
             v.append("projection breaks src at %d" % e)
-        if tw.proj[total.rng[e]] != base.rng[tw.proj[e]]:
+        if proj[r] != brng[a]:
             v.append("projection breaks rng at %d" % e)
-        if tw.proj[total.inv[e]] != base.inv[tw.proj[e]]:
+        if proj[i] != binv[a]:
             v.append("projection breaks inv at %d" % e)
     v += ["projection breaks composition at (%d, %d)" % pair
-          for pair in homomorphism_failures(total, tw.proj, base.comp.get)]
+          for pair in homomorphism_failures(total, proj, base.comp.get)]
     if v:
         return v
     # embedding: injective homomorphism of the unit bundle, exact fibers
@@ -224,7 +238,7 @@ def validate_twist(tw: Twist) -> list:
             got = total.comp.get((tw.embed[(u, k)], tw.embed[(u, 1 % n)]))
             if got != tw.embed[(u, l)]:
                 v.append("embedding is not a homomorphism at (%d, %d)" % (u, k))
-        if set(tw.fiber(u)) != {tw.embed[(u, k)] for k in range(n)}:
+        if set(fibers.get(u, ())) != {tw.embed[(u, k)] for k in range(n)}:
             v.append("exactness fails over unit %d" % u)
     if v:
         return v
@@ -269,8 +283,8 @@ def find_section(tw: Twist) -> tuple:
     unit fibers pick their unit, other fibers the least total index.
     Composing with the projection gives the identity by construction."""
     check_twist(tw)
-    units = tw.base.unit_set
-    return tuple(tw.embed[(a, 0)] if a in units else tw.fiber(a)[0] for a in range(tw.base.m))
+    units, embed, fibers = tw.base.unit_set, tw.embed, tw._fibers()
+    return tuple(embed[(a, 0)] if a in units else fibers[a][0] for a in range(tw.base.m))
 
 
 def validate_section(tw: Twist, sec) -> list:
@@ -323,11 +337,10 @@ def _induced_cocycle(tw: Twist, sec: tuple) -> Cocycle:
     bad = validate_section(tw, sec)
     if bad:
         raise ValueError("; ".join(bad))
-    k, comp = _exponent_table(tw, sec), tw.total.comp
-    coc = Cocycle(tw.base, tw.n, {(a, b): k[comp[(sec[a], sec[b])]]
-                                  for a, b in composable_pairs(tw.base)})
-    coc.checked = True
-    return coc
+    base, k, comp = tw.base, _exponent_table(tw, sec), tw.total.comp
+    by_rng = base.arrows_by_rng()
+    return Cocycle._born(base, tw.n, {(a, b): k[comp[(sec[a], sec[b])]]
+                                      for a, s in enumerate(base.src) for b in by_rng[s]})
 
 
 # An arrow bijection between two twists over one base, commuting with the

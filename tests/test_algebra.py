@@ -1,6 +1,7 @@
 """Convolution algebra: element arithmetic, star, decompositions, and the
 equivariant picture."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistalg as T
-from conftest import carry_cocycle, make_context, random_element, random_nonzero, table_contexts
+from conftest import (
+    carry_cocycle, make_context, random_element, random_nonzero, relabel_groupoid, table_contexts,
+)
 
 
 def ctx_q_pair2():
@@ -506,6 +509,115 @@ def test_psi_round_trip_and_multiplicative():
             rhs = T.convolve(T.psi(f, target), T.psi(g, target))
             assert lhs == rhs
             assert T.psi(T.equiv_star(f), target) == T.involute(T.psi(f, target))
+
+
+def dense_equiv_convolve(f, g) -> dict:
+    """n times the equivariant product at every total arrow x, from its
+    definition on the total groupoid: the sum of f(y) g(z) over every
+    composable pair (y, z) with yz = x, each value read by
+    EquivariantElement.value.  The z over one base arrow all give the same
+    term, so the sum counts each fiber n times."""
+    r = f.ectx.ctx.ring
+    out = {}
+    for (y, z), x in f.ectx.twist.total.comp.items():
+        out[x] = r.add(out.get(x, r.zero()), r.mul(f.value(y), g.value(z)))
+    return out
+
+
+def permuted_twist(tw, rnd):
+    """tw with its total arrows renamed by a random permutation, built by
+    hand and passed through check_twist."""
+    m = tw.total.m
+    perm = rnd.sample(range(m), m)
+    new = [None] * m
+    for e, p in enumerate(perm):
+        new[p] = e
+    return T.check_twist(T.Twist(
+        tw.base, relabel_groupoid(tw.total, perm), tw.n,
+        {key: perm[e] for key, e in tw.embed.items()}, [tw.proj[new[x]] for x in range(m)]))
+
+
+def other_section(tw, rnd):
+    """A section that is not find_section's: a random point of each
+    non-unit fiber."""
+    units = tw.base.unit_set
+    return [s if a in units else rnd.choice(tw.fiber(a)) for a, s in enumerate(T.find_section(tw))]
+
+
+def oracle_supports(base, rnd):
+    """(kind, f support, g support) pairs: sparse, full, disjoint halves,
+    and disjoint supports apart, f on the arrows out of one unit u and g on
+    the arrows neither out of nor into u, so that f g is zero."""
+    arrows = list(range(base.m))
+    half = set(rnd.sample(arrows, base.m // 2))
+    u = base.units[0]
+    yield "sparse", rnd.sample(arrows, min(2, base.m)), rnd.sample(arrows, min(2, base.m))
+    yield "full", arrows, arrows
+    yield "halves", sorted(half), [a for a in arrows if a not in half]
+    yield ("apart", [a for a in arrows if base.src[a] == u],
+           [a for a in arrows if u not in (base.src[a], base.rng[a])])
+
+
+def oracle_cocycles(g, n, rnd):
+    """Two order-n cocycles on g, each perturbed by a random coboundary:
+    the last listed one (which carries a nonzero class wherever H^2 is
+    nonzero) and a random one; on pair4 at n = 4, whose 2^18 cocycles are
+    all coboundaries, the trivial one stands in for the list."""
+    try:
+        listed = T.enumerate_cocycles(g, n, cap=2 ** 15)
+    except ValueError:
+        listed = [T.trivial_cocycle(g, n)]
+    for coc in (listed[-1], rnd.choice(listed)):
+        yield T.apply_coboundary(coc, [0 if a in g.unit_set else rnd.randrange(-n, 2 * n)
+                                       for a in range(g.m)])
+
+
+def test_equiv_convolve_matches_the_dense_sum():
+    """Oracle for the support walk of equiv_convolve: n times its product
+    equals the dense sum over every composable pair of the total, at every
+    total arrow.  Every catalog groupoid, orders 2 and 4, over Q(zeta_4),
+    Q(zeta_8), GF(3^2) and GF(7^2); the model twist with its canonical
+    section and with another one, and a hand-built twist whose total arrows
+    are permuted; sparse, full and disjoint supports."""
+    rnd = random.Random(38)
+    rings = [T.parse_ring(spec) for spec in ("Q(zeta_4)", "Q(zeta_8)", "GF(3^2)", "GF(7^2)")]
+    cases, zero_products = 0, 0
+    for name in T.CATALOG:
+        g = T.build(name)
+        for n in (2, 4):
+            for coc, ring in zip(itertools.cycle(oracle_cocycles(g, n, rnd)), rings):
+                tgrp = T.unit_subgroup(ring, n)
+                tw = T.build_twist(g, coc)
+                moved = permuted_twist(tw, rnd)
+                for twist, sec in ((tw, T.find_section(tw)), (tw, other_section(tw, rnd)),
+                                   (moved, T.find_section(moved))):
+                    ectx = T.EquivContext(twist, sec, ring, tgrp)
+                    for kind, fs, gs in oracle_supports(g, rnd):
+                        f = T.EquivariantElement(ectx, {a: random_unit(ring, rnd) for a in fs})
+                        h = T.EquivariantElement(ectx, {a: random_unit(ring, rnd) for a in gs})
+                        fh = T.equiv_convolve(f, h)
+                        dense = dense_equiv_convolve(f, h)
+                        for x in range(twist.total.m):
+                            assert n_times(ring, n, fh.value(x)) == dense[x], (name, n, kind, x)
+                        if kind == "apart":
+                            assert not fh.h
+                        zero_products += not fh.h
+                        cases += 1
+    assert cases == len(T.CATALOG) * 2 * 4 * 3 * 4 and zero_products >= len(T.CATALOG) * 2 * 4 * 3
+
+
+def random_unit(ring, rnd):
+    while True:
+        x = ring.random_element(rnd)
+        if not ring.is_zero(x):
+            return x
+
+
+def n_times(ring, n, x):
+    out = ring.zero()
+    for _ in range(n):
+        out = ring.add(out, x)
+    return out
 
 
 def test_psi_rejects_wrong_target_cocycle():

@@ -844,6 +844,14 @@ def test_oversize_ring_spec_is_one_error(spec, message, fx, capsys):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("spec", ["GF(\u0663)", "GF(\uff11\uff13)", "Q(zeta_\u0664)"])
+def test_non_ascii_ring_spec_is_one_error(spec, fx, tmp_path, capsys):
+    dg = write(tmp_path, "dg.elt", "element\ncoeff 1 1\n")
+    code, out, err = run(capsys, "mul", "--ring", spec, "--groupoid", str(fx / "z2.gpd"), dg, dg)
+    assert_one_error_line(code, out, err)
+    assert err == "error: unknown ring spec %r\n" % spec
+
+
 def test_unit_subgroup_of_the_largest_quadratic_field_is_fast(fx, tmp_path, capsys):
     # -1, the element of order 2, comes last in GF(1021^2)'s elements()
     dg = write(tmp_path, "dg.elt", "element\ncoeff 1 1\n")

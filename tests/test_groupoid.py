@@ -625,3 +625,83 @@ def test_public_attributes_bind_once(index):
     obj.checked = True
     obj.checked = False
     assert not obj.checked
+
+
+# --- born-checked constructors own their tables ------------------------------
+
+
+def born_objects():
+    """(constructor, object) for every constructor that hands a table it has
+    just built to a private constructor: build_twist's total and twist, and
+    the cocycles of trivial_cocycle, invert_cocycle, multiply_cocycles,
+    apply_coboundary (its b has negative entries and entries of n or more),
+    induced_cocycle and enumerate_cocycles."""
+    g, n = T.build("s3"), 4
+    listed = T.enumerate_cocycles(g, n)
+    coc = listed[-1]
+    b = [0 if a in g.unit_set else k for a, k in zip(range(g.m), (-7, 5, -1, 9, 4, -4))]
+    tw = T.build_twist(g, coc)
+    sec = list(T.find_section(tw))
+    sec[1] = tw.act(3, sec[1])  # not the canonical section: its cocycle differs
+    return [
+        ("build_twist total", tw.total), ("build_twist", tw),
+        ("trivial_cocycle", T.trivial_cocycle(g, n)), ("invert_cocycle", T.invert_cocycle(coc)),
+        ("multiply_cocycles", T.multiply_cocycles(coc, listed[-2])),
+        ("apply_coboundary", T.apply_coboundary(coc, b)),
+        ("induced_cocycle", T.induced_cocycle(tw, sec)),
+    ] + [("enumerate_cocycles", c) for c in listed[::97]]
+
+
+def test_born_objects_equal_their_public_copies():
+    """Each born object is == to the one the public constructor builds from
+    the same tables, with the same hash and fields of the same types, and
+    it comes out marked."""
+    for name, obj in born_objects():
+        copy = unmarked(obj)
+        assert obj.checked and not copy.checked, name
+        assert copy == obj and obj == copy and hash(copy) == hash(obj), name
+        for field in type(obj).__slots__:
+            if field[0] != "_" and field != "checked":
+                assert type(getattr(obj, field)) is type(getattr(copy, field)), (name, field)
+
+
+def test_born_cocycle_values_are_reduced():
+    cocycles = [(name, obj) for name, obj in born_objects() if isinstance(obj, T.Cocycle)]
+    assert len(cocycles) == 16
+    for name, coc in cocycles:
+        assert all(0 <= k < coc.n for k in coc.table.values()), name
+        assert T.validate_cocycle(unmarked(coc)) == [], name
+
+
+def test_born_objects_bind_once_and_keep_read_only_tables():
+    for name, obj in born_objects():
+        public = [f for f in type(obj).__slots__ if f != "checked" and f[0] != "_"]
+        for field in public:
+            with pytest.raises(AttributeError, match="already set"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError, match="cannot be deleted"):
+                delattr(obj, field)
+        for field in ("comp", "table", "embed"):
+            if field in public:
+                assert_read_only(getattr(obj, field))
+
+
+def test_public_constructors_copy_and_reduce():
+    """A caller's table is never trusted: mutating the dict handed to
+    Groupoid, Cocycle or Twist afterwards leaves the object unchanged, and
+    Cocycle reduces every value mod n."""
+    g = T.build("z2")
+    comp = dict(g.comp)
+    h = T.Groupoid(g.units, g.src, g.rng, g.inv, comp)
+    comp[(1, 1)], comp[(2, 2)] = 1, 0
+    assert h == g and dict(h.comp) == dict(g.comp)
+    table = {pair: k for pair, k in zip(sorted(g.comp), (4, -2, 6, -3))}
+    coc = T.Cocycle(g, 2, table)
+    table[(1, 1)] = 0
+    assert dict(coc.table) == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    assert coc == T.z2_neg_cocycle()
+    tw = T.build_twist(g, coc)
+    embed = dict(tw.embed)
+    copy = T.Twist(g, tw.total, 2, embed, tw.proj)
+    embed[(0, 1)] = 0
+    assert copy == tw and dict(copy.embed) == dict(tw.embed)

@@ -680,6 +680,14 @@ def test_parse_ring_refusal_messages(spec, msg):
     assert _message(T.parse_ring, spec) == msg
 
 
+# ASCII digits only, like ring literals: \d and int() would read the Arabic-
+# Indic three and the fullwidth one and three as 3 and 13
+@pytest.mark.parametrize("spec", ["GF(\u0663)", "GF(\uff11\uff13)", "Q(zeta_\u0664)",
+                                  "GF(\u0663^2)"])
+def test_ring_specs_are_ascii_decimal(spec):
+    assert _message(T.parse_ring, spec) == "unknown ring spec %r" % spec
+
+
 @pytest.mark.parametrize("spec,n,msg", [
     ("Z", 0, "subgroup order must be positive"),
     ("Z", 3, "Z has no order-3 unit subgroup"),
