@@ -43,8 +43,10 @@ from .twist import Twist, _exponent_table, induced_cocycle
 
 class Context(BindOnce):
     """Everything an algebra element needs to multiply and star.  Its
-    fields bind once (BindOnce); regular() and structure._scan_tables are
-    kept on the context (derived)."""
+    fields bind once (BindOnce); regular(), and the two tables read off it,
+    structure._closure_table (the ideal closure test's per-arrow reads) and
+    structure._scan_tables (the simplicity scan's recipes), are kept on the
+    context (derived)."""
 
     __slots__ = ("gpd", "ring", "tgrp", "coc", "conj", "_derived")
 

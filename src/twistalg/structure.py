@@ -18,14 +18,19 @@ sides for each generator s is closed under every delta_a.  The units stay
 in the set because a unit need not be such a word: pair1 + pair1 has no
 generator at all, and there the span of delta_0 + delta_1 passes the
 generators but is not an ideal.  _images reads those one-sided products
-off the context's regular-representation table (Context.regular), which
-convolve and the simplicity scan share.
+off _closure_table, which inverts the context's regular-representation
+table (Context.regular, which convolve and the simplicity scan share) to
+list, per arrow c, each (arm, target, exponent) whose entry reads c; an
+arm is one closer on one side.  So the images of a row cost a walk over
+its own support, not over every entry of every arm: on pair_groupoid(n)
+an arm has n entries, and most rows the worklist queues have two.
 
 The test runs once per ideal.  An Ideal given a basis (by a caller, a file
 or the structural certificate) checks that the basis is RREF and closed.
 ideal_generated instead closes a worklist under the same arrows: every
 row that enlarges its span queues its images, so the finished span is
-closed by construction, and that is its closure check.
+closed by construction, and that is its closure check.  Both read the one
+_closure_table kept on the context (derived).
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -185,19 +190,39 @@ def reduce_against(ring, basis: list, vec) -> list:
     return [rem.get(j, ring.zero()) for j in range(len(vec))]
 
 
-def _images(ctx: Context):
-    """The closure test's arrows, read off the context's table: a function
-    of a sparse row v that yields (a, side, delta_a v or v delta_a) for a
-    in the units and the generators, ascending, left before right."""
+@derived
+def _closure_table(ctx: Context):
+    """(arms, reads) for the closure test, read off ctx.regular(): arms
+    lists (a, side) for a in the units and the generators, ascending, left
+    before right; reads[c] lists (i, t, k) for each entry of arm i that
+    reads the arrow c, which that arm sends to g^k delta_t.  Kept on ctx
+    (derived), so generation and every Ideal check share it."""
     left, right = ctx.regular()
-    tgrp = ctx.tgrp
-    arms = [(a, side, entries)
-            for a in sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd)))
-            for side, entries in (("left", left[a]), ("right", right[a]))]
+    arms, reads = [], [[] for _ in range(ctx.gpd.m)]
+    for a in sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd))):
+        for side, entries in (("left", left[a]), ("right", right[a])):
+            for c, t, k in entries:
+                reads[c].append((len(arms), t, k))
+            arms.append((a, side))
+    return arms, reads
+
+
+def _images(ctx: Context):
+    """The closure test's arrows: a function of a sparse row v that lists
+    (a, side, delta_a v or v delta_a) for a in the units and the
+    generators, ascending, left before right, empty images included.  It
+    walks only v's support, through _closure_table's per-arrow reads.  Like
+    tgrp.scale it skips exponent 0; table exponents are already reduced
+    mod n."""
+    arms, reads = _closure_table(ctx)
+    mul, powers = ctx.ring.mul, ctx.tgrp.powers
 
     def images(v: dict):
-        for a, side, entries in arms:
-            yield a, side, {t: tgrp.scale(k, v[c]) for c, t, k in entries if c in v}
+        out = [{} for _ in arms]
+        for c, x in v.items():
+            for i, t, k in reads[c]:
+                out[i][t] = mul(powers[k], x) if k else x
+        return [(a, side, w) for (a, side), w in zip(arms, out)]
     return images
 
 

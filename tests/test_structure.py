@@ -282,6 +282,37 @@ def test_units_stay_among_the_closers():
     assert str(exc.value) == msg
 
 
+@pytest.mark.parametrize("ring_spec", ["GF(3)", "GF(3^2)", "Q", "Q(zeta_4)"])
+def test_images_match_convolve_at_every_arm(ring_spec):
+    """Oracle for the closure test's support walk: _images(ctx)(v) yields,
+    for each closer a ascending and left before right, exactly delta_a * v
+    and v * delta_a worked out by convolve, empty images included.  The
+    rows are sparse, dense, and one arrow each, which most arms do not
+    read; the contexts are closure_contexts' and pair_groupoid(6)'s."""
+    rnd = random.Random("images/" + ring_spec)
+    ring = T.parse_ring(ring_spec)
+    g6 = T.pair_groupoid(6)
+    pair6 = [make_context(g6, ring_spec, coc=T.apply_coboundary(T.trivial_cocycle(g6, n), [
+        0 if a in g6.unit_set else rnd.randrange(n) for a in range(g6.m)])) for n in (1, 2)]
+    empty = 0
+    for ctx in itertools.chain(closure_contexts(ring_spec, rnd), pair6):
+        m, images = ctx.gpd.m, S._images(ctx)
+        # every arrow, nonzero, listed in a shuffled order
+        dense = [(a, x if not ring.is_zero(x) else ring.one())
+                 for a in rnd.sample(range(m), m) for x in [ring.random_element(rnd)]]
+        rows = [random_nonzero(ctx, rnd, 2 / m), random_nonzero(ctx, rnd, 0.5), dict(dense)]
+        rows += [{c: dense[0][1]} for c in rnd.sample(range(m), min(m, 4))]
+        for v in rows:
+            f = T.from_coeffs(ctx, v) if isinstance(v, dict) else v
+            want = [(a, side, (T.convolve(d, f) if side == "left" else T.convolve(f, d)).coeffs)
+                    for a in closers(ctx.gpd) for d in [T.delta(ctx, a)]
+                    for side in ("left", "right")]
+            got = list(images(dict(f.coeffs) if v is f else v))
+            assert got == want, (ctx.gpd, ctx.coc.table, f.coeffs)
+            empty += sum(not w for _, _, w in got)
+    assert empty > 1000
+
+
 def test_closure_check_stops_at_three_violations(monkeypatch):
     calls = []
     remainder = S.Echelon.remainder
@@ -351,23 +382,26 @@ def test_generated_ideals_match_the_product_span():
 
 
 def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
-    built, reduced = [], []
-    regular, remainder = T.Context.regular, S.Echelon.remainder
+    built, closure, reduced = [], [], []
+    regular, table, remainder = T.Context.regular, S._closure_table, S.Echelon.remainder
     # a call that finds the context's table empty builds it
     monkeypatch.setattr(T.Context, "regular", lambda ctx: built.append(kept(ctx, regular) is None) or regular(ctx))
+    monkeypatch.setattr(S, "_closure_table", lambda ctx: closure.append(kept(ctx, table) is None) or table(ctx))
     monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: reduced.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair2_pair2"), "GF(3)")
     ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
     assert 0 < ideal.dim < ctx.gpd.m
-    assert (built, len(reduced)) == ([True], 0)
-    # a basis handed to Ideal is checked in full: a reduction per row,
-    # closer and side
+    # the closure table is read off the regular table, each built once
+    assert (built, closure, len(reduced)) == ([True], [True], 0)
+    # a basis handed to Ideal is checked in full, through the kept closure
+    # table: a reduction per row, closer and side
     assert T.Ideal(ctx, ideal.basis) == ideal
     assert len(reduced) == ideal.dim * len(closers(ctx.gpd)) * 2
-    # products and the exhaustive scan read the same table
+    assert (built, closure) == ([True], [True, False])
+    # products and the exhaustive scan read the same regular table
     assert T.convolve(T.delta(ctx, 1), T.one(ctx)) == T.delta(ctx, 1)
     assert T.is_simple(ctx, mode="exhaustive").simple is False
-    assert built == [True, False, False, False]
+    assert (built, closure) == ([True, False, False], [True, False])
 
 
 def test_generating_set_walks_once_per_groupoid(monkeypatch):
@@ -444,6 +478,39 @@ def test_ideal_generated_contains_generators():
             assert ideal.member(T.convolve(T.delta(ctx, a), f))
             assert ideal.member(T.convolve(f, T.delta(ctx, a)))
         assert 0 < ideal.dim <= ctx.gpd.m
+
+
+@pytest.mark.parametrize("ring_spec,dense_cap", [("GF(3)", 256), ("Q", 16)])
+def test_generated_ideals_at_growth_sizes_are_their_blocks(ring_spec, dense_cap):
+    """On pair_groupoid(16) and pair_groupoid(12) + pair_groupoid(4) the
+    ideal of f is the sum of the matrix blocks f touches: its dimension is
+    the sum of k^2 over them, and an element is a member exactly when its
+    support lies inside them.  Generators are 2-sparse in each block, one
+    arrow in each of two blocks, and half dense on the whole groupoid and
+    on each block, up to dense_cap arrows: over Q, a half-dense generator
+    on 256 arrows costs over a second of Fraction elimination."""
+    rnd = random.Random("growth/" + ring_spec)
+    for g in (T.pair_groupoid(16), T.disjoint_union(T.pair_groupoid(12), T.pair_groupoid(4))):
+        ctx, one = make_context(g, ring_spec), T.parse_ring(ring_spec).one()
+        blocks = [[a for a in range(g.m) if g.src[a] in orb] for orb in T.orbits(g)]
+        rows = lambda support, k: T.from_coeffs(ctx, dict.fromkeys(rnd.sample(support, k), one))
+        parts = [([i], block) for i, block in enumerate(blocks)]
+        if len(blocks) > 1:
+            parts.append((range(len(blocks)), range(g.m)))
+        gens = [(touched, rows(support, 2)) for touched, support in parts[:len(blocks)]]
+        gens += [(touched, rows(support, len(support) // 2))
+                 for touched, support in parts if len(support) <= dense_cap]
+        if len(blocks) > 1:
+            gens.append((range(len(blocks)), rows(blocks[0], 1) + rows(blocks[1], 1)))
+        for touched, f in gens:
+            inside = [a for i in touched for a in blocks[i]]
+            assert set(f.coeffs) <= set(inside)
+            ideal = T.ideal_generated(ctx, [f])
+            assert ideal.dim == sum(len(blocks[i]) for i in touched)
+            for support in (inside, range(g.m)):
+                for _ in range(3):
+                    h = rows(support, 2)
+                    assert ideal.member(h) is (set(h.coeffs) <= set(inside))
 
 
 def test_ideal_generated_full_on_minimal_effective():
