@@ -43,8 +43,8 @@ from .twist import Twist, _exponent_table, induced_cocycle
 
 class Context(BindOnce):
     """Everything an algebra element needs to multiply and star.  Its
-    fields bind once (BindOnce); regular(), and the two tables read off it,
-    structure._closure_table (the ideal closure test's per-arrow reads) and
+    fields bind once (BindOnce); regular(), and what is read off it,
+    structure._images (the ideal closure test's per-arrow reads) and
     structure._scan_tables (the simplicity scan's recipes), are kept on the
     context (derived)."""
 

@@ -99,11 +99,12 @@ class Cocycle(BindOnce):
 def trivial_cocycle(gpd: Groupoid, n: int) -> Cocycle:
     """0 on every composable pair; gpd passes check_groupoid first.  It
     comes out marked checked, as check_cocycle marks a cocycle: 0 is
-    normalised and satisfies the 2-cocycle identity."""
+    normalised and satisfies the 2-cocycle identity.  Its table is keyed
+    by comp's own pair tuples, in ascending order, not by copies."""
     check_groupoid(gpd)
     if n < 1:
         raise ValueError("cocycle order must be positive")
-    return Cocycle._born(gpd, n, dict.fromkeys(composable_pairs(gpd), 0))
+    return Cocycle._born(gpd, n, dict.fromkeys(sorted(gpd.comp), 0))
 
 
 def validate_cocycle(coc: Cocycle) -> list:

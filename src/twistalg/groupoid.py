@@ -38,7 +38,6 @@ never trusted.  build_twist's total is born checked through the private
 Groupoid._born instead, which hands over the dict build_twist has just
 built without a copy and binds the fields without BindOnce's per-field
 guard (BindOnce._bind); rebinding a field later raises all the same.
-tabulate hands over its own fresh comp the same way, but unmarked.
 validate_groupoid reports the violations as data, each kind of them in
 ascending order, so equal tables report equal lists, and it ignores the
 checked flag; check_groupoid raises them as one AxiomError through the
@@ -148,14 +147,13 @@ class Groupoid(BindOnce):
         self._derived = {}
 
     @classmethod
-    def _born(cls, units, src, rng, inv, comp: dict, checked: bool = True) -> "Groupoid":
-        """A groupoid that owns comp, a dict the caller has just built and
-        hands over: it is wrapped read-only, not copied.  units must be
-        ascending.  Marked checked, which is only for tables valid by
-        construction, unless checked is False (tabulate's)."""
+    def _born(cls, units, src, rng, inv, comp: dict) -> "Groupoid":
+        """A groupoid marked checked that owns comp, a dict the caller has
+        just built and hands over: it is wrapped read-only, not copied.
+        units must be ascending.  Only for tables valid by construction."""
         return cls._bind(src=tuple(src), rng=tuple(rng), inv=tuple(inv), m=len(src),
                          units=tuple(units), unit_set=frozenset(units),
-                         comp=MappingProxyType(comp), checked=checked, _derived={})
+                         comp=MappingProxyType(comp), checked=True, _derived={})
 
     def _arrows_by(self, ends) -> dict:
         """unit -> sorted tuple of the arrows a with ends[a] == unit."""
@@ -431,11 +429,9 @@ def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
 
     src, rng and inv send a label to a label, and mul(a, b) is the label of
     the product; the units are the labels that are their own source, and
-    comp is filled in ascending order on every pair with src(a) == rng(b),
-    and the result owns that dict (Groupoid._born, without a copy).
-    Nothing is checked here, and the result comes out unmarked:
-    check_groupoid checks it, directly or through the gate of a cocycle,
-    grading or twist built on it, unless the caller marks it.
+    comp is filled in ascending order on every pair with src(a) == rng(b).
+    Nothing is checked here: check_groupoid checks the result, directly or
+    through the gate of a cocycle, grading or twist built on it.
     """
     labels = sorted(arrows)
     index = {a: i for i, a in enumerate(labels)}
@@ -447,7 +443,7 @@ def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
     comp = {(i, b): index[mul(a, labels[b])]
             for i, a in enumerate(labels) for b in by_rng.get(s[i], ())}
     units = [i for i, x in enumerate(s) if x == i]
-    return Groupoid._born(units, s, r, [index[inv(a)] for a in labels], comp, checked=False)
+    return Groupoid(units, s, r, [index[inv(a)] for a in labels], comp)
 
 
 def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):

@@ -18,8 +18,8 @@ sides for each generator s is closed under every delta_a.  The units stay
 in the set because a unit need not be such a word: pair1 + pair1 has no
 generator at all, and there the span of delta_0 + delta_1 passes the
 generators but is not an ideal.  _images reads those one-sided products
-off _closure_table, which inverts the context's regular-representation
-table (Context.regular, which convolve and the simplicity scan share) to
+off the context's regular-representation table (Context.regular, which
+convolve and the simplicity scan share), inverted once per context to
 list, per arrow c, each (arm, target, exponent) whose entry reads c; an
 arm is one closer on one side.  So the images of a row cost a walk over
 its own support, not over every entry of every arm: on pair_groupoid(n)
@@ -29,8 +29,8 @@ The test runs once per ideal.  An Ideal given a basis (by a caller, a file
 or the structural certificate) checks that the basis is RREF and closed.
 ideal_generated instead closes a worklist under the same arrows: every
 row that enlarges its span queues its images, so the finished span is
-closed by construction, and that is its closure check.  Both read the one
-_closure_table kept on the context (derived).
+closed by construction, and that is its closure check.  Both use the one
+_images kept on the context (derived).
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -191,36 +191,32 @@ def reduce_against(ring, basis: list, vec) -> list:
 
 
 @derived
-def _closure_table(ctx: Context):
-    """(arms, reads) for the closure test, read off ctx.regular(): arms
-    lists (a, side) for a in the units and the generators, ascending, left
-    before right; reads[c] lists (i, t, k) for each entry of arm i that
-    reads the arrow c, which that arm sends to g^k delta_t.  Kept on ctx
-    (derived), so generation and every Ideal check share it."""
+def _images(ctx: Context):
+    """The closure test's arrows: a function of a sparse row v that lists
+    (a, side, delta_a v or v delta_a) for a in the units and the
+    generators, ascending, left before right, empty images included.  An
+    arm is one such a on one side.  Built once per context and kept there
+    (derived), off ctx.regular(): reads[c] holds, flat (three ints an
+    entry, not a tuple each, as the table stays for the context's life),
+    (i, t, k) for each entry of arm i that reads the arrow c, which arm i
+    sends to g^k delta_t, so the images walk only v's support.  Like
+    tgrp.scale they skip exponent 0; table exponents are already reduced
+    mod n."""
     left, right = ctx.regular()
     arms, reads = [], [[] for _ in range(ctx.gpd.m)]
     for a in sorted(set(ctx.gpd.units) | set(generating_set(ctx.gpd))):
         for side, entries in (("left", left[a]), ("right", right[a])):
             for c, t, k in entries:
-                reads[c].append((len(arms), t, k))
+                reads[c] += (len(arms), t, k)
             arms.append((a, side))
-    return arms, reads
-
-
-def _images(ctx: Context):
-    """The closure test's arrows: a function of a sparse row v that lists
-    (a, side, delta_a v or v delta_a) for a in the units and the
-    generators, ascending, left before right, empty images included.  It
-    walks only v's support, through _closure_table's per-arrow reads.  Like
-    tgrp.scale it skips exponent 0; table exponents are already reduced
-    mod n."""
-    arms, reads = _closure_table(ctx)
+    reads = [tuple(r) for r in reads]
     mul, powers = ctx.ring.mul, ctx.tgrp.powers
 
     def images(v: dict):
         out = [{} for _ in arms]
         for c, x in v.items():
-            for i, t, k in reads[c]:
+            r = iter(reads[c])
+            for i, t, k in zip(r, r, r):
                 out[i][t] = mul(powers[k], x) if k else x
         return [(a, side, w) for (a, side), w in zip(arms, out)]
     return images

@@ -29,11 +29,11 @@ def test_ideals_reuse_their_tables():
     def run():
         ideal = T.ideal_generated(ctx, [T.delta(ctx, 1) + T.delta(ctx, 2)])
         assert T.ck_witness(ctx, ideal)
-        # a basis handed over is checked through the same closure table
+        # a basis handed over is checked through the same closure images
         assert T.Ideal(ctx, ideal.basis) == ideal
     tables, ctx_tables = assert_reused(run, g, ctx)
     assert {T.Groupoid.arrows_by_rng.__wrapped__, _generator_walk.__wrapped__} <= tables.keys()
-    assert {T.Context.regular.__wrapped__, T.structure._closure_table.__wrapped__} <= ctx_tables.keys()
+    assert {T.Context.regular.__wrapped__, T.structure._images.__wrapped__} <= ctx_tables.keys()
 
 
 def test_exhaustive_scan_reuses_its_tables():

@@ -235,33 +235,6 @@ def test_tabulate_indexes_sorted_labels():
     assert "left unit law fails at arrow 1" in T.validate_groupoid(g)
 
 
-def test_tabulate_output_is_unmarked_and_reads_as_a_public_copy():
-    """tabulate hands its comp over without a copy: the result equals the
-    public Groupoid built from its fields, with fields of the same types,
-    stays unmarked, binds once and keeps comp read-only; the valid tables
-    validate and the broken one does not."""
-    n = 4
-    pair = G.tabulate([(x, y) for x in range(n) for y in range(n)], lambda a: (a[1], a[1]),
-                      lambda a: (a[0], a[0]), lambda a: (a[1], a[0]), lambda a, b: (a[0], b[1]))
-    cyclic = G.tabulate(range(4), lambda a: 0, lambda a: 0, lambda a: -a % 4,
-                        lambda a, b: (a + b) % 4)
-    broken = G.tabulate(["s", "e", "t"], lambda a: "e", lambda a: "e", lambda a: a,
-                        lambda a, b: "e")
-    assert pair == T.pair_groupoid(n) and cyclic == T.build("z4")
-    for g, valid in ((pair, True), (cyclic, True), (broken, False)):
-        copy = T.Groupoid(g.units, g.src, g.rng, g.inv, g.comp)
-        assert not g.checked and not copy.checked
-        assert g == copy and copy == g and hash(g) == hash(copy)
-        for field in T.Groupoid.__slots__:
-            if field[0] != "_" and field != "checked":
-                assert type(getattr(g, field)) is type(getattr(copy, field)), field
-                with pytest.raises(AttributeError, match="already set"):
-                    setattr(g, field, getattr(g, field))
-        assert_read_only(g.comp)
-        assert (T.validate_groupoid(g) == []) is valid
-        assert not g.checked
-
-
 def test_bisection_product_rejects_a_non_bisection():
     # the whole of pair2 is no bisection; its product with the unit at
     # point 1 has two arrows with that source

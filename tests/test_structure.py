@@ -383,18 +383,18 @@ def test_generated_ideals_match_the_product_span():
 
 def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
     built, closure, reduced = [], [], []
-    regular, table, remainder = T.Context.regular, S._closure_table, S.Echelon.remainder
+    regular, images, remainder = T.Context.regular, S._images, S.Echelon.remainder
     # a call that finds the context's table empty builds it
     monkeypatch.setattr(T.Context, "regular", lambda ctx: built.append(kept(ctx, regular) is None) or regular(ctx))
-    monkeypatch.setattr(S, "_closure_table", lambda ctx: closure.append(kept(ctx, table) is None) or table(ctx))
+    monkeypatch.setattr(S, "_images", lambda ctx: closure.append(kept(ctx, images) is None) or images(ctx))
     monkeypatch.setattr(S.Echelon, "remainder", lambda self, w: reduced.append(1) or remainder(self, w))
     ctx = make_context(T.build("pair2_pair2"), "GF(3)")
     ideal = T.ideal_generated(ctx, [T.delta(ctx, 1)])
     assert 0 < ideal.dim < ctx.gpd.m
-    # the closure table is read off the regular table, each built once
+    # the closure images are read off the regular table, each built once
     assert (built, closure, len(reduced)) == ([True], [True], 0)
     # a basis handed to Ideal is checked in full, through the kept closure
-    # table: a reduction per row, closer and side
+    # images: a reduction per row, closer and side
     assert T.Ideal(ctx, ideal.basis) == ideal
     assert len(reduced) == ideal.dim * len(closers(ctx.gpd)) * 2
     assert (built, closure) == ([True], [True, False])
