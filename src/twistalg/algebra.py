@@ -265,10 +265,13 @@ def disjoint_decomposition(f: Element) -> list:
 
 
 def local_unit(ctx: Context, fs: Iterable[Element]) -> Element:
-    """Unit-set indicator fixing every listed element on both sides."""
+    """Unit-set indicator fixing every listed element on both sides; an
+    element of another context raises ValueError."""
     gpd = ctx.gpd
     units = set()
     for f in fs:
+        if f.ctx != ctx:
+            raise ValueError("element lives in a different context")
         for a in f.coeffs:
             units.add(gpd.src[a])
             units.add(gpd.rng[a])

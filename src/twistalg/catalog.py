@@ -4,15 +4,11 @@ Builders for the standard families (pair groupoids, group groupoids,
 transformation groupoids of finite group actions, disjoint unions) plus a
 small named catalog used by the test suite, the demos, and the CLI.  Pair
 groupoids, action groupoids and disjoint unions are rules on labelled
-arrows, (i, j), (g, x) and (block, arrow), that groupoid.tabulate indexes;
-a group's groupoid is the gpd its GroupTable was checked as.  pair_groupoid,
-action_groupoid and disjoint_union hand out their groupoid marked checked,
-as check_groupoid marks one, since it is valid by construction:
-action_groupoid refuses an action that is no homomorphism of its checked
-GroupTable, decided on units and generators of its groupoid by
-groupoid.homomorphism_failures, and disjoint_union passes both parts
-through check_groupoid first.  Every catalog entry carries the facts it
-is expected to satisfy; build() checks the axioms and those facts before
+arrows, (i, j), (g, x) and (block, arrow), valid by construction, which
+groupoid._tabulate indexes and hands out born checked; each builder's
+docstring says why its rule is valid.  A group's groupoid is the gpd its
+GroupTable was checked as.  Every catalog entry carries the facts it is
+expected to satisfy; build() checks the axioms and those facts before
 handing the groupoid out.
 The cocycle fixtures shipped with the catalog are built here as well;
 cocycle enumeration lives in the cocycle module, beside the solver it uses.
@@ -36,7 +32,7 @@ from .cocycle import (  # noqa: F401
     trivial_cocycle,
 )
 from .groupoid import (
-    Groupoid, check_groupoid, homomorphism_failures, is_effective, is_minimal, orbits, tabulate,
+    Groupoid, _tabulate, check_groupoid, homomorphism_failures, is_effective, is_minimal, orbits,
 )
 
 
@@ -44,21 +40,19 @@ def pair_groupoid(n: int) -> Groupoid:
     """Arrows (i, j) with 1 <= i, j <= n, indexed (i-1)*n + (j-1);
     (i, j) runs from unit j to unit i and (i, j)(j, k) = (i, k).
 
-    It comes out marked checked, as check_groupoid marks a groupoid: it is
-    valid by construction.  The arrows are the pairs of the full relation
-    on n points, composed as relations, which is associative; (j, j) is
-    the unit at j, and (j, i) is the inverse of (i, j)."""
+    It is born checked (groupoid._tabulate), valid by construction: the
+    arrows are the pairs of the full relation on n points, composed as
+    relations, which is associative; (j, j) is the unit at j, and (j, i)
+    is the inverse of (i, j)."""
     if n < 1:
         raise ValueError("need at least one point")
-    g = tabulate(
+    return _tabulate(
         itertools.product(range(1, n + 1), repeat=2),
         lambda a: (a[1], a[1]),
         lambda a: (a[0], a[0]),
         lambda a: (a[1], a[0]),
         lambda a, b: (a[0], b[1]),
     )
-    g.checked = True
-    return g
 
 
 def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupoid:
@@ -68,10 +62,10 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
     trivially and perms must compose like the group.  Arrow (g, x) runs
     from x to g.x and is indexed g*s + x.
 
-    It comes out marked checked, as check_groupoid marks a groupoid: an
-    action of a checked GroupTable that is a homomorphism makes a groupoid
-    by construction.  groupoid.homomorphism_failures decides the law on
-    the table's groupoid, and the least failing (g, h) is named."""
+    It is born checked (groupoid._tabulate): an action of a checked
+    GroupTable that is a homomorphism makes a groupoid by construction.
+    groupoid.homomorphism_failures decides the law on the table's
+    groupoid, and the least failing (g, h) is named."""
     k = table.order
     if len(perms) != k:
         raise ValueError("need one permutation per group element")
@@ -88,7 +82,7 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
     bad = homomorphism_failures(table.gpd, perms, lambda pq: tuple(pq[0][x] for x in pq[1]))
     if bad:
         raise ValueError("action is not a homomorphism at (%d, %d)" % bad[0])
-    g = tabulate(
+    return _tabulate(
         itertools.product(range(k), range(s)),
         lambda a: (e, a[1]),
         lambda a: (e, perms[a[0]][a[1]]),
@@ -96,27 +90,23 @@ def action_groupoid(table: GroupTable, perms: Sequence[Sequence[int]]) -> Groupo
         # (g, h.x) after (h, x) is (gh, x)
         lambda a, b: (table.table[a[0]][b[0]], b[1]),
     )
-    g.checked = True
-    return g
 
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Side-by-side union on arrows (block, arrow), so arrow a of g1 keeps
     index a and arrow a of g2 becomes g1.m + a.
 
-    Both parts pass check_groupoid first, and the union comes out marked
-    checked, as check_groupoid marks a groupoid: arrows of different blocks
-    never compose, so each block keeps the axioms of its part."""
+    Both parts pass check_groupoid first, and the union is born checked
+    (groupoid._tabulate): arrows of different blocks never compose, so
+    each block keeps the axioms of its part."""
     gs = (check_groupoid(g1), check_groupoid(g2))
-    g = tabulate(
+    return _tabulate(
         [(i, a) for i, g in enumerate(gs) for a in range(g.m)],
         lambda x: (x[0], gs[x[0]].src[x[1]]),
         lambda x: (x[0], gs[x[0]].rng[x[1]]),
         lambda x: (x[0], gs[x[0]].inv[x[1]]),
         lambda x, y: (x[0], gs[x[0]].comp[(x[1], y[1])]),
     )
-    g.checked = True
-    return g
 
 
 def klein_table() -> GroupTable:
@@ -220,16 +210,19 @@ def fixture_cocycles(name: str) -> "OrderedDict[str, Cocycle]":
 
 def emit_fixtures(dirpath: str, name: str = "all") -> list:
     """Write catalog groupoids (one name, or all) plus their cocycle
-    fixtures to dirpath; returns the file names written."""
+    fixtures to dirpath, made with its parents if missing; returns the
+    file names written.  Every groupoid is built first, so an unknown name
+    raises ValueError and leaves dirpath as it was."""
     import os
 
     from . import fileio
 
     names = list(CATALOG) if name == "all" else [name]
+    gs = [build(nm) for nm in names]
     os.makedirs(dirpath, exist_ok=True)
     written = []
-    for nm in names:
-        fileio.write_groupoid(os.path.join(dirpath, nm + ".gpd"), build(nm))
+    for nm, g in zip(names, gs):
+        fileio.write_groupoid(os.path.join(dirpath, nm + ".gpd"), g)
         written.append(nm + ".gpd")
         for fname, coc in fixture_cocycles(nm).items():
             fileio.write_cocycle(os.path.join(dirpath, fname), coc)

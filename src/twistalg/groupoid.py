@@ -9,9 +9,7 @@ compact open set and effectiveness collapses to principality because the
 interior of the isotropy is the isotropy itself.
 
 Composition is stored, not derived, in a read-only table, and no public
-attribute can be rebound once set (BindOnce).  tabulate builds a groupoid
-given by a rule on labelled arrows, indexing the labels in sorted order; it
-checks nothing, and neither does Groupoid.  check_groupoid is the gate.
+attribute can be rebound once set (BindOnce).  check_groupoid is the gate.
 Every public function here that reads a groupoid calls it first, and so do
 catalog.build, GroupTable, fileio's readers and writers, and check_cocycle,
 check_grading and check_twist for the groupoids their object stands on.
@@ -26,18 +24,21 @@ composition: a twist's projection and a twist morphism (validate_twist,
 validate_twist_morphism), a grading (validate_grading) and a group action
 (catalog.action_groupoid) all pass through it, and it names the failing
 pairs in ascending order.
-Where a library constructor's groupoid is valid by construction it comes
-out marked, as check_groupoid marks one: subgroupoid's (and so restrict's),
-catalog.pair_groupoid's, catalog.action_groupoid's, catalog.disjoint_union's
-and the total of build_twist's model twist.  So an unchecked groupoid
-comes only from Groupoid, tabulate or a file, and no gated function
-computes on one.
-Groupoid copies the comp it is given into its read-only table: a caller
-keeps its dict and may change it afterwards, so a table it passes in is
-never trusted.  build_twist's total is born checked through the private
-Groupoid._born instead, which hands over the dict build_twist has just
-built without a copy and binds the fields without BindOnce's per-field
-guard (BindOnce._bind); rebinding a field later raises all the same.
+Each object is checked once, at its gate or at its birth, and the
+checked flag is set true only by the gates: checked, which check_groupoid,
+check_cocycle and check_grading run, and check_twist, which marks a
+twist's base and total with it.  The public constructors Groupoid,
+Cocycle, Twist and Grading copy what they are given, since the caller
+keeps it and may change it, and hand it out unmarked; the library calls
+them only where a table comes from outside and meets its gate next.  A
+table the library builds valid by construction is born checked instead,
+through the private _born constructors: they take over the dict just
+built without a copy and bind the fields without BindOnce's per-field
+guard (BindOnce._bind), and rebinding a field later raises all the same.
+_tabulate is the one way from a rule on labelled arrows to such a
+groupoid, and every caller of _born or _tabulate says in its docstring
+why its table is valid.  So no gated function computes on an unchecked
+object.
 validate_groupoid reports the violations as data, each kind of them in
 ascending order, so equal tables report equal lists, and it ignores the
 checked flag; check_groupoid raises them as one AxiomError through the
@@ -424,14 +425,26 @@ def is_minimal(g: Groupoid) -> bool:
     return len(orbits(g)) == 1
 
 
-def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
-    """The groupoid on the labels in arrows, indexed in sorted order.
+def _arrows(m: int, arrows: Iterable[int]) -> list:
+    """arrows as a list, once each lies in 0..m-1; the first that does not
+    raises ValueError.  The functions that take arrows from a caller run it
+    after their gate."""
+    arrows = list(arrows)
+    for a in arrows:
+        if not 0 <= a < m:
+            raise ValueError("arrow %d is out of range" % a)
+    return arrows
+
+
+def _tabulate(arrows, src, rng, inv, mul) -> Groupoid:
+    """The groupoid on the labels in arrows, indexed in sorted order, born
+    checked (Groupoid._born) and owning the comp it has just filled.
 
     src, rng and inv send a label to a label, and mul(a, b) is the label of
     the product; the units are the labels that are their own source, and
     comp is filled in ascending order on every pair with src(a) == rng(b).
-    Nothing is checked here: check_groupoid checks the result, directly or
-    through the gate of a cocycle, grading or twist built on it.
+    Nothing is checked: it is only for rules valid by construction, and
+    each caller says in its docstring why its rule is one.
     """
     labels = sorted(arrows)
     index = {a: i for i, a in enumerate(labels)}
@@ -443,7 +456,7 @@ def tabulate(arrows, src, rng, inv, mul) -> Groupoid:
     comp = {(i, b): index[mul(a, labels[b])]
             for i, a in enumerate(labels) for b in by_rng.get(s[i], ())}
     units = [i for i, x in enumerate(s) if x == i]
-    return Groupoid(units, s, r, [index[inv(a)] for a in labels], comp)
+    return Groupoid._born(units, s, r, [index[inv(a)] for a in labels], comp)
 
 
 def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
@@ -452,16 +465,14 @@ def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
     Returns (h, old_of_new) where old_of_new[new_index] = old index.
     The units of h are the kept units of g.  A subset that is not closed
     under src, rng, inv and comp raises ValueError naming the first arrow,
-    then the first composable pair, that leaves it.  g passes
-    check_groupoid first, and h comes out marked checked, as check_groupoid
-    marks a groupoid: a closed subset of a groupoid inherits its axioms.
+    then the first composable pair, that leaves it; an arrow outside
+    0..g.m-1 raises ValueError first.  g passes check_groupoid first, and h
+    is born checked: a closed subset of a groupoid inherits its axioms.
     """
     check_groupoid(g)
-    keep = sorted(set(arrow_subset))
+    keep = _arrows(g.m, sorted(set(arrow_subset)))
     inside = frozenset(keep)
     for a in keep:
-        if not 0 <= a < g.m:
-            raise ValueError("arrow %d is out of range" % a)
         for name, ends in (("src", g.src), ("rng", g.rng), ("inv", g.inv)):
             if ends[a] not in inside:
                 raise ValueError("subset is not closed: %s(%d) = %d is not in it"
@@ -472,10 +483,8 @@ def subgroupoid(g: Groupoid, arrow_subset: Iterable[int]):
             if b in inside and g.comp[(a, b)] not in inside:
                 raise ValueError("subset is not closed: comp(%d, %d) = %d is not in it"
                                  % (a, b, g.comp[(a, b)]))
-    h = tabulate(keep, g.src.__getitem__, g.rng.__getitem__, g.inv.__getitem__,
-                 lambda a, b: g.comp[(a, b)])
-    h.checked = True
-    return h, keep
+    return _tabulate(keep, g.src.__getitem__, g.rng.__getitem__, g.inv.__getitem__,
+                     lambda a, b: g.comp[(a, b)]), keep
 
 
 def restrict(g: Groupoid, unit_subset: Iterable[int]) -> Groupoid:
@@ -501,7 +510,7 @@ def restrict(g: Groupoid, unit_subset: Iterable[int]) -> Groupoid:
 
 def is_bisection(g: Groupoid, subset: Iterable[int]) -> bool:
     check_groupoid(g)
-    b = list(subset)
+    b = _arrows(g.m, subset)
     return len({g.src[a] for a in b}) == len(b) and len({g.rng[a] for a in b}) == len(b)
 
 
@@ -509,6 +518,7 @@ def bisection_product(g: Groupoid, left, right) -> frozenset:
     """{comp(a, b) : a in left, b in right, composable}; again a bisection
     when left and right are, else ValueError."""
     check_groupoid(g)
+    left, right = _arrows(g.m, left), _arrows(g.m, right)
     out = {g.comp[(a, b)] for a in left for b in right if g.src[a] == g.rng[b]}
     if not is_bisection(g, out):
         raise ValueError("an argument of the product is not a bisection")
@@ -517,7 +527,7 @@ def bisection_product(g: Groupoid, left, right) -> frozenset:
 
 def bisection_inverse(g: Groupoid, subset) -> frozenset:
     check_groupoid(g)
-    return frozenset(g.inv[a] for a in subset)
+    return frozenset(g.inv[a] for a in _arrows(g.m, subset))
 
 
 def enumerate_bisections(g: Groupoid, cap: Optional[int] = None):

@@ -23,8 +23,8 @@ violations, and keeps nothing.  build_twist's model twist is born checked:
 the model of a checked normalised cocycle is a twist by construction, so
 it and its total carry check_twist's marks and the gate is one flag read.
 It is made by the private Twist._born and Groupoid._born, which take over
-the comp and embed dicts build_twist has just built without a copy; Twist
-and Groupoid copy what a caller passes in, since the caller may change it.
+the comp and embed dicts build_twist has just built without a copy (the
+rule is in groupoid's module docstring).
 A twist read from a file or put together by hand is validated in full.
 The cocycle induced_cocycle returns is born checked the same way
 (Cocycle._born, its exponents already in 0..n-1), so
@@ -62,7 +62,7 @@ from typing import Optional
 
 from .cocycle import Cocycle, check_cocycle, check_cohomologous
 from .groupoid import (
-    BindOnce, Groupoid, checked, derived, homomorphism_failures,
+    BindOnce, Groupoid, _arrows, checked, derived, homomorphism_failures,
     validate_groupoid,
 )
 
@@ -90,7 +90,10 @@ class Twist(BindOnce):
                          proj=tuple(proj), checked=True, _derived={})
 
     def fiber(self, a: int) -> tuple:
-        """Total arrows over base arrow a, ascending."""
+        """Total arrows over base arrow a, ascending; a base arrow out of
+        range raises ValueError.  Like the table queries of groupoid, it
+        reads the twist ungated, so validators may call it."""
+        _arrows(self.base.m, [a])
         return self._fibers().get(a, ())
 
     @derived
@@ -105,8 +108,7 @@ class Twist(BindOnce):
         The twist passes check_twist first; an arrow out of range raises
         ValueError."""
         check_twist(self)
-        if not 0 <= e < self.total.m:
-            raise ValueError("arrow %d is out of range" % e)
+        _arrows(self.total.m, [e])
         return self.total.comp[(self.embed[(self.proj[self.total.rng[e]], k % self.n)], e)]
 
     def __eq__(self, other):
@@ -130,7 +132,7 @@ def build_twist(base: Groupoid, coc: Cocycle) -> Twist:
     """The model twist on carrier base x Z/n with cocycle-twisted products.
 
     It indexes (a, k) as a*n + k itself instead of going through
-    groupoid.tabulate, which took twice as long (median 1.5 ms against
+    groupoid._tabulate, which took twice as long (median 1.5 ms against
     0.8 ms on pair5 with n = 4; 2-vCPU VM, Python 3.11): building twists
     is one of the larger layers of a twist round trip.  The exponent
     pattern (s + k + l) mod n over every (k, l) is worked out once per
@@ -268,9 +270,7 @@ def unique_scalar(tw: Twist, ref: int, other: int) -> int:
     n - 1, and answers for one pair what a section's exponent table answers
     for every arrow at once."""
     check_twist(tw)
-    for e in (ref, other):
-        if not 0 <= e < tw.total.m:
-            raise ValueError("arrow %d is out of range" % e)
+    _arrows(tw.total.m, [ref, other])
     if tw.proj[ref] != tw.proj[other]:
         raise ValueError(
             "arrows %d and %d sit over different base arrows" % (ref, other)

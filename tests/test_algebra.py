@@ -306,6 +306,14 @@ def test_local_unit_absorbs_family():
             assert T.convolve(f, e) == f
 
 
+def test_local_unit_refuses_an_element_of_another_context():
+    # on pair2 it answered {3: 1} for delta at arrow 3 of z4, reading
+    # pair2's ends at an arrow of another groupoid
+    other = make_context(T.build("z4"), "Q", involution="id")
+    with pytest.raises(ValueError, match="^element lives in a different context$"):
+        T.local_unit(ctx_q_pair2(), [T.delta(other, 3)])
+
+
 # --- coboundary isomorphism ----------------------------------------------------
 
 

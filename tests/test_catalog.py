@@ -42,7 +42,7 @@ def test_catalog_group_is_validated_once(name, monkeypatch):
 
 
 def test_tables_are_pinned():
-    """The rule-built groupoids are indexed by tabulate, the others by
+    """The rule-built groupoids are indexed by _tabulate, the others by
     shifting or by their group table: a sha256 over the serialized tables
     of 28 groupoids pins every index, as the hand-indexed builders had
     them."""

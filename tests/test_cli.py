@@ -469,6 +469,15 @@ def test_catalog_emit(tmp_path, capsys):
     assert (tmp_path / "z2_neg.coc").exists()
 
 
+def test_catalog_emit_of_an_unknown_name_makes_no_directory(tmp_path, capsys):
+    # emit made --out and its missing parents before it looked the name up
+    out = tmp_path / "new" / "emit"
+    code, got, err = run(capsys, "catalog", "emit", "nosuch", "--out", str(out))
+    assert (code, got) == (1, "")
+    assert re.fullmatch(r"error: unknown catalog name 'nosuch' \(try: pair1, .*\)\n", err)
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("names", [["z2"], []], ids=["one", "all"])
 @pytest.mark.parametrize("flags_first", [True, False], ids=["flags-first", "name-first"])
 def test_catalog_emit_names_after_a_flag(tmp_path, capsys, names, flags_first):

@@ -12,8 +12,10 @@ enumerate_cocycles, disjoint_union, subgroupoid and restrict raised a bare
 KeyError on a z2 whose composite (1, 1) is deleted.
 """
 
+import ast
 import inspect
 import os
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,56 @@ def test_every_gated_reader_refuses_an_invalid_object(run, make, kind):
         run(bad)
     assert exc.value.kind == kind and exc.value.violations == want
     assert marks(bad) == before and not bad.checked
+
+
+# --- who marks an object, and who builds one unmarked -------------------------
+
+
+def library_nodes():
+    """(place, node) for every node of the library's modules, where place
+    is the module and the enclosing classes and functions, such as
+    "cocycle.GroupTable.__init__"."""
+    def walk(node, place):
+        for child in ast.iter_child_nodes(node):
+            yield place, child
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, place + "." + child.name)
+            else:
+                yield from walk(child, place)
+
+    pkg = Path(T.__file__).resolve().parent
+    for path in sorted(pkg.rglob("*.py")):
+        yield from walk(ast.parse(path.read_text(), str(path)), path.stem)
+
+
+def test_only_the_gates_mark_an_object_checked():
+    """checked is set true only by the gate checked and by check_twist,
+    which marks a twist's base and total with it; an object valid by
+    construction is born marked through a private _born instead.
+    Constructors set it False."""
+    found = [place for place, node in library_nodes()
+             if isinstance(node, ast.Assign)
+             and not (isinstance(node.value, ast.Constant) and node.value.value is False)
+             for target in node.targets
+             if isinstance(target, ast.Attribute) and target.attr == "checked"]
+    assert found == ["groupoid.checked", "twist.check_twist", "twist.check_twist"]
+
+
+def test_public_constructors_build_only_what_meets_a_gate_next():
+    """The library calls Groupoid, Cocycle, Twist and Grading only where a
+    table comes from outside and meets its gate next: the file readers'
+    block parsers, a group table and one shipped cocycle fixture.
+    Everything it builds itself is born checked."""
+    names = {"Groupoid", "Cocycle", "Twist", "Grading"}
+    found = sorted((place, name) for place, node in library_nodes()
+                   if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                   if name in names)
+    assert found == [
+        ("catalog.z2_neg_cocycle", "Cocycle"),
+        ("cocycle.GroupTable.__init__", "Groupoid"),
+        ("fileio.parse_cocycle_block", "Cocycle"),
+        ("fileio.parse_grading_block", "Grading"),
+        ("fileio.parse_groupoid_block", "Groupoid"),
+        ("fileio.parse_twist_block", "Twist"),
+    ]

@@ -9,7 +9,8 @@ import pytest
 import twistalg as T
 from twistalg import groupoid as G
 from conftest import (
-    assert_flag_ignored, assert_never_marked, assert_read_only, count_calls, kept, unmarked,
+    assert_flag_ignored, assert_never_marked, assert_read_only, broken_z2, count_calls, kept,
+    unmarked,
 )
 
 
@@ -223,16 +224,41 @@ def test_every_subgroupoid_validates(monkeypatch):
 def test_tabulate_indexes_sorted_labels():
     # the pair groupoid on points "x" < "y", its labels listed out of order
     labels = [("y", "x"), ("x", "x"), ("y", "y"), ("x", "y")]
-    pair = G.tabulate(labels, lambda a: (a[1], a[1]), lambda a: (a[0], a[0]),
-                      lambda a: (a[1], a[0]), lambda a, b: (a[0], b[1]))
+    pair = G._tabulate(labels, lambda a: (a[1], a[1]), lambda a: (a[0], a[0]),
+                       lambda a: (a[1], a[0]), lambda a, b: (a[0], b[1]))
     assert pair == T.pair_groupoid(2) and pair.units == (0, 3)
     assert list(pair.comp) == sorted(pair.comp)
-    # the units are exactly the labels that are their own source, and
-    # nothing is checked: every product here is the unit "e"
-    g = G.tabulate(["s", "e", "t"], lambda a: "e", lambda a: "e", lambda a: a,
-                   lambda a, b: "e")
+    # the units are exactly the labels that are their own source.  Nothing
+    # is checked, and _tabulate trusts its caller: this rule, every product
+    # of which is the unit "e", is no groupoid and comes out marked all the
+    # same, which is why only rules valid by construction may use it
+    g = G._tabulate(["s", "e", "t"], lambda a: "e", lambda a: "e", lambda a: a,
+                    lambda a, b: "e")
+    assert g.checked
     assert g.units == (0,) and g.src == g.rng == (0, 0, 0) and g.inv == (0, 1, 2)
     assert "left unit law fails at arrow 1" in T.validate_groupoid(g)
+
+
+@pytest.mark.parametrize("call, arrow", [
+    (lambda g: T.is_bisection(g, [-1]), -1),
+    (lambda g: T.is_bisection(g, [7]), 7),
+    (lambda g: T.bisection_product(g, [-1], [0]), -1),
+    (lambda g: T.bisection_product(g, [0], [4]), 4),
+    (lambda g: T.bisection_inverse(g, [-1]), -1),
+    (lambda g: T.bisection_inverse(g, [1, 4]), 4),
+    (lambda g: T.subgroupoid(g, [0, 4]), 4),
+], ids=["is_bisection-neg", "is_bisection-past", "product-left", "product-right",
+        "inverse-neg", "inverse-past", "subgroupoid"])
+def test_an_arrow_out_of_range_is_refused_after_the_gate(call, arrow):
+    """On pair2, bisection_inverse(g, [-1]) was {3}, is_bisection(g, [-1])
+    True and bisection_product(g, [-1], [0]) empty, read through Python's
+    negative indices, and is_bisection(g, [7]) raised a bare IndexError.
+    A broken groupoid still meets its gate first."""
+    with pytest.raises(ValueError, match="^arrow %d is out of range$" % arrow) as raised:
+        call(T.build("pair2"))
+    assert type(raised.value) is ValueError
+    with pytest.raises(T.AxiomError, match="^invalid groupoid: "):
+        call(broken_z2("composite"))
 
 
 def test_bisection_product_rejects_a_non_bisection():

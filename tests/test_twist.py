@@ -75,6 +75,15 @@ def test_twist_action_is_free_and_transitive():
         T.unique_scalar(tw, tw.fiber(0)[0], tw.fiber(1)[0])
 
 
+@pytest.mark.parametrize("a", [-1, 4, 99])
+def test_fiber_refuses_a_base_arrow_out_of_range(a):
+    # it returned () for -1 and 99 on pair2's twists
+    g = T.build("pair2")
+    tw = T.build_twist(g, T.trivial_cocycle(g, 2))
+    with pytest.raises(ValueError, match="^arrow %d is out of range$" % a):
+        tw.fiber(a)
+
+
 def test_unique_scalar_matches_the_search():
     """unique_scalar gives the exponent that the search over k = 0, 1, ...
     with act finds, on every same-fiber pair."""
