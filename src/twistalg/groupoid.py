@@ -419,6 +419,21 @@ def orbits(g: Groupoid) -> list:
     return out
 
 
+@derived
+def _orbit_arrows(g: Groupoid):
+    """(orbit_of, arrows): orbit_of[a] is the index in orbits(g) of the
+    orbit that holds src a (and rng a), and arrows[i] lists, ascending, the
+    arrows a with orbit_of[a] == i.  Kept on g (derived), since orbits
+    scans every arrow per unit on each call."""
+    orbs = orbits(g)
+    where = {x: i for i, orb in enumerate(orbs) for x in orb}
+    orbit_of = tuple(where[x] for x in g.src)
+    arrows = [[] for _ in orbs]
+    for a, i in enumerate(orbit_of):
+        arrows[i].append(a)
+    return orbit_of, tuple(map(tuple, arrows))
+
+
 def is_minimal(g: Groupoid) -> bool:
     """One orbit; with the discrete topology closures change nothing."""
     check_groupoid(g)

@@ -23,14 +23,23 @@ convolve and the simplicity scan share), inverted once per context to
 list, per arrow c, each (arm, target, exponent) whose entry reads c; an
 arm is one closer on one side.  So the images of a row cost a walk over
 its own support, not over every entry of every arm: on pair_groupoid(n)
-an arm has n entries, and most rows the worklist queues have two.
+an arm has n entries, and every row the worklist queues has one.
 
 The test runs once per ideal.  An Ideal given a basis (by a caller, a file
 or the structural certificate) checks that the basis is RREF and closed.
 ideal_generated instead closes a worklist under the same arrows: every
 row that enlarges its span queues its images, so the finished span is
 closed by construction, and that is its closure check.  Both use the one
-_images kept on the context (derived).
+_images kept on the context (derived).  The worklist is seeded with the
+unit blocks 1_u f 1_w of each generator f, f restricted to the arrows
+from w to u: cocycles are normalised, so delta_u delta_a = delta_a when
+rng a = u, and the blocks are products with f that sum to f, so they
+generate the same ideal.  A block of a pair groupoid is one arrow.  The
+worklist stops once the span's dimension is that of B, the span of the
+delta_a with src a in an orbit the generators touch (the ideal of an
+invariant unit set, as in is_simple's certificate): B is an ideal holding
+every generator, so a span that large is B, and its canonical basis is
+B's unit rows, which need no back-substitution.
 
 ck_witness and graded_ck_witness realize the kernel-side constructions of
 the uniqueness theorems: slide a support arrow to a unit with a delta
@@ -89,6 +98,7 @@ from typing import Iterable
 from .algebra import Context, Element, char_fn, convolve, delta, graded_components
 from .cocycle import Grading, check_grading, kernel_arrows
 from .groupoid import (
+    _orbit_arrows,
     derived,
     generating_set,
     is_effective,
@@ -169,23 +179,42 @@ class Echelon:
                 c = tail.pop(k)
                 for i, val in pivots[k].items():
                     tail[i] = ring.sub(tail.get(i, zero), ring.mul(c, val))
-        return [tuple(ring.one() if i == j else pivots[j].get(i, zero) for i in range(m))
-                for j in sorted(pivots)]
+        out = []
+        for j in sorted(pivots):
+            row = [zero] * m
+            row[j] = ring.one()
+            for i, val in pivots[j].items():
+                row[i] = val
+            out.append(tuple(row))
+        return out
 
 
 def _sparse(ring, row) -> dict:
     return {j: c for j, c in enumerate(row) if not ring.is_zero(c)}
 
 
+def _length(rows: list) -> int:
+    """The length every row has, 0 for no rows; rows of different lengths
+    raise ValueError naming them."""
+    lengths = sorted({len(r) for r in rows})
+    if len(lengths) > 1:
+        raise ValueError("rows have different lengths: %s" % ", ".join(map(str, lengths)))
+    return lengths[0] if lengths else 0
+
+
 def rref(ring, rows: list) -> list:
-    """Reduced row echelon form, least-index pivots, leading ones, sorted."""
+    """Reduced row echelon form, least-index pivots, leading ones, sorted.
+    Rows of different lengths raise ValueError."""
     rows = [list(r) for r in rows]
-    return Echelon(ring, (_sparse(ring, r) for r in rows)).rows(max(map(len, rows), default=0))
+    return Echelon(ring, (_sparse(ring, r) for r in rows)).rows(_length(rows))
 
 
 def reduce_against(ring, basis: list, vec) -> list:
-    """Remainder of vec after elimination by an RREF basis."""
-    vec = list(vec)
+    """Remainder of vec after elimination by an RREF basis.  Basis rows of
+    different lengths, or a vec of another length, raise ValueError."""
+    basis, vec = [list(r) for r in basis], list(vec)
+    if basis and len(vec) != _length(basis):
+        raise ValueError("vector has length %d but basis rows have length %d" % (len(vec), len(basis[0])))
     rem = Echelon(ring, (_sparse(ring, r) for r in basis)).remainder(_sparse(ring, vec))
     return [rem.get(j, ring.zero()) for j in range(len(vec))]
 
@@ -230,8 +259,9 @@ class Ideal:
     every other arrow up to a unit scalar, and a unit need not be such a
     word.  A failure names its row and the first of those arrows that shows
     it, rows in order, left before right, and the check stops at three.
-    ideal_generated passes the same test while it builds its span, and
-    hands that span to _closed instead."""
+    ideal_generated passes the same test while it builds its span, or
+    stops at its orbit bound, which is an ideal, and hands that span to
+    _closed instead."""
 
     def __init__(self, ctx: Context, basis):
         ring, m = ctx.ring, ctx.gpd.m
@@ -257,8 +287,8 @@ class Ideal:
 
     @classmethod
     def _closed(cls, ctx: Context, span: Echelon) -> Ideal:
-        """The ideal spanned by span, which the caller has closed under the
-        units and the generators; its basis comes from span.rows."""
+        """The ideal spanned by span, which the caller knows to be closed
+        under the units and the generators; its basis comes from span.rows."""
         self = cls.__new__(cls)
         self.ctx, self.span = ctx, span
         self.basis = tuple(span.rows(ctx.gpd.m))
@@ -284,22 +314,40 @@ class Ideal:
 def ideal_generated(ctx: Context, elems: Iterable[Element]) -> Ideal:
     """Smallest two-sided ideal containing the given elements.
 
-    A worklist closes the span under the units and the generators: each
-    generator is inserted, and every row that enlarges the span queues its
-    images under those arrows, on both sides, for insertion in turn.  Each
-    spanning row then has its images in the final span, which is Ideal's
-    closure test passed at generation, so the span is an ideal; it holds
-    only sums of products delta_a f delta_b, so it is the least one."""
+    A worklist closes the span under the units and the generators: the unit
+    blocks of each generator are inserted, and every row that enlarges the
+    span queues its images under those arrows, on both sides, for insertion
+    in turn.  Each spanning row then has its images in the final span, which
+    is Ideal's closure test passed at generation, so the span is an ideal;
+    it holds only sums of products delta_a f delta_b, so it is the least
+    one.  The unit block 1_u f 1_w of f is f restricted to the arrows from w
+    to u (delta_u delta_a = delta_a when rng a = u, as cocycles are
+    normalised), so the blocks sum to f and each is a product with f: they
+    generate the same ideal.  The worklist stops once the span is as large
+    as B, the span of the delta_a with src a in an orbit the generators
+    touch: B is an ideal (its units are invariant) holding every generator,
+    so a span of its dimension is B, whose canonical basis is its unit
+    rows."""
     if not ctx.ring.is_field:
         raise ValueError("ideals require field coefficients")
-    pending = []
+    src, rng = ctx.gpd.src, ctx.gpd.rng
+    orbit_of, orbit_arrows = _orbit_arrows(ctx.gpd)
+    pending, touched = [], set()
     for f in elems:
         if f.ctx != ctx:
             raise ValueError("generator lives in a different context")
-        pending.append(f.coeffs)
+        blocks = {}
+        for a, c in f.coeffs.items():
+            blocks.setdefault((rng[a], src[a]), {})[a] = c
+            touched.add(orbit_of[a])
+        pending += blocks.values()
+    bound = sum(len(orbit_arrows[i]) for i in touched)
     images, span = _images(ctx), Echelon(ctx.ring)
     for v in pending:  # grows while it is read
         if span.insert(dict(v)):
+            if len(span.pivots) == bound:
+                span.pivots = {a: {} for i in touched for a in orbit_arrows[i]}
+                break
             pending.extend(w for _, _, w in images(v) if w)
     return Ideal._closed(ctx, span)
 

@@ -1,5 +1,6 @@
 """Row reduction, ideals, unit-set witnesses, and the simplicity scan."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -77,6 +78,20 @@ def test_reduce_against_detects_span():
     assert all(c == 0 for c in T.reduce_against(GF3, basis, inside))
     outside = [0, 0, 1]
     assert any(c != 0 for c in T.reduce_against(GF3, basis, outside))
+
+
+@pytest.mark.parametrize("call,message", [
+    # padded, (1) is (1, 0), which is not in the span of (1, 1)
+    (lambda: T.reduce_against(GF3, [[1, 1]], [1]), "vector has length 1 but basis rows have length 2"),
+    (lambda: T.reduce_against(GF3, [[1, 1], [0, 1, 0]], [1, 0]), "rows have different lengths: 2, 3"),
+    (lambda: T.rref(GF3, [[1, 2], [1]]), "rows have different lengths: 1, 2"),
+], ids=["reduce-short-vector", "reduce-ragged-basis", "rref-ragged"])
+def test_rows_of_different_lengths_are_refused(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+    # the padded rows answer: (1, 0) - (1, 1) leaves (0, 2)
+    assert T.reduce_against(GF3, [[1, 1]], [1, 0]) == [0, 2]
+    assert T.rref(GF3, [[1, 2], [1, 0]]) == [(1, 0), (0, 1)]
 
 
 # --- the kernel against an independent oracle -------------------------------------
@@ -358,27 +373,111 @@ def test_generated_ideal_bytes_are_pinned():
     assert digest.hexdigest() == "e03ab0f3e010d4b039bf72d2b5b50266a93396b13f880258184e409500711113"
 
 
-def test_generated_ideals_match_the_product_span():
-    """Oracle for the closure worklist: each pinned ideal, and each ideal of
-    pair1 + pair1 and pair1 + z2 (where the unit of pair1 is no word in the
-    generators), is closed under delta_a on both sides at every arrow,
-    worked out with convolve and not with Ideal; it holds its generator;
-    and its basis is the RREF of all m^2 products delta_a f delta_b."""
+def coboundary_twist(g, n, rnd):
+    """A random order-n coboundary on g: pair groupoids have no other
+    twists, and it still moves every product by a scalar."""
+    b = [0 if a in g.unit_set else rnd.randrange(n) for a in range(g.m)]
+    return T.apply_coboundary(T.trivial_cocycle(g, n), b)
+
+
+def union_cases():
+    """(ctx, [f]) on pair1 + pair1 and pair1 + z2, where the unit of pair1
+    is no word in the generators."""
     pair1 = T.build("pair1")
-    unions = [T.disjoint_union(pair1, T.build(name)) for name in ("pair1", "z2")]
-    extra = []
-    for g, spec in itertools.product(unions, ("GF(3)", "Q")):
+    for g, spec in itertools.product([T.disjoint_union(pair1, T.build(name)) for name in ("pair1", "z2")],
+                                     ("GF(3)", "Q")):
         ctx = make_context(g, spec)
         rnd = random.Random("union/%d/%s" % (g.m, spec))
         one = ctx.ring.one()
         for f in [T.from_coeffs(ctx, {0: one, 1: one})] + [random_nonzero(ctx, rnd) for _ in range(4)]:
-            extra.append((ctx, f, T.ideal_generated(ctx, [f])))
-    for ctx, f, ideal in itertools.chain(pinned_ideals(), extra):
-        deltas = [T.delta(ctx, a) for a in range(ctx.gpd.m)]
-        products = [T.to_vec(T.convolve(T.convolve(da, f), db)) for da in deltas for db in deltas]
+            yield ctx, [f]
+
+
+def generator_cases():
+    """(ctx, generators), each a list of elements handed to one
+    ideal_generated call:
+    - pair4 + pair3, untwisted and twisted, with generators on one block
+      and on two blocks, and several generators in one call;
+    - fix3 under each order-2 cocycle, and the actions of s3 on 3 points
+      and of z4 on 2 points: their stabilisers are nontrivial, so a unit
+      block holds more than one arrow;
+    - pair3 under a coboundary twist;
+    - s3/GF(3) and z8/GF(2) with generators of coefficient sum zero, whose
+      ideals lie in the augmentation ideal and never reach the orbit bound."""
+    rnd = random.Random("generator cases")
+    g = T.disjoint_union(T.pair_groupoid(4), T.pair_groupoid(3))
+    blocks = [range(16), range(16, 25)]
+    for spec, coc in [("GF(3)", None), ("Q", None), ("GF(5)", coboundary_twist(g, 4, rnd)),
+                      ("Q(zeta_4)", coboundary_twist(g, 4, rnd))]:
+        ctx = make_context(g, spec, coc=coc)
+        one = ctx.ring.one()
+        on = lambda arrows, k: T.from_coeffs(ctx, {a: x if not ctx.ring.is_zero(x) else one
+                                                    for a in rnd.sample(arrows, k)
+                                                    for x in [ctx.ring.random_element(rnd)]})
+        for block in blocks:
+            yield ctx, [on(block, 2)]
+            yield ctx, [on(block, 1), on(block, 1)]
+        yield ctx, [on(blocks[0], 1) + on(blocks[1], 1)]
+        yield ctx, [on(blocks[0], 2), on(blocks[1], 3)]
+        yield ctx, [random_nonzero(ctx, rnd, 0.3) for _ in range(3)]
+    fix3 = T.build("fix3")
+    s3_on_3 = T.action_groupoid(T.s3_table(), sorted(itertools.permutations(range(3))))
+    z4_on_2 = T.action_groupoid(T.cyclic_group(4), [[x ^ (r % 2) for x in range(2)] for r in range(4)])
+    twisted = [(fix3, coc) for coc in T.enumerate_cocycles(fix3, 2)]
+    twisted += [(s3_on_3, None), (z4_on_2, None)]
+    twisted += [(T.pair_groupoid(3), coboundary_twist(T.pair_groupoid(3), 2, rnd))]
+    for (g, coc), spec in itertools.product(twisted, ("GF(3)", "Q")):
+        ctx = make_context(g, spec, coc=coc)
+        one = ctx.ring.one()
+        # the isotropy blocks with more than one arrow; at fix3's fixed point,
+        # untwisted, delta_2 + delta_5 spans a proper ideal of its block
+        for u in g.units:
+            block = [a for a in range(g.m) if g.src[a] == g.rng[a] == u]
+            if len(block) > 1:
+                yield ctx, [T.from_coeffs(ctx, dict.fromkeys(block, one))]
+        yield ctx, [random_nonzero(ctx, rnd, 2 / g.m)]
+        yield ctx, [random_nonzero(ctx, rnd, 0.5), random_nonzero(ctx, rnd, 2 / g.m)]
+    for name, spec in (("s3", "GF(3)"), ("z8", "GF(2)")):
+        ctx = make_context(T.build(name), spec)
+        ring, m = ctx.ring, ctx.gpd.m
+        for _ in range(6):
+            f = random_nonzero(ctx, rnd, 0.5)
+            total = functools.reduce(ring.add, f.coeffs.values())
+            f = T.from_coeffs(ctx, {**f.coeffs, m - 1: ring.sub(f.value(m - 1), total)})
+            if f.coeffs:
+                yield ctx, [f]
+
+
+def test_generated_ideals_match_the_product_span():
+    """Oracle for the closure worklist, its unit-block seeding and its stop
+    at the orbit bound: each pinned ideal and each ideal of union_cases()
+    and generator_cases() has as its basis the RREF of all m^2 products
+    delta_a f delta_b over its generators f, worked out with convolve and
+    not with Ideal, and holds its generators; the pinned and union ideals
+    are also closed under delta_a on both sides at every arrow."""
+    walked = [(ctx, [f], ideal) for ctx, f, ideal in pinned_ideals()]
+    walked += [(ctx, gens, T.ideal_generated(ctx, gens)) for ctx, gens in union_cases()]
+    cases = walked + [(ctx, gens, T.ideal_generated(ctx, gens)) for ctx, gens in generator_cases()]
+    short = 0
+    for i, (ctx, gens, ideal) in enumerate(cases):
+        g = ctx.gpd
+        deltas = [T.delta(ctx, a) for a in range(g.m)]
+        products = [T.to_vec(T.convolve(T.convolve(da, f), db))
+                    for f in gens for da in deltas for db in deltas]
         assert ideal.basis == tuple(T.rref(ctx.ring, products))
-        assert ideal.member(f)
-        assert next(convolve_closure_failures(ctx, ideal.basis), None) is None
+        assert all(ideal.member(f) for f in gens)
+        # the product span is the ideal, so the basis check implies closure;
+        # the convolve walk, a second and independent check that rebuilds
+        # the basis per product, runs on the pinned ideals and the unions
+        if i < len(walked):
+            assert next(convolve_closure_failures(ctx, ideal.basis), None) is None
+        # the bound: the arrows whose source lies in an orbit a generator touches
+        orbit = {u: orb for orb in T.orbits(g) for u in orb}
+        touched = {u for f in gens for a in f.coeffs for u in orbit[g.src[a]]}
+        short += ideal.dim < sum(g.src[a] in touched for a in range(g.m))
+    # every s3 and z8 case of coefficient sum zero is among those that stop
+    # short of the bound
+    assert (len(cases), short) == (242, 38)
 
 
 def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
@@ -402,6 +501,32 @@ def test_generation_builds_one_table_and_reduces_nothing(monkeypatch):
     assert T.convolve(T.delta(ctx, 1), T.one(ctx)) == T.delta(ctx, 1)
     assert T.is_simple(ctx, mode="exhaustive").simple is False
     assert (built, closure) == ([True, False, False], [True, False])
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_generation_stops_at_the_orbit_bound(monkeypatch, n):
+    """On pair_groupoid(n) the orbit bound B is the whole algebra, and a
+    2-sparse generator seeds the worklist with two one-arrow unit blocks:
+    the last Echelon.insert is the one that brought the span to dim B, and
+    the basis is B's unit rows."""
+    sizes, insert = [], S.Echelon.insert
+
+    def counted(self, w):
+        grew = insert(self, w)
+        sizes.append(len(self.pivots))
+        return grew
+    monkeypatch.setattr(S.Echelon, "insert", counted)
+    g = T.pair_groupoid(n)
+    rnd = random.Random("bound/%d" % n)
+    for spec in ("GF(3)", "Q"):
+        ctx = make_context(g, spec)
+        for _ in range(4):
+            sizes.clear()
+            f = T.from_coeffs(ctx, dict.fromkeys(rnd.sample(range(g.m), 2), ctx.ring.one()))
+            ideal = T.ideal_generated(ctx, [f])
+            assert ideal.dim == g.m and sizes[-1] == g.m and sizes.count(g.m) == 1
+            one, zero = ctx.ring.one(), ctx.ring.zero()
+            assert ideal.basis == tuple(tuple(one if i == j else zero for i in range(g.m)) for j in range(g.m))
 
 
 def test_generating_set_walks_once_per_groupoid(monkeypatch):
@@ -480,15 +605,15 @@ def test_ideal_generated_contains_generators():
         assert 0 < ideal.dim <= ctx.gpd.m
 
 
-@pytest.mark.parametrize("ring_spec,dense_cap", [("GF(3)", 256), ("Q", 16)])
-def test_generated_ideals_at_growth_sizes_are_their_blocks(ring_spec, dense_cap):
+@pytest.mark.parametrize("ring_spec", ["GF(3)", "Q"])
+def test_generated_ideals_at_growth_sizes_are_their_blocks(ring_spec):
     """On pair_groupoid(16) and pair_groupoid(12) + pair_groupoid(4) the
     ideal of f is the sum of the matrix blocks f touches: its dimension is
     the sum of k^2 over them, and an element is a member exactly when its
     support lies inside them.  Generators are 2-sparse in each block, one
     arrow in each of two blocks, and half dense on the whole groupoid and
-    on each block, up to dense_cap arrows: over Q, a half-dense generator
-    on 256 arrows costs over a second of Fraction elimination."""
+    on each block.  Over Q too: seeded from its one-arrow unit blocks, the
+    worklist stops at the orbit bound before any Fraction elimination."""
     rnd = random.Random("growth/" + ring_spec)
     for g in (T.pair_groupoid(16), T.disjoint_union(T.pair_groupoid(12), T.pair_groupoid(4))):
         ctx, one = make_context(g, ring_spec), T.parse_ring(ring_spec).one()
@@ -499,7 +624,7 @@ def test_generated_ideals_at_growth_sizes_are_their_blocks(ring_spec, dense_cap)
             parts.append((range(len(blocks)), range(g.m)))
         gens = [(touched, rows(support, 2)) for touched, support in parts[:len(blocks)]]
         gens += [(touched, rows(support, len(support) // 2))
-                 for touched, support in parts if len(support) <= dense_cap]
+                 for touched, support in parts]
         if len(blocks) > 1:
             gens.append((range(len(blocks)), rows(blocks[0], 1) + rows(blocks[1], 1)))
         for touched, f in gens:
